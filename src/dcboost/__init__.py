@@ -13,8 +13,8 @@ from .analysis import (AuditReport, RateReport, Regime, Violation,
                        audit_trace, classify_rate, effective_modulus,
                        verify_rate_inequality)
 from .biochem import (GeneratorConfig, NetworkObjective, ReactionNetwork,
-                      check_mass_conservation, eval_f1_f2, eval_rates,
-                      generate_network, load_network, save_network)
+                      check_mass_conservation, generate_network,
+                      load_network, save_network)
 from .exceptions import (DcError, EvaluationOverflow, GenerationError,
                          LineSearchError, NumericalError, SchemaError,
                          SchemaWarning, TheoryWarning)
@@ -38,8 +38,8 @@ __all__ = (
     "AuditReport", "RateReport", "Regime", "Violation", "audit_trace",
     "classify_rate", "effective_modulus", "verify_rate_inequality",
     "GeneratorConfig", "NetworkObjective", "ReactionNetwork",
-    "check_mass_conservation", "eval_f1_f2", "eval_rates",
-    "generate_network", "load_network", "save_network",
+    "check_mass_conservation", "generate_network", "load_network",
+    "save_network",
     "DcError", "EvaluationOverflow", "GenerationError", "LineSearchError",
     "NumericalError", "SchemaError", "SchemaWarning", "TheoryWarning",
     "ComparisonRow", "ExperimentResult", "ExperimentSpec",

@@ -31,8 +31,6 @@ __all__ = (
     "ReactionNetwork",
     "NetworkObjective",
     "GeneratorConfig",
-    "eval_rates",
-    "eval_f1_f2",
     "check_mass_conservation",
     "generate_network",
     "load_network",
@@ -117,7 +115,6 @@ class NetworkObjective:
         self.A = (self.M - self.N).tocsr()
         self.B = self.M.T.tocsr()
         self.MpN = (self.M + self.N).tocsr()
-        self.MT = self.B
         self.NT = self.N.T.tocsr()
         self.AT = self.A.T.tocsr()
         self.MpNT = self.MpN.T.tocsr()
@@ -153,12 +150,6 @@ class NetworkObjective:
         with np.errstate(over="ignore"):
             return 2.0 * (float(p @ p) + float(c @ c))
 
-    def f2_value(self, x):
-        p, c, _ = self.rates(x)
-        with np.errstate(over="ignore"):
-            s = p + c
-            return float(s @ s)
-
     def phi_value(self, x):
         # ||p - c||^2 evaluated without forming the large near-equal
         # pieces, so values near a steady state keep their accuracy
@@ -176,7 +167,7 @@ class NetworkObjective:
         e = self._flux(x)
         p = self.M @ e
         c = self.N @ e
-        t1 = self.MT @ p + self.NT @ c
+        t1 = self.B @ p + self.NT @ c
         value = 2.0 * (float(p @ p) + float(c @ c))
         grad = 4.0 * (self.M @ (e * t1))
         Be = self.B.multiply(e[:, None]).tocsr()
@@ -208,26 +199,10 @@ class NetworkObjective:
             sigma_g=0.0,
             sigma_h=0.0,
             f1_value=self.f1_value,
-            f2_value=self.f2_value,
             phi_value=self.phi_value,
             phi_value_grad=self.phi_value_grad,
             name=name or self.network.name or "network",
         )
-
-
-def _objective(network):
-    return network if isinstance(network, NetworkObjective) else NetworkObjective(network)
-
-
-def eval_rates(network, x):
-    """(p, c, f) for a network or a prebuilt NetworkObjective."""
-    return _objective(network).rates(x)
-
-
-def eval_f1_f2(network, x):
-    """Both DC pieces with derivatives: ((f1, g1, H1), (f2, g2, H2))."""
-    obj = _objective(network)
-    return obj.eval_f1(x), obj.eval_f2(x)
 
 
 def check_mass_conservation(network, l=None):

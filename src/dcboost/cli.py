@@ -20,7 +20,7 @@ from .exceptions import DcError, GenerationError, SchemaError
 from .harness import (ExperimentSpec, ProblemSource, run_experiment)
 from .inner import InnerConfig
 from .problem import BUILTIN_PROBLEMS, builtin_problem
-from .solver import (SolverConfig, Status, Variant, read_trace_csv, solve,
+from .solver import (SolverConfig, Variant, read_trace_csv, solve,
                      write_trace_csv)
 
 __all__ = ("main",)
@@ -42,15 +42,15 @@ def _solver_flags(parser):
     parser.add_argument("--inner-tol", type=float, default=1e-8)
 
 
-def _solver_config(args, variant=None, max_iters=None):
+def _solver_config(args, **fields):
     return SolverConfig(
-        variant=variant if variant is not None else args.variant,
+        variant=args.variant,
         alpha=args.alpha,
         beta=args.beta,
         lambda_bar=args.lambda_bar,
         lambda_max=args.lambda_max,
-        max_outer_iters=max_iters if max_iters is not None else 1000,
         inner=InnerConfig(tol_grad=args.inner_tol),
+        **fields,
     )
 
 
@@ -88,20 +88,14 @@ def cmd_solve(args):
         start = {"x0_seed": args.x0_seed}
 
     try:
-        cfg = _solver_config(args, max_iters=args.max_iters)
-        if args.tol is not None:
-            cfg.tol_d = cfg.tol_x = args.tol
+        cfg = _solver_config(args, max_outer_iters=args.max_iters,
+                             tol_d=args.tol, tol_x=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     _echo({"command": "solve", "problem": source, "m": problem.m,
-           "rho": problem.rho, "variant": cfg.variant.value,
-           "alpha": cfg.alpha, "beta": cfg.beta,
-           "lambda_bar": cfg.lambda_bar, "lambda_max": cfg.lambda_max,
-           "max_iters": cfg.max_outer_iters,
-           "tol_d": cfg.tol_d, "tol_x": cfg.tol_x,
-           "inner_tol": cfg.inner.tol_grad, **start})
+           "rho": problem.rho, **cfg.to_json(), **start})
 
     result = solve(problem, x0, cfg)
 

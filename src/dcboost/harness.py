@@ -7,6 +7,7 @@ Rows aggregate iteration and time statistics per problem; ratios are
 computed from the averages.
 """
 
+import csv
 import dataclasses
 import json
 import re
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .biochem import NetworkObjective, generate_network, load_network
-from .inner import InnerConfig
+from .inner import value_or_inf
 from .problem import builtin_problem
 from .solver import SolverConfig, SolveResult, Variant, solve, write_trace_csv
 
@@ -107,10 +108,6 @@ class ProblemSource:
         return label, NetworkObjective(network).as_dc_problem(rho=rho)
 
 
-def _default_solver():
-    return SolverConfig(variant=Variant.BDCA_QI)
-
-
 @dataclass
 class ExperimentSpec:
     problems: List[ProblemSource]
@@ -121,7 +118,7 @@ class ExperimentSpec:
     bdca_iters: int = 1000
     dca_cap: Optional[int] = None
     rho: float = 100.0
-    solver: SolverConfig = field(default_factory=_default_solver)
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not self.problems:
@@ -143,23 +140,6 @@ class ExperimentSpec:
         return self.dca_cap if self.dca_cap is not None else 100 * self.bdca_iters
 
     def to_json(self):
-        solver = {
-            "variant": self.solver.variant.value,
-            "alpha": self.solver.alpha,
-            "beta": self.solver.beta,
-            "lambda_bar": self.solver.lambda_bar,
-            "lambda_max": self.solver.lambda_max,
-            "max_backtracks": self.solver.max_backtracks,
-            "tol_d": self.solver.tol_d,
-            "tol_x": self.solver.tol_x,
-            "inner": {
-                "tol_grad": self.solver.inner.tol_grad,
-                "max_iters": self.solver.inner.max_iters,
-                "damping_floor": self.solver.inner.damping_floor,
-            },
-        }
-        if self.solver.proximal_c is not None:
-            solver["proximal_c"] = self.solver.proximal_c
         return {
             "problems": [p.to_json() for p in self.problems],
             "trials": self.trials,
@@ -169,16 +149,14 @@ class ExperimentSpec:
             "bdca_iters": self.bdca_iters,
             "dca_cap": self.resolved_dca_cap(),
             "rho": self.rho,
-            "solver": solver,
+            "solver": self.solver.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("experiment spec must be an object")
-        solver_obj = dict(obj.get("solver", {}))
-        inner_obj = solver_obj.pop("inner", {})
-        solver = SolverConfig(inner=InnerConfig(**inner_obj), **solver_obj)
+        solver = SolverConfig.from_json(obj.get("solver", {}))
         known = {"problems", "trials", "seed", "x0_low", "x0_high",
                  "bdca_iters", "dca_cap", "rho"}
         unknown = set(obj) - known - {"solver"}
@@ -209,7 +187,7 @@ def run_matched_target(problem, x0, solver_config=None, bdca_iters=1000,
                        dca_cap=None):
     """One boosted run of exactly ``bdca_iters`` iterations (or to
     stationarity), then a plain run chasing the boosted final value."""
-    cfg = solver_config if solver_config is not None else _default_solver()
+    cfg = solver_config if solver_config is not None else SolverConfig()
     if cfg.variant is Variant.DCA:
         raise ValueError("the boosted side of the comparison cannot be dca")
     if dca_cap is None:
@@ -229,20 +207,6 @@ def run_matched_target(problem, x0, solver_config=None, bdca_iters=1000,
 
 
 # -- aggregation ---------------------------------------------------------
-
-ROW_COLUMNS = (
-    "name", "m", "n", "trials", "avg_phi0", "avg_phi_end",
-    "bdca_iters_min", "bdca_iters_max", "bdca_iters_avg",
-    "bdca_time_min", "bdca_time_max", "bdca_time_avg",
-    "dca_iters_min", "dca_iters_max", "dca_iters_avg",
-    "dca_time_min", "dca_time_max", "dca_time_avg",
-    "ratio_iters", "ratio_time",
-    "avg_phi_end_dca", "dca_capped", "failures",
-)
-
-_INT_COLUMNS = {"m", "n", "trials", "bdca_iters_min", "bdca_iters_max",
-                "dca_iters_min", "dca_iters_max", "dca_capped", "failures"}
-
 
 @dataclass
 class ComparisonRow:
@@ -269,6 +233,10 @@ class ComparisonRow:
     avg_phi_end_dca: float
     dca_capped: int
     failures: int
+
+
+ROW_COLUMNS = tuple(f.name for f in dataclasses.fields(ComparisonRow))
+_INT_COLUMNS = {f.name for f in dataclasses.fields(ComparisonRow) if f.type is int}
 
 
 @dataclass
@@ -357,13 +325,7 @@ def run_experiment(spec, out_dir=None):
             x0 = rng.uniform(spec.x0_low, spec.x0_high, size=problem.m)
             matched = run_matched_target(problem, x0, spec.solver,
                                          spec.bdca_iters, dca_cap)
-            if matched.bdca.trace:
-                phi0 = matched.bdca.trace[0].phi_x
-            else:
-                try:
-                    phi0 = problem.phi(x0)
-                except Exception:
-                    phi0 = float("inf")
+            phi0 = value_or_inf(problem.phi, x0)
             trial_results.append(TrialResult(trial=trial, x0=x0, phi0=phi0,
                                              matched=matched))
         rows.append(_aggregate(label, problem, trial_results, n_reactions))
@@ -404,8 +366,6 @@ def _write_outputs(result, out_dir):
 
 
 def export_table(rows, path):
-    import csv
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ROW_COLUMNS)
@@ -424,8 +384,6 @@ def export_table(rows, path):
 
 
 def read_table(path):
-    import csv
-
     rows = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)

@@ -14,7 +14,8 @@ import scipy.linalg
 
 from .exceptions import EvaluationOverflow, NumericalError
 
-__all__ = ("InnerConfig", "SubproblemSpec", "spd_solve", "minimize_subproblem")
+__all__ = ("InnerConfig", "SubproblemSpec", "spd_solve", "minimize_subproblem",
+           "sufficient_decrease", "value_or_inf")
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
@@ -44,23 +45,17 @@ class SubproblemSpec:
     """F(x) = g(x) - <linear_term, x> [+ (1/(2*proximal_c))||x - center||^2].
 
     ``eval_g`` maps x to (value, gradient, Hessian); ``value_g`` is an
-    optional value-only fast path used for line-search trials.  ``modulus``
-    records the strong-convexity constant of g (0 allowed: the Newton loop
-    still works on strictly convex problems, without the modulus-based
-    guarantees).
+    optional value-only fast path used for line-search trials.
     """
 
     eval_g: Callable
     linear_term: np.ndarray
-    modulus: float = 0.0
     value_g: Optional[Callable] = None
     proximal_center: Optional[np.ndarray] = None
     proximal_c: Optional[float] = None
 
     def __post_init__(self):
         self.linear_term = np.asarray(self.linear_term, dtype=float)
-        if self.modulus < 0:
-            raise ValueError(f"modulus must be nonnegative, got {self.modulus}")
         if (self.proximal_center is None) != (self.proximal_c is None):
             raise ValueError("proximal_center and proximal_c must be set together")
         if self.proximal_c is not None:
@@ -183,23 +178,17 @@ def minimize_subproblem(spec, x_init, config=None):
             trial = x + direction
             if np.array_equal(trial, x):
                 raise NumericalError("inner step vanished below machine resolution")
-            if _trial_value(spec, trial) > value + noise:
+            if value_or_inf(spec.value, trial) > value + noise:
                 raise NumericalError("inner step stalled at the value resolution floor")
             x = trial
             value, grad, hess = _evaluate(spec, x)
             continue
 
-        step = 1.0
-        x_new = None
-        for _ in range(_MAX_HALVINGS):
-            trial = x + step * direction
-            trial_value = _trial_value(spec, trial)
-            if trial_value <= value + _ARMIJO_C1 * step * slope:
-                x_new = trial
-                break
-            step *= 0.5
-        if x_new is None:
+        found = sufficient_decrease(spec.value, x, direction, value, slope,
+                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+        if found is None:
             raise NumericalError("inner line search exhausted its halvings")
+        x_new = x + found[0] * direction
         if np.array_equal(x_new, x):
             raise NumericalError("inner step vanished below machine resolution")
         x = x_new
@@ -221,10 +210,28 @@ def _evaluate(spec, x):
     return value, np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
 
 
-def _trial_value(spec, x):
-    # non-finite trial values are treated as +inf so the Armijo test rejects
+def value_or_inf(value, x):
+    """value(x), with an overflow or a non-finite result read as +inf."""
     try:
-        v = spec.value(x)
+        v = value(x)
     except (EvaluationOverflow, FloatingPointError, OverflowError):
         return np.inf
     return v if np.isfinite(v) else np.inf
+
+
+def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, tries):
+    """Armijo search shared by the inner Newton loop and the outer steps.
+
+    Tries t = step, step*shrink, ... (at most ``tries`` values) and returns
+    ``(t, i)`` for the first t = step*shrink^i with
+
+        value(base + t * direction) <= f0 + c * t * slope,
+
+    or None when every try fails.  Overflowing or non-finite trial values
+    fail the test.
+    """
+    for i in range(tries):
+        if value_or_inf(value, base + step * direction) <= f0 + c * step * slope:
+            return step, i
+        step *= shrink
+    return None

@@ -150,14 +150,6 @@ def make_quartic_problem():
         t = float(np.asarray(x).reshape(()))
         return t ** 2 / 2.0, np.array([t]), np.array([[1.0]])
 
-    def phi_value(x):
-        t = float(np.asarray(x).reshape(()))
-        return t ** 4 / 4.0 - t ** 2 / 2.0
-
-    def phi_value_grad(x):
-        t = float(np.asarray(x).reshape(()))
-        return t ** 4 / 4.0 - t ** 2 / 2.0, np.array([t ** 3 - t])
-
     return DcProblem(
         m=1,
         eval_f1=eval_f1,
@@ -165,10 +157,6 @@ def make_quartic_problem():
         rho=0.0,
         sigma_g=0.0,
         sigma_h=1.0,
-        f1_value=lambda x: float(np.asarray(x).reshape(())) ** 4 / 4.0,
-        f2_value=lambda x: float(np.asarray(x).reshape(())) ** 2 / 2.0,
-        phi_value=phi_value,
-        phi_value_grad=phi_value_grad,
         name="quartic",
     )
 
@@ -263,8 +251,7 @@ def make_expsys_problem(rho=1.0):
     def c_eval(x):
         return np.array([1.0]), np.zeros((1, 1)), np.zeros((1, 1, 1))
 
-    prob = make_system_problem(p_eval, c_eval, m=1, rho=rho, name="expsys")
-    return prob
+    return make_system_problem(p_eval, c_eval, m=1, rho=rho, name="expsys")
 
 
 BUILTIN_PROBLEMS = {

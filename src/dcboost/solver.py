@@ -17,14 +17,15 @@ import csv
 import enum
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
-from .inner import InnerConfig, SubproblemSpec, minimize_subproblem
+from .inner import (InnerConfig, SubproblemSpec, minimize_subproblem,
+                    sufficient_decrease, value_or_inf)
 
 __all__ = (
     "Variant",
@@ -115,6 +116,18 @@ class SolverConfig:
         tol_x = self.tol_x if self.tol_x is not None else 1e-8 * np.sqrt(m)
         return float(tol_d), float(tol_x)
 
+    def to_json(self):
+        """Every field under its own name; ``inner`` as a nested object."""
+        out = asdict(self)
+        out["variant"] = self.variant.value
+        return out
+
+    @classmethod
+    def from_json(cls, obj):
+        """Inverse of to_json; omitted fields take their defaults."""
+        obj = dict(obj)
+        return cls(inner=InnerConfig(**obj.pop("inner", {})), **obj)
+
 
 @dataclass
 class TraceRecord:
@@ -123,8 +136,7 @@ class TraceRecord:
     ``lambda_k`` is the accepted boost step (0 for plain iterations; for
     the backward-searching baseline it holds beta^l - 1 <= 0 so that
     x_{k+1} = y_k + lambda_k * d_k uniformly).  ``slope`` keeps the
-    directional derivative <grad_phi(y_k), d_k> for decrease audits; it
-    is an in-memory extra and is not part of the CSV layout.
+    directional derivative <grad_phi(y_k), d_k> for decrease audits.
     """
 
     k: int
@@ -158,7 +170,6 @@ def dca_step(problem, x, config=None):
     spec = SubproblemSpec(
         eval_g=problem.eval_g,
         linear_term=problem.grad_h(x),
-        modulus=problem.subproblem_modulus(),
         value_g=problem.g_value,
         proximal_center=x if cfg.proximal_c is not None else None,
         proximal_c=cfg.proximal_c,
@@ -171,15 +182,6 @@ def descent_slope(problem, y, d):
     d = np.asarray(d, dtype=float)
     _, grad = problem.phi_with_grad(y)
     return float(grad @ d)
-
-
-def _phi_or_inf(problem, x):
-    # overflow or non-finite values reject a trial point
-    try:
-        v = problem.phi(x)
-    except (EvaluationOverflow, FloatingPointError, OverflowError):
-        return np.inf
-    return v if np.isfinite(v) else np.inf
 
 
 def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
@@ -198,14 +200,13 @@ def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
         raise ValueError(f"lambda_init must be positive, got {lambda_init}")
     if phi_y is None:
         phi_y = problem.phi(y)
-    nd2 = float(d @ d)
-    for halvings in range(cfg.max_backtracks + 1):
-        if _phi_or_inf(problem, y + lam * d) <= phi_y - cfg.alpha * lam * nd2:
-            return lam, halvings
-        lam *= cfg.beta
-    raise LineSearchError(
-        f"no acceptable step after {cfg.max_backtracks} halvings from {lambda_init:g}"
-    )
+    found = sufficient_decrease(problem.phi, y, d, phi_y, -float(d @ d), cfg.alpha,
+                                lam, cfg.beta, cfg.max_backtracks + 1)
+    if found is None:
+        raise LineSearchError(
+            f"no acceptable step after {cfg.max_backtracks} halvings from {lambda_init:g}"
+        )
+    return found
 
 
 def quad_interp_lambda(phi0, dphi0, phi_at_lambda_bar, lambda_bar):
@@ -239,10 +240,10 @@ def bdca_qi_select(problem, y, d, config=None, phi_y=None, slope=None):
         phi_y = problem.phi(y)
     if slope is None:
         slope = descent_slope(problem, y, d)
-    phi_bar = _phi_or_inf(problem, y + cfg.lambda_bar * d)
+    phi_bar = value_or_inf(problem.phi, y + cfg.lambda_bar * d)
     candidate = quad_interp_lambda(phi_y, slope, phi_bar, cfg.lambda_bar)
     if candidate is not None and candidate > 0.0:
-        if _phi_or_inf(problem, y + candidate * d) < phi_bar:
+        if value_or_inf(problem.phi, y + candidate * d) < phi_bar:
             return min(candidate, cfg.lambda_max)
     return cfg.lambda_bar
 
@@ -263,16 +264,14 @@ def fm_step(problem, x, y, config=None, phi_x=None):
     d = y - x
     if phi_x is None:
         phi_x = problem.phi(x)
-    nd2 = float(d @ d)
-    step = 1.0
-    for level in range(cfg.max_backtracks + 1):
-        trial = x + step * d
-        if _phi_or_inf(problem, trial) <= phi_x - cfg.alpha * step * nd2:
-            return trial, level
-        step *= cfg.beta
-    raise LineSearchError(
-        f"no acceptable backward step after {cfg.max_backtracks} reductions"
-    )
+    found = sufficient_decrease(problem.phi, x, d, phi_x, -float(d @ d), cfg.alpha,
+                                1.0, cfg.beta, cfg.max_backtracks + 1)
+    if found is None:
+        raise LineSearchError(
+            f"no acceptable backward step after {cfg.max_backtracks} reductions"
+        )
+    step, level = found
+    return x + step * d, level
 
 
 # -- outer loop ----------------------------------------------------------
@@ -291,6 +290,7 @@ def solve(problem, x0, config=None):
     if x.size != problem.m:
         raise ValueError(f"x0 has size {x.size}, problem expects {problem.m}")
     tol_d, tol_x = cfg.resolved_tols(problem.m)
+    problem.subproblem_modulus()  # warns once when subproblems are not strongly convex
 
     boosted = cfg.variant in (Variant.BDCA_B, Variant.BDCA_QI, Variant.FM)
     if boosted and cfg.alpha >= problem.sigma_h + problem.rho:
@@ -306,7 +306,7 @@ def solve(problem, x0, config=None):
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
-    phi_x = _phi_or_inf(problem, x)
+    phi_x = value_or_inf(problem.phi, x)
 
     for k in range(cfg.max_outer_iters):
         if cfg.target_phi is not None and phi_x <= cfg.target_phi:
@@ -317,7 +317,7 @@ def solve(problem, x0, config=None):
             y, inner_iters = dca_step(problem, x, cfg)
             d = y - x
             norm_d = float(np.linalg.norm(d))
-            phi_y = _phi_or_inf(problem, y)
+            phi_y = value_or_inf(problem.phi, y)
             if not np.isfinite(phi_y):
                 raise NumericalError("objective is not finite at the subproblem solution")
             slope = descent_slope(problem, y, d)
@@ -337,7 +337,7 @@ def solve(problem, x0, config=None):
                 x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
                 lam = cfg.beta ** level - 1.0
                 halvings = level
-                phi_next = _phi_or_inf(problem, x_next)
+                phi_next = value_or_inf(problem.phi, x_next)
             else:
                 if slope >= 0.0:
                     # the boost direction is numerically not a descent
@@ -352,7 +352,7 @@ def solve(problem, x0, config=None):
                     lam, halvings = backtrack(problem, y, d, lam_init, cfg,
                                               phi_y=phi_y)
                     x_next = y + lam * d
-                    phi_next = _phi_or_inf(problem, x_next)
+                    phi_next = value_or_inf(problem.phi, x_next)
         except LineSearchError as exc:
             status = Status.LINE_SEARCH_FAILURE
             message = str(exc)
@@ -386,7 +386,7 @@ def solve(problem, x0, config=None):
 # -- trace serialization -------------------------------------------------
 
 TRACE_COLUMNS = ("k", "phi_x", "phi_y", "norm_d", "lambda", "backtracks",
-                 "inner_iters", "elapsed_ms")
+                 "inner_iters", "elapsed_ms", "slope")
 
 
 def _fmt(value):
@@ -402,16 +402,20 @@ def write_trace_csv(trace, path):
             writer.writerow([
                 rec.k, _fmt(rec.phi_x), _fmt(rec.phi_y), _fmt(rec.norm_d),
                 _fmt(rec.lambda_k), rec.backtracks, rec.inner_iters,
-                _fmt(rec.elapsed_ms),
+                _fmt(rec.elapsed_ms), "" if rec.slope is None else _fmt(rec.slope),
             ])
 
 
 def read_trace_csv(path):
-    """Read a trace written by write_trace_csv back into records."""
+    """Read a trace written by write_trace_csv back into records.
+
+    ``slope`` is optional: files without the column (or with an empty
+    cell) read as slope = None.
+    """
     records = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = set(TRACE_COLUMNS) - set(reader.fieldnames or ())
+        missing = set(TRACE_COLUMNS[:-1]) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"trace file {path} lacks columns: {sorted(missing)}")
         for row in reader:
@@ -424,5 +428,6 @@ def read_trace_csv(path):
                 backtracks=int(row["backtracks"]),
                 inner_iters=int(row["inner_iters"]),
                 elapsed_ms=float(row["elapsed_ms"]),
+                slope=float(row["slope"]) if row.get("slope") else None,
             ))
     return records

@@ -22,8 +22,6 @@ from dcboost import (
     SchemaWarning,
     check_mass_conservation,
     derivative_report,
-    eval_f1_f2,
-    eval_rates,
     generate_network,
     load_network,
     save_network,
@@ -56,14 +54,14 @@ def tiny_network(w=None):
 
 class TestEvaluation:
     def test_tiny_frozen_values(self):
-        net = tiny_network()
+        obj = NetworkObjective(tiny_network())
         x = np.zeros(1)
-        p, c, f = eval_rates(net, x)
+        p, c, f = obj.rates(x)
         # e = (1, 1); p = F*1 + R*1 = 3; c = R*1 + F*1 = 3
         assert p[0] == pytest.approx(3.0, abs=1e-15)
         assert c[0] == pytest.approx(3.0, abs=1e-15)
         assert f[0] == pytest.approx(0.0, abs=1e-15)
-        f1, f2 = eval_f1_f2(net, x)
+        f1, f2 = obj.eval_f1(x), obj.eval_f2(x)
         assert f1[0] == pytest.approx(36.0, abs=1e-12)
         assert f2[0] == pytest.approx(36.0, abs=1e-12)
 
@@ -72,7 +70,7 @@ class TestEvaluation:
         net = generate_network(6, 9, seed=3)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=net.m)
-            p, c, f = eval_rates(net, x)
+            p, c, f = NetworkObjective(net).rates(x)
             p_ref, c_ref, f_ref = dense_reference(net, x)
             np.testing.assert_allclose(p, p_ref, rtol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=1e-12)
@@ -88,7 +86,7 @@ class TestEvaluation:
             phi = prob.phi(x)
             split = prob.f1_value(x) - prob.f2_value(x)
             assert split == pytest.approx(phi, rel=1e-10, abs=1e-10)
-            _, _, f = eval_rates(net, x)
+            _, _, f = NetworkObjective(net).rates(x)
             assert phi == pytest.approx(float(f @ f), rel=1e-12)
 
     def test_gradients_and_hessians(self):

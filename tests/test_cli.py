@@ -57,6 +57,7 @@ class TestSolve:
         assert main(["solve", "--builtin", "nope"]) == 2
         assert main(["solve"]) == 2
         assert main(["solve", "--builtin", "quartic", "--beta", "1.5"]) == 2
+        assert main(["solve", "--builtin", "quartic", "--tol", "-1"]) == 2
         capsys.readouterr()
 
 

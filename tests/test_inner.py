@@ -146,8 +146,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SubproblemSpec(eval_g=ev, linear_term=np.zeros(1), proximal_c=-1.0,
                            proximal_center=np.zeros(1))
-        with pytest.raises(ValueError):
-            SubproblemSpec(eval_g=ev, linear_term=np.zeros(1), modulus=-1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
