@@ -19,6 +19,7 @@ positive combination of exponentials of affine maps.
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -163,30 +164,29 @@ class NetworkObjective:
         grad = 2.0 * (self.M @ (e * (self.AT @ f)))
         return float(f @ f), grad
 
+    @cached_property
+    def _hessian_op(self):
+        # built on the first Hessian request; value-only paths never pay
+        return _HessianOperator(self)
+
     def eval_f1(self, x):
         e = self._flux(x)
         p = self.M @ e
         c = self.N @ e
-        t1 = self.B @ p + self.NT @ c
+        et = e * (self.B @ p + self.NT @ c)
         value = 2.0 * (float(p @ p) + float(c @ c))
-        grad = 4.0 * (self.M @ (e * t1))
-        Be = self.B.multiply(e[:, None]).tocsr()
-        Jp = self.M @ Be
-        Jc = self.N @ Be
-        curvature = self.M @ self.B.multiply((e * t1)[:, None]).tocsr()
-        hess = 4.0 * (Jp.T @ Jp + Jc.T @ Jc + curvature).toarray()
-        return value, grad, 0.5 * (hess + hess.T)
+        grad = 4.0 * (self.M @ et)
+        op = self._hessian_op
+        return value, grad, op.assemble(op.g1, e, 4.0 * et)
 
     def eval_f2(self, x):
         e = self._flux(x)
         s = self.MpN @ e
-        t2 = self.MpNT @ s
+        et = e * (self.MpNT @ s)
         value = float(s @ s)
-        grad = 2.0 * (self.M @ (e * t2))
-        Js = self.MpN @ self.B.multiply(e[:, None]).tocsr()
-        curvature = self.M @ self.B.multiply((e * t2)[:, None]).tocsr()
-        hess = 2.0 * (Js.T @ Js + curvature).toarray()
-        return value, grad, 0.5 * (hess + hess.T)
+        grad = 2.0 * (self.M @ et)
+        op = self._hessian_op
+        return value, grad, op.assemble(op.g2, e, 2.0 * et)
 
     def as_dc_problem(self, rho=0.0, name=None):
         """Package the evaluators as a DcProblem (neither piece is
@@ -203,6 +203,48 @@ class NetworkObjective:
             phi_value_grad=self.phi_value_grad,
             name=name or self.network.name or "network",
         )
+
+
+class _HessianOperator:
+    """Both network Hessians as one product with a fixed sparse operator.
+
+    The Hessians of f1 and f2 are 4 B^T W1 B and 2 B^T W2 B with
+
+        W = diag(e) G diag(e) + diag(e * t),
+        G1 = M^T M + N^T N,  G2 = (M + N)^T (M + N),
+
+    for t1 = B p + N^T c and t2 = (M + N)^T (p + c).  Every W has one
+    pattern: that of G2, which holds G1's (no entry can cancel, all are
+    nonnegative), plus the diagonal.  Column q of P is the column of
+    kron(B^T, B^T) for the pattern's q-th entry (k, l), which holds
+    B[k, a] * B[l, b] in row a*m + b, so the flattened Hessian is P @ w
+    for W's values w on the pattern.
+    """
+
+    def __init__(self, objective):
+        G1 = (objective.B @ objective.M + objective.NT @ objective.N).tocsr()
+        G2 = (objective.MpNT @ objective.MpN).tocsr()
+        pattern = (G2 + sp.identity(G2.shape[0], format="csr")).tocoo()
+        # intp indices make the per-call gathers about 2.5x faster
+        self.rows = pattern.row.astype(np.intp)
+        self.cols = pattern.col.astype(np.intp)
+        # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        # the pieces' factors 4 and 2 are powers of two, so folding them
+        # into the weights rounds exactly like scaling the Hessian
+        self.g1 = 4.0 * np.asarray(G1[self.rows, self.cols]).ravel()
+        self.g2 = 2.0 * np.asarray(G2[self.rows, self.cols]).ravel()
+        kron = sp.kron(objective.M, objective.M, format="csc")  # M = B^T
+        self.P = kron[:, self.rows * G2.shape[0] + self.cols].tocsr()
+        self.m = objective.m
+
+    def assemble(self, g, e, et):
+        """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with
+        G given by its values g on the pattern."""
+        weights = g * (e[self.rows] * e[self.cols])
+        weights[self.diag] += et
+        hess = (self.P @ weights).reshape(self.m, self.m)
+        return 0.5 * (hess + hess.T)
 
 
 def check_mass_conservation(network, l=None):

@@ -91,13 +91,14 @@ class ProblemSource:
         return out
 
     def resolve(self, default_rho):
-        """Build the problem; returns (label, DcProblem).
+        """Build the problem; returns (label, DcProblem, reaction count).
 
         Builtins keep their registered rho unless this source overrides
-        it; networks take the override or the experiment default.
+        it and count 0 reactions; networks take the override or the
+        experiment default.
         """
         if self.kind == "builtin":
-            return self.name, builtin_problem(self.name, rho=self.rho)
+            return self.name, builtin_problem(self.name, rho=self.rho), 0
         rho = self.rho if self.rho is not None else default_rho
         if self.kind == "model":
             network = load_network(self.path)
@@ -105,7 +106,7 @@ class ProblemSource:
         else:
             network = generate_network(self.m, self.n, self.seed)
             label = network.name
-        return label, NetworkObjective(network).as_dc_problem(rho=rho)
+        return label, NetworkObjective(network).as_dc_problem(rho=rho), network.n
 
 
 @dataclass
@@ -311,13 +312,11 @@ def run_experiment(spec, out_dir=None):
     used_labels = set()
 
     for p_idx, source in enumerate(spec.problems):
-        label, problem = source.resolve(spec.rho)
+        label, problem, n_reactions = source.resolve(spec.rho)
         label = _safe_label(label)
         if label in used_labels:
             label = f"{label}_{p_idx}"
         used_labels.add(label)
-
-        n_reactions = _reaction_count(problem)
 
         trial_results = []
         for trial in range(spec.trials):
@@ -335,14 +334,6 @@ def run_experiment(spec, out_dir=None):
     if out_dir is not None:
         _write_outputs(result, Path(out_dir))
     return result
-
-
-def _reaction_count(problem):
-    # 0 for problems that are not reaction networks
-    eval_owner = getattr(problem.eval_f1, "__self__", None)
-    if isinstance(eval_owner, NetworkObjective):
-        return eval_owner.network.n
-    return 0
 
 
 def _write_outputs(result, out_dir):

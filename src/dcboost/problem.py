@@ -27,7 +27,13 @@ __all__ = (
     "derivative_report",
 )
 
-EXP_GUARD = 700.0  # exp() overflows shortly above exp(709)
+# Values, gradients and Hessians are quadratic in e = exp(z) (the
+# squared norms of f1, f2 and phi, the Hessian weights e_k * e_l), so
+# they overflow once exp(2 z) does: at z = log(max float) / 2 = 354.89,
+# not at exp()'s own limit of 709.78.  Stoichiometric factors can still
+# push a norm past the limit just below the guard: value paths then
+# return +inf, and a Newton solve reports a NumericalError.
+EXP_GUARD = 0.5 * float(np.log(np.finfo(float).max))
 
 
 @dataclass

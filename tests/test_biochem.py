@@ -29,7 +29,13 @@ from dcboost import (
 
 
 def dense_reference(network, x):
-    """Rates computed independently from the dense matrix definitions."""
+    """Rates and both DC pieces computed independently from the dense
+    matrix definitions.
+
+    With Jq the Jacobian of q(x) = Q e(x), the Hessian of ||q||^2 is
+    2 (Jq^T Jq + sum_i q_i Hess(q_i)), and sum_i q_i Hess(q_i) is
+    B^T diag(e * Q^T q) B because Hess(q_i) = B^T diag(Q[i] * e) B.
+    """
     F = network.F.toarray().astype(float)
     R = network.R.toarray().astype(float)
     B = np.vstack([F.T, R.T])
@@ -38,7 +44,23 @@ def dense_reference(network, x):
     N = np.hstack([R, F])
     p = M @ e
     c = N @ e
-    return p, c, p - c
+    s = p + c
+    Jp = M @ (e[:, None] * B)
+    Jc = N @ (e[:, None] * B)
+    Js = Jp + Jc
+
+    def curvature(Q, q):
+        return B.T @ ((e * (Q.T @ q))[:, None] * B)
+
+    return dict(
+        p=p, c=c, f=p - c,
+        f1=2.0 * (p @ p + c @ c),
+        grad_f1=4.0 * (Jp.T @ p + Jc.T @ c),
+        hess_f1=4.0 * (Jp.T @ Jp + Jc.T @ Jc + curvature(M, p) + curvature(N, c)),
+        f2=s @ s,
+        grad_f2=2.0 * Js.T @ s,
+        hess_f2=2.0 * (Js.T @ Js + curvature(M + N, s)),
+    )
 
 
 def tiny_network(w=None):
@@ -71,11 +93,26 @@ class TestEvaluation:
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=net.m)
             p, c, f = NetworkObjective(net).rates(x)
-            p_ref, c_ref, f_ref = dense_reference(net, x)
-            np.testing.assert_allclose(p, p_ref, rtol=1e-12)
-            np.testing.assert_allclose(c, c_ref, rtol=1e-12)
-            np.testing.assert_allclose(f, f_ref, rtol=1e-11, atol=1e-12)
+            ref = dense_reference(net, x)
+            np.testing.assert_allclose(p, ref["p"], rtol=1e-12)
+            np.testing.assert_allclose(c, ref["c"], rtol=1e-12)
+            np.testing.assert_allclose(f, ref["f"], rtol=1e-11, atol=1e-12)
             assert np.all(p > 0) and np.all(c > 0)
+
+    @pytest.mark.parametrize("shape", [None, (6, 9, 3), (20, 30, 101), (80, 120, 105)])
+    def test_pieces_match_dense_reference(self, shape):
+        net = tiny_network(w=[0.3, -0.2]) if shape is None else generate_network(*shape)
+        obj = NetworkObjective(net)
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            x = rng.uniform(-1.5, 1.5, size=net.m)
+            ref = dense_reference(net, x)
+            for piece, ev in (("f1", obj.eval_f1), ("f2", obj.eval_f2)):
+                value, grad, hess = ev(x)
+                assert value == pytest.approx(ref[piece], rel=1e-12)
+                np.testing.assert_allclose(grad, ref[f"grad_{piece}"], rtol=1e-12)
+                np.testing.assert_allclose(hess, ref[f"hess_{piece}"], rtol=1e-12)
+                assert np.array_equal(hess, hess.T)
 
     def test_dc_identity(self):
         rng = np.random.default_rng(12)
@@ -131,6 +168,17 @@ class TestEvaluation:
         obj = NetworkObjective(net)
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(np.full(net.m, 500.0))
+
+    def test_overflow_guard_at_squared_limit(self):
+        # phi is quadratic in e = exp(z), so it overflows from z of about
+        # 355; a top exponent near 400 must raise, not saturate to inf
+        net = generate_network(6, 9, seed=8)
+        obj = NetworkObjective(net)
+        x = np.full(net.m, 400.0 / float(obj.B.sum(axis=1).max()))
+        top = float(obj.exponents(x).max())
+        assert 399.0 < top < 401.0
+        with pytest.raises(EvaluationOverflow):
+            obj.phi_value(x)
 
 
 class TestConservation:

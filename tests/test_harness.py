@@ -57,29 +57,30 @@ class TestProblemSource:
     def test_builtin_round_trip(self):
         src = ProblemSource(kind="builtin", name="quartic")
         assert ProblemSource.from_json(src.to_json()) == src
-        label, prob = src.resolve(default_rho=100.0)
+        label, prob, n = src.resolve(default_rho=100.0)
         assert label == "quartic"
         assert prob.rho == 0.0  # builtins keep their registered rho
+        assert n == 0
 
     def test_builtin_rho_override(self):
         src = ProblemSource(kind="builtin", name="quartic", rho=2.0)
-        _, prob = src.resolve(default_rho=100.0)
+        _, prob, _ = src.resolve(default_rho=100.0)
         assert prob.rho == 2.0
 
     def test_generate_uses_default_rho(self):
         src = ProblemSource(kind="generate", m=6, n=9, seed=1)
-        label, prob = src.resolve(default_rho=100.0)
+        label, prob, n = src.resolve(default_rho=100.0)
         assert prob.rho == 100.0
         assert label.startswith("synthetic")
-        assert prob.m == 6
+        assert prob.m == 6 and n == 9
 
     def test_model_source(self, tmp_path):
         net = generate_network(6, 9, seed=2)
         path = tmp_path / "model.json"
         save_network(net, path)
         src = ProblemSource(kind="model", path=str(path))
-        label, prob = src.resolve(default_rho=50.0)
-        assert label == net.name
+        label, prob, n = src.resolve(default_rho=50.0)
+        assert label == net.name and n == net.n
         assert prob.rho == 50.0
         assert ProblemSource.from_json(src.to_json()) == src
 
@@ -203,6 +204,24 @@ class TestRunExperiment:
             assert ra.dca_iters_avg == rb.dca_iters_avg
             assert ra.avg_phi0 == rb.avg_phi0
             assert ra.avg_phi_end == rb.avg_phi_end
+
+    def test_reaction_count_survives_wrapped_evaluator(self, monkeypatch):
+        # a profiler or tracer may wrap eval_f1; the row's n must not
+        # depend on what the problem's callables look like
+        resolve = ProblemSource.resolve
+
+        def resolve_wrapped(source, default_rho):
+            resolved = resolve(source, default_rho)
+            problem = resolved[1]
+            eval_f1 = problem.eval_f1
+            problem.eval_f1 = lambda x: eval_f1(x)
+            return resolved
+
+        monkeypatch.setattr(ProblemSource, "resolve", resolve_wrapped)
+        spec = self.small_spec()
+        spec.trials = 1
+        rows = run_experiment(spec).rows
+        assert [row.n for row in rows] == [0, 9]
 
     def test_per_trial_results_kept(self):
         result = run_experiment(self.small_spec())

@@ -365,10 +365,10 @@ PINNED_OUTCOMES = (
     ("expsys", "bdca-b", 100, "MaxIters", "0x1.fffa265bc8b54p-1"),
     ("expsys", "bdca-qi", 28, "StationaryPoint", "0x1.d659000000000p-84"),
     ("expsys", "fm", 71, "StationaryPoint", "0x1.916d443d28240p-50"),
-    ("network", "dca", 100, "MaxIters", "0x1.0da540d46c1bcp+8"),
-    ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d46d4c02ep+3"),
-    ("network", "bdca-qi", 100, "MaxIters", "0x1.693521092e4d7p-8"),
-    ("network", "fm", 100, "MaxIters", "0x1.0da540d46c1bcp+8"),
+    ("network", "dca", 100, "MaxIters", "0x1.0da540d46c21ap+8"),
+    ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d46d4be77p+3"),
+    ("network", "bdca-qi", 100, "MaxIters", "0x1.693521013ea22p-8"),
+    ("network", "fm", 100, "MaxIters", "0x1.0da540d46c22ap+8"),
 )
 
 
