@@ -120,6 +120,7 @@ class NetworkObjective:
         self.AT = self.A.T.tocsr()
         self.MpNT = self.MpN.T.tocsr()
         self.w = np.asarray(network.w, dtype=float)
+        self._point = None
 
     # -- state ----------------------------------------------------------
 
@@ -133,13 +134,25 @@ class NetworkObjective:
             raise EvaluationOverflow(top, EXP_GUARD)
         return np.exp(z)
 
-    def rates(self, x):
-        """Production, consumption and net rates (p, c, f) at x."""
+    def _at(self, x):
+        """The record of x: the stored one when x has its values (a caller
+        may write into x between calls), else a new one that replaces it."""
+        x = np.asarray(x, dtype=float)
+        point = self._point
+        if point is not None and np.array_equal(point.x, x):
+            return point
         e = self._flux(x)
         with np.errstate(over="ignore"):
             p = self.M @ e
             c = self.N @ e
-        return p, c, p - c
+        self._point = point = _Point(x.copy(), e, p, c)
+        return point
+
+    def rates(self, x):
+        """Production, consumption and net rates (p, c, f) at x."""
+        point = self._at(x)
+        with np.errstate(over="ignore"):
+            return point.p, point.c, point.p - point.c
 
     # -- DC pieces -------------------------------------------------------
     # Value-only paths saturate quietly to +inf: line searches reject
@@ -159,7 +172,7 @@ class NetworkObjective:
             return float(f @ f)
 
     def phi_value_grad(self, x):
-        e = self._flux(x)
+        e = self._at(x).e
         f = self.A @ e
         grad = 2.0 * (self.M @ (e * (self.AT @ f)))
         return float(f @ f), grad
@@ -170,17 +183,18 @@ class NetworkObjective:
         return _HessianOperator(self)
 
     def eval_f1(self, x):
-        e = self._flux(x)
-        p = self.M @ e
-        c = self.N @ e
-        et = e * (self.B @ p + self.NT @ c)
-        value = 2.0 * (float(p @ p) + float(c @ c))
-        grad = 4.0 * (self.M @ et)
-        op = self._hessian_op
-        return value, grad, op.assemble(op.g1, e, 4.0 * et)
+        point = self._at(x)
+        if point.f1 is None:
+            e, p, c = point.e, point.p, point.c
+            et = e * (self.B @ p + self.NT @ c)
+            value = 2.0 * (float(p @ p) + float(c @ c))
+            grad = 4.0 * (self.M @ et)
+            op = self._hessian_op
+            point.f1 = (value, _frozen(grad), _frozen(op.assemble(op.g1, e, 4.0 * et)))
+        return point.f1
 
     def eval_f2(self, x):
-        e = self._flux(x)
+        e = self._at(x).e
         s = self.MpN @ e
         et = e * (self.MpNT @ s)
         value = float(s @ s)
@@ -203,6 +217,25 @@ class NetworkObjective:
             phi_value_grad=self.phi_value_grad,
             name=name or self.network.name or "network",
         )
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+class _Point:
+    """The last point evaluated: a copy of x, the flux e, the bundles p
+    and c, and f1's (value, gradient, Hessian) once asked for.  A Newton
+    step's accepted trial and the outer loop's phi, grad phi and grad h
+    calls land on the same point, so each costs one flux.  The arrays
+    are read-only: a caller writing into one fails, not the next call."""
+
+    __slots__ = ("x", "e", "p", "c", "f1")
+
+    def __init__(self, x, e, p, c):
+        self.x, self.e, self.p, self.c = map(_frozen, (x, e, p, c))
+        self.f1 = None
 
 
 class _HessianOperator:
@@ -250,8 +283,9 @@ class _HessianOperator:
 def check_mass_conservation(network, l=None):
     """Max column imbalance |(R - F)^T l| for a positive mass vector l.
 
-    Defaults to unit masses.  A zero residual makes the net rate
-    orthogonal to l at every x, so gradients of phi annihilate l exactly.
+    Defaults to unit masses.  A zero residual makes the net rate f and
+    its Jacobian J orthogonal to l at every x (l^T f = 0, l^T J = 0);
+    the gradient 2 J^T f of phi is in general not.
     """
     if isinstance(network, NetworkObjective):
         network = network.network

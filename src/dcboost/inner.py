@@ -21,6 +21,8 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
+# the LAPACK calls cho_factor/cho_solve make, without their checks
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass
@@ -111,26 +113,27 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
 
-    hess_scale = float(np.linalg.norm(hess, np.inf))
-    mu_cap = 1e6 * max(hess_scale, 1.0)
+    tol = _RESIDUAL_RTOL * rhs_norm
     mu = 0.0
     while True:
         shifted = hess if mu == 0.0 else hess + mu * np.eye(hess.shape[0])
-        try:
-            factor = scipy.linalg.cho_factor(shifted, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            factor = None
-        if factor is not None:
-            d = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-            for _ in range(_REFINEMENT_PASSES):
+        factor, info = _POTRF(shifted, lower=False, overwrite_a=False, clean=False)
+        if info == 0:
+            d = _POTRS(factor, rhs, lower=False)[0]
+            for passes in range(_REFINEMENT_PASSES + 1):
                 resid = rhs - shifted @ d
-                if np.linalg.norm(resid) <= _RESIDUAL_RTOL * rhs_norm:
+                accepted = np.linalg.norm(resid) <= tol
+                if accepted or passes == _REFINEMENT_PASSES:
                     break
-                d = d + scipy.linalg.cho_solve(factor, resid, check_finite=False)
-            if (np.all(np.isfinite(d))
-                    and np.linalg.norm(rhs - shifted @ d) <= _RESIDUAL_RTOL * rhs_norm):
+                d = d + _POTRS(factor, resid, lower=False)[0]
+            if accepted and np.all(np.isfinite(d)):
                 return d, mu
-        mu = damping_floor if mu == 0.0 else 4.0 * mu
+        if mu == 0.0:
+            # the cap is only needed once damping is
+            mu = damping_floor
+            mu_cap = 1e6 * max(float(np.linalg.norm(hess, np.inf)), 1.0)
+        else:
+            mu = 4.0 * mu
         if mu > mu_cap:
             raise NumericalError(
                 f"damping exceeded {mu_cap:.3g} without a reliable factorization"

@@ -11,6 +11,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcboost import (
     EvaluationOverflow,
@@ -26,6 +28,7 @@ from dcboost import (
     load_network,
     save_network,
 )
+from dcboost.problem import EXP_GUARD
 
 
 def dense_reference(network, x):
@@ -179,6 +182,84 @@ class TestEvaluation:
         assert 399.0 < top < 401.0
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(x)
+
+
+MEMO_NET = generate_network(5, 7, seed=23)
+MEMO_METHODS = ("rates", "f1_value", "phi_value", "phi_value_grad", "eval_f1", "eval_f2")
+# three finite points, the last two differing in one entry only, and
+# one whose top exponent lies beyond EXP_GUARD
+MEMO_POOL = (
+    np.linspace(-1.0, 1.0, 5),
+    np.array([0.4, -0.3, 0.2, 0.0, -0.5]),
+    np.array([0.4, -0.3, 0.2, 0.0, -0.25]),
+    np.full(5, 2.0 * EXP_GUARD),
+)
+
+
+def bits(result):
+    """A result as bytes, so equal bits compare equal (and -0.0 != 0.0)."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return tuple(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+def fresh_result(method, index):
+    try:
+        return bits(getattr(NetworkObjective(MEMO_NET), method)(MEMO_POOL[index].copy()))
+    except EvaluationOverflow:
+        return EvaluationOverflow
+
+
+FRESH = {(method, index): fresh_result(method, index)
+         for method in MEMO_METHODS for index in range(len(MEMO_POOL))}
+
+
+class TestPointMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_METHODS),
+                              st.integers(0, len(MEMO_POOL) - 1),
+                              st.booleans()),
+                    min_size=1, max_size=25))
+    def test_interleaved_calls_match_fresh_objective(self, calls):
+        # one caller-owned buffer, rewritten in place when `in_place`;
+        # the memo must follow x's values, not the array's identity
+        obj = NetworkObjective(MEMO_NET)
+        buffer = MEMO_POOL[0].copy()
+        for method, index, in_place in calls:
+            if in_place:
+                buffer[:] = MEMO_POOL[index]
+                x = buffer
+            else:
+                x = MEMO_POOL[index].copy()
+            expected = FRESH[method, index]
+            if expected is EvaluationOverflow:
+                with pytest.raises(EvaluationOverflow):
+                    getattr(obj, method)(x)
+            else:
+                assert bits(getattr(obj, method)(x)) == expected
+            assert np.array_equal(x, MEMO_POOL[index])
+
+    def test_returned_arrays_are_read_only(self):
+        obj = NetworkObjective(MEMO_NET)
+        x = MEMO_POOL[1].copy()
+        _, grad, hess = obj.eval_f1(x)
+        with pytest.raises(ValueError):
+            grad[0] = 0.0
+        with pytest.raises(ValueError):
+            hess += 1.0
+        p, c, _ = obj.rates(x)
+        with pytest.raises(ValueError):
+            p[0] = 0.0
+        assert bits(obj.eval_f1(x)) == FRESH["eval_f1", 1]
+
+    def test_overflow_keeps_last_point(self):
+        obj = NetworkObjective(MEMO_NET)
+        finite = MEMO_POOL[2]
+        assert bits(obj.eval_f1(finite)) == FRESH["eval_f1", 2]
+        for method in MEMO_METHODS:
+            with pytest.raises(EvaluationOverflow):
+                getattr(obj, method)(MEMO_POOL[3])
+        for method in MEMO_METHODS:
+            assert bits(getattr(obj, method)(finite)) == FRESH[method, 2]
 
 
 class TestConservation:

@@ -61,6 +61,28 @@ class TestSpdSolve:
         d, _ = spd_solve(hess, rhs)
         assert np.linalg.norm(rhs - hess @ d) <= 1e-10 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_inputs_untouched(self, damped):
+        # the LAPACK calls must copy: a Hessian handed in may be shared
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 5))
+        hess = a @ a.T - (2.0 * np.linalg.eigvalsh(a @ a.T)[-1] if damped else 0.0) * np.eye(5)
+        hess = np.asfortranarray(hess)  # the layout LAPACK could overwrite in place
+        rhs = rng.standard_normal(5)
+        hess_before, rhs_before = hess.copy(), rhs.copy()
+        _, mu = spd_solve(hess, rhs)
+        assert (mu > 0.0) == damped
+        assert np.array_equal(hess, hess_before)
+        assert np.array_equal(rhs, rhs_before)
+
+    def test_damping_cap(self):
+        # -I is cured by any mu just above 1, far below the cap of
+        # 1e6 * max(||H||_inf, 1); a floor above the cap exceeds it at once
+        _, mu = spd_solve(-np.eye(3), np.ones(3))
+        assert 1.0 < mu < 4.0
+        with pytest.raises(NumericalError, match=r"damping exceeded 1e\+06"):
+            spd_solve(-np.eye(3), np.ones(3), damping_floor=2e6)
+
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
             spd_solve(np.array([[np.nan]]), np.array([1.0]))

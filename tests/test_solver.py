@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcboost import (
     LineSearchError,
@@ -23,6 +25,7 @@ from dcboost import (
     TheoryWarning,
     TraceRecord,
     Variant,
+    audit_trace,
     backtrack,
     bdca_qi_select,
     builtin_problem,
@@ -388,3 +391,34 @@ def test_iterates_pinned(name, variant, iterations, status, phi_hex):
     assert result.iterations == iterations
     assert result.status.value == status
     assert result.phi_final.hex() == phi_hex
+
+
+@st.composite
+def network_starts(draw):
+    m = draw(st.integers(3, 8))
+    net = generate_network(m, draw(st.integers(m, 2 * m)), seed=draw(st.integers(0, 10 ** 6)))
+    x0 = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=m, max_size=m)))
+    return net, x0
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_starts())
+def test_network_solves_hold_their_guarantees(tmp_path_factory, case):
+    # Unit masses are conserved exactly, so l^T f(x) = 0 at every x; the
+    # gradient of phi is not orthogonal to l (only l^T J = 0 holds).
+    net, x0 = case
+    obj = NetworkObjective(net)
+    problem = obj.as_dc_problem(rho=100.0)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    for variant in Variant:
+        config = SolverConfig(variant=variant, max_outer_iters=60)
+        result = solve(problem, x0, config)
+        write_trace_csv(result.trace, path)
+        for trace in (result.trace, read_trace_csv(path)):
+            report = audit_trace(trace, problem, config, phi_final=result.phi_final)
+            assert report.passed, (variant, report.violations)
+        values = [rec.phi_x for rec in result.trace] + [result.phi_final]
+        for before, after in zip(values, values[1:]):
+            assert after <= before + 1e-6 * (1.0 + abs(before)), variant
+        p, c, f = obj.rates(result.x_final)
+        assert abs(float(np.sum(f))) <= 1e-14 * float(np.sum(p + c)), variant
