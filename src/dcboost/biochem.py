@@ -172,14 +172,15 @@ class NetworkObjective:
             return float(f @ f)
 
     def phi_value_grad(self, x):
+        # phi_value's value, so phi_with_grad(x)[0] == phi(x) bit for bit;
+        # the gradient keeps f = A e, so the boost slopes keep their bits
         e = self._at(x).e
         f = self.A @ e
-        grad = 2.0 * (self.M @ (e * (self.AT @ f)))
-        return float(f @ f), grad
+        return self.phi_value(x), 2.0 * (self.M @ (e * (self.AT @ f)))
 
     @cached_property
     def _hessian_op(self):
-        # built on the first Hessian request; value-only paths never pay
+        # built on f1's first Hessian request; no other path pays for it
         return _HessianOperator(self)
 
     def eval_f1(self, x):
@@ -189,18 +190,15 @@ class NetworkObjective:
             et = e * (self.B @ p + self.NT @ c)
             value = 2.0 * (float(p @ p) + float(c @ c))
             grad = 4.0 * (self.M @ et)
-            op = self._hessian_op
-            point.f1 = (value, _frozen(grad), _frozen(op.assemble(op.g1, e, 4.0 * et)))
+            hess = self._hessian_op.assemble(e, 4.0 * et)
+            point.f1 = (value, _frozen(grad), _frozen(hess))
         return point.f1
 
     def eval_f2(self, x):
         e = self._at(x).e
         s = self.MpN @ e
         et = e * (self.MpNT @ s)
-        value = float(s @ s)
-        grad = 2.0 * (self.M @ et)
-        op = self._hessian_op
-        return value, grad, op.assemble(op.g2, e, 2.0 * et)
+        return float(s @ s), 2.0 * (self.M @ et)
 
     def as_dc_problem(self, rho=0.0, name=None):
         """Package the evaluators as a DcProblem (neither piece is
@@ -239,23 +237,23 @@ class _Point:
 
 
 class _HessianOperator:
-    """Both network Hessians as one product with a fixed sparse operator.
+    """f1's Hessian as one product with a fixed sparse operator.
 
-    The Hessians of f1 and f2 are 4 B^T W1 B and 2 B^T W2 B with
+    The Hessian of f1 is 4 B^T W B with
 
-        W = diag(e) G diag(e) + diag(e * t),
-        G1 = M^T M + N^T N,  G2 = (M + N)^T (M + N),
+        W = diag(e) G1 diag(e) + diag(e * t),   G1 = M^T M + N^T N,
 
-    for t1 = B p + N^T c and t2 = (M + N)^T (p + c).  Every W has one
-    pattern: that of G2, which holds G1's (no entry can cancel, all are
-    nonnegative), plus the diagonal.  Column q of P is the column of
-    kron(B^T, B^T) for the pattern's q-th entry (k, l), which holds
-    B[k, a] * B[l, b] in row a*m + b, so the flattened Hessian is P @ w
-    for W's values w on the pattern.
+    for t = B p + N^T c.  Column q of P is the column of kron(B^T, B^T)
+    for the pattern's q-th entry (k, l), which holds B[k, a] * B[l, b] in
+    row a*m + b, so the flattened Hessian is P @ w for W's values w on
+    the pattern.
     """
 
     def __init__(self, objective):
         G1 = (objective.B @ objective.M + objective.NT @ objective.N).tocsr()
+        # W's pattern is G2 = (M + N)^T (M + N)'s, which holds G1's, plus the
+        # diagonal: its order fixes the summation order of P @ w, and G1's own
+        # pattern would move the Hessians, and the iterates, in the last bits.
         G2 = (objective.MpNT @ objective.MpN).tocsr()
         pattern = (G2 + sp.identity(G2.shape[0], format="csr")).tocoo()
         # intp indices make the per-call gathers about 2.5x faster
@@ -263,18 +261,17 @@ class _HessianOperator:
         self.cols = pattern.col.astype(np.intp)
         # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
         self.diag = np.flatnonzero(self.rows == self.cols)
-        # the pieces' factors 4 and 2 are powers of two, so folding them
-        # into the weights rounds exactly like scaling the Hessian
-        self.g1 = 4.0 * np.asarray(G1[self.rows, self.cols]).ravel()
-        self.g2 = 2.0 * np.asarray(G2[self.rows, self.cols]).ravel()
+        # f1's factor 4 is a power of two, so folding it into the
+        # weights rounds exactly like scaling the Hessian
+        self.g = 4.0 * np.asarray(G1[self.rows, self.cols]).ravel()
         kron = sp.kron(objective.M, objective.M, format="csc")  # M = B^T
         self.P = kron[:, self.rows * G2.shape[0] + self.cols].tocsr()
         self.m = objective.m
 
-    def assemble(self, g, e, et):
+    def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with
-        G given by its values g on the pattern."""
-        weights = g * (e[self.rows] * e[self.cols])
+        G = 4 G1 held as its values g on the pattern."""
+        weights = self.g * (e[self.rows] * e[self.cols])
         weights[self.diag] += et
         hess = (self.P @ weights).reshape(self.m, self.m)
         return 0.5 * (hess + hess.T)

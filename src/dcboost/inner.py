@@ -101,8 +101,9 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  Returns ``(d, mu)``.
 
-    Raises NumericalError for non-finite input or when the damping needed
-    exceeds 1e6 times the Hessian's infinity norm.
+    Raises NumericalError for non-finite input, when the damping needed
+    exceeds 1e6 times the Hessian's infinity norm, or when that norm or
+    the damping overflows.
     """
     hess = np.asarray(hess, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -131,13 +132,17 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
         if mu == 0.0:
             # the cap is only needed once damping is
             mu = damping_floor
-            mu_cap = 1e6 * max(float(np.linalg.norm(hess, np.inf)), 1.0)
+            with np.errstate(over="ignore"):
+                mu_cap = 1e6 * max(float(np.linalg.norm(hess, np.inf)), 1.0)
         else:
             mu = 4.0 * mu
         if mu > mu_cap:
             raise NumericalError(
                 f"damping exceeded {mu_cap:.3g} without a reliable factorization"
             )
+        if not (np.isfinite(mu) and np.isfinite(mu_cap)):
+            # an overflowing ||H||_inf makes the cap inf, which no mu exceeds
+            raise NumericalError(f"damping {mu:.3g} or its cap {mu_cap:.3g} is not finite")
 
 
 def minimize_subproblem(spec, x_init, config=None):

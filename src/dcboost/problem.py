@@ -44,15 +44,18 @@ class DcProblem:
     ----------
     m : int
         Number of variables.
-    eval_f1, eval_f2 : callable
-        ``x -> (value, gradient, hessian)`` for the two convex pieces,
-        with ``gradient`` of shape ``(m,)`` and ``hessian`` ``(m, m)``.
+    eval_f1 : callable
+        ``x -> (value, gradient, hessian)`` for f1, with ``gradient`` of
+        shape ``(m,)`` and ``hessian`` ``(m, m)``.
+    eval_f2 : callable
+        ``x -> (value, gradient)`` for f2: the solvers only linearize it,
+        so it supplies no Hessian.
     rho : float
         Regularization modulus added to both pieces.
     sigma_g, sigma_h : float
         Intrinsic strong-convexity moduli of f1 and f2 (0 when unknown).
-    f1_value, f2_value : callable, optional
-        Value-only fast paths; default to discarding derivatives.
+    f1_value : callable, optional
+        Value-only fast path for f1; defaults to discarding derivatives.
     phi_value : callable, optional
         Fast path for phi itself.  Useful when f1 - f2 admits a compact
         form that avoids cancellation between two large values.
@@ -67,7 +70,6 @@ class DcProblem:
     sigma_g: float = 0.0
     sigma_h: float = 0.0
     f1_value: Optional[Callable] = None
-    f2_value: Optional[Callable] = None
     phi_value: Optional[Callable] = None
     phi_value_grad: Optional[Callable] = None
     name: str = "dc-problem"
@@ -81,8 +83,6 @@ class DcProblem:
             raise ValueError("strong-convexity moduli must be nonnegative")
         if self.f1_value is None:
             self.f1_value = lambda x: self.eval_f1(x)[0]
-        if self.f2_value is None:
-            self.f2_value = lambda x: self.eval_f2(x)[0]
 
     # -- plain objective -------------------------------------------------
 
@@ -90,7 +90,7 @@ class DcProblem:
         """Objective value f1(x) - f2(x)."""
         if self.phi_value is not None:
             return float(self.phi_value(x))
-        return float(self.f1_value(x)) - float(self.f2_value(x))
+        return float(self.f1_value(x)) - float(self.eval_f2(x)[0])
 
     def phi_with_grad(self, x):
         """Objective value and gradient, skipping Hessians when possible."""
@@ -98,7 +98,7 @@ class DcProblem:
             v, grad = self.phi_value_grad(x)
             return float(v), np.asarray(grad, dtype=float)
         v1, g1, _ = self.eval_f1(x)
-        v2, g2, _ = self.eval_f2(x)
+        v2, g2 = self.eval_f2(x)
         return float(v1) - float(v2), np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
 
     def grad_phi(self, x):
@@ -122,7 +122,7 @@ class DcProblem:
     def grad_h(self, x):
         """Gradient of h = f2 + (rho/2)||x||^2."""
         x = np.asarray(x, dtype=float)
-        _, grad, _ = self.eval_f2(x)
+        _, grad = self.eval_f2(x)
         return np.asarray(grad, dtype=float) + self.rho * x
 
     def subproblem_modulus(self):
@@ -154,7 +154,7 @@ def make_quartic_problem():
 
     def eval_f2(x):
         t = float(np.asarray(x).reshape(()))
-        return t ** 2 / 2.0, np.array([t]), np.array([[1.0]])
+        return t ** 2 / 2.0, np.array([t])
 
     return DcProblem(
         m=1,
@@ -201,8 +201,9 @@ def make_system_problem(p_eval, c_eval, m, rho=0.0, sigma_g=0.0, sigma_h=0.0,
         return 2.0 * (vp + vc), 2.0 * (gp + gc), 2.0 * (Hp2 + Hc2)
 
     def eval_f2(x):
-        p, Jp, Hp, c, Jc, Hc = _state(x)
-        return _sq_norm_derivs(p + c, Jp + Jc, Hp + Hc)
+        p, Jp, _, c, Jc, _ = _state(x)
+        s = p + c
+        return float(s @ s), 2.0 * (Jp + Jc).T @ s
 
     def phi_value(x):
         p = np.asarray(p_eval(x)[0], dtype=float)
@@ -220,10 +221,6 @@ def make_system_problem(p_eval, c_eval, m, rho=0.0, sigma_g=0.0, sigma_h=0.0,
         c = np.asarray(c_eval(x)[0], dtype=float)
         return 2.0 * (float(p @ p) + float(c @ c))
 
-    def f2_value(x):
-        s = np.asarray(p_eval(x)[0], dtype=float) + np.asarray(c_eval(x)[0], dtype=float)
-        return float(s @ s)
-
     return DcProblem(
         m=m,
         eval_f1=eval_f1,
@@ -232,7 +229,6 @@ def make_system_problem(p_eval, c_eval, m, rho=0.0, sigma_g=0.0, sigma_h=0.0,
         sigma_g=sigma_g,
         sigma_h=sigma_h,
         f1_value=f1_value,
-        f2_value=f2_value,
         phi_value=phi_value,
         phi_value_grad=phi_value_grad,
         name=name,
@@ -309,10 +305,11 @@ def finite_difference_jacobian(fun, x, step=None):
 
 
 def derivative_report(problem, x, step=None):
-    """Relative finite-difference errors of gradients and Hessians at x.
+    """Relative finite-difference errors of derivatives at x.
 
-    Returns a dict with relative gradient and Hessian errors for both
-    pieces plus Hessian asymmetry, using ``||a - b|| / max(1, ||b||)``.
+    Returns a dict with the relative gradient errors of both pieces and,
+    for f1, the Hessian error and asymmetry, using
+    ``||a - b|| / max(1, ||b||)``.  f2 supplies no Hessian to check.
     """
     x = np.asarray(x, dtype=float)
 
@@ -321,11 +318,11 @@ def derivative_report(problem, x, step=None):
 
     report = {}
     for label, ev, val in (("f1", problem.eval_f1, problem.f1_value),
-                           ("f2", problem.eval_f2, problem.f2_value)):
-        _, grad, hess = ev(x)
+                           ("f2", problem.eval_f2, lambda z: problem.eval_f2(z)[0])):
         fd_grad = finite_difference_gradient(lambda z: float(val(z)), x, step)
-        fd_hess = finite_difference_jacobian(lambda z: ev(z)[1], x, step)
-        report[f"grad_{label}"] = rel(grad, fd_grad)
-        report[f"hess_{label}"] = rel(hess, fd_hess)
-        report[f"asym_{label}"] = float(np.linalg.norm(hess - np.asarray(hess).T))
+        report[f"grad_{label}"] = rel(ev(x)[1], fd_grad)
+    _, _, hess = problem.eval_f1(x)
+    fd_hess = finite_difference_jacobian(lambda z: problem.eval_f1(z)[1], x, step)
+    report["hess_f1"] = rel(hess, fd_hess)
+    report["asym_f1"] = float(np.linalg.norm(hess - np.asarray(hess).T))
     return report

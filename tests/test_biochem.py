@@ -62,7 +62,6 @@ def dense_reference(network, x):
         hess_f1=4.0 * (Jp.T @ Jp + Jc.T @ Jc + curvature(M, p) + curvature(N, c)),
         f2=s @ s,
         grad_f2=2.0 * Js.T @ s,
-        hess_f2=2.0 * (Js.T @ Js + curvature(M + N, s)),
     )
 
 
@@ -110,12 +109,14 @@ class TestEvaluation:
         for _ in range(4):
             x = rng.uniform(-1.5, 1.5, size=net.m)
             ref = dense_reference(net, x)
-            for piece, ev in (("f1", obj.eval_f1), ("f2", obj.eval_f2)):
-                value, grad, hess = ev(x)
-                assert value == pytest.approx(ref[piece], rel=1e-12)
-                np.testing.assert_allclose(grad, ref[f"grad_{piece}"], rtol=1e-12)
-                np.testing.assert_allclose(hess, ref[f"hess_{piece}"], rtol=1e-12)
-                assert np.array_equal(hess, hess.T)
+            value, grad, hess = obj.eval_f1(x)
+            assert value == pytest.approx(ref["f1"], rel=1e-12)
+            np.testing.assert_allclose(grad, ref["grad_f1"], rtol=1e-12)
+            np.testing.assert_allclose(hess, ref["hess_f1"], rtol=1e-12)
+            assert np.array_equal(hess, hess.T)
+            value, grad = obj.eval_f2(x)
+            assert value == pytest.approx(ref["f2"], rel=1e-12)
+            np.testing.assert_allclose(grad, ref["grad_f2"], rtol=1e-12)
 
     def test_dc_identity(self):
         rng = np.random.default_rng(12)
@@ -124,7 +125,7 @@ class TestEvaluation:
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, size=net.m)
             phi = prob.phi(x)
-            split = prob.f1_value(x) - prob.f2_value(x)
+            split = prob.f1_value(x) - prob.eval_f2(x)[0]
             assert split == pytest.approx(phi, rel=1e-10, abs=1e-10)
             _, _, f = NetworkObjective(net).rates(x)
             assert phi == pytest.approx(float(f @ f), rel=1e-12)
@@ -139,9 +140,7 @@ class TestEvaluation:
             assert rep["grad_f1"] < 1e-6
             assert rep["grad_f2"] < 1e-6
             assert rep["hess_f1"] < 1e-5
-            assert rep["hess_f2"] < 1e-5
             assert rep["asym_f1"] < 1e-10
-            assert rep["asym_f2"] < 1e-10
 
     def test_phi_gradient_fast_path(self):
         net = generate_network(6, 8, seed=6)
@@ -151,7 +150,7 @@ class TestEvaluation:
         x = rng.uniform(-1.0, 1.0, size=net.m)
         phi, grad = prob.phi_with_grad(x)
         _, g1, _ = prob.eval_f1(x)
-        _, g2, _ = prob.eval_f2(x)
+        _, g2 = prob.eval_f2(x)
         np.testing.assert_allclose(grad, g1 - g2, rtol=1e-8, atol=1e-8)
         assert phi == pytest.approx(prob.phi(x), rel=1e-12)
 
@@ -161,10 +160,43 @@ class TestEvaluation:
         rng = np.random.default_rng(15)
         for _ in range(3):
             x = rng.uniform(-0.8, 0.8, size=net.m)
-            for ev in (prob.eval_f1, prob.eval_f2):
-                _, _, hess = ev(x)
-                low = np.linalg.eigvalsh(hess)[0]
-                assert low >= -1e-8 * max(1.0, np.linalg.norm(hess))
+            _, _, hess = prob.eval_f1(x)
+            low = np.linalg.eigvalsh(hess)[0]
+            assert low >= -1e-8 * max(1.0, np.linalg.norm(hess))
+
+    def test_f2_gradient_monotone(self):
+        # f2 is convex iff its gradient is monotone:
+        # (grad f2(x) - grad f2(y)) . (x - y) >= 0
+        net = generate_network(7, 10, seed=7)
+        obj = NetworkObjective(net)
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            x, y = rng.uniform(-0.8, 0.8, size=(2, net.m))
+            gx, gy = obj.eval_f2(x)[1], obj.eval_f2(y)[1]
+            scale = max(1.0, np.linalg.norm(gx) + np.linalg.norm(gy)) * np.linalg.norm(x - y)
+            assert (gx - gy) @ (x - y) >= -1e-12 * scale
+
+    def test_eval_f2_builds_no_hessian(self):
+        # f2 is a value-and-gradient piece: neither it nor the other
+        # gradient paths build the Hessian operator
+        net = generate_network(6, 9, seed=5)
+        obj = NetworkObjective(net)
+        prob = obj.as_dc_problem(rho=100.0)
+        x = np.random.default_rng(18).uniform(-1.0, 1.0, size=net.m)
+        assert len(obj.eval_f2(x)) == 2
+        obj.phi_value_grad(x)
+        prob.grad_h(x)
+        prob.phi_with_grad(x)
+        assert "_hessian_op" not in vars(obj)
+        obj.eval_f1(x)
+        assert "_hessian_op" in vars(obj)
+
+    def test_phi_with_grad_value_is_phi(self):
+        net = generate_network(20, 30, seed=101)
+        prob = NetworkObjective(net).as_dc_problem(rho=100.0)
+        rng = np.random.default_rng(19)
+        for x in rng.uniform(-2.0, 2.0, size=(1000, net.m)):
+            assert prob.phi_with_grad(x)[0] == prob.phi(x)
 
     def test_overflow_guard(self):
         net = generate_network(6, 9, seed=8)

@@ -1,5 +1,7 @@
 """Damped-Newton inner solver on quadratic and subproblem oracles."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,24 @@ class TestSpdSolve:
         assert 1.0 < mu < 4.0
         with pytest.raises(NumericalError, match=r"damping exceeded 1e\+06"):
             spd_solve(-np.eye(3), np.ones(3), damping_floor=2e6)
+
+    def test_non_finite_cap_or_shift_raises(self):
+        # ||H||_inf overflows to an infinite cap that no mu exceeds, and a
+        # NaN floor makes every shift NaN; both must raise, not loop.  The
+        # alarm turns a regression into a failure instead of a hang.
+        def stuck(signum, frame):
+            raise TimeoutError("spd_solve did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(NumericalError, match="not finite"):
+                spd_solve(np.array([[-1e308, 1e308], [1e308, -1e308]]), np.ones(2))
+            with pytest.raises(NumericalError, match="not finite"):
+                spd_solve(-np.eye(2), np.ones(2), damping_floor=np.nan)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):

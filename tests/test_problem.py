@@ -44,19 +44,18 @@ class TestQuartic:
     def test_dc_identity(self):
         rng = np.random.default_rng(0)
         for x in rng.uniform(-2, 2, size=(10, 1)):
-            direct = self.prob.f1_value(x) - self.prob.f2_value(x)
+            direct = self.prob.f1_value(x) - self.prob.eval_f2(x)[0]
             assert self.prob.phi(x) == pytest.approx(direct, abs=1e-12)
 
     def test_split_pieces(self):
         x = np.array([0.6])
         v1, g1, h1 = self.prob.eval_f1(x)
-        v2, g2, h2 = self.prob.eval_f2(x)
+        v2, g2 = self.prob.eval_f2(x)
         assert v1 == pytest.approx(81.0 / 2500.0, abs=1e-15)
         assert v2 == pytest.approx(9.0 / 50.0, abs=1e-15)
         assert g1[0] == pytest.approx(27.0 / 125.0, abs=1e-15)
         assert g2[0] == pytest.approx(0.6, abs=1e-15)
         assert h1[0, 0] == pytest.approx(3.0 * 0.36, abs=1e-12)
-        assert h2[0, 0] == 1.0
 
     def test_regularized_split(self):
         prob = make_quartic_problem()
@@ -80,12 +79,11 @@ class TestQuartic:
         rng = np.random.default_rng(1)
         for x in rng.uniform(-2, 2, size=(5, 1)):
             rep = derivative_report(self.prob, x)
+            assert set(rep) == {"grad_f1", "grad_f2", "hess_f1", "asym_f1"}
             assert rep["grad_f1"] < 1e-7
             assert rep["grad_f2"] < 1e-7
             assert rep["hess_f1"] < 1e-6
-            assert rep["hess_f2"] < 1e-6
             assert rep["asym_f1"] == 0.0
-            assert rep["asym_f2"] == 0.0
 
 
 class TestExpsys:
@@ -105,7 +103,7 @@ class TestExpsys:
         rng = np.random.default_rng(2)
         for x in rng.uniform(-2, 2, size=(10, 1)):
             f1 = self.prob.f1_value(x)
-            f2 = self.prob.f2_value(x)
+            f2 = self.prob.eval_f2(x)[0]
             phi = self.prob.phi(x)
             assert f1 - f2 == pytest.approx(phi, rel=1e-10, abs=1e-12)
             t = float(x[0])
@@ -132,9 +130,7 @@ class TestExpsys:
             assert rep["grad_f1"] < 1e-6
             assert rep["grad_f2"] < 1e-6
             assert rep["hess_f1"] < 1e-5
-            assert rep["hess_f2"] < 1e-5
             assert rep["asym_f1"] < 1e-12
-            assert rep["asym_f2"] < 1e-12
 
 
 class TestSystemProblem:
@@ -163,19 +159,36 @@ class TestSystemProblem:
         c = np.array([np.exp(x[1]), 1.0])
         expected = float((p - c) @ (p - c))
         assert prob.phi(x) == pytest.approx(expected, rel=1e-12)
-        assert prob.f1_value(x) - prob.f2_value(x) == pytest.approx(expected, rel=1e-9)
+        assert prob.f1_value(x) - prob.eval_f2(x)[0] == pytest.approx(expected, rel=1e-9)
 
         rep = derivative_report(prob, x)
         assert rep["grad_f1"] < 1e-7
         assert rep["grad_f2"] < 1e-7
         assert rep["hess_f1"] < 1e-6
-        assert rep["hess_f2"] < 1e-6
         assert rep["asym_f1"] < 1e-12
 
         phi, grad = prob.phi_with_grad(x)
         fd = finite_difference_gradient(prob.phi, x)
         assert phi == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+class TestF2Contract:
+    """f2 is only linearized: eval_f2 returns its value and gradient."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
+    def test_eval_f2_returns_value_and_gradient(self, name):
+        prob = builtin_problem(name)
+        result = prob.eval_f2(np.array([0.4]))
+        assert len(result) == 2
+        value, grad = result
+        assert np.ndim(value) == 0
+        assert np.shape(grad) == (1,)
+
+    def test_no_f2_value_path(self):
+        ev = lambda x: (0.0, np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(TypeError):
+            DcProblem(m=1, eval_f1=ev, eval_f2=ev, f2_value=lambda x: 0.0)
 
 
 class TestValidation:

@@ -60,7 +60,7 @@ def quadratic_problem(center):
         return (t - center) ** 2, np.array([2.0 * (t - center)]), np.array([[2.0]])
 
     def eval_f2(x):
-        return 0.0, np.zeros(1), np.zeros((1, 1))
+        return 0.0, np.zeros(1)
 
     return DcProblem(m=1, eval_f1=eval_f1, eval_f2=eval_f2, name="shifted-square")
 
