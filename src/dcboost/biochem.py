@@ -111,14 +111,15 @@ class NetworkObjective:
         self.m = network.m
         F = network.F.astype(float)
         R = network.R.astype(float)
-        self.M = sp.hstack([F, R]).tocsr()
-        self.N = sp.hstack([R, F]).tocsr()
-        self.A = (self.M - self.N).tocsr()
-        self.B = self.M.T.tocsr()
-        self.MpN = (self.M + self.N).tocsr()
-        self.NT = self.N.T.tocsr()
-        self.AT = self.A.T.tocsr()
-        self.MpNT = self.MpN.T.tocsr()
+        M = sp.hstack([F, R]).tocsr()
+        N = sp.hstack([R, F]).tocsr()
+        self.M, self.N = _CsrOperator.of(M), _CsrOperator.of(N)
+        self.A = _CsrOperator.of((M - N).tocsr())
+        self.MpN = _CsrOperator.of((M + N).tocsr())
+        self.B = self.M.transpose()
+        self.NT = self.N.transpose()
+        self.AT = self.A.transpose()
+        self.MpNT = self.MpN.transpose()
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
@@ -135,17 +136,20 @@ class NetworkObjective:
         return np.exp(z)
 
     def _at(self, x):
-        """The record of x: the stored one when x has its values (a caller
-        may write into x between calls), else a new one that replaces it."""
+        """The record of x: the stored one when x has its bytes (a caller
+        may write into x between calls; -0.0 against 0.0 only recomputes
+        the same bits), else a new one that replaces it."""
         x = np.asarray(x, dtype=float)
+        key = x.tobytes()
         point = self._point
-        if point is not None and np.array_equal(point.x, x):
+        if point is not None and point.key == key:
             return point
-        e = self._flux(x)
         with np.errstate(over="ignore"):
+            # an exponent that overflows is left to _flux's guard
+            e = self._flux(x)
             p = self.M @ e
             c = self.N @ e
-        self._point = point = _Point(x.copy(), e, p, c)
+        self._point = point = _Point(key, e, p, c)
         return point
 
     def rates(self, x):
@@ -160,7 +164,8 @@ class NetworkObjective:
     # an anomaly.
 
     def f1_value(self, x):
-        p, c, _ = self.rates(x)
+        point = self._at(x)
+        p, c = point.p, point.c
         with np.errstate(over="ignore"):
             return 2.0 * (float(p @ p) + float(c @ c))
 
@@ -222,17 +227,59 @@ def _frozen(array):
     return array
 
 
+class _CsrOperator:
+    """A fixed sparse matrix kept as its CSR entries (row, column, value)
+    and applied to a vector as one np.bincount.
+
+    bincount sums each row's products in storage order, starting from
+    +0.0, as scipy's csr_matvec does, so a product has the bits of the
+    scipy matrix's own without scipy's per-call dispatch, which costs
+    more than the arithmetic on a network's small matrices.
+    """
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @classmethod
+    def of(cls, mat):
+        """The operator of a scipy CSR matrix, in its storage order."""
+        rows = np.repeat(np.arange(mat.shape[0], dtype=np.intp), np.diff(mat.indptr))
+        return cls(rows, mat.indices.astype(np.intp), mat.data, mat.shape)
+
+    def transpose(self):
+        # a stable sort on the column keeps each new row's entries in the
+        # old row order, the order scipy's .T.tocsr() gives
+        order = np.argsort(self.cols, kind="stable")
+        return _CsrOperator(self.cols[order], self.rows[order], self.vals[order],
+                            self.shape[::-1])
+
+    def tocsr(self):
+        """The scipy CSR matrix with the same entries in the same order."""
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
+        return sp.csr_matrix((self.vals, self.cols, indptr), shape=self.shape)
+
+    def __matmul__(self, v):
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
+        return np.bincount(self.rows, self.vals * v[self.cols], self.shape[0])
+
+
 class _Point:
-    """The last point evaluated: a copy of x, the flux e, the bundles p
-    and c, and f1's (value, gradient, Hessian) once asked for.  A Newton
-    step's accepted trial and the outer loop's phi, grad phi and grad h
-    calls land on the same point, so each costs one flux.  The arrays
-    are read-only: a caller writing into one fails, not the next call."""
+    """The last point evaluated: x's bytes as its key, the flux e, the
+    bundles p and c, and f1's (value, gradient, Hessian) once asked for.
+    A Newton step's accepted trial and the outer loop's phi, grad phi and
+    grad h calls land on the same point, so each costs one flux.  The
+    arrays are read-only: a caller writing into one fails, not the next
+    call."""
 
-    __slots__ = ("x", "e", "p", "c", "f1")
+    __slots__ = ("key", "e", "p", "c", "f1")
 
-    def __init__(self, x, e, p, c):
-        self.x, self.e, self.p, self.c = map(_frozen, (x, e, p, c))
+    def __init__(self, key, e, p, c):
+        self.key = key
+        self.e, self.p, self.c = map(_frozen, (e, p, c))
         self.f1 = None
 
 
@@ -243,28 +290,35 @@ class _HessianOperator:
 
         W = diag(e) G1 diag(e) + diag(e * t),   G1 = M^T M + N^T N,
 
-    for t = B p + N^T c.  Column q of P is the column of kron(B^T, B^T)
-    for the pattern's q-th entry (k, l), which holds B[k, a] * B[l, b] in
-    row a*m + b, so the flattened Hessian is P @ w for W's values w on
-    the pattern.
+    for t = B p + N^T c.  W's pattern is G1's nonzeros plus the diagonal.
+    Column q of P is the column of kron(B^T, B^T) for the pattern's q-th
+    entry (k, l), which holds B[k, a] * B[l, b] in row a*m + b, so the
+    flattened Hessian is P @ w for W's values w on the pattern.
     """
 
     def __init__(self, objective):
-        G1 = (objective.B @ objective.M + objective.NT @ objective.N).tocsr()
-        # W's pattern is G2 = (M + N)^T (M + N)'s, which holds G1's, plus the
-        # diagonal: its order fixes the summation order of P @ w, and G1's own
-        # pattern would move the Hessians, and the iterates, in the last bits.
-        G2 = (objective.MpNT @ objective.MpN).tocsr()
+        M, N, MpN = (op.tocsr() for op in (objective.M, objective.N, objective.MpN))
+        B, NT, MpNT = (mat.T.tocsr() for mat in (M, N, MpN))
+        G1 = (B @ M + NT @ N).tocsr()
+        # W's values are listed in the order of G2 = (M + N)^T (M + N)'s
+        # pattern, which holds G1's, plus the diagonal: that order fixes the
+        # summation order of P @ w, and G1's own order would move the
+        # Hessians, and the iterates, in the last bits.
+        G2 = (MpNT @ MpN).tocsr()
         pattern = (G2 + sp.identity(G2.shape[0], format="csr")).tocoo()
         # intp indices make the per-call gathers about 2.5x faster
-        self.rows = pattern.row.astype(np.intp)
-        self.cols = pattern.col.astype(np.intp)
-        # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
-        self.diag = np.flatnonzero(self.rows == self.cols)
+        rows = pattern.row.astype(np.intp)
+        cols = pattern.col.astype(np.intp)
         # f1's factor 4 is a power of two, so folding it into the
         # weights rounds exactly like scaling the Hessian
-        self.g = 4.0 * np.asarray(G1[self.rows, self.cols]).ravel()
-        kron = sp.kron(objective.M, objective.M, format="csc")  # M = B^T
+        g = 4.0 * np.asarray(G1[rows, cols]).ravel()
+        # off the diagonal, an entry outside G1's pattern has weight +0.0,
+        # and dropping a +0.0 term leaves every sum of P @ w unchanged
+        keep = (g != 0.0) | (rows == cols)
+        self.rows, self.cols, self.g = rows[keep], cols[keep], g[keep]
+        # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        kron = sp.kron(M, M, format="csc")  # M = B^T
         self.P = kron[:, self.rows * G2.shape[0] + self.cols].tocsr()
         self.m = objective.m
 

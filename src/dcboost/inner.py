@@ -101,10 +101,13 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  Returns ``(d, mu)``.
 
-    Raises NumericalError for non-finite input, when the damping needed
-    exceeds 1e6 times the Hessian's infinity norm, or when that norm or
-    the damping overflows.
+    Raises ValueError when damping_floor is not positive (no damping could
+    then grow), and NumericalError for non-finite input, when the damping
+    needed exceeds 1e6 times the Hessian's infinity norm, or when that
+    norm or the damping overflows.
     """
+    if damping_floor <= 0:
+        raise ValueError(f"damping_floor must be positive, got {damping_floor}")
     hess = np.asarray(hess, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):

@@ -112,7 +112,11 @@ class DcProblem:
         x = np.asarray(x, dtype=float)
         v = float(v) + 0.5 * self.rho * float(x @ x)
         grad = np.asarray(grad, dtype=float) + self.rho * x
-        hess = np.asarray(hess, dtype=float) + self.rho * np.eye(self.m)
+        # adding 0.0 copies hess in C order, so ravel() is a view, and turns
+        # a -0.0 into +0.0 as adding rho * I did; then only the diagonal
+        # takes rho
+        hess = np.add(hess, 0.0, dtype=float, order="C")
+        hess.ravel()[:: self.m + 1] += self.rho
         return v, grad, hess
 
     def g_value(self, x):

@@ -204,16 +204,153 @@ class TestEvaluation:
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(np.full(net.m, 500.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exponent_raises_without_warning(self):
+        # B x itself overflows: the guard reports it, numpy does not warn
+        obj = NetworkObjective(generate_network(6, 9, seed=8))
+        with pytest.raises(EvaluationOverflow):
+            obj.phi_value(np.full(6, 1e308))
+
     def test_overflow_guard_at_squared_limit(self):
         # phi is quadratic in e = exp(z), so it overflows from z of about
         # 355; a top exponent near 400 must raise, not saturate to inf
         net = generate_network(6, 9, seed=8)
         obj = NetworkObjective(net)
-        x = np.full(net.m, 400.0 / float(obj.B.sum(axis=1).max()))
+        # the exponent matrix is B = [F, R]^T: its row sums are F's and
+        # R's column sums
+        row_sums = np.concatenate([np.asarray(net.F.sum(axis=0)).ravel(),
+                                   np.asarray(net.R.sum(axis=0)).ravel()])
+        x = np.full(net.m, 400.0 / float(row_sums.max()))
         top = float(obj.exponents(x).max())
         assert 399.0 < top < 401.0
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(x)
+
+
+def scipy_operators(net):
+    """The eight matrices a NetworkObjective applies, as scipy CSR
+    matrices built the way the objective used to build them."""
+    F, R = net.F.astype(float), net.R.astype(float)
+    M = sp.hstack([F, R]).tocsr()
+    N = sp.hstack([R, F]).tocsr()
+    A = (M - N).tocsr()
+    MpN = (M + N).tocsr()
+    return dict(M=M, N=N, A=A, MpN=MpN,
+                B=M.T.tocsr(), NT=N.T.tocsr(), AT=A.T.tocsr(), MpNT=MpN.T.tocsr())
+
+
+def full_pattern_hessian(net, x):
+    """f1's Hessian assembled on W's unmasked pattern, G2's plus the
+    diagonal in CSR order, and the nonzero count of that pattern's P."""
+    ops = scipy_operators(net)
+    M, N, MpN, B, NT, MpNT = (ops[k] for k in ("M", "N", "MpN", "B", "NT", "MpNT"))
+    e = np.exp(net.w + B @ x)
+    p, c = M @ e, N @ e
+    et = 4.0 * (e * (B @ p + NT @ c))
+    G1 = (B @ M + NT @ N).tocsr()
+    G2 = (MpNT @ MpN).tocsr()
+    size = G2.shape[0]  # W is indexed by the 2n directed reactions
+    pattern = (G2 + sp.identity(size, format="csr")).tocoo()
+    rows, cols = pattern.row.astype(np.intp), pattern.col.astype(np.intp)
+    weights = 4.0 * np.asarray(G1[rows, cols]).ravel() * (e[rows] * e[cols])
+    weights[rows == cols] += et
+    P = sp.kron(M, M, format="csc")[:, rows * size + cols].tocsr()
+    hess = (P @ weights).reshape(net.m, net.m)
+    return 0.5 * (hess + hess.T), P.nnz
+
+
+# reaction 0 holds species 0 on both sides with coefficient 1, so its
+# entries cancel in A = M - N, and scipy drops them
+CANCELLING_MODEL = {
+    "name": "cancelling", "m": 3, "n": 3,
+    "F": [[0, 0, 1], [1, 0, 1], [2, 1, 1], [1, 2, 2]],
+    "R": [[0, 0, 1], [2, 0, 1], [1, 1, 1], [0, 2, 2]],
+    "w": [0.1, -0.2, 0.3, 0.0, 0.5, -0.4],
+}
+
+# signed zeros, infinities and finite magnitudes from 1e-300 to 1e300
+VECTOR_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                           st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@st.composite
+def operator_cases(draw):
+    m = draw(st.integers(3, 40))
+    # None stands for the cancelling network
+    shape = draw(st.none() | st.tuples(st.just(m), st.integers(m, 2 * m),
+                                       st.integers(0, 10 ** 6)))
+    # a small pool of entries, spread over each vector by a seeded draw,
+    # keeps the examples short at m = 40
+    pool = np.array(draw(st.lists(VECTOR_ENTRIES, min_size=1, max_size=12)))
+    return shape, pool, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestOperators:
+    @pytest.fixture(scope="class")
+    def cancelling_network(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("models") / "cancelling.json"
+        path.write_text(json.dumps(CANCELLING_MODEL))
+        net = load_network(path)
+        # A = [F - R, R - F] would hold F's and R's union twice without it
+        assert scipy_operators(net)["A"].nnz < 2 * (net.F + net.R).nnz
+        return net
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_cases())
+    def test_products_match_scipy_bit_for_bit(self, cancelling_network, case):
+        shape, pool, seed = case
+        net = cancelling_network if shape is None else generate_network(*shape)
+        obj = NetworkObjective(net)
+        rng = np.random.default_rng(seed)
+        for name, mat in scipy_operators(net).items():
+            op = getattr(obj, name)
+            width = mat.shape[1]
+            v = pool[rng.integers(pool.size, size=width)]
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert (op @ v).tobytes() == (mat @ v).tobytes(), name
+            for wrong in (width - 1, width + 1):
+                with pytest.raises(ValueError):  # as scipy's @ raises
+                    op @ np.ones(wrong)
+
+    @pytest.mark.parametrize("shape,nnz", [(None, None), ((6, 9, 5), None),
+                                           ((20, 30, 101), 2707), ((80, 120, 105), 12558)])
+    def test_masked_hessian_matches_full_pattern(self, shape, nnz):
+        # W's pattern keeps only G1's nonzeros and the diagonal, in G2's
+        # order: every Hessian keeps the full pattern's bits
+        net = tiny_network(w=[0.3, -0.2]) if shape is None else generate_network(*shape)
+        obj = NetworkObjective(net)
+        rng = np.random.default_rng(21)
+        for box in (2.0, 8.0):
+            for x in rng.uniform(-box, box, size=(20, net.m)):
+                reference, full_nnz = full_pattern_hessian(net, x)
+                assert obj.eval_f1(x)[2].tobytes() == reference.tobytes()
+        assert obj._hessian_op.P.nnz <= full_nnz
+        if nnz is not None:
+            assert obj._hessian_op.P.nnz == nnz < full_nnz
+
+    def test_only_hessian_products_go_through_scipy(self, monkeypatch):
+        # scipy's dispatch costs more than a network product's arithmetic:
+        # the only scipy product left is P @ w, once per assembled Hessian
+        net = generate_network(20, 30, seed=101)
+        obj = NetworkObjective(net)
+        prob = obj.as_dc_problem(rho=100.0)
+        rng = np.random.default_rng(22)
+        obj.eval_f1(rng.uniform(-2.0, 2.0, size=net.m))  # builds P
+        callers = []
+        matmul = sp.csr_matrix.__matmul__
+
+        def counted(self, other):
+            callers.append(self)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+        points = rng.uniform(-2.0, 2.0, size=(10, net.m))
+        for x in points:
+            for evaluate in (obj.f1_value, obj.phi_value, obj.phi_value_grad, obj.eval_f2,
+                             prob.grad_h, obj.eval_f1, obj.eval_f1, prob.eval_g):
+                evaluate(x)
+        assert len(callers) == len(points)
+        assert all(caller is obj._hessian_op.P for caller in callers)
 
 
 MEMO_NET = generate_network(5, 7, seed=23)

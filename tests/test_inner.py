@@ -1,6 +1,7 @@
 """Damped-Newton inner solver on quadratic and subproblem oracles."""
 
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +24,21 @@ def quadratic_spec(hess, linear):
         return 0.5 * float(x @ hess @ x), hess @ x, hess
 
     return SubproblemSpec(eval_g=eval_g, linear_term=np.asarray(linear, dtype=float))
+
+
+@contextmanager
+def within_5_s():
+    """Turn a call that never returns into a failure instead of a hang."""
+    def stuck(signum, frame):
+        raise TimeoutError("spd_solve did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSpdSolve:
@@ -87,21 +103,20 @@ class TestSpdSolve:
 
     def test_non_finite_cap_or_shift_raises(self):
         # ||H||_inf overflows to an infinite cap that no mu exceeds, and a
-        # NaN floor makes every shift NaN; both must raise, not loop.  The
-        # alarm turns a regression into a failure instead of a hang.
-        def stuck(signum, frame):
-            raise TimeoutError("spd_solve did not return within 5 s")
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
+        # NaN floor makes every shift NaN; both must raise, not loop
+        with within_5_s():
             with pytest.raises(NumericalError, match="not finite"):
                 spd_solve(np.array([[-1e308, 1e308], [1e308, -1e308]]), np.ones(2))
             with pytest.raises(NumericalError, match="not finite"):
                 spd_solve(-np.eye(2), np.ones(2), damping_floor=np.nan)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("floor", [0.0, -1e-10])
+    def test_nonpositive_floor_raises(self, floor):
+        # a floor of zero or less never grows the damping: -I would retry
+        # its failing factorization forever
+        with within_5_s():
+            with pytest.raises(ValueError, match="damping_floor must be positive"):
+                spd_solve(-np.eye(2), np.ones(2), damping_floor=floor)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
