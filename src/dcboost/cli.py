@@ -7,6 +7,7 @@ that reproduces the run via --spec-file.
 """
 
 import argparse
+import csv
 import json
 import sys
 import warnings
@@ -64,7 +65,7 @@ def cmd_solve(args):
     else:
         try:
             network = load_network(args.model)
-        except SchemaError as exc:
+        except (SchemaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         rho = args.rho if args.rho is not None else MODEL_DEFAULT_RHO
@@ -100,7 +101,11 @@ def cmd_solve(args):
     result = solve(problem, x0, cfg)
 
     if args.trace_out:
-        write_trace_csv(result.trace, args.trace_out)
+        try:
+            write_trace_csv(result.trace, args.trace_out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"trace: {args.trace_out} ({len(result.trace)} rows)")
     final_d = result.trace[-1].norm_d if result.trace else float("nan")
     print(f"status: {result.status.value}")
@@ -187,7 +192,11 @@ def cmd_generate(args):
     except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    save_network(network, args.out)
+    try:
+        save_network(network, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     residual, _ = check_mass_conservation(network)
     print(f"name: {network.name}")
     print(f"species: {network.m}, reactions: {network.n}")
@@ -203,6 +212,9 @@ def cmd_validate(args):
             network = load_network(args.model)
         except SchemaError as exc:
             print(f"schema error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
     for warning in caught:
         print(f"warning: {warning.message}")
@@ -233,8 +245,6 @@ def cmd_validate(args):
 def cmd_rate(args):
     _echo({"command": "rate", "trace": args.trace, "column": args.column,
            "subtract_final": args.subtract_final, "atol": args.atol})
-    import csv
-
     try:
         with open(args.trace, newline="") as handle:
             reader = csv.DictReader(handle)
@@ -248,7 +258,7 @@ def cmd_rate(args):
         return 1
 
     series = np.asarray(values, dtype=float)
-    if args.subtract_final:
+    if args.subtract_final and series.size:
         series = series - series[-1]
     series = np.abs(series)
     try:

@@ -10,6 +10,7 @@ computed from the averages.
 import csv
 import dataclasses
 import json
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .biochem import NetworkObjective, generate_network, load_network
 from .inner import value_or_inf
-from .problem import builtin_problem
+from .problem import BUILTIN_PROBLEMS, builtin_problem
 from .solver import SolverConfig, SolveResult, Variant, solve, write_trace_csv
 
 __all__ = (
@@ -57,12 +58,20 @@ class ProblemSource:
     def __post_init__(self):
         if self.kind not in ("builtin", "model", "generate"):
             raise ValueError(f"unknown problem source kind {self.kind!r}")
-        if self.kind == "builtin" and not self.name:
-            raise ValueError("builtin source needs a name")
-        if self.kind == "model" and not self.path:
-            raise ValueError("model source needs a path")
-        if self.kind == "generate" and None in (self.m, self.n, self.seed):
-            raise ValueError("generate source needs m, n and seed")
+        if self.kind == "builtin" and not (isinstance(self.name, str)
+                                           and self.name in BUILTIN_PROBLEMS):
+            raise ValueError(f"builtin source needs one of {sorted(BUILTIN_PROBLEMS)}, "
+                             f"got {self.name!r}")
+        if self.kind == "model" and not (isinstance(self.path, str) and self.path):
+            raise ValueError(f"model source needs a path, got {self.path!r}")
+        if self.kind == "generate" and not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                for v in (self.m, self.n, self.seed)):
+            raise ValueError("generate source needs integer m, n and seed, got "
+                             f"{self.m!r}, {self.n!r}, {self.seed!r}")
+        if self.rho is not None and not (isinstance(self.rho, numbers.Real)
+                                         and not isinstance(self.rho, bool)):
+            raise ValueError(f"source rho must be a number, got {self.rho!r}")
 
     @classmethod
     def from_json(cls, obj):
@@ -76,8 +85,10 @@ class ProblemSource:
         if "model" in obj:
             return cls(kind="model", path=obj["model"], rho=rho)
         params = obj["generate"]
-        return cls(kind="generate", m=params["m"], n=params["n"],
-                   seed=params["seed"], rho=rho)
+        if not isinstance(params, dict):
+            raise ValueError(f"generate source needs an object of m, n and seed, got {params!r}")
+        return cls(kind="generate", m=params.get("m"), n=params.get("n"),
+                   seed=params.get("seed"), rho=rho)
 
     def to_json(self):
         if self.kind == "builtin":

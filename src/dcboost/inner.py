@@ -1,13 +1,12 @@
 """Damped-Newton minimizer for the strongly convex subproblems.
 
-Each outer iteration minimizes F(x) = g(x) - <b, x> (optionally plus a
-proximal term).  F inherits g's curvature, so a Cholesky-based Newton
-method with a small Armijo safeguard converges in a handful of steps from
-the warm start.
+Each outer iteration minimizes F(x) = g(x) - <b, x>.  F inherits g's
+curvature, so a Cholesky-based Newton method with a small Armijo
+safeguard converges in a handful of steps from the warm start.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -44,26 +43,18 @@ class InnerConfig:
 
 @dataclass
 class SubproblemSpec:
-    """F(x) = g(x) - <linear_term, x> [+ (1/(2*proximal_c))||x - center||^2].
+    """F(x) = g(x) - <linear_term, x>.
 
-    ``eval_g`` maps x to (value, gradient, Hessian); ``value_g`` is an
-    optional value-only fast path used for line-search trials.
+    ``eval_g`` maps x to (value, gradient, Hessian); ``value_g`` maps x to
+    the value alone and serves the line-search trials.
     """
 
     eval_g: Callable
     linear_term: np.ndarray
-    value_g: Optional[Callable] = None
-    proximal_center: Optional[np.ndarray] = None
-    proximal_c: Optional[float] = None
+    value_g: Callable
 
     def __post_init__(self):
         self.linear_term = np.asarray(self.linear_term, dtype=float)
-        if (self.proximal_center is None) != (self.proximal_c is None):
-            raise ValueError("proximal_center and proximal_c must be set together")
-        if self.proximal_c is not None:
-            if self.proximal_c <= 0:
-                raise ValueError(f"proximal_c must be positive, got {self.proximal_c}")
-            self.proximal_center = np.asarray(self.proximal_center, dtype=float)
 
     def objective(self, x):
         """Value, gradient and Hessian of F at x."""
@@ -71,27 +62,12 @@ class SubproblemSpec:
         x = np.asarray(x, dtype=float)
         v = float(v) - float(self.linear_term @ x)
         grad = np.asarray(grad, dtype=float) - self.linear_term
-        hess = np.asarray(hess, dtype=float)
-        if self.proximal_c is not None:
-            dx = x - self.proximal_center
-            w = 1.0 / self.proximal_c
-            v += 0.5 * w * float(dx @ dx)
-            grad = grad + w * dx
-            hess = hess + w * np.eye(x.size)
-        return v, grad, hess
+        return v, grad, np.asarray(hess, dtype=float)
 
     def value(self, x):
-        """Value of F at x, via the fast path when available."""
+        """Value of F at x."""
         x = np.asarray(x, dtype=float)
-        if self.value_g is not None:
-            v = float(self.value_g(x))
-        else:
-            v = float(self.eval_g(x)[0])
-        v -= float(self.linear_term @ x)
-        if self.proximal_c is not None:
-            dx = x - self.proximal_center
-            v += 0.5 * float(dx @ dx) / self.proximal_c
-        return v
+        return float(self.value_g(x)) - float(self.linear_term @ x)
 
 
 def spd_solve(hess, rhs, damping_floor=1e-10):
@@ -186,20 +162,16 @@ def minimize_subproblem(spec, x_init, config=None):
             # the Armijo test cannot discriminate.  Take the full step as
             # long as the value does not rise beyond that floor; the
             # gradient keeps contracting through the quadratic phase.
-            trial = x + direction
-            if np.array_equal(trial, x):
-                raise NumericalError("inner step vanished below machine resolution")
-            if value_or_inf(spec.value, trial) > value + noise:
+            if value_or_inf(spec.value, x + direction) > value + noise:
                 raise NumericalError("inner step stalled at the value resolution floor")
-            x = trial
-            value, grad, hess = _evaluate(spec, x)
-            continue
-
-        found = sufficient_decrease(spec.value, x, direction, value, slope,
-                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
-        if found is None:
-            raise NumericalError("inner line search exhausted its halvings")
-        x_new = x + found[0] * direction
+            step = 1.0
+        else:
+            found = sufficient_decrease(spec.value, x, direction, value, slope,
+                                        _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+            if found is None:
+                raise NumericalError("inner line search exhausted its halvings")
+            step = found[0]
+        x_new = x + step * direction
         if np.array_equal(x_new, x):
             raise NumericalError("inner step vanished below machine resolution")
         x = x_new

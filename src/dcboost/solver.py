@@ -72,7 +72,6 @@ class SolverConfig:
     ``tol_d`` and ``tol_x`` default to 1e-8 * sqrt(m) when left None.
     ``target_phi`` stops a run as soon as the objective is at or below
     the given value (used by the matched-target comparison protocol).
-    ``proximal_c`` adds (1/(2c))||x - x_k||^2 to each subproblem.
     """
 
     variant: Variant = Variant.BDCA_QI
@@ -85,7 +84,6 @@ class SolverConfig:
     tol_d: Optional[float] = None
     tol_x: Optional[float] = None
     inner: InnerConfig = field(default_factory=InnerConfig)
-    proximal_c: Optional[float] = None
     target_phi: Optional[float] = None
 
     def __post_init__(self):
@@ -108,8 +106,6 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        if self.proximal_c is not None and self.proximal_c <= 0:
-            raise ValueError(f"proximal_c must be positive, got {self.proximal_c}")
 
     def resolved_tols(self, m):
         tol_d = self.tol_d if self.tol_d is not None else 1e-8 * np.sqrt(m)
@@ -126,6 +122,10 @@ class SolverConfig:
     def from_json(cls, obj):
         """Inverse of to_json; omitted fields take their defaults."""
         obj = dict(obj)
+        # older spec files carry "proximal_c": null for a removed field
+        if "proximal_c" in obj and obj.pop("proximal_c") is not None:
+            raise ValueError("solver field proximal_c was removed; "
+                             "subproblems have no proximal term")
         return cls(inner=InnerConfig(**obj.pop("inner", {})), **obj)
 
 
@@ -171,8 +171,6 @@ def dca_step(problem, x, config=None):
         eval_g=problem.eval_g,
         linear_term=problem.grad_h(x),
         value_g=problem.g_value,
-        proximal_center=x if cfg.proximal_c is not None else None,
-        proximal_c=cfg.proximal_c,
     )
     return minimize_subproblem(spec, x, cfg.inner)
 

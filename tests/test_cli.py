@@ -60,6 +60,15 @@ class TestSolve:
         assert main(["solve", "--builtin", "quartic", "--tol", "-1"]) == 2
         capsys.readouterr()
 
+    def test_unreadable_model_exit_1(self, capsys, tmp_path):
+        assert main(["solve", "--model", str(tmp_path / "missing.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_trace_exit_1(self, capsys, tmp_path):
+        assert main(["solve", "--builtin", "quartic", "--x0", "0.216",
+                     "--trace-out", str(tmp_path / "absent" / "trace.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGenerateValidate:
     def test_generate_then_validate(self, capsys, tmp_path):
@@ -102,6 +111,15 @@ class TestGenerateValidate:
         assert main(["validate", str(model), "--l-file", str(masses)]) == 1
         capsys.readouterr()
 
+    def test_validate_unreadable_exit_1(self, capsys, tmp_path):
+        assert main(["validate", str(tmp_path / "missing.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_generate_unwritable_exit_1(self, capsys, tmp_path):
+        assert main(["generate", "--m", "6", "--n", "9", "--seed", "5",
+                     "--out", str(tmp_path / "absent" / "x.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_generate_bad_sizes(self, capsys, tmp_path):
         assert main(["generate", "--m", "1", "--n", "4", "--seed", "0",
                      "--out", str(tmp_path / "x.json")]) == 1
@@ -137,6 +155,14 @@ class TestRate:
         assert main(["rate", str(path), "--column", "zzz"]) == 1
         assert main(["rate", str(tmp_path / "absent.csv")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("subtract_final", [False, True])
+    def test_empty_trace(self, capsys, tmp_path, subtract_final):
+        path = tmp_path / "trace.csv"
+        path.write_text("k,norm_d\n")
+        flags = ["--subtract-final"] if subtract_final else []
+        assert main(["rate", str(path), *flags]) == 1
+        assert "error: empty sequence" in capsys.readouterr().err
 
 
 class TestAudit:
@@ -200,15 +226,35 @@ class TestCompare:
         assert spec.bdca_iters == 20
 
     def test_bad_spec_exit_2(self, capsys, tmp_path):
+        quartic = [{"builtin": "quartic"}]
+        solver = {"variant": "bdca-b", "lambda_bar": 2.0, "lambda_max": 8.0}
+        cases = [
+            (quartic, {**solver, "beta": 1.5}, "beta"),
+            (quartic, {**solver, "proximal_c": 1.0}, "proximal_c"),
+            ([{"generate": {"m": 3}}], solver, "integer m, n and seed"),
+            ([{"generate": {"m": "3", "n": 4, "seed": 0}}], solver, "integer m, n and seed"),
+            ([{"builtin": "nope"}], solver, "'nope'"),
+        ]
+        spec_path = tmp_path / "spec.json"
+        for problems, solver_json, named in cases:
+            spec_path.write_text(json.dumps({
+                "problems": problems, "trials": 2, "solver": solver_json,
+            }))
+            assert main(["compare", "--spec-file", str(spec_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err
+
+    def test_null_proximal_spec_loads(self, capsys, tmp_path):
+        # spec files from before the proximal term was removed carry a null
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
-            "problems": [{"builtin": "quartic"}],
-            "trials": 2,
-            "solver": {"variant": "bdca-b", "beta": 1.5,
-                       "lambda_bar": 2.0, "lambda_max": 8.0},
+            "problems": [{"builtin": "quartic"}], "trials": 1, "bdca_iters": 20,
+            "solver": {"variant": "bdca-b", "lambda_bar": 2.0, "lambda_max": 8.0,
+                       "proximal_c": None},
         }))
-        assert main(["compare", "--spec-file", str(spec_path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["compare", "--spec-file", str(spec_path)]) == 0
+        config, _ = first_line_json(capsys)
+        assert "proximal_c" not in config["solver"]
 
     def test_no_problems_exit_2(self, capsys):
         assert main(["compare"]) == 2

@@ -23,7 +23,15 @@ def quadratic_spec(hess, linear):
     def eval_g(x):
         return 0.5 * float(x @ hess @ x), hess @ x, hess
 
-    return SubproblemSpec(eval_g=eval_g, linear_term=np.asarray(linear, dtype=float))
+    return SubproblemSpec(eval_g=eval_g, linear_term=np.asarray(linear, dtype=float),
+                          value_g=lambda x: eval_g(x)[0])
+
+
+def constant_spec(value, value_g):
+    """F with value ``value``, gradient 1 and Hessian 1 everywhere, whose
+    line-search trials read ``value_g``: the Newton direction is -1."""
+    return SubproblemSpec(eval_g=lambda x: (value, np.ones(1), np.eye(1)),
+                          linear_term=np.zeros(1), value_g=value_g)
 
 
 @contextmanager
@@ -160,50 +168,35 @@ class TestMinimize:
 
     def test_iteration_budget(self):
         prob = make_quartic_problem()
-        spec = SubproblemSpec(eval_g=prob.eval_g, linear_term=np.array([27.0 / 125.0]))
+        spec = SubproblemSpec(eval_g=prob.eval_g, linear_term=np.array([27.0 / 125.0]),
+                              value_g=prob.g_value)
         with pytest.raises(NumericalError, match="gradient tolerance"):
             minimize_subproblem(spec, np.array([5.0]), InnerConfig(max_iters=1))
 
-    def test_proximal_term(self):
-        prob = make_quartic_problem()
-        center = np.array([0.216])
-        spec = SubproblemSpec(
-            eval_g=prob.eval_g,
-            linear_term=prob.grad_h(center),
-            proximal_center=center,
-            proximal_c=1.0,
-        )
-        y, _ = minimize_subproblem(spec, center)
-        # first-order condition: y^3 + (y - x)/c = x
-        resid = y[0] ** 3 + (y[0] - 0.216) - 0.216
-        assert abs(resid) <= 1e-7
+    def test_stalled_at_value_floor(self):
+        # a predicted decrease of 1 sits below the rounding floor of 1e20,
+        # and the full step doubles the value
+        spec = constant_spec(1e20, lambda x: 2e20)
+        with pytest.raises(NumericalError, match="stalled at the value resolution floor"):
+            minimize_subproblem(spec, np.zeros(1))
 
-    def test_proximal_value(self):
-        spec = SubproblemSpec(
-            eval_g=lambda x: (0.5 * float(x @ x), x.astype(float), np.eye(2)),
-            linear_term=np.zeros(2),
-            proximal_center=np.array([1.0, 1.0]),
-            proximal_c=2.0,
-        )
-        x = np.array([2.0, 0.0])
-        # 0.5*||x||^2 + (1/(2c))*||x - center||^2 = 2 + (1 + 1)/4
-        assert spec.value(x) == pytest.approx(2.0 + 0.5, abs=1e-14)
-        v, grad, hess = spec.objective(x)
-        assert v == pytest.approx(2.5, abs=1e-14)
-        np.testing.assert_allclose(grad, [2.0 + 0.5, 0.0 - 0.5], atol=1e-14)
-        np.testing.assert_allclose(hess, np.eye(2) * 1.5, atol=1e-14)
+    def test_vanished_below_resolution(self):
+        # x + d == x at x = 1e20, d = -1: under the value floor, and as an
+        # Armijo step that a value path reading below F accepts
+        x = np.array([1e20])
+        with pytest.raises(NumericalError, match="vanished below machine resolution"):
+            minimize_subproblem(constant_spec(1e20, lambda x: 1e20), x)
+        with pytest.raises(NumericalError, match="vanished below machine resolution"):
+            minimize_subproblem(constant_spec(1.0, lambda x: 0.0), x)
+
+    def test_line_search_exhausted(self):
+        # every trial value sits above F's own, so no halving is accepted
+        spec = constant_spec(0.0, lambda x: 1.0)
+        with pytest.raises(NumericalError, match="exhausted its halvings"):
+            minimize_subproblem(spec, np.zeros(1))
 
 
 class TestSpecValidation:
-    def test_proximal_fields_paired(self):
-        ev = lambda x: (0.0, np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError):
-            SubproblemSpec(eval_g=ev, linear_term=np.zeros(1),
-                           proximal_center=np.zeros(1))
-        with pytest.raises(ValueError):
-            SubproblemSpec(eval_g=ev, linear_term=np.zeros(1), proximal_c=-1.0,
-                           proximal_center=np.zeros(1))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InnerConfig(tol_grad=0.0)

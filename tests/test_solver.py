@@ -260,13 +260,6 @@ class TestSolve:
         assert abs(fm.x_final[0] - dca.x_final[0]) <= 1e-10
         assert all(rec.lambda_k == 0.0 for rec in fm.trace)
 
-    def test_proximal_step_first_order(self):
-        cfg = SolverConfig(variant="dca", max_outer_iters=1, proximal_c=1.0)
-        result = solve(self.prob, np.array([X0]), cfg)
-        y = result.x_final[0]
-        # subproblem optimality: y^3 + (y - x0)/c = x0
-        assert abs(y ** 3 + (y - X0) - X0) <= 1e-7
-
     def test_theory_warning_for_large_alpha(self):
         cfg = SolverConfig(variant="bdca-b", alpha=1.5, lambda_bar=2.0,
                            lambda_max=8.0, max_outer_iters=3)
@@ -290,8 +283,6 @@ class TestConfig:
             SolverConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tol_d=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(proximal_c=0.0)
 
     def test_variant_coercion(self):
         assert SolverConfig(variant="fm").variant is Variant.FM
