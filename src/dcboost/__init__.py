@@ -12,7 +12,7 @@ fronts all of it.
 from .analysis import (AuditReport, RateReport, Regime, Violation,
                        audit_trace, classify_rate, effective_modulus,
                        verify_rate_inequality)
-from .biochem import (GeneratorConfig, NetworkObjective, ReactionNetwork,
+from .biochem import (NetworkObjective, ReactionNetwork,
                       check_mass_conservation, generate_network,
                       load_network, save_network)
 from .exceptions import (DcError, EvaluationOverflow, GenerationError,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = (
     "AuditReport", "RateReport", "Regime", "Violation", "audit_trace",
     "classify_rate", "effective_modulus", "verify_rate_inequality",
-    "GeneratorConfig", "NetworkObjective", "ReactionNetwork",
+    "NetworkObjective", "ReactionNetwork",
     "check_mass_conservation", "generate_network", "load_network",
     "save_network",
     "DcError", "EvaluationOverflow", "GenerationError", "LineSearchError",

@@ -28,6 +28,7 @@ __all__ = (
 )
 
 _REL_SLACK = 1e-12
+AUDIT_TOL_BASE = 1e-6
 
 
 class Regime(str, enum.Enum):
@@ -134,15 +135,15 @@ def _rms_line_fit(x, y):
     return float(coeffs[0]), float(np.sqrt(np.mean(resid ** 2)))
 
 
-def classify_rate(s, atol=None, min_samples=10, ratio_var_max=0.01):
+def classify_rate(s, atol=None):
     """Label an error sequence Finite, Linear, Sublinear or Inconclusive.
 
     Finite: some term falls to atol (default 1e-14 * s_0).  Linear: the
-    last-third ratios are stable inside (0, 1) and a geometric model
-    fits the tail at least as well as a power model.  Sublinear: the
-    log-log regression over the last third has a positive decay
-    exponent.  Anything else (including sequences shorter than
-    ``min_samples``) is Inconclusive.
+    last-third ratios have variance below 0.01 and a mean inside (0, 1),
+    and a geometric model fits the tail at least as well as a power
+    model.  Sublinear: the log-log regression over the last third has a
+    positive decay exponent.  Anything else (including sequences of
+    fewer than 10 terms) is Inconclusive.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.size == 0:
@@ -158,7 +159,7 @@ def classify_rate(s, atol=None, min_samples=10, ratio_var_max=0.01):
         return RateReport(Regime.FINITE, rate=None, exponent=None,
                           fit_residual=0.0, samples_used=first + 1)
 
-    if s.size < min_samples:
+    if s.size < 10:
         return RateReport(Regime.INCONCLUSIVE, rate=None, exponent=None,
                           fit_residual=math.inf, samples_used=s.size)
 
@@ -174,7 +175,7 @@ def classify_rate(s, atol=None, min_samples=10, ratio_var_max=0.01):
 
     ratios = tail[1:] / tail[:-1]
     mean_ratio = float(np.mean(ratios))
-    stable = float(np.var(ratios)) < ratio_var_max and 0.0 < mean_ratio < 1.0
+    stable = float(np.var(ratios)) < 0.01 and 0.0 < mean_ratio < 1.0
     if stable and geometric_rms <= power_rms:
         return RateReport(Regime.LINEAR, rate=mean_ratio, exponent=None,
                           fit_residual=geometric_rms, samples_used=window)
@@ -204,7 +205,8 @@ def _unpack_moduli(moduli):
     return float(sigma_g), float(sigma_h), float(rho)
 
 
-def audit_trace(trace, problem_moduli, config, phi_final=None, tol_base=1e-6):
+def audit_trace(trace, problem_moduli, config, phi_final=None,
+                tol_base=AUDIT_TOL_BASE):
     """Replay the decrease inequalities over a completed trace.
 
     Per row k (phi_x = phi(x_k), phi_y = phi(y_k), nd = ||d_k||), with
@@ -225,8 +227,8 @@ def audit_trace(trace, problem_moduli, config, phi_final=None, tol_base=1e-6):
     ``phi_final`` supplies phi after the last row; without it the last
     row is only checked for prop3/prop4.
     """
-    sigma_g, sigma_h, rho = _unpack_moduli(problem_moduli)
-    rho_eff = 0.5 * (sigma_g + sigma_h) + rho
+    _, sigma_h, rho = _unpack_moduli(problem_moduli)
+    rho_eff = effective_modulus(problem_moduli)
     slope_modulus = sigma_h + rho
     variant = Variant(config.variant)
     alpha = float(config.alpha)

@@ -20,7 +20,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +30,6 @@ from .problem import DcProblem, EXP_GUARD
 __all__ = (
     "ReactionNetwork",
     "NetworkObjective",
-    "GeneratorConfig",
     "check_mass_conservation",
     "generate_network",
     "load_network",
@@ -354,67 +352,49 @@ def check_mass_conservation(network, l=None):
 # -- synthetic generation ------------------------------------------------
 
 
-@dataclass
-class GeneratorConfig:
-    """Structural knobs for synthetic networks.
-
-    Each reaction takes 1..2 species per side with coefficients from
-    ``coeffs``, equal coefficient sums on both sides (so unit masses are
-    conserved exactly), and disjoint sides.
-    """
-
-    coeffs: tuple = (1, 2, 3)
-    w_low: float = -1.0
-    w_high: float = 1.0
-    max_attempts: int = 50
-    name: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.coeffs or any(int(c) != c or c < 1 for c in self.coeffs):
-            raise ValueError("coeffs must be positive integers")
-        if not self.w_high > self.w_low:
-            raise ValueError("w_high must exceed w_low")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+# Each reaction takes 1..2 species per side with coefficients from
+# GENERATOR_COEFFS, equal coefficient sums on both sides (so unit masses
+# are conserved exactly), and disjoint sides; w is uniform in [-1, 1].
+GENERATOR_COEFFS = np.array((1, 2, 3), dtype=np.int64)
+GENERATOR_W_RANGE = (-1.0, 1.0)
+GENERATOR_ATTEMPTS = 50
 
 
-def generate_network(m, n, seed, config=None):
+def generate_network(m, n, seed):
     """Random network with full row coverage and exact unit-mass balance.
 
-    Deterministic in (m, n, seed, config).  Needs n >= m/2 in practice so
-    that every species can appear on both sides; raises GenerationError
-    when the constraints cannot be met within the attempt budget.
+    Deterministic in (m, n, seed).  Needs n >= m/2 in practice so that
+    every species can appear on both sides; raises GenerationError when
+    the constraints cannot be met within the attempt budget.
     """
-    cfg = config if config is not None else GeneratorConfig()
     if m < 2:
         raise ValueError("need at least two species")
     if n < 1:
         raise ValueError("need at least one reaction")
     rng = np.random.default_rng(seed)
 
-    for _ in range(cfg.max_attempts):
-        built = _generate_once(m, n, rng, cfg)
+    for _ in range(GENERATOR_ATTEMPTS):
+        built = _generate_once(m, n, rng)
         if built is None:
             continue
         F, R = built
-        w = rng.uniform(cfg.w_low, cfg.w_high, size=2 * n)
-        name = cfg.name if cfg.name is not None else f"synthetic_m{m}_n{n}_s{seed}"
-        return ReactionNetwork(m=m, n=n, F=F, R=R, w=w, name=name)
+        w = rng.uniform(*GENERATOR_W_RANGE, size=2 * n)
+        return ReactionNetwork(m=m, n=n, F=F, R=R, w=w,
+                               name=f"synthetic_m{m}_n{n}_s{seed}")
     raise GenerationError(
         f"could not cover all {m} species on both sides with {n} reactions "
-        f"in {cfg.max_attempts} attempts"
+        f"in {GENERATOR_ATTEMPTS} attempts"
     )
 
 
-def _generate_once(m, n, rng, cfg):
+def _generate_once(m, n, rng):
     rows_f, cols_f, vals_f = [], [], []
     rows_r, cols_r, vals_r = [], [], []
     need_f = set(range(m))
     need_r = set(range(m))
-    coeffs = np.asarray(cfg.coeffs, dtype=np.int64)
 
     for j in range(n):
-        f_side, r_side = _draw_reaction(m, rng, coeffs, need_f, need_r)
+        f_side, r_side = _draw_reaction(m, rng, need_f, need_r)
         for i, v in f_side:
             rows_f.append(i); cols_f.append(j); vals_f.append(v)
             need_f.discard(i)
@@ -441,8 +421,8 @@ def _pick(rng, preferred, fallback, count):
     return [int(i) for i in chosen]
 
 
-def _draw_reaction(m, rng, coeffs, need_f, need_r):
-    top = int(coeffs.max())
+def _draw_reaction(m, rng, need_f, need_r):
+    top = int(GENERATOR_COEFFS.max())
     kf_max = min(2, m - 1)
     kf = int(rng.integers(1, kf_max + 1))
     if len(need_f) >= 2:
@@ -454,7 +434,7 @@ def _draw_reaction(m, rng, coeffs, need_f, need_r):
 
     # sum of forward coefficients fixes the feasible reverse arity
     for _ in range(8):
-        f_coeffs = rng.choice(coeffs, size=kf)
+        f_coeffs = rng.choice(GENERATOR_COEFFS, size=kf)
         total = int(f_coeffs.sum())
         lo = -(-total // top)  # ceil
         hi = min(kr_max, total)

@@ -14,63 +14,58 @@ import warnings
 
 import numpy as np
 
-from .analysis import audit_trace, classify_rate
-from .biochem import (NetworkObjective, check_mass_conservation,
-                      generate_network, load_network, save_network)
+from .analysis import AUDIT_TOL_BASE, audit_trace, classify_rate
+from .biochem import (check_mass_conservation, generate_network, load_network,
+                      save_network)
 from .exceptions import DcError, GenerationError, SchemaError
-from .harness import (ExperimentSpec, ProblemSource, run_experiment)
+from .harness import ExperimentSpec, ProblemSource, run_experiment
 from .inner import InnerConfig
-from .problem import BUILTIN_PROBLEMS, builtin_problem
+from .problem import BUILTIN_PROBLEMS
 from .solver import (SolverConfig, Variant, read_trace_csv, solve,
                      write_trace_csv)
 
 __all__ = ("main",)
-
-MODEL_DEFAULT_RHO = 100.0
 
 
 def _echo(config):
     print(json.dumps(config))
 
 
+def _given(args, *names):
+    # a flag left out takes the library's default
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _solver_flags(parser):
-    parser.add_argument("--variant", choices=[v.value for v in Variant],
-                        default=Variant.BDCA_QI.value)
-    parser.add_argument("--alpha", type=float, default=0.4)
-    parser.add_argument("--beta", type=float, default=0.5)
-    parser.add_argument("--lambda-bar", type=float, default=50.0)
-    parser.add_argument("--lambda-max", type=float, default=200.0)
-    parser.add_argument("--inner-tol", type=float, default=1e-8)
+    parser.add_argument("--variant", choices=[v.value for v in Variant])
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--lambda-bar", type=float)
+    parser.add_argument("--lambda-max", type=float)
+    parser.add_argument("--inner-tol", type=float)
 
 
 def _solver_config(args, **fields):
-    return SolverConfig(
-        variant=args.variant,
-        alpha=args.alpha,
-        beta=args.beta,
-        lambda_bar=args.lambda_bar,
-        lambda_max=args.lambda_max,
-        inner=InnerConfig(tol_grad=args.inner_tol),
-        **fields,
-    )
+    if args.inner_tol is not None:
+        fields["inner"] = InnerConfig(tol_grad=args.inner_tol)
+    return SolverConfig(**_given(args, "variant", "alpha", "beta", "lambda_bar",
+                                 "lambda_max"), **fields)
 
 
 # -- solve ---------------------------------------------------------------
 
 
 def cmd_solve(args):
-    if args.builtin is not None:
-        problem = builtin_problem(args.builtin, rho=args.rho)
-        source = {"builtin": args.builtin}
-    else:
-        try:
-            network = load_network(args.model)
-        except (SchemaError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        rho = args.rho if args.rho is not None else MODEL_DEFAULT_RHO
-        problem = NetworkObjective(network).as_dc_problem(rho=rho)
-        source = {"model": args.model}
+    # a single solve is one problem source under the experiment defaults
+    source = ProblemSource(kind="model" if args.builtin is None else "builtin",
+                           name=args.builtin, path=args.model, rho=args.rho)
+    spec = ExperimentSpec(problems=[source])
+    try:
+        _, problem, _ = source.resolve(spec.rho)
+    except (SchemaError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.x0 is not None:
         try:
@@ -85,17 +80,12 @@ def cmd_solve(args):
         start = {"x0": x0.tolist()}
     else:
         rng = np.random.default_rng(args.x0_seed)
-        x0 = rng.uniform(-2.0, 2.0, size=problem.m)
+        x0 = rng.uniform(spec.x0_low, spec.x0_high, size=problem.m)
         start = {"x0_seed": args.x0_seed}
 
-    try:
-        cfg = _solver_config(args, max_outer_iters=args.max_iters,
-                             tol_d=args.tol, tol_x=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    _echo({"command": "solve", "problem": source, "m": problem.m,
+    cfg = _solver_config(args, **_given(args, "max_outer_iters"),
+                         tol_d=args.tol, tol_x=args.tol)
+    _echo({"command": "solve", "problem": source.to_json(), "m": problem.m,
            "rho": problem.rho, **cfg.to_json(), **start})
 
     result = solve(problem, x0, cfg)
@@ -144,14 +134,8 @@ def cmd_compare(args):
                       "or --spec-file)", file=sys.stderr)
                 return 2
             spec = ExperimentSpec(
-                problems=problems,
-                trials=args.trials,
-                seed=args.seed,
-                bdca_iters=args.bdca_iters,
-                dca_cap=args.dca_cap,
-                rho=args.rho,
-                solver=_solver_config(args),
-            )
+                problems=problems, solver=_solver_config(args),
+                **_given(args, "trials", "seed", "bdca_iters", "dca_cap", "rho"))
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -271,15 +255,15 @@ def cmd_rate(args):
 
 
 def cmd_audit(args):
+    cfg = SolverConfig(**_given(args, "variant", "alpha"))
     _echo({"command": "audit", "trace": args.trace, "sigma_g": args.sigma_g,
-           "sigma_h": args.sigma_h, "rho": args.rho, "alpha": args.alpha,
-           "variant": args.variant, "tol_base": args.tol_base})
+           "sigma_h": args.sigma_h, "rho": args.rho, "alpha": cfg.alpha,
+           "variant": cfg.variant.value, "tol_base": args.tol_base})
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg = SolverConfig(variant=args.variant, alpha=args.alpha)
     report = audit_trace(trace, (args.sigma_g, args.sigma_h, args.rho), cfg,
                          tol_base=args.tol_base)
     print(json.dumps(report.to_json()))
@@ -302,15 +286,15 @@ def build_parser():
     src.add_argument("--builtin", choices=sorted(BUILTIN_PROBLEMS))
     src.add_argument("--model", help="model JSON file")
     _solver_flags(p)
-    p.add_argument("--rho", type=float, default=None,
-                   help="regularization (default: builtin's own, "
-                        f"{MODEL_DEFAULT_RHO:g} for models)")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--rho", type=float,
+                   help="regularization (default: builtin's own, compare's "
+                        "default for models)")
+    p.add_argument("--max-iters", type=int, dest="max_outer_iters")
+    p.add_argument("--tol", type=float,
                    help="sets both direction and step stopping tolerances")
     p.add_argument("--x0", help="comma-separated start point")
     p.add_argument("--x0-seed", type=int, default=0,
-                   help="seed for a uniform start in [-2, 2]^m")
+                   help="seed for a uniform start in compare's start box")
     p.add_argument("--trace-out", help="write the iteration trace CSV here")
     p.set_defaults(func=cmd_solve)
 
@@ -319,11 +303,11 @@ def build_parser():
     p.add_argument("--builtin", action="append", choices=sorted(BUILTIN_PROBLEMS))
     p.add_argument("--model", action="append")
     p.add_argument("--generate", action="append", metavar="M:N:SEED")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bdca-iters", type=int, default=1000)
-    p.add_argument("--dca-cap", type=int, default=None)
-    p.add_argument("--rho", type=float, default=100.0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--bdca-iters", type=int)
+    p.add_argument("--dca-cap", type=int)
+    p.add_argument("--rho", type=float)
     _solver_flags(p)
     p.add_argument("--out", help="directory for rows.csv, spec.json, traces/")
     p.set_defaults(func=cmd_compare)
@@ -353,10 +337,9 @@ def build_parser():
     p.add_argument("--sigma-g", type=float, default=0.0)
     p.add_argument("--sigma-h", type=float, default=0.0)
     p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--variant", choices=[v.value for v in Variant],
-                   default=Variant.BDCA_QI.value)
-    p.add_argument("--tol-base", type=float, default=1e-6)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--variant", choices=[v.value for v in Variant])
+    p.add_argument("--tol-base", type=float, default=AUDIT_TOL_BASE)
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -41,6 +41,17 @@ __all__ = (
 REACH_RTOL = 1e-9
 
 
+def _plain_cap(bdca_iters, dca_cap):
+    """The plain run's iteration cap: ``dca_cap``, else 100x the boosted budget."""
+    return dca_cap if dca_cap is not None else 100 * bdca_iters
+
+
+def _reject_unknown(obj, known, what):
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 @dataclass
 class ProblemSource:
     """One problem reference: a builtin name, a model file, or generator
@@ -70,8 +81,9 @@ class ProblemSource:
             raise ValueError("generate source needs integer m, n and seed, got "
                              f"{self.m!r}, {self.n!r}, {self.seed!r}")
         if self.rho is not None and not (isinstance(self.rho, numbers.Real)
-                                         and not isinstance(self.rho, bool)):
-            raise ValueError(f"source rho must be a number, got {self.rho!r}")
+                                         and not isinstance(self.rho, bool)
+                                         and self.rho >= 0):
+            raise ValueError(f"source rho must be a nonnegative number, got {self.rho!r}")
 
     @classmethod
     def from_json(cls, obj):
@@ -79,6 +91,7 @@ class ProblemSource:
             raise ValueError(
                 f"problem source must carry exactly one of builtin/model/generate: {obj!r}"
             )
+        _reject_unknown(obj, {"builtin", "model", "generate", "rho"}, "problem source")
         rho = obj.get("rho")
         if "builtin" in obj:
             return cls(kind="builtin", name=obj["builtin"], rho=rho)
@@ -87,6 +100,7 @@ class ProblemSource:
         params = obj["generate"]
         if not isinstance(params, dict):
             raise ValueError(f"generate source needs an object of m, n and seed, got {params!r}")
+        _reject_unknown(params, {"m", "n", "seed"}, "generate source")
         return cls(kind="generate", m=params.get("m"), n=params.get("n"),
                    seed=params.get("seed"), rho=rho)
 
@@ -149,7 +163,7 @@ class ExperimentSpec:
             raise ValueError("the boosted side of the comparison cannot be dca")
 
     def resolved_dca_cap(self):
-        return self.dca_cap if self.dca_cap is not None else 100 * self.bdca_iters
+        return _plain_cap(self.bdca_iters, self.dca_cap)
 
     def to_json(self):
         return {
@@ -171,9 +185,7 @@ class ExperimentSpec:
         solver = SolverConfig.from_json(obj.get("solver", {}))
         known = {"problems", "trials", "seed", "x0_low", "x0_high",
                  "bdca_iters", "dca_cap", "rho"}
-        unknown = set(obj) - known - {"solver"}
-        if unknown:
-            raise ValueError(f"unknown experiment spec fields: {sorted(unknown)}")
+        _reject_unknown(obj, known | {"solver"}, "experiment spec")
         kwargs = {k: obj[k] for k in known if k in obj and k != "problems"}
         problems = [ProblemSource.from_json(p) for p in obj.get("problems", [])]
         return cls(problems=problems, solver=solver, **kwargs)
@@ -202,15 +214,13 @@ def run_matched_target(problem, x0, solver_config=None, bdca_iters=1000,
     cfg = solver_config if solver_config is not None else SolverConfig()
     if cfg.variant is Variant.DCA:
         raise ValueError("the boosted side of the comparison cannot be dca")
-    if dca_cap is None:
-        dca_cap = 100 * bdca_iters
-
     boosted_cfg = replace(cfg, max_outer_iters=bdca_iters, target_phi=None)
     boosted = solve(problem, x0, boosted_cfg)
     target = boosted.phi_final
 
     chase_target = target + REACH_RTOL * (1.0 + abs(target))
-    plain_cfg = replace(cfg, variant=Variant.DCA, max_outer_iters=dca_cap,
+    plain_cfg = replace(cfg, variant=Variant.DCA,
+                        max_outer_iters=_plain_cap(bdca_iters, dca_cap),
                         target_phi=chase_target)
     plain = solve(problem, x0, plain_cfg)
     reached = plain.phi_final <= chase_target

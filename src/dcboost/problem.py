@@ -7,7 +7,7 @@ pieces strongly convex whenever rho > 0.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -171,8 +171,7 @@ def make_quartic_problem():
     )
 
 
-def make_system_problem(p_eval, c_eval, m, rho=0.0, sigma_g=0.0, sigma_h=0.0,
-                        name="system"):
+def make_system_problem(p_eval, c_eval, m, rho=0.0, name="system"):
     """DC objective for zeros of f = p - c with componentwise convex p, c >= 0.
 
     ``p_eval`` and ``c_eval`` map ``x`` to ``(value, jacobian, hessians)``
@@ -230,8 +229,6 @@ def make_system_problem(p_eval, c_eval, m, rho=0.0, sigma_g=0.0, sigma_h=0.0,
         eval_f1=eval_f1,
         eval_f2=eval_f2,
         rho=rho,
-        sigma_g=sigma_g,
-        sigma_h=sigma_h,
         f1_value=f1_value,
         phi_value=phi_value,
         phi_value_grad=phi_value_grad,
@@ -275,9 +272,8 @@ def builtin_problem(name, rho=None):
             f"unknown builtin problem {name!r}; available: {sorted(BUILTIN_PROBLEMS)}"
         ) from None
     prob = factory()
-    if rho is not None:
-        prob.rho = float(rho)
-    return prob
+    # replace() reruns the validation a plain assignment would skip
+    return prob if rho is None else replace(prob, rho=float(rho))
 
 
 # -- finite-difference validation hooks ----------------------------------

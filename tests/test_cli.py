@@ -3,10 +3,10 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from dcboost import ExperimentSpec
+from dcboost import ExperimentSpec, ProblemSource, SolverConfig
+from dcboost.analysis import AUDIT_TOL_BASE
 from dcboost.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
@@ -59,6 +59,11 @@ class TestSolve:
         assert main(["solve", "--builtin", "quartic", "--beta", "1.5"]) == 2
         assert main(["solve", "--builtin", "quartic", "--tol", "-1"]) == 2
         capsys.readouterr()
+
+    def test_negative_rho_exit_2(self, capsys):
+        assert main(["solve", "--builtin", "quartic", "--rho", "-1",
+                     "--x0", "0.5"]) == 2
+        assert "rho" in capsys.readouterr().err
 
     def test_unreadable_model_exit_1(self, capsys, tmp_path):
         assert main(["solve", "--model", str(tmp_path / "missing.json")]) == 1
@@ -234,6 +239,9 @@ class TestCompare:
             ([{"generate": {"m": 3}}], solver, "integer m, n and seed"),
             ([{"generate": {"m": "3", "n": 4, "seed": 0}}], solver, "integer m, n and seed"),
             ([{"builtin": "nope"}], solver, "'nope'"),
+            ([{"builtin": "quartic", "rhoo": 2.0}], solver, "'rhoo'"),
+            ([{"generate": {"m": 3, "n": 6, "seed": 0, "mm": 4}}], solver, "'mm'"),
+            ([{"builtin": "quartic", "rho": -1}], solver, "rho"),
         ]
         spec_path = tmp_path / "spec.json"
         for problems, solver_json, named in cases:
@@ -260,6 +268,29 @@ class TestCompare:
         assert main(["compare"]) == 2
         assert main(["compare", "--generate", "banana"]) == 2
         capsys.readouterr()
+
+
+class TestLibraryDefaults:
+    """A flag left out takes the library's default, and each echo shows it."""
+
+    def test_solve_echo(self, capsys):
+        assert main(["solve", "--builtin", "quartic", "--x0", "0.5"]) == 0
+        config, _ = first_line_json(capsys)
+        assert {k: config[k] for k in SolverConfig().to_json()} == SolverConfig().to_json()
+
+    def test_compare_echo(self, capsys):
+        assert main(["compare", "--builtin", "quartic"]) == 0
+        config, _ = first_line_json(capsys)
+        source = ProblemSource(kind="builtin", name="quartic")
+        assert config == ExperimentSpec(problems=[source]).to_json()
+
+    def test_audit_echo(self, capsys, tmp_path):
+        trace = TestAudit().make_trace(tmp_path, capsys)
+        main(["audit", str(trace)])
+        config, _ = first_line_json(capsys)
+        assert config["alpha"] == SolverConfig().alpha
+        assert config["variant"] == SolverConfig().variant.value
+        assert config["tol_base"] == AUDIT_TOL_BASE
 
 
 class TestMisc:

@@ -197,6 +197,14 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown builtin"):
             builtin_problem("nope")
 
+    def test_builtin_rho_validated(self):
+        # the override goes through the same check as a constructed problem
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            builtin_problem("quartic", rho=-1)
+        prob = builtin_problem("quartic", rho=2.0)
+        assert prob.rho == 2.0
+        assert prob.g_value(np.array([1.0])) == 0.25 + 1.0
+
     def test_bad_parameters(self):
         ev = lambda x: (0.0, np.zeros(1), np.zeros((1, 1)))
         with pytest.raises(ValueError):
