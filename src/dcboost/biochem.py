@@ -186,15 +186,23 @@ class NetworkObjective:
         # built on f1's first Hessian request; no other path pays for it
         return _HessianOperator(self)
 
+    def f1_value_grad(self, x):
+        """f1's value and gradient, without its Hessian."""
+        return self._f1(self._at(x))
+
     def eval_f1(self, x):
         point = self._at(x)
+        value, grad = self._f1(point)
+        if point.hess is None:
+            point.hess = _frozen(self._hessian_op.assemble(point.e, 4.0 * point.et))
+        return value, grad, point.hess
+
+    def _f1(self, point):
         if point.f1 is None:
             e, p, c = point.e, point.p, point.c
-            et = e * (self.B @ p + self.NT @ c)
+            point.et = e * (self.B @ p + self.NT @ c)
             value = 2.0 * (float(p @ p) + float(c @ c))
-            grad = 4.0 * (self.M @ et)
-            hess = self._hessian_op.assemble(e, 4.0 * et)
-            point.f1 = (value, _frozen(grad), _frozen(hess))
+            point.f1 = (value, _frozen(4.0 * (self.M @ point.et)))
         return point.f1
 
     def eval_f2(self, x):
@@ -214,6 +222,7 @@ class NetworkObjective:
             sigma_g=0.0,
             sigma_h=0.0,
             f1_value=self.f1_value,
+            f1_value_grad=self.f1_value_grad,
             phi_value=self.phi_value,
             phi_value_grad=self.phi_value_grad,
             name=name or self.network.name or "network",
@@ -267,18 +276,19 @@ class _CsrOperator:
 
 class _Point:
     """The last point evaluated: x's bytes as its key, the flux e, the
-    bundles p and c, and f1's (value, gradient, Hessian) once asked for.
-    A Newton step's accepted trial and the outer loop's phi, grad phi and
-    grad h calls land on the same point, so each costs one flux.  The
-    arrays are read-only: a caller writing into one fails, not the next
-    call."""
+    bundles p and c, f1's (value, gradient) with the weights et they
+    share with the Hessian once either is asked for, and f1's Hessian
+    once it is.  A Newton step's accepted trial and the outer loop's phi,
+    grad phi and grad h calls land on the same point, so each costs one
+    flux.  The arrays are read-only: a caller writing into one fails, not
+    the next call."""
 
-    __slots__ = ("key", "e", "p", "c", "f1")
+    __slots__ = ("key", "e", "p", "c", "et", "f1", "hess")
 
     def __init__(self, key, e, p, c):
         self.key = key
         self.e, self.p, self.c = map(_frozen, (e, p, c))
-        self.f1 = None
+        self.et = self.f1 = self.hess = None
 
 
 class _HessianOperator:

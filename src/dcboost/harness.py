@@ -207,7 +207,7 @@ class TrialResult:
     matched: MatchedTargetResult
 
 
-def run_matched_target(problem, x0, solver_config=None, bdca_iters=1000,
+def run_matched_target(problem, x0, solver_config=None, *, bdca_iters,
                        dca_cap=None):
     """One boosted run of exactly ``bdca_iters`` iterations (or to
     stationarity), then a plain run chasing the boosted final value."""
@@ -344,7 +344,7 @@ def run_experiment(spec, out_dir=None):
             rng = np.random.default_rng([spec.seed, p_idx, trial])
             x0 = rng.uniform(spec.x0_low, spec.x0_high, size=problem.m)
             matched = run_matched_target(problem, x0, spec.solver,
-                                         spec.bdca_iters, dca_cap)
+                                         bdca_iters=spec.bdca_iters, dca_cap=dca_cap)
             phi0 = value_or_inf(problem.phi, x0)
             trial_results.append(TrialResult(trial=trial, x0=x0, phi0=phi0,
                                              matched=matched))

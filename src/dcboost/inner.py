@@ -5,6 +5,7 @@ curvature, so a Cholesky-based Newton method with a small Armijo
 safeguard converges in a handful of steps from the warm start.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +21,8 @@ _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
 _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
+# a value's rounding floor, relative to 1 + |value|
+_NOISE_RTOL = 8.0 * np.finfo(float).eps
 # the LAPACK calls cho_factor/cho_solve make, without their checks
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
@@ -45,24 +48,26 @@ class InnerConfig:
 class SubproblemSpec:
     """F(x) = g(x) - <linear_term, x>.
 
-    ``eval_g`` maps x to (value, gradient, Hessian); ``value_g`` maps x to
-    the value alone and serves the line-search trials.
+    ``eval_g`` maps x to (value, gradient, Hessian) and is called only for
+    the Hessian of a Newton step; ``value_grad_g`` maps x to (value,
+    gradient) and serves the accepted points; ``value_g`` maps x to the
+    value alone and serves the line-search trials.  F's Hessian is g's.
     """
 
     eval_g: Callable
     linear_term: np.ndarray
     value_g: Callable
+    value_grad_g: Callable
 
     def __post_init__(self):
         self.linear_term = np.asarray(self.linear_term, dtype=float)
 
-    def objective(self, x):
-        """Value, gradient and Hessian of F at x."""
-        v, grad, hess = self.eval_g(x)
+    def value_grad(self, x):
+        """Value and gradient of F at x."""
+        v, grad = self.value_grad_g(x)
         x = np.asarray(x, dtype=float)
         v = float(v) - float(self.linear_term @ x)
-        grad = np.asarray(grad, dtype=float) - self.linear_term
-        return v, grad, np.asarray(hess, dtype=float)
+        return v, np.asarray(grad, dtype=float) - self.linear_term
 
     def value(self, x):
         """Value of F at x."""
@@ -75,7 +80,8 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
 
     Tries mu = 0 first, then damping_floor * 4^j.  A solve is accepted once
     Cholesky succeeds and (after at most a few refinement passes) the
-    relative residual is at or below 1e-10.  Returns ``(d, mu)``.
+    relative residual is at or below 1e-10.  ``rhs`` is a vector.
+    Returns ``(d, mu)``.
 
     Raises ValueError when damping_floor is not positive (no damping could
     then grow), and NumericalError for non-finite input, when the damping
@@ -86,10 +92,10 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
         raise ValueError(f"damping_floor must be positive, got {damping_floor}")
     hess = np.asarray(hess, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
         raise NumericalError("non-finite Hessian or right-hand side")
 
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(rhs @ rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
 
@@ -102,11 +108,11 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
             d = _POTRS(factor, rhs, lower=False)[0]
             for passes in range(_REFINEMENT_PASSES + 1):
                 resid = rhs - shifted @ d
-                accepted = np.linalg.norm(resid) <= tol
+                accepted = math.sqrt(resid @ resid) <= tol
                 if accepted or passes == _REFINEMENT_PASSES:
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
-            if accepted and np.all(np.isfinite(d)):
+            if accepted and np.isfinite(d).all():
                 return d, mu
         if mu == 0.0:
             # the cap is only needed once damping is
@@ -132,31 +138,37 @@ def minimize_subproblem(spec, x_init, config=None):
     absolute 1e-8 is unreachable there, the gradient's own rounding floor
     is larger), near one it is the plain absolute tolerance.
 
+    Each accepted point costs one value and gradient; a Hessian is asked
+    for only where a Newton direction is computed, and its finiteness is
+    checked by ``spd_solve``.
+
     Returns ``(x, iterations)`` where ``iterations`` counts Newton steps
     taken; 0 when the warm start already meets the gradient tolerance.
 
-    Raises NumericalError on non-finite derivatives at an accepted point,
-    on exhausted damping, or when the iteration or line-search budget runs
-    out before the tolerance is met.
+    Raises NumericalError on a non-finite value or gradient at an accepted
+    point, on a non-finite Hessian where a step is needed, on exhausted
+    damping, or when the iteration or line-search budget runs out before
+    the tolerance is met.
     """
     if config is None:
         config = InnerConfig()
     x = np.asarray(x_init, dtype=float).copy()
 
-    value, grad, hess = _evaluate(spec, x)
-    tol = config.tol_grad * max(1.0, float(np.linalg.norm(grad)))
+    value, grad = _evaluate(spec, x)
+    tol = config.tol_grad * max(1.0, math.sqrt(grad @ grad))
     for iteration in range(config.max_iters + 1):
-        if np.linalg.norm(grad) <= tol:
+        if math.sqrt(grad @ grad) <= tol:
             return x, iteration
         if iteration == config.max_iters:
             break
+        hess = _overflow_as_error(spec.eval_g, x)[2]
         direction, _ = spd_solve(hess, -grad, config.damping_floor)
         slope = float(grad @ direction)
         if slope >= 0.0:
             # descent failed despite damping: direction numerically useless
             raise NumericalError("Newton direction is not a descent direction")
 
-        noise = 8.0 * np.finfo(float).eps * (1.0 + abs(value))
+        noise = _NOISE_RTOL * (1.0 + abs(value))
         if -slope <= noise:
             # Predicted decrease sits below the value's rounding floor, so
             # the Armijo test cannot discriminate.  Take the full step as
@@ -172,10 +184,10 @@ def minimize_subproblem(spec, x_init, config=None):
                 raise NumericalError("inner line search exhausted its halvings")
             step = found[0]
         x_new = x + step * direction
-        if np.array_equal(x_new, x):
+        if (x_new == x).all():
             raise NumericalError("inner step vanished below machine resolution")
         x = x_new
-        value, grad, hess = _evaluate(spec, x)
+        value, grad = _evaluate(spec, x)
 
     raise NumericalError(
         f"inner solver did not reach its gradient tolerance {tol:g} "
@@ -184,13 +196,17 @@ def minimize_subproblem(spec, x_init, config=None):
 
 
 def _evaluate(spec, x):
+    value, grad = _overflow_as_error(spec.value_grad, x)
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        raise NumericalError("non-finite subproblem derivatives at an accepted point")
+    return value, grad
+
+
+def _overflow_as_error(evaluate, x):
     try:
-        value, grad, hess = spec.objective(x)
+        return evaluate(x)
     except EvaluationOverflow as exc:
         raise NumericalError(f"objective overflow at an accepted point: {exc}") from exc
-    if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise NumericalError("non-finite subproblem derivatives at an accepted point")
-    return value, np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
 
 
 def value_or_inf(value, x):

@@ -56,6 +56,10 @@ class DcProblem:
         Intrinsic strong-convexity moduli of f1 and f2 (0 when unknown).
     f1_value : callable, optional
         Value-only fast path for f1; defaults to discarding derivatives.
+    f1_value_grad : callable, optional
+        ``x -> (value, gradient)`` for f1 without its Hessian; defaults
+        to discarding the Hessian, so a problem without it evaluates f1
+        twice at each point where the inner solver takes a Newton step.
     phi_value : callable, optional
         Fast path for phi itself.  Useful when f1 - f2 admits a compact
         form that avoids cancellation between two large values.
@@ -70,6 +74,7 @@ class DcProblem:
     sigma_g: float = 0.0
     sigma_h: float = 0.0
     f1_value: Optional[Callable] = None
+    f1_value_grad: Optional[Callable] = None
     phi_value: Optional[Callable] = None
     phi_value_grad: Optional[Callable] = None
     name: str = "dc-problem"
@@ -83,6 +88,8 @@ class DcProblem:
             raise ValueError("strong-convexity moduli must be nonnegative")
         if self.f1_value is None:
             self.f1_value = lambda x: self.eval_f1(x)[0]
+        if self.f1_value_grad is None:
+            self.f1_value_grad = lambda x: self.eval_f1(x)[:2]
 
     # -- plain objective -------------------------------------------------
 
@@ -97,7 +104,7 @@ class DcProblem:
         if self.phi_value_grad is not None:
             v, grad = self.phi_value_grad(x)
             return float(v), np.asarray(grad, dtype=float)
-        v1, g1, _ = self.eval_f1(x)
+        v1, g1 = self.f1_value_grad(x)
         v2, g2 = self.eval_f2(x)
         return float(v1) - float(v2), np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
 
@@ -107,17 +114,24 @@ class DcProblem:
     # -- regularized split ----------------------------------------------
 
     def eval_g(self, x):
-        """Value, gradient, Hessian of g = f1 + (rho/2)||x||^2."""
+        """Value, gradient, Hessian of g = f1 + (rho/2)||x||^2.  The
+        solvers ask for a Hessian only here."""
         v, grad, hess = self.eval_f1(x)
-        x = np.asarray(x, dtype=float)
-        v = float(v) + 0.5 * self.rho * float(x @ x)
-        grad = np.asarray(grad, dtype=float) + self.rho * x
         # adding 0.0 copies hess in C order, so ravel() is a view, and turns
         # a -0.0 into +0.0 as adding rho * I did; then only the diagonal
         # takes rho
         hess = np.add(hess, 0.0, dtype=float, order="C")
         hess.ravel()[:: self.m + 1] += self.rho
-        return v, grad, hess
+        return (*self._regularized(x, v, grad), hess)
+
+    def g_value_grad(self, x):
+        """Value and gradient of g, without a Hessian."""
+        return self._regularized(x, *self.f1_value_grad(x))
+
+    def _regularized(self, x, v, grad):
+        x = np.asarray(x, dtype=float)
+        v = float(v) + 0.5 * self.rho * float(x @ x)
+        return v, np.asarray(grad, dtype=float) + self.rho * x
 
     def g_value(self, x):
         x = np.asarray(x, dtype=float)
@@ -317,12 +331,12 @@ def derivative_report(problem, x, step=None):
         return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
 
     report = {}
-    for label, ev, val in (("f1", problem.eval_f1, problem.f1_value),
+    for label, ev, val in (("f1", problem.f1_value_grad, problem.f1_value),
                            ("f2", problem.eval_f2, lambda z: problem.eval_f2(z)[0])):
         fd_grad = finite_difference_gradient(lambda z: float(val(z)), x, step)
         report[f"grad_{label}"] = rel(ev(x)[1], fd_grad)
     _, _, hess = problem.eval_f1(x)
-    fd_hess = finite_difference_jacobian(lambda z: problem.eval_f1(z)[1], x, step)
+    fd_hess = finite_difference_jacobian(lambda z: problem.f1_value_grad(z)[1], x, step)
     report["hess_f1"] = rel(hess, fd_hess)
     report["asym_f1"] = float(np.linalg.norm(hess - np.asarray(hess).T))
     return report

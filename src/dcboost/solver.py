@@ -171,6 +171,7 @@ def dca_step(problem, x, config=None):
         eval_g=problem.eval_g,
         linear_term=problem.grad_h(x),
         value_g=problem.g_value,
+        value_grad_g=problem.g_value_grad,
     )
     return minimize_subproblem(spec, x, cfg.inner)
 

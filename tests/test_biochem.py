@@ -185,11 +185,32 @@ class TestEvaluation:
         x = np.random.default_rng(18).uniform(-1.0, 1.0, size=net.m)
         assert len(obj.eval_f2(x)) == 2
         obj.phi_value_grad(x)
+        obj.f1_value_grad(x)
         prob.grad_h(x)
         prob.phi_with_grad(x)
+        prob.g_value_grad(x)
         assert "_hessian_op" not in vars(obj)
         obj.eval_f1(x)
         assert "_hessian_op" in vars(obj)
+
+    def test_value_grad_paths_match_full_evaluations(self):
+        # the Hessian-free paths have the bits of eval_f1's and eval_g's
+        # first two outputs, whichever is asked for first at a point
+        net = generate_network(20, 30, seed=101)
+        rng = np.random.default_rng(25)
+        for first in ("value_grad", "full"):
+            obj = NetworkObjective(net)
+            prob = obj.as_dc_problem(rho=100.0)
+            for x in rng.uniform(-2.0, 2.0, size=(20, net.m)):
+                if first == "value_grad":
+                    pair, g_pair = obj.f1_value_grad(x), prob.g_value_grad(x)
+                    full, g_full = obj.eval_f1(x), prob.eval_g(x)
+                else:
+                    full, g_full = obj.eval_f1(x), prob.eval_g(x)
+                    pair, g_pair = obj.f1_value_grad(x), prob.g_value_grad(x)
+                assert bits(pair) == bits(full[:2])
+                assert bits(g_pair) == bits(g_full[:2])
+                assert bits(pair) == bits(NetworkObjective(net).eval_f1(x)[:2])
 
     def test_phi_with_grad_value_is_phi(self):
         net = generate_network(20, 30, seed=101)
@@ -354,7 +375,8 @@ class TestOperators:
 
 
 MEMO_NET = generate_network(5, 7, seed=23)
-MEMO_METHODS = ("rates", "f1_value", "phi_value", "phi_value_grad", "eval_f1", "eval_f2")
+MEMO_METHODS = ("rates", "f1_value", "f1_value_grad", "phi_value", "phi_value_grad",
+                "eval_f1", "eval_f2")
 # three finite points, the last two differing in one entry only, and
 # one whose top exponent lies beyond EXP_GUARD
 MEMO_POOL = (

@@ -42,7 +42,7 @@ class TestMatchedTarget:
         prob = make_quartic_problem()
         with pytest.raises(ValueError):
             run_matched_target(prob, np.array([1.0]),
-                               SolverConfig(variant="dca"))
+                               SolverConfig(variant="dca"), bdca_iters=20)
 
     def test_stationary_start_trivial(self):
         prob = make_quartic_problem()

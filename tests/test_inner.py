@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 
 from dcboost import (
+    EvaluationOverflow,
     InnerConfig,
+    NetworkObjective,
     NumericalError,
+    SolverConfig,
     SubproblemSpec,
+    Variant,
+    generate_network,
     make_quartic_problem,
     minimize_subproblem,
+    solve,
     spd_solve,
 )
+from dcboost.biochem import _HessianOperator
 
 
 def quadratic_spec(hess, linear):
@@ -24,14 +31,16 @@ def quadratic_spec(hess, linear):
         return 0.5 * float(x @ hess @ x), hess @ x, hess
 
     return SubproblemSpec(eval_g=eval_g, linear_term=np.asarray(linear, dtype=float),
-                          value_g=lambda x: eval_g(x)[0])
+                          value_g=lambda x: eval_g(x)[0],
+                          value_grad_g=lambda x: eval_g(x)[:2])
 
 
 def constant_spec(value, value_g):
     """F with value ``value``, gradient 1 and Hessian 1 everywhere, whose
     line-search trials read ``value_g``: the Newton direction is -1."""
     return SubproblemSpec(eval_g=lambda x: (value, np.ones(1), np.eye(1)),
-                          linear_term=np.zeros(1), value_g=value_g)
+                          linear_term=np.zeros(1), value_g=value_g,
+                          value_grad_g=lambda x: (value, np.ones(1)))
 
 
 @contextmanager
@@ -155,6 +164,7 @@ class TestMinimize:
             eval_g=prob.eval_g,
             linear_term=np.array([27.0 / 125.0]),
             value_g=prob.g_value,
+            value_grad_g=prob.g_value_grad,
         )
         y, iters = minimize_subproblem(spec, np.array([27.0 / 125.0]))
         assert abs(y[0] - 0.6) <= 1e-8
@@ -169,7 +179,7 @@ class TestMinimize:
     def test_iteration_budget(self):
         prob = make_quartic_problem()
         spec = SubproblemSpec(eval_g=prob.eval_g, linear_term=np.array([27.0 / 125.0]),
-                              value_g=prob.g_value)
+                              value_g=prob.g_value, value_grad_g=prob.g_value_grad)
         with pytest.raises(NumericalError, match="gradient tolerance"):
             minimize_subproblem(spec, np.array([5.0]), InnerConfig(max_iters=1))
 
@@ -194,6 +204,54 @@ class TestMinimize:
         spec = constant_spec(0.0, lambda x: 1.0)
         with pytest.raises(NumericalError, match="exhausted its halvings"):
             minimize_subproblem(spec, np.zeros(1))
+
+
+class TestLazyHessian:
+    """The Newton loop asks for a Hessian only where a direction follows."""
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_one_hessian_per_newton_step(self, monkeypatch, variant):
+        # no Hessian at a subproblem's final point: each one assembled
+        # serves one spd_solve
+        assembled = []
+        assemble = _HessianOperator.assemble
+
+        def counted(self, e, et):
+            assembled.append(None)
+            return assemble(self, e, et)
+
+        monkeypatch.setattr(_HessianOperator, "assemble", counted)
+        problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+        x0 = np.random.default_rng(24).uniform(-2.0, 2.0, size=problem.m)
+        result = solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=40))
+        assert not result.status.is_failure
+        assert len(assembled) == sum(rec.inner_iters for rec in result.trace) > 0
+
+    def test_converged_start_asks_for_no_hessian(self):
+        def no_hessian(x):
+            raise AssertionError("eval_g was called")
+
+        spec = SubproblemSpec(eval_g=no_hessian, linear_term=np.array([1.0, 2.0]),
+                              value_g=lambda x: 0.5 * float(x @ x),
+                              value_grad_g=lambda x: (0.5 * float(x @ x), x.copy()))
+        x, iters = minimize_subproblem(spec, np.array([1.0, 2.0]))
+        assert iters == 0
+        assert np.array_equal(x, [1.0, 2.0])
+
+    def test_bad_hessian_where_a_step_is_needed(self):
+        # a NaN Hessian fails in spd_solve; an overflowing Hessian request
+        # fails as an overflowing value or gradient does
+        def overflowing(x):
+            raise EvaluationOverflow(400.0, 354.9)
+
+        for eval_g, message in ((lambda x: (0.0, np.ones(1), np.full((1, 1), np.nan)),
+                                 "non-finite Hessian"),
+                                (overflowing, "overflow at an accepted point")):
+            spec = SubproblemSpec(eval_g=eval_g, linear_term=np.zeros(1),
+                                  value_g=lambda x: 0.0,
+                                  value_grad_g=lambda x: (0.0, np.ones(1)))
+            with pytest.raises(NumericalError, match=message):
+                minimize_subproblem(spec, np.zeros(1))
 
 
 class TestSpecValidation:

@@ -191,6 +191,33 @@ class TestF2Contract:
             DcProblem(m=1, eval_f1=ev, eval_f2=ev, f2_value=lambda x: 0.0)
 
 
+def bits(parts):
+    return tuple(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+class TestValueGradPaths:
+    """The Hessian-free paths of f1 and g."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
+    def test_match_full_evaluations(self, name):
+        prob = builtin_problem(name)
+        for t in (-1.3, -0.0, 0.4, 2.0):
+            x = np.array([t])
+            assert bits(prob.f1_value_grad(x)) == bits(prob.eval_f1(x)[:2])
+            assert bits(prob.g_value_grad(x)) == bits(prob.eval_g(x)[:2])
+
+    def test_phi_with_grad_builds_no_hessian(self):
+        def no_hessian(x):
+            raise AssertionError("eval_f1 was called")
+
+        prob = DcProblem(m=1, eval_f1=no_hessian, eval_f2=lambda x: (0.0, np.zeros(1)),
+                         f1_value_grad=lambda x: (float(x @ x), 2.0 * x))
+        value, grad = prob.phi_with_grad(np.array([3.0]))
+        assert value == 9.0
+        assert np.array_equal(grad, [6.0])
+        assert prob.g_value_grad(np.array([3.0]))[0] == 9.0
+
+
 class TestValidation:
     def test_registry(self):
         assert set(BUILTIN_PROBLEMS) == {"quartic", "expsys"}
