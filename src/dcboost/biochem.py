@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .exceptions import EvaluationOverflow, GenerationError, SchemaError, SchemaWarning
 from .problem import DcProblem, EXP_GUARD
@@ -67,9 +68,11 @@ class ReactionNetwork:
         if mat.nnz and mat.data.min() < 0:
             raise ValueError(f"{label} must have nonnegative entries")
         if not np.issubdtype(mat.dtype, np.integer):
-            dense_ok = np.allclose(mat.data, np.round(mat.data))
-            if not dense_ok:
+            # round, not truncate: the cast would store 2.9999999 as 2
+            whole = np.rint(mat.data)
+            if not np.allclose(mat.data, whole):
                 raise ValueError(f"{label} must have integer stoichiometry")
+            mat = sp.csr_matrix((whole, mat.indices, mat.indptr), shape=mat.shape)
         mat = mat.astype(np.int64)
         mat.eliminate_zeros()
         return mat
@@ -235,43 +238,50 @@ def _frozen(array):
 
 
 class _CsrOperator:
-    """A fixed sparse matrix kept as its CSR entries (row, column, value)
-    and applied to a vector as one np.bincount.
+    """A fixed sparse matrix kept as its CSR arrays and applied to a
+    vector by scipy's compiled csr_matvec, the kernel a scipy CSR
+    matrix's own @ runs, without the per-call dispatch around it, which
+    costs more than the arithmetic on a network's small matrices.  Each
+    row sums its products in storage order, starting from +0.0, so a
+    product has the scipy matrix's bits."""
 
-    bincount sums each row's products in storage order, starting from
-    +0.0, as scipy's csr_matvec does, so a product has the bits of the
-    scipy matrix's own without scipy's per-call dispatch, which costs
-    more than the arithmetic on a network's small matrices.
-    """
+    __slots__ = ("indptr", "indices", "data", "shape")
 
-    __slots__ = ("rows", "cols", "vals", "shape")
-
-    def __init__(self, rows, cols, vals, shape):
-        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
 
     @classmethod
     def of(cls, mat):
         """The operator of a scipy CSR matrix, in its storage order."""
-        rows = np.repeat(np.arange(mat.shape[0], dtype=np.intp), np.diff(mat.indptr))
-        return cls(rows, mat.indices.astype(np.intp), mat.data, mat.shape)
+        return cls(mat.indptr, mat.indices, mat.data, mat.shape)
+
+    @property
+    def nnz(self):
+        return self.data.size
 
     def transpose(self):
         # a stable sort on the column keeps each new row's entries in the
         # old row order, the order scipy's .T.tocsr() gives
-        order = np.argsort(self.cols, kind="stable")
-        return _CsrOperator(self.cols[order], self.rows[order], self.vals[order],
-                            self.shape[::-1])
+        n_row, n_col = self.shape
+        order = self.indices.argsort(kind="stable")
+        rows = np.arange(n_row).repeat(self.indptr[1:] - self.indptr[:-1])
+        indptr = np.zeros(n_col + 1, dtype=rows.dtype)
+        indptr[1:] = np.bincount(self.indices, minlength=n_col).cumsum()
+        return _CsrOperator(indptr, rows[order], self.data[order], (n_col, n_row))
 
     def tocsr(self):
-        """The scipy CSR matrix with the same entries in the same order."""
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
-        return sp.csr_matrix((self.vals, self.cols, indptr), shape=self.shape)
+        """The scipy CSR matrix with the same entries in the same order,
+        on copies, so no scipy call can re-sort this operator's arrays."""
+        return sp.csr_matrix((self.data.copy(), self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
 
     def __matmul__(self, v):
-        if v.shape != (self.shape[1],):
+        n_row, n_col = self.shape
+        if v.shape != (n_col,):
             raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
-        return np.bincount(self.rows, self.vals * v[self.cols], self.shape[0])
+        out = np.zeros(n_row)
+        csr_matvec(n_row, n_col, self.indptr, self.indices, self.data, v, out)
+        return out
 
 
 class _Point:
@@ -327,7 +337,7 @@ class _HessianOperator:
         # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
         self.diag = np.flatnonzero(self.rows == self.cols)
         kron = sp.kron(M, M, format="csc")  # M = B^T
-        self.P = kron[:, self.rows * G2.shape[0] + self.cols].tocsr()
+        self.P = _CsrOperator.of(kron[:, self.rows * G2.shape[0] + self.cols].tocsr())
         self.m = objective.m
 
     def assemble(self, e, et):
@@ -336,7 +346,9 @@ class _HessianOperator:
         weights = self.g * (e[self.rows] * e[self.cols])
         weights[self.diag] += et
         hess = (self.P @ weights).reshape(self.m, self.m)
-        return 0.5 * (hess + hess.T)
+        sym = hess + hess.T
+        sym *= 0.5  # the bits of 0.5 * (hess + hess.T), in one buffer
+        return sym
 
 
 def check_mass_conservation(network, l=None):

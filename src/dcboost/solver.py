@@ -15,6 +15,7 @@ is chosen from x_k and y_k:
 
 import csv
 import enum
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -315,7 +316,7 @@ def solve(problem, x0, config=None):
         try:
             y, inner_iters = dca_step(problem, x, cfg)
             d = y - x
-            norm_d = float(np.linalg.norm(d))
+            norm_d = math.sqrt(d @ d)
             phi_y = value_or_inf(problem.phi, y)
             if not np.isfinite(phi_y):
                 raise NumericalError("objective is not finite at the subproblem solution")
@@ -366,7 +367,8 @@ def solve(problem, x0, config=None):
             backtracks=halvings, inner_iters=inner_iters,
             elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
         ))
-        step_norm = float(np.linalg.norm(x_next - x))
+        step = x_next - x
+        step_norm = math.sqrt(step @ step)
         x = np.asarray(x_next, dtype=float)
         phi_x = phi_next
         iterations += 1

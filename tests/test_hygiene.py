@@ -1,4 +1,6 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the
+package's only private SciPy dependency is the one its bit-for-bit tests
+guard.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
 (its ``__init__``, which imports to re-export, excepted) and ``tests/``.
@@ -10,9 +12,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "dcboost").glob("*.py"))
 CHECKED = sorted(
-    [p for p in (ROOT / "src" / "dcboost").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [p for p in SOURCES if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
 
 
@@ -40,3 +42,37 @@ def test_detector_flags_unused_names():
     source = ("import os\nimport numpy as np\nimport scipy.sparse\n"
               "from math import pi, tau\nprint(np.pi, scipy.sparse, tau)\n")
     assert unused_imports(source) == [(1, "os"), (4, "pi")]
+
+
+def private_scipy_imports(source):
+    """Dotted names imported in ``source`` from SciPy through a path with a
+    ``_``-prefixed component."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "scipy" and any(part.startswith("_") for part in parts):
+                found.add(name)
+    return found
+
+
+def test_only_private_scipy_import_is_csr_matvec():
+    # _CsrOperator's products rely on csr_matvec; its bits are checked in
+    # tests/test_biochem.py, and any other private import must be seen
+    found = set().union(*(private_scipy_imports(p.read_text()) for p in SOURCES))
+    assert found == {"scipy.sparse._sparsetools.csr_matvec"}
+
+
+def test_private_import_detector():
+    source = ("import scipy.sparse\nimport scipy._lib.x as y\n"
+              "from scipy.sparse import _sparsetools, csr_matrix\n"
+              "from scipy.linalg._flapack import dpotrf\nfrom ._private import z\n"
+              "from numpy._core import w\n")
+    assert private_scipy_imports(source) == {
+        "scipy._lib.x", "scipy.sparse._sparsetools", "scipy.linalg._flapack.dpotrf"}
