@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import ddot
 from scipy.sparse._sparsetools import csr_matvec
 
 from .exceptions import EvaluationOverflow, GenerationError, SchemaError, SchemaWarning
@@ -36,6 +37,10 @@ __all__ = (
     "load_network",
     "save_network",
 )
+
+
+# How far a float coefficient may lie from the integer it is stored as.
+STOICHIOMETRY_ATOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -68,9 +73,11 @@ class ReactionNetwork:
         if mat.nnz and mat.data.min() < 0:
             raise ValueError(f"{label} must have nonnegative entries")
         if not np.issubdtype(mat.dtype, np.integer):
-            # round, not truncate: the cast would store 2.9999999 as 2
+            # round, not truncate: the cast would store 2.9999999 as 2; the
+            # tolerance is absolute, so it does not grow with the coefficient
             whole = np.rint(mat.data)
-            if not np.allclose(mat.data, whole):
+            if not (np.isfinite(mat.data).all()
+                    and (np.abs(mat.data - whole) <= STOICHIOMETRY_ATOL).all()):
                 raise ValueError(f"{label} must have integer stoichiometry")
             mat = sp.csr_matrix((whole, mat.indices, mat.indptr), shape=mat.shape)
         mat = mat.astype(np.int64)
@@ -145,44 +152,44 @@ class NetworkObjective:
         point = self._point
         if point is not None and point.key == key:
             return point
-        with np.errstate(over="ignore"):
-            # an exponent that overflows is left to _flux's guard
-            e = self._flux(x)
-            p = self.M @ e
-            c = self.N @ e
-        self._point = point = _Point(key, e, p, c)
+        # no NumPy warning can arise here: _flux raises before exp()
+        # overflows, and csr_matvec is compiled code that sets none
+        e = self._flux(x)
+        self._point = point = _Point(key, e, self.M @ e, self.N @ e)
         return point
 
     def rates(self, x):
         """Production, consumption and net rates (p, c, f) at x."""
         point = self._at(x)
-        with np.errstate(over="ignore"):
-            return point.p, point.c, point.p - point.c
+        # p and c are finite and nonnegative, so p - c cannot overflow
+        return point.p, point.c, point.p - point.c
 
     # -- DC pieces -------------------------------------------------------
-    # Value-only paths saturate quietly to +inf: line searches reject
-    # non-finite trial values, so an overflowing norm is an answer, not
-    # an anomaly.
+    # Each value is computed once per point and shared by every path that
+    # returns it, so a value path and a gradient path agree bit for bit.
 
     def f1_value(self, x):
-        point = self._at(x)
-        p, c = point.p, point.c
-        with np.errstate(over="ignore"):
-            return 2.0 * (float(p @ p) + float(c @ c))
+        return self._f1_value(self._at(x))
+
+    def _f1_value(self, point):
+        if point.f1 is None:
+            point.f1 = _f1_value_at(point)
+        return point.f1
 
     def phi_value(self, x):
-        # ||p - c||^2 evaluated without forming the large near-equal
-        # pieces, so values near a steady state keep their accuracy
-        _, _, f = self.rates(x)
-        with np.errstate(over="ignore"):
-            return float(f @ f)
+        return self._phi_value(self._at(x))
+
+    def _phi_value(self, point):
+        if point.phi is None:
+            point.phi = _phi_value_at(point)
+        return point.phi
 
     def phi_value_grad(self, x):
-        # phi_value's value, so phi_with_grad(x)[0] == phi(x) bit for bit;
         # the gradient keeps f = A e, so the boost slopes keep their bits
-        e = self._at(x).e
+        point = self._at(x)
+        e = point.e
         f = self.A @ e
-        return self.phi_value(x), 2.0 * (self.M @ (e * (self.AT @ f)))
+        return self._phi_value(point), 2.0 * (self.M @ (e * (self.AT @ f)))
 
     @cached_property
     def _hessian_op(self):
@@ -201,18 +208,17 @@ class NetworkObjective:
         return value, grad, point.hess
 
     def _f1(self, point):
-        if point.f1 is None:
+        if point.f1_grad is None:
             e, p, c = point.e, point.p, point.c
             point.et = e * (self.B @ p + self.NT @ c)
-            value = 2.0 * (float(p @ p) + float(c @ c))
-            point.f1 = (value, _frozen(4.0 * (self.M @ point.et)))
-        return point.f1
+            point.f1_grad = _frozen(4.0 * (self.M @ point.et))
+        return self._f1_value(point), point.f1_grad
 
     def eval_f2(self, x):
         e = self._at(x).e
         s = self.MpN @ e
         et = e * (self.MpNT @ s)
-        return float(s @ s), 2.0 * (self.M @ et)
+        return ddot(s, s), 2.0 * (self.M @ et)
 
     def as_dc_problem(self, rho=0.0, name=None):
         """Package the evaluators as a DcProblem (neither piece is
@@ -286,19 +292,36 @@ class _CsrOperator:
 
 class _Point:
     """The last point evaluated: x's bytes as its key, the flux e, the
-    bundles p and c, f1's (value, gradient) with the weights et they
-    share with the Hessian once either is asked for, and f1's Hessian
-    once it is.  A Newton step's accepted trial and the outer loop's phi,
+    bundles p and c, and, once asked for, f1's value, phi's value, f1's
+    gradient with the weights et it shares with the Hessian, and f1's
+    Hessian.  A Newton step's accepted trial and the outer loop's phi,
     grad phi and grad h calls land on the same point, so each costs one
-    flux.  The arrays are read-only: a caller writing into one fails, not
-    the next call."""
+    flux, and each value is computed once.  The arrays are read-only: a
+    caller writing into one fails, not the next call."""
 
-    __slots__ = ("key", "e", "p", "c", "et", "f1", "hess")
+    __slots__ = ("key", "e", "p", "c", "f1", "phi", "et", "f1_grad", "hess")
 
     def __init__(self, key, e, p, c):
         self.key = key
         self.e, self.p, self.c = map(_frozen, (e, p, c))
-        self.et = self.f1 = self.hess = None
+        self.f1 = self.phi = self.et = self.f1_grad = self.hess = None
+
+
+# Values saturate quietly to +inf: line searches reject non-finite trial
+# values, so an overflowing norm is an answer, not an anomaly.  BLAS's
+# ddot sets no NumPy warning, and Python floats overflow to inf silently.
+
+def _f1_value_at(point):
+    """f1 = 2(||p||^2 + ||c||^2) at a point."""
+    p, c = point.p, point.c
+    return 2.0 * (ddot(p, p) + ddot(c, c))
+
+
+def _phi_value_at(point):
+    """phi = ||p - c||^2 at a point, without forming the large near-equal
+    pieces f1 and f2, so values near a steady state keep their accuracy."""
+    f = point.p - point.c
+    return ddot(f, f)
 
 
 class _HessianOperator:

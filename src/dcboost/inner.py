@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot
 
 from .exceptions import EvaluationOverflow, NumericalError
 
@@ -48,13 +49,13 @@ class InnerConfig:
 class SubproblemSpec:
     """F(x) = g(x) - <linear_term, x>.
 
-    ``eval_g`` maps x to (value, gradient, Hessian) and is called only for
-    the Hessian of a Newton step; ``value_grad_g`` maps x to (value,
-    gradient) and serves the accepted points; ``value_g`` maps x to the
-    value alone and serves the line-search trials.  F's Hessian is g's.
+    ``hessian_g`` maps x to g's Hessian, which is F's, and serves the
+    Newton steps; ``value_grad_g`` maps x to (value, gradient) and serves
+    the accepted points; ``value_g`` maps x to the value alone and serves
+    the line-search trials.
     """
 
-    eval_g: Callable
+    hessian_g: Callable
     linear_term: np.ndarray
     value_g: Callable
     value_grad_g: Callable
@@ -66,13 +67,13 @@ class SubproblemSpec:
         """Value and gradient of F at x."""
         v, grad = self.value_grad_g(x)
         x = np.asarray(x, dtype=float)
-        v = float(v) - float(self.linear_term @ x)
+        v = float(v) - ddot(self.linear_term, x)
         return v, np.asarray(grad, dtype=float) - self.linear_term
 
     def value(self, x):
         """Value of F at x."""
         x = np.asarray(x, dtype=float)
-        return float(self.value_g(x)) - float(self.linear_term @ x)
+        return float(self.value_g(x)) - ddot(self.linear_term, x)
 
 
 def spd_solve(hess, rhs, damping_floor=1e-10):
@@ -95,7 +96,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
         raise NumericalError("non-finite Hessian or right-hand side")
 
-    rhs_norm = math.sqrt(rhs @ rhs)
+    rhs_norm = math.sqrt(ddot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
 
@@ -108,7 +109,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
             d = _POTRS(factor, rhs, lower=False)[0]
             for passes in range(_REFINEMENT_PASSES + 1):
                 resid = rhs - shifted @ d
-                accepted = math.sqrt(resid @ resid) <= tol
+                accepted = math.sqrt(ddot(resid, resid)) <= tol
                 if accepted or passes == _REFINEMENT_PASSES:
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
@@ -155,15 +156,15 @@ def minimize_subproblem(spec, x_init, config=None):
     x = np.asarray(x_init, dtype=float).copy()
 
     value, grad = _evaluate(spec, x)
-    tol = config.tol_grad * max(1.0, math.sqrt(grad @ grad))
+    tol = config.tol_grad * max(1.0, math.sqrt(ddot(grad, grad)))
     for iteration in range(config.max_iters + 1):
-        if math.sqrt(grad @ grad) <= tol:
+        if math.sqrt(ddot(grad, grad)) <= tol:
             return x, iteration
         if iteration == config.max_iters:
             break
-        hess = _overflow_as_error(spec.eval_g, x)[2]
+        hess = _overflow_as_error(spec.hessian_g, x)
         direction, _ = spd_solve(hess, -grad, config.damping_floor)
-        slope = float(grad @ direction)
+        slope = ddot(grad, direction)
         if slope >= 0.0:
             # descent failed despite damping: direction numerically useless
             raise NumericalError("Newton direction is not a descent direction")
@@ -215,7 +216,7 @@ def value_or_inf(value, x):
         v = value(x)
     except (EvaluationOverflow, FloatingPointError, OverflowError):
         return np.inf
-    return v if np.isfinite(v) else np.inf
+    return v if math.isfinite(v) else np.inf
 
 
 def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, tries):

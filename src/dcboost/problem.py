@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .exceptions import EvaluationOverflow, TheoryWarning
 
@@ -32,7 +33,9 @@ __all__ = (
 # they overflow once exp(2 z) does: at z = log(max float) / 2 = 354.89,
 # not at exp()'s own limit of 709.78.  Stoichiometric factors can still
 # push a norm past the limit just below the guard: value paths then
-# return +inf, and a Newton solve reports a NumericalError.
+# return +inf quietly, a gradient or Hessian can turn inf or nan (NumPy
+# warns unless solve's loop, which ignores overflow and invalid
+# operations, called it), and a Newton solve reports a NumericalError.
 EXP_GUARD = 0.5 * float(np.log(np.finfo(float).max))
 
 
@@ -114,28 +117,28 @@ class DcProblem:
     # -- regularized split ----------------------------------------------
 
     def eval_g(self, x):
-        """Value, gradient, Hessian of g = f1 + (rho/2)||x||^2.  The
-        solvers ask for a Hessian only here."""
-        v, grad, hess = self.eval_f1(x)
-        # adding 0.0 copies hess in C order, so ravel() is a view, and turns
-        # a -0.0 into +0.0 as adding rho * I did; then only the diagonal
-        # takes rho
-        hess = np.add(hess, 0.0, dtype=float, order="C")
+        """Value, gradient, Hessian of g = f1 + (rho/2)||x||^2."""
+        return (*self.g_value_grad(x), self.g_hessian(x))
+
+    def g_hessian(self, x):
+        """Hessian of g alone.  The solvers ask for a Hessian only here."""
+        # adding 0.0 copies f1's Hessian in C order, so ravel() is a view,
+        # and turns a -0.0 into +0.0 as adding rho * I did; then only the
+        # diagonal takes rho
+        hess = np.add(self.eval_f1(x)[2], 0.0, dtype=float, order="C")
         hess.ravel()[:: self.m + 1] += self.rho
-        return (*self._regularized(x, v, grad), hess)
+        return hess
 
     def g_value_grad(self, x):
         """Value and gradient of g, without a Hessian."""
-        return self._regularized(x, *self.f1_value_grad(x))
-
-    def _regularized(self, x, v, grad):
+        v, grad = self.f1_value_grad(x)
         x = np.asarray(x, dtype=float)
-        v = float(v) + 0.5 * self.rho * float(x @ x)
+        v = float(v) + 0.5 * self.rho * ddot(x, x)
         return v, np.asarray(grad, dtype=float) + self.rho * x
 
     def g_value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(self.f1_value(x)) + 0.5 * self.rho * float(x @ x)
+        return float(self.f1_value(x)) + 0.5 * self.rho * ddot(x, x)
 
     def grad_h(self, x):
         """Gradient of h = f2 + (rho/2)||x||^2."""

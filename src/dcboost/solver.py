@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
@@ -169,7 +170,7 @@ def dca_step(problem, x, config=None):
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x, dtype=float)
     spec = SubproblemSpec(
-        eval_g=problem.eval_g,
+        hessian_g=problem.g_hessian,
         linear_term=problem.grad_h(x),
         value_g=problem.g_value,
         value_grad_g=problem.g_value_grad,
@@ -181,7 +182,7 @@ def descent_slope(problem, y, d):
     """Directional derivative <grad_phi(y), d> of the boost search."""
     d = np.asarray(d, dtype=float)
     _, grad = problem.phi_with_grad(y)
-    return float(grad @ d)
+    return ddot(grad, d)
 
 
 def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
@@ -200,7 +201,7 @@ def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
         raise ValueError(f"lambda_init must be positive, got {lambda_init}")
     if phi_y is None:
         phi_y = problem.phi(y)
-    found = sufficient_decrease(problem.phi, y, d, phi_y, -float(d @ d), cfg.alpha,
+    found = sufficient_decrease(problem.phi, y, d, phi_y, -ddot(d, d), cfg.alpha,
                                 lam, cfg.beta, cfg.max_backtracks + 1)
     if found is None:
         raise LineSearchError(
@@ -264,7 +265,7 @@ def fm_step(problem, x, y, config=None, phi_x=None):
     d = y - x
     if phi_x is None:
         phi_x = problem.phi(x)
-    found = sufficient_decrease(problem.phi, x, d, phi_x, -float(d @ d), cfg.alpha,
+    found = sufficient_decrease(problem.phi, x, d, phi_x, -ddot(d, d), cfg.alpha,
                                 1.0, cfg.beta, cfg.max_backtracks + 1)
     if found is None:
         raise LineSearchError(
@@ -306,75 +307,79 @@ def solve(problem, x0, config=None):
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
-    phi_x = value_or_inf(problem.phi, x)
+    # Near EXP_GUARD a gradient or a Hessian can overflow to inf or nan;
+    # the checks on accepted points turn that into NumericalFailure, so
+    # NumPy's warnings about it would only repeat the status.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_x = value_or_inf(problem.phi, x)
 
-    for k in range(cfg.max_outer_iters):
-        if cfg.target_phi is not None and phi_x <= cfg.target_phi:
-            status = Status.TARGET_REACHED
-            break
-        started = time.perf_counter()
-        try:
-            y, inner_iters = dca_step(problem, x, cfg)
-            d = y - x
-            norm_d = math.sqrt(d @ d)
-            phi_y = value_or_inf(problem.phi, y)
-            if not np.isfinite(phi_y):
-                raise NumericalError("objective is not finite at the subproblem solution")
-            slope = descent_slope(problem, y, d)
+        for k in range(cfg.max_outer_iters):
+            if cfg.target_phi is not None and phi_x <= cfg.target_phi:
+                status = Status.TARGET_REACHED
+                break
+            started = time.perf_counter()
+            try:
+                y, inner_iters = dca_step(problem, x, cfg)
+                d = y - x
+                norm_d = math.sqrt(ddot(d, d))
+                phi_y = value_or_inf(problem.phi, y)
+                if not np.isfinite(phi_y):
+                    raise NumericalError("objective is not finite at the subproblem solution")
+                slope = descent_slope(problem, y, d)
 
-            if norm_d <= tol_d:
-                trace.append(TraceRecord(
-                    k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=0.0,
-                    backtracks=0, inner_iters=inner_iters,
-                    elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
-                ))
-                status = Status.STATIONARY_POINT
+                if norm_d <= tol_d:
+                    trace.append(TraceRecord(
+                        k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=0.0,
+                        backtracks=0, inner_iters=inner_iters,
+                        elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
+                    ))
+                    status = Status.STATIONARY_POINT
+                    break
+
+                if cfg.variant is Variant.DCA:
+                    lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
+                elif cfg.variant is Variant.FM:
+                    x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
+                    lam = cfg.beta ** level - 1.0
+                    halvings = level
+                    phi_next = value_or_inf(problem.phi, x_next)
+                else:
+                    if slope >= 0.0:
+                        # the boost direction is numerically not a descent
+                        # direction; fall back to the plain update
+                        lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
+                    else:
+                        if cfg.variant is Variant.BDCA_QI:
+                            lam_init = bdca_qi_select(problem, y, d, cfg,
+                                                      phi_y=phi_y, slope=slope)
+                        else:
+                            lam_init = cfg.lambda_bar
+                        lam, halvings = backtrack(problem, y, d, lam_init, cfg,
+                                                  phi_y=phi_y)
+                        x_next = y + lam * d
+                        phi_next = value_or_inf(problem.phi, x_next)
+            except LineSearchError as exc:
+                status = Status.LINE_SEARCH_FAILURE
+                message = str(exc)
+                break
+            except (NumericalError, EvaluationOverflow) as exc:
+                status = Status.NUMERICAL_FAILURE
+                message = str(exc)
                 break
 
-            if cfg.variant is Variant.DCA:
-                lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
-            elif cfg.variant is Variant.FM:
-                x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
-                lam = cfg.beta ** level - 1.0
-                halvings = level
-                phi_next = value_or_inf(problem.phi, x_next)
-            else:
-                if slope >= 0.0:
-                    # the boost direction is numerically not a descent
-                    # direction; fall back to the plain update
-                    lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
-                else:
-                    if cfg.variant is Variant.BDCA_QI:
-                        lam_init = bdca_qi_select(problem, y, d, cfg,
-                                                  phi_y=phi_y, slope=slope)
-                    else:
-                        lam_init = cfg.lambda_bar
-                    lam, halvings = backtrack(problem, y, d, lam_init, cfg,
-                                              phi_y=phi_y)
-                    x_next = y + lam * d
-                    phi_next = value_or_inf(problem.phi, x_next)
-        except LineSearchError as exc:
-            status = Status.LINE_SEARCH_FAILURE
-            message = str(exc)
-            break
-        except (NumericalError, EvaluationOverflow) as exc:
-            status = Status.NUMERICAL_FAILURE
-            message = str(exc)
-            break
-
-        trace.append(TraceRecord(
-            k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=lam,
-            backtracks=halvings, inner_iters=inner_iters,
-            elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
-        ))
-        step = x_next - x
-        step_norm = math.sqrt(step @ step)
-        x = np.asarray(x_next, dtype=float)
-        phi_x = phi_next
-        iterations += 1
-        if step_norm <= tol_x:
-            status = Status.STATIONARY_POINT
-            break
+            trace.append(TraceRecord(
+                k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=lam,
+                backtracks=halvings, inner_iters=inner_iters,
+                elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
+            ))
+            step = x_next - x
+            step_norm = math.sqrt(ddot(step, step))
+            x = np.asarray(x_next, dtype=float)
+            phi_x = phi_next
+            iterations += 1
+            if step_norm <= tol_x:
+                status = Status.STATIONARY_POINT
+                break
 
     if (status is Status.MAX_ITERS and cfg.target_phi is not None
             and phi_x <= cfg.target_phi):

@@ -1,0 +1,132 @@
+"""The alternating-pairs runner's parsing and verdict, on fixed inputs.
+
+``tools/bench_pairs.py`` is loaded by path; nothing here starts a
+benchmark run.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PAIRS_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN_OUTPUT = """env seed 1 (starts of reference seed 1) commit abc
+trial 0 (1.254 s wall, 0.752 s in kernel calls): bdca-qi 200 it MaxIters phi 15.0182 | dca 1210 it TargetReached phi 15.0162
+trial 1 (0.897 s wall, 0.521 s in kernel calls): bdca-qi 15 it NumericalFailure phi 19.9519
+reference trial 0: match
+reference trial 1: drift: dca iterations 32 -> 34 (+2)
+reference drift: 1 of 2 trials
+metric step_ms_p50 = 0.0725 ms (lower is better)
+""" + json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"step_ms_p50": {"value": 0.0725, "unit": "ms"}}})
+
+
+def test_strip_wall_times(pairs):
+    line = ("trial 2 (0.044 s wall, 0.023 s in kernel calls): "
+            "bdca-qi 15 it NumericalFailure phi 19.9519")
+    assert pairs.strip_wall_times(line) == "trial 2: bdca-qi 15 it NumericalFailure phi 19.9519"
+    assert pairs.strip_wall_times("reference trial 0: match") == "reference trial 0: match"
+
+
+def test_outcome_lines_ignore_times_only(pairs):
+    lines = pairs.outcome_lines(RUN_OUTPUT)
+    assert lines == [
+        "trial 0: bdca-qi 200 it MaxIters phi 15.0182 | dca 1210 it TargetReached phi 15.0162",
+        "trial 1: bdca-qi 15 it NumericalFailure phi 19.9519",
+        "reference trial 0: match",
+        "reference trial 1: drift: dca iterations 32 -> 34 (+2)",
+    ]
+    slower = RUN_OUTPUT.replace("(1.254 s wall, 0.752", "(2.5 s wall, 1.1")
+    assert pairs.outcome_lines(slower) == lines
+    moved = RUN_OUTPUT.replace("phi 15.0182", "phi 15.0183")
+    assert pairs.outcome_lines(moved) != lines
+
+
+def test_last_json(pairs):
+    parsed = pairs.last_json(RUN_OUTPUT + "\n")
+    assert parsed["correct"] is True
+    assert parsed["metrics"]["step_ms_p50"]["value"] == 0.0725
+
+
+def test_parse_seeds(pairs):
+    assert pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert pairs.parse_seeds("3") == [3]
+    assert pairs.parse_seeds("1,4,7-9") == [1, 4, 7, 8, 9]
+
+
+PARENT = [0.100, 0.098, 0.101, 0.099, 0.102, 0.100, 0.097, 0.101, 0.099, 0.100]
+
+
+def test_quartiles(pairs):
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_verdict_holds_for_a_clear_gain(pairs):
+    change = [v - 0.010 for v in PARENT]
+    result = pairs.verdict(PARENT, change, "lower")
+    assert result["wins"] == 10 and result["pairs"] == 10
+    assert result["gap"] == pytest.approx(0.010)
+    assert result["iqr"] == pytest.approx(0.00175)
+    assert result["holds"]
+
+
+def test_verdict_needs_nine_tenths_of_the_pairs(pairs):
+    # eight pairs won by far, two lost: the gap is wide but the wins fall short
+    change = [v - 0.010 for v in PARENT[:8]] + [v + 0.001 for v in PARENT[8:]]
+    result = pairs.verdict(PARENT, change, "lower")
+    assert result["wins"] == 8
+    assert result["gap"] > result["iqr"]
+    assert not result["holds"]
+
+
+def test_verdict_needs_a_gap_beyond_the_parent_iqr(pairs):
+    # every pair won, by less than the parent's own spread
+    change = [v - 0.0005 for v in PARENT]
+    result = pairs.verdict(PARENT, change, "lower")
+    assert result["wins"] == 10
+    assert not result["holds"]
+
+
+def test_verdict_ties_count_for_neither(pairs):
+    change = list(PARENT)
+    change[0] -= 0.02
+    result = pairs.verdict(PARENT, change, "lower")
+    assert result["wins"] == 1
+    assert result["gap"] < result["iqr"]
+    assert not result["holds"]
+
+
+def test_verdict_higher_is_better(pairs):
+    higher = [v + 0.010 for v in PARENT]
+    assert pairs.verdict(PARENT, higher, "higher")["holds"]
+    assert not pairs.verdict(PARENT, higher, "lower")["holds"]
+    assert pairs.verdict(PARENT, higher, "lower")["wins"] == 0
+
+
+def test_verdict_rejects_unpaired_samples(pairs):
+    with pytest.raises(ValueError):
+        pairs.verdict(PARENT, PARENT[:-1], "lower")
+    with pytest.raises(ValueError):
+        pairs.verdict([], [], "lower")
+
+
+def test_format_verdict(pairs):
+    change = [v - 0.010 for v in PARENT]
+    text = pairs.format_verdict("boosted_ms_per_ref_step", "ms", "lower",
+                                pairs.verdict(PARENT, change, "lower"))
+    assert text.splitlines()[0] == "boosted_ms_per_ref_step (ms, lower is better)"
+    assert "change won 10 of 10 pairs" in text
+    assert "-10.0 %" in text
+    assert text.endswith("gain holds")

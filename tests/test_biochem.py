@@ -8,6 +8,7 @@ matrix stacks the transposed stoichiometries, production collects
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from dcboost import (
     ReactionNetwork,
     SchemaError,
     SchemaWarning,
+    SolverConfig,
     check_mass_conservation,
     derivative_report,
     generate_network,
     load_network,
     save_network,
+    solve,
 )
+from dcboost import biochem
 from dcboost.problem import EXP_GUARD
 
 
@@ -450,6 +454,36 @@ class TestPointMemo:
             p[0] = 0.0
         assert bits(obj.eval_f1(x)) == FRESH["eval_f1", 1]
 
+    def test_each_value_computed_once_per_flux(self, monkeypatch):
+        # a Newton step's line-search trial and its accepted point share
+        # f1's value; y's phi and its slope, and a line search's accepted
+        # trial and the next iterate, share phi's
+        fluxes, computed = Counter(), {"f1": Counter(), "phi": Counter()}
+        flux = NetworkObjective._flux
+
+        def counted_flux(self, x):
+            fluxes[x.tobytes()] += 1
+            return flux(self, x)
+
+        def counted(value_at, counts):
+            def wrapper(point):
+                counts[point.key] += 1
+                return value_at(point)
+            return wrapper
+
+        monkeypatch.setattr(NetworkObjective, "_flux", counted_flux)
+        monkeypatch.setattr(biochem, "_f1_value_at",
+                            counted(biochem._f1_value_at, computed["f1"]))
+        monkeypatch.setattr(biochem, "_phi_value_at",
+                            counted(biochem._phi_value_at, computed["phi"]))
+        problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+        x0 = np.random.default_rng(24).uniform(-2.0, 2.0, size=problem.m)
+        result = solve(problem, x0, SolverConfig(variant="bdca-qi", max_outer_iters=40))
+        assert not result.status.is_failure
+        for name, counts in computed.items():
+            assert counts, name
+            assert all(counts[key] <= fluxes[key] for key in counts), name
+
     def test_overflow_keeps_last_point(self):
         obj = NetworkObjective(MEMO_NET)
         finite = MEMO_POOL[2]
@@ -629,9 +663,12 @@ class TestSchema:
         assert net.F.toarray().tolist() == [[3, 0], [0, 3]]
         assert net.R.toarray().tolist() == [[0, 3], [3, 0]]
         assert check_mass_conservation(net)[0] == 0.0
-        with pytest.raises(ValueError, match="integer stoichiometry"):
-            ReactionNetwork(m=1, n=1, F=sp.csr_matrix(np.array([[2.5]])),
-                            R=sp.csr_matrix(np.array([[1.0]])), w=np.zeros(2))
+        # the tolerance does not grow with the coefficient: a relative one
+        # stored 100000.4 as 100000 while it rejected 1000.4
+        for fractional in (2.5, 1000.4, 100000.4, np.inf):
+            with pytest.raises(ValueError, match="integer stoichiometry"):
+                ReactionNetwork(m=1, n=1, F=sp.csr_matrix(np.array([[fractional]])),
+                                R=sp.csr_matrix(np.array([[1.0]])), w=np.zeros(2))
 
     def test_rejects_bad_weights(self):
         F = sp.csr_matrix(np.array([[1]]))

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcboost import (
+    EXP_GUARD,
     LineSearchError,
     NetworkObjective,
     SolverConfig,
@@ -36,6 +37,7 @@ from dcboost import (
     make_quartic_problem,
     quad_interp_lambda,
     read_trace_csv,
+    run_matched_target,
     solve,
     write_trace_csv,
 )
@@ -384,6 +386,19 @@ def test_iterates_pinned(name, variant, iterations, status, phi_hex):
     assert result.phi_final.hex() == phi_hex
 
 
+def test_c6_scale_matched_trial_pinned():
+    # the pins above stop at m = 6; this is C6's first trial at m = 20,
+    # both the boosted run and the plain chase of its value
+    problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+    x0 = np.random.default_rng([0, 0, 0]).uniform(-2.0, 2.0, 20)
+    result = run_matched_target(problem, x0, SolverConfig(variant="bdca-qi"), bdca_iters=200)
+    assert [(run.iterations, run.status.value, run.phi_final.hex())
+            for run in (result.bdca, result.dca)] == [
+        (200, "MaxIters", "0x1.5c4eb48256156p+6"),
+        (861, "TargetReached", "0x1.5c46d5cc385e3p+6"),
+    ]
+
+
 @st.composite
 def network_starts(draw):
     m = draw(st.integers(3, 8))
@@ -413,3 +428,38 @@ def test_network_solves_hold_their_guarantees(tmp_path_factory, case):
             assert after <= before + 1e-6 * (1.0 + abs(before)), variant
         p, c, f = obj.rates(result.x_final)
         assert abs(float(np.sum(f))) <= 1e-14 * float(np.sum(p + c)), variant
+
+
+@st.composite
+def near_guard_starts(draw):
+    # x0 = t d with t chosen so that the top exponent max(w + t B d) is
+    # EXP_GUARD - gap: at the smallest t where an exponent rising along d
+    # reaches that level, no other exponent lies above it
+    m = draw(st.integers(3, 8))
+    net = generate_network(m, draw(st.integers(m, 2 * m)), seed=draw(st.integers(0, 10 ** 6)))
+    # steps of 1e-3 keep every nonzero slope far from a subnormal
+    d = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))) / 1000.0
+    slopes = NetworkObjective(net).B @ d
+    if slopes.max() <= 0.0:
+        d, slopes = -d, -slopes
+    assume(slopes.max() > 0.0)
+    gap = draw(st.floats(0.0, 1.0))
+    rising = slopes > 0.0
+    t = float(np.min((EXP_GUARD - gap - net.w[rising]) / slopes[rising]))
+    return net, t * d
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_guard_starts())
+def test_solves_near_the_exponent_guard_end_in_a_status(case):
+    # gradients and Hessians overflow here before values do; under the
+    # suite's warnings-as-errors filter no NumPy warning may leave solve
+    net, x0 = case
+    problem = NetworkObjective(net).as_dc_problem(rho=100.0)
+    for variant in Variant:
+        config = SolverConfig(variant=variant, max_outer_iters=20)
+        result = solve(problem, x0, config)
+        assert isinstance(result.status, Status)
+        assert result.message or not result.status.is_failure
+        report = audit_trace(result.trace, problem, config, phi_final=result.phi_final)
+        assert report.passed, (variant, report.violations)

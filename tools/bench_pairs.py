@@ -1,0 +1,157 @@
+"""Alternating pairs of benchmark runs on two checkouts, with a verdict.
+
+Usage (from anywhere)::
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload matched_m20 --seeds 1-10
+
+For each seed, each checkout runs its own
+``perfbench/run.py --workload W --seed S --seconds 20 --trace 0``.  The
+parent runs first on odd seeds and the change on even ones, so a drift in
+the machine's speed favours neither side.  Each run's end-to-end metrics
+come from the JSON object on the last line of its output.
+
+The two sides must solve the same problems the same way: their ``trial``
+and ``reference trial`` lines must agree once the wall times in
+parentheses are stripped.  If they do not, the script says which seed
+differs and exits with status 1.
+
+Per metric it prints each side's median [lower quartile, upper quartile],
+the pairs the change won (ties count for neither side), and whether a gain
+holds: the change wins at least nine tenths of the pairs, and its median is
+better than the parent's by more than the distance between the parent's
+quartiles.  Which direction is better comes from the parent's
+``BENCHMARK.json``.
+"""
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 20
+WIN_SHARE = 0.9
+# " (1.254 s wall, 0.752 s in kernel calls)" in a trial line
+_WALL_TIMES = re.compile(r" \([0-9.]+ s wall, [0-9.]+ s in kernel calls\)")
+
+
+def parse_seeds(text):
+    """Seeds from "1-10", "3" or "1,4,7-9", in the order given."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def strip_wall_times(line):
+    return _WALL_TIMES.sub("", line)
+
+
+def outcome_lines(output):
+    """The trial and reference-trial lines of a run, without wall times."""
+    return [strip_wall_times(line) for line in output.splitlines()
+            if line.startswith(("trial ", "reference trial "))]
+
+
+def last_json(output):
+    return json.loads(output.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    """(lower quartile, median, upper quartile), interpolated linearly."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, mid, high
+
+
+def verdict(parent, change, better):
+    """Compare paired samples of one metric; ``better`` is "lower" or "higher".
+
+    Returns a dict with both sides' quartiles, the pairs the change won,
+    the gap between the medians in the better direction, the parent's
+    interquartile range and ``holds``: at least WIN_SHARE of the pairs won
+    and a gap larger than that range.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of runs on each side")
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    p_q, c_q = quartiles(parent), quartiles(change)
+    gap = sign * (p_q[1] - c_q[1])
+    iqr = p_q[2] - p_q[0]
+    return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent),
+            "gap": gap, "iqr": iqr,
+            "holds": wins >= WIN_SHARE * len(parent) and gap > iqr}
+
+
+def format_verdict(name, unit, better, result):
+    p_low, p_mid, p_high = result["parent"]
+    c_low, c_mid, c_high = result["change"]
+    change = 100.0 * (c_mid - p_mid) / p_mid if p_mid else float("nan")
+    spread = (f"{result['gap'] / result['iqr']:.1f}x the parent's IQR"
+              if result["iqr"] > 0 else "the parent's IQR is 0")
+    return (f"{name} ({unit}, {better} is better)\n"
+            f"  parent {p_mid:.4g} [{p_low:.4g}, {p_high:.4g}]"
+            f"  change {c_mid:.4g} [{c_low:.4g}, {c_high:.4g}]  {change:+.1f} %\n"
+            f"  change won {result['wins']} of {result['pairs']} pairs;"
+            f" gap {result['gap']:.4g} = {spread};"
+            f" gain {'holds' if result['holds'] else 'does not hold'}")
+
+
+def run(checkout, workload, seed):
+    """One benchmark run in ``checkout``; returns its output."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if not done.stdout.strip():
+        raise RuntimeError(f"{checkout}: seed {seed} printed nothing\n{done.stderr}")
+    return done.stdout
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
+    mismatched = []
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        outputs = {side: run(getattr(args, side), args.workload, seed) for side in order}
+        parsed = {side: last_json(out) for side, out in outputs.items()}
+        for side in order:
+            for name in metrics:
+                samples[side][name].append(parsed[side]["metrics"][name]["value"])
+        same = outcome_lines(outputs["parent"]) == outcome_lines(outputs["change"])
+        if not same:
+            mismatched.append(seed)
+        print(f"seed {seed} ({order[0]} first): "
+              + "; ".join(f"{side} correct {parsed[side]['correct']} "
+                          f"failed {parsed[side]['failed']}/{parsed[side]['attempted']}"
+                          for side in ("parent", "change"))
+              + ("" if same else "; TRIAL LINES DIFFER"), flush=True)
+        print("  " + "; ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
+                               f"{samples['change'][name][-1]:.4g}" for name in metrics),
+              flush=True)
+
+    for name, m in metrics.items():
+        result = verdict(samples["parent"][name], samples["change"][name], m["better"])
+        print(format_verdict(name, m["unit"], m["better"], result))
+    if mismatched:
+        print(f"trial lines differ on seeds {mismatched}")
+        return 1
+    print(f"trial lines agree on all {len(args.seeds)} seeds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
