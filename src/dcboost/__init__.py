@@ -26,11 +26,11 @@ from .inner import InnerConfig, SubproblemSpec, minimize_subproblem, spd_solve
 from .problem import (BUILTIN_PROBLEMS, EXP_GUARD, DcProblem, builtin_problem,
                       derivative_report, finite_difference_gradient,
                       finite_difference_jacobian, make_expsys_problem,
-                      make_quartic_problem, make_system_problem)
-from .solver import (SolveResult, SolverConfig, Status, TraceRecord, Variant,
-                     backtrack, bdca_qi_select, dca_step, descent_slope,
-                     fm_step, quad_interp_lambda, read_trace_csv, solve,
-                     write_trace_csv)
+                      make_quartic_problem)
+from .solver import (TRACE_COLUMNS, SolveResult, SolverConfig, Status,
+                     TraceRecord, Variant, backtrack, bdca_qi_select, dca_step,
+                     descent_slope, fm_step, quad_interp_lambda, read_trace_csv,
+                     solve, write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -49,9 +49,9 @@ __all__ = (
     "BUILTIN_PROBLEMS", "EXP_GUARD", "DcProblem", "builtin_problem",
     "derivative_report", "finite_difference_gradient",
     "finite_difference_jacobian", "make_expsys_problem",
-    "make_quartic_problem", "make_system_problem",
-    "SolveResult", "SolverConfig", "Status", "TraceRecord", "Variant",
-    "backtrack", "bdca_qi_select", "dca_step", "descent_slope", "fm_step",
-    "quad_interp_lambda", "read_trace_csv", "solve", "write_trace_csv",
+    "make_quartic_problem",
+    "TRACE_COLUMNS", "SolveResult", "SolverConfig", "Status", "TraceRecord",
+    "Variant", "backtrack", "bdca_qi_select", "dca_step", "descent_slope",
+    "fm_step", "quad_interp_lambda", "read_trace_csv", "solve", "write_trace_csv",
     "__version__",
 )

@@ -220,6 +220,22 @@ class NetworkObjective:
         et = e * (self.MpNT @ s)
         return ddot(s, s), 2.0 * (self.M @ et)
 
+    def safe_exponent(self):
+        """The top exponent up to which every value, gradient and f1 Hessian
+        is finite, EXP_GUARD - ln(2K)/2: with every e_j <= E, each of them
+        and each partial sum on the way is at most K E^2 for this K, taken
+        from the stoichiometry alone; the factor 2 absorbs rounding."""
+        M, N = self.M.tocsr(), self.N.tocsr()
+        u = np.ones(M.shape[1])
+        p, c, s = M @ u, N @ u, (M + N) @ u
+        t, q = M.T @ p + N.T @ c, (M + N).T @ s
+        W = M.T @ M + N.T @ N + sp.diags(t)
+        # f1's value (over f2's and phi's), Hessian weights, gradient and Hessian
+        # (doubled by symmetrizing); f2's and phi's weights and gradients (|M - N| <= M + N)
+        K = max(2.0 * (p @ p + c @ c), 4.0 * W.max(), 4.0 * (M @ t).max(),
+                8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
+        return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
+
     def as_dc_problem(self, rho=0.0, name=None):
         """Package the evaluators as a DcProblem (neither piece is
         strongly convex on its own, so sigma_g = sigma_h = 0)."""

@@ -15,8 +15,7 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import EvaluationOverflow, NumericalError
 
-__all__ = ("InnerConfig", "SubproblemSpec", "spd_solve", "minimize_subproblem",
-           "sufficient_decrease", "value_or_inf")
+__all__ = ("InnerConfig", "SubproblemSpec", "spd_solve", "minimize_subproblem")
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60

@@ -19,7 +19,6 @@ __all__ = (
     "DcProblem",
     "EXP_GUARD",
     "make_quartic_problem",
-    "make_system_problem",
     "make_expsys_problem",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
@@ -28,14 +27,12 @@ __all__ = (
     "derivative_report",
 )
 
-# Values, gradients and Hessians are quadratic in e = exp(z) (the
-# squared norms of f1, f2 and phi, the Hessian weights e_k * e_l), so
-# they overflow once exp(2 z) does: at z = log(max float) / 2 = 354.89,
-# not at exp()'s own limit of 709.78.  Stoichiometric factors can still
-# push a norm past the limit just below the guard: value paths then
-# return +inf quietly, a gradient or Hessian can turn inf or nan (NumPy
-# warns unless solve's loop, which ignores overflow and invalid
-# operations, called it), and a Newton solve reports a NumericalError.
+# Values, gradients and Hessians are quadratic in e = exp(z), so
+# evaluations raise EvaluationOverflow past z = log(max float) / 2 =
+# 354.89, not at exp()'s own limit of 709.78.  Stoichiometric factors
+# can overflow them below the guard: every evaluation of a network is
+# finite up to NetworkObjective.safe_exponent(), 5-6 below the guard on
+# generated networks; expsys's f1 Hessian 8 e^2 overflows from 353.85.
 EXP_GUARD = 0.5 * float(np.log(np.finfo(float).max))
 
 
@@ -89,10 +86,17 @@ class DcProblem:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if self.sigma_g < 0 or self.sigma_h < 0:
             raise ValueError("strong-convexity moduli must be nonnegative")
-        if self.f1_value is None:
-            self.f1_value = lambda x: self.eval_f1(x)[0]
-        if self.f1_value_grad is None:
-            self.f1_value_grad = lambda x: self.eval_f1(x)[:2]
+        # bind to this problem a fallback dataclasses.replace() carried over
+        for field in ("f1_value", "f1_value_grad"):
+            fn, fallback = getattr(self, field), getattr(self, "_" + field)
+            if fn is None or getattr(fn, "__func__", None) is fallback.__func__:
+                setattr(self, field, fallback)
+
+    def _f1_value(self, x):
+        return self.eval_f1(x)[0]
+
+    def _f1_value_grad(self, x):
+        return self.eval_f1(x)[:2]
 
     # -- plain objective -------------------------------------------------
 
@@ -110,9 +114,6 @@ class DcProblem:
         v1, g1 = self.f1_value_grad(x)
         v2, g2 = self.eval_f2(x)
         return float(v1) - float(v2), np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
-
-    def grad_phi(self, x):
-        return self.phi_with_grad(x)[1]
 
     # -- regularized split ----------------------------------------------
 
@@ -177,101 +178,49 @@ def make_quartic_problem():
         t = float(np.asarray(x).reshape(()))
         return t ** 2 / 2.0, np.array([t])
 
-    return DcProblem(
-        m=1,
-        eval_f1=eval_f1,
-        eval_f2=eval_f2,
-        rho=0.0,
-        sigma_g=0.0,
-        sigma_h=1.0,
-        name="quartic",
-    )
-
-
-def make_system_problem(p_eval, c_eval, m, rho=0.0, name="system"):
-    """DC objective for zeros of f = p - c with componentwise convex p, c >= 0.
-
-    ``p_eval`` and ``c_eval`` map ``x`` to ``(value, jacobian, hessians)``
-    where ``value`` has shape ``(r,)``, ``jacobian`` ``(r, m)`` and
-    ``hessians`` ``(r, m, m)`` stacks the Hessian of each component.  The
-    squared residual splits as
-
-        ||p - c||^2 = f1 - f2,   f1 = 2(||p||^2 + ||c||^2),  f2 = ||p + c||^2,
-
-    and both pieces are convex because p and c are convex and nonnegative.
-    """
-
-    def _state(x):
-        p, Jp, Hp = p_eval(x)
-        c, Jc, Hc = c_eval(x)
-        return (np.asarray(p, dtype=float), np.asarray(Jp, dtype=float),
-                np.asarray(Hp, dtype=float), np.asarray(c, dtype=float),
-                np.asarray(Jc, dtype=float), np.asarray(Hc, dtype=float))
-
-    def _sq_norm_derivs(q, Jq, Hq):
-        # value, gradient and Hessian of ||q(x)||^2
-        grad = 2.0 * Jq.T @ q
-        hess = 2.0 * Jq.T @ Jq + 2.0 * np.einsum("i,ijk->jk", q, Hq)
-        return float(q @ q), grad, 0.5 * (hess + hess.T)
-
-    def eval_f1(x):
-        p, Jp, Hp, c, Jc, Hc = _state(x)
-        vp, gp, Hp2 = _sq_norm_derivs(p, Jp, Hp)
-        vc, gc, Hc2 = _sq_norm_derivs(c, Jc, Hc)
-        return 2.0 * (vp + vc), 2.0 * (gp + gc), 2.0 * (Hp2 + Hc2)
-
-    def eval_f2(x):
-        p, Jp, _, c, Jc, _ = _state(x)
-        s = p + c
-        return float(s @ s), 2.0 * (Jp + Jc).T @ s
-
-    def phi_value(x):
-        p = np.asarray(p_eval(x)[0], dtype=float)
-        c = np.asarray(c_eval(x)[0], dtype=float)
-        r = p - c
-        return float(r @ r)
-
-    def phi_value_grad(x):
-        p, Jp, _, c, Jc, _ = _state(x)
-        r = p - c
-        return float(r @ r), 2.0 * (Jp - Jc).T @ r
-
-    def f1_value(x):
-        p = np.asarray(p_eval(x)[0], dtype=float)
-        c = np.asarray(c_eval(x)[0], dtype=float)
-        return 2.0 * (float(p @ p) + float(c @ c))
-
-    return DcProblem(
-        m=m,
-        eval_f1=eval_f1,
-        eval_f2=eval_f2,
-        rho=rho,
-        f1_value=f1_value,
-        phi_value=phi_value,
-        phi_value_grad=phi_value_grad,
-        name=name,
-    )
+    return DcProblem(m=1, eval_f1=eval_f1, eval_f2=eval_f2, sigma_h=1.0, name="quartic")
 
 
 def make_expsys_problem(rho=1.0):
     """One-dimensional system instance: p(x) = e^x, c(x) = 1.
 
-    phi(x) = (e^x - 1)^2 with its zero at x = 0.  Neither piece is
-    strongly convex on its own, so a positive rho is required for the
-    boosted variants' guarantees; the default keeps them available.
+    phi(x) = (e^x - 1)^2 with its zero at x = 0, split as
+    f1 = 2(p^2 + c^2) and f2 = (p + c)^2.  Neither piece is strongly
+    convex on its own, so a positive rho is required for the boosted
+    variants' guarantees; the default keeps them available.  The
+    products are grouped as written on purpose: where e^2 is subnormal
+    the grouping decides its rounding, and these give the pinned bits.
     """
 
-    def p_eval(x):
+    def exp_at(x):
         t = float(np.asarray(x).reshape(()))
         if t > EXP_GUARD:
             raise EvaluationOverflow(t, EXP_GUARD)
-        e = np.exp(t)
-        return np.array([e]), np.array([[e]]), np.array([[[e]]])
+        return float(np.exp(t))
 
-    def c_eval(x):
-        return np.array([1.0]), np.zeros((1, 1)), np.zeros((1, 1, 1))
+    def eval_f1(x):
+        e = exp_at(x)
+        return (2.0 * (e * e + 1.0), np.array([2.0 * (2.0 * e * e)]),
+                np.array([[2.0 * (2.0 * e * e + 2.0 * (e * e))]]))
 
-    return make_system_problem(p_eval, c_eval, m=1, rho=rho, name="expsys")
+    def eval_f2(x):
+        e = exp_at(x)
+        s = e + 1.0
+        return s * s, np.array([2.0 * e * s])
+
+    def phi_value(x):
+        # (e - 1)^2 itself, free of the cancellation in f1 - f2
+        r = exp_at(x) - 1.0
+        return r * r
+
+    def phi_value_grad(x):
+        e = exp_at(x)
+        r = e - 1.0
+        # + 0.0 keeps the gradient +0.0, not -0.0, where exp underflows to 0
+        return r * r, np.array([2.0 * e * r + 0.0])
+
+    return DcProblem(m=1, eval_f1=eval_f1, eval_f2=eval_f2, rho=rho, phi_value=phi_value,
+                     phi_value_grad=phi_value_grad, name="expsys")
 
 
 BUILTIN_PROBLEMS = {
@@ -298,15 +247,8 @@ def builtin_problem(name, rho=None):
 
 def finite_difference_gradient(fun, x, step=None):
     """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    if step is None:
-        step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        grad[i] = (fun(x + e) - fun(x - e)) / (2.0 * step)
-    return grad
+    return finite_difference_jacobian(fun, x, step)
+
 
 def finite_difference_jacobian(fun, x, step=None):
     """Central-difference Jacobian of a vector function."""

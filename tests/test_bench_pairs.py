@@ -130,3 +130,31 @@ def test_format_verdict(pairs):
     assert "change won 10 of 10 pairs" in text
     assert "-10.0 %" in text
     assert text.endswith("gain holds")
+
+
+def test_regression_not_worse_inside_the_bound(pairs):
+    # medians 0.100 -> 0.110 against a 12 % bound; the parent's IQR
+    # (0.00175) is inside it
+    change = [v + 0.010 for v in PARENT]
+    assert pairs.regression(PARENT, change, "lower", 0.12) == "not worse"
+    assert pairs.regression(PARENT, PARENT, "lower", 0.12) == "not worse"
+
+
+def test_regression_worse_beyond_the_bound(pairs):
+    change = [v + 0.013 for v in PARENT]
+    assert pairs.regression(PARENT, change, "lower", 0.12) == "worse"
+    # the same slip is a gain when higher is better
+    assert pairs.regression(PARENT, change, "higher", 0.12) == "not worse"
+    assert pairs.regression(PARENT, [v - 0.013 for v in PARENT], "higher", 0.12) == "worse"
+
+
+def test_regression_unresolved_when_the_parent_spreads(pairs):
+    # the parent's IQR (0.00175) is wider than a 1 % bound (0.0010)
+    same = list(PARENT)
+    assert pairs.regression(PARENT, same, "lower", 0.01) == "unresolved"
+    # unless every change run beats every parent run
+    faster = [v - 0.006 for v in PARENT]
+    assert max(faster) < min(PARENT)
+    assert pairs.regression(PARENT, faster, "lower", 0.01) == "not worse"
+    # a slip beyond the bound is worse whatever the spread
+    assert pairs.regression(PARENT, [v + 0.002 for v in PARENT], "lower", 0.01) == "worse"

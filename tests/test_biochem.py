@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcboost import (
@@ -250,6 +250,67 @@ class TestEvaluation:
         assert 399.0 < top < 401.0
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(x)
+
+
+def along(obj, d, level):
+    """t d for the smallest t > 0 at which an exponent rising along d
+    reaches ``level``: no other exponent then lies above it."""
+    slopes = obj.B @ d
+    rising = slopes > 0.0
+    return float(np.min((level - obj.w[rising]) / slopes[rising])) * d
+
+
+def evaluations(problem, x):
+    """Every value, gradient and Hessian a network problem computes at x."""
+    return [*problem.eval_f1(x), *problem.eval_f2(x), problem.f1_value(x),
+            *problem.f1_value_grad(x), problem.phi_value(x), *problem.phi_value_grad(x),
+            problem.phi(x), *problem.phi_with_grad(x), problem.g_value(x),
+            *problem.g_value_grad(x), problem.g_hessian(x), problem.grad_h(x)]
+
+
+@st.composite
+def safe_edge_points(draw):
+    m = draw(st.integers(2, 12))
+    net = generate_network(m, draw(st.integers(m, 2 * m)), seed=draw(st.integers(0, 10 ** 6)))
+    d = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))) / 1000.0
+    slopes = NetworkObjective(net).B @ d
+    if slopes.max() <= 0.0:
+        d = -d
+    assume(np.abs(slopes).max() > 0.0)
+    return net, d, draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5]))
+
+
+class TestSafeExponent:
+    """NetworkObjective.safe_exponent(): below it every evaluation is
+    finite; between it and EXP_GUARD one can overflow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(safe_edge_points())
+    def test_everything_finite_up_to_the_bound(self, case):
+        # under the suite's warnings-as-errors filter an overflow would
+        # also raise here, not only show as inf
+        net, d, gap = case
+        obj = NetworkObjective(net)
+        bound = obj.safe_exponent()
+        assert bound < EXP_GUARD
+        x = along(obj, d, bound - gap)
+        top = float(obj.exponents(x).max())
+        assert top == pytest.approx(bound - gap, abs=1e-9)
+        for value in evaluations(obj.as_dc_problem(rho=100.0), x):
+            assert np.isfinite(value).all()
+
+    def test_guard_alone_is_not_the_finite_domain(self):
+        net = generate_network(6, 9, seed=8)
+        obj = NetworkObjective(net)
+        problem = obj.as_dc_problem(rho=100.0)
+        d = np.ones(net.m)
+        # 4 below the guard, 1.4 above the bound, f1's Hessian overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            below_guard = evaluations(problem, along(obj, d, EXP_GUARD - 4.0))
+        assert not all(np.isfinite(value).all() for value in below_guard)
+        assert all(np.isfinite(value).all()
+                   for value in evaluations(problem, along(obj, d, obj.safe_exponent())))
+        assert EXP_GUARD - obj.safe_exponent() == pytest.approx(5.36, abs=0.01)
 
 
 def scipy_operators(net):

@@ -5,11 +5,14 @@ arithmetic: phi(3/5) = (3/5)^4/4 - (3/5)^2/2 = -369/2500 and
 phi'(3/5) = (3/5)^3 - 3/5 = -48/125.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dcboost import (
     BUILTIN_PROBLEMS,
+    EXP_GUARD,
     DcProblem,
     EvaluationOverflow,
     TheoryWarning,
@@ -17,8 +20,8 @@ from dcboost import (
     derivative_report,
     finite_difference_gradient,
     finite_difference_jacobian,
+    make_expsys_problem,
     make_quartic_problem,
-    make_system_problem,
 )
 
 QUARTIC_PHI_AT_35 = -369.0 / 2500.0   # = -0.1476
@@ -39,7 +42,7 @@ class TestQuartic:
         phi, grad = self.prob.phi_with_grad(x)
         assert phi == pytest.approx(QUARTIC_PHI_AT_35, abs=1e-15)
         assert grad[0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
-        assert self.prob.grad_phi(x)[0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
+        assert self.prob.phi_with_grad(x)[1][0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
 
     def test_dc_identity(self):
         rng = np.random.default_rng(0)
@@ -113,7 +116,7 @@ class TestExpsys:
     def test_gradient_against_fd(self):
         x = np.array([0.7])
         fd = finite_difference_gradient(self.prob.phi, x)
-        assert self.prob.grad_phi(x)[0] == pytest.approx(fd[0], rel=1e-6)
+        assert self.prob.phi_with_grad(x)[1][0] == pytest.approx(fd[0], rel=1e-6)
 
     def test_default_rho(self):
         assert self.prob.rho == 1.0
@@ -133,44 +136,190 @@ class TestExpsys:
             assert rep["asym_f1"] < 1e-12
 
 
-class TestSystemProblem:
-    def test_two_dimensional_instance(self):
-        # p(x) = (e^{x1}, e^{x2}), c(x) = (e^{x2}, 1): phi has a zero at x1 = x2 = 0
-        def p_eval(x):
-            e = np.exp(x)
-            jac = np.diag(e)
-            hess = np.zeros((2, 2, 2))
-            hess[0, 0, 0] = e[0]
-            hess[1, 1, 1] = e[1]
-            return e, jac, hess
+# expsys's outputs at rho = 1, recorded as float.hex() from the generic
+# p/c system factory it was first written with (p = e^x, c = 1, stacked
+# component Hessians), in the order of expsys_outputs below.
+EXPSYS_BITS = [
+    (-800.0, (
+        "0x1.0000000000000p+1", "0x0.0p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+1", "0x0.0p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.3880800000000p+18",
+        "0x1.3880800000000p+18", "-0x1.9000000000000p+9", "0x1.0000000000000p+0",
+        "-0x1.9000000000000p+9", "0x1.3880800000000p+18", "-0x1.9000000000000p+9",
+        "0x1.0000000000000p+0",
+    )),
+    (-360.0, (
+        "0x1.0000000000000p+1", "0x0.000264ed37254p-1022", "0x0.0004c9da6e4a8p-1022",
+        "0x1.0000000000000p+0", "0x1.8c1e2031afd5fp-519", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+1", "0x0.000264ed37254p-1022", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "-0x1.8c1e2031afd5fp-519", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "-0x1.8c1e2031afd5fp-519", "0x1.fa44000000000p+15",
+        "0x1.fa44000000000p+15", "-0x1.6800000000000p+8", "0x1.0000000000000p+0",
+        "-0x1.6800000000000p+8", "0x1.fa44000000000p+15", "-0x1.6800000000000p+8",
+        "0x1.0000000000000p+0",
+    )),
+    (-40.0, (
+        "0x1.0000000000000p+1", "0x1.7fd974d372e44p-114", "0x1.7fd974d372e44p-113",
+        "0x1.0000000000000p+0", "0x1.39792499b1a24p-57", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+1", "0x1.7fd974d372e44p-114", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "-0x1.39792499b1a24p-57", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "-0x1.39792499b1a24p-57", "0x1.9100000000000p+9",
+        "0x1.9100000000000p+9", "-0x1.4000000000000p+5", "0x1.0000000000000p+0",
+        "-0x1.4000000000000p+5", "0x1.9100000000000p+9", "-0x1.4000000000000p+5",
+        "0x1.0000000000000p+0",
+    )),
+    (-1.3, (
+        "0x1.130397dd6330bp+1", "0x1.30397dd6330b7p-2", "0x1.30397dd6330b7p-1",
+        "0x1.9e8ce161ca44bp+0", "0x1.6320f27e5aeaep-1", "0x1.130397dd6330bp+1",
+        "0x1.130397dd6330bp+1", "0x1.30397dd6330b7p-2", "0x1.0ef49cb1f8397p-1",
+        "0x1.0ef49cb1f8397p-1", "-0x1.9608672682ca7p-2", "0x1.0ef49cb1f8397p-1",
+        "0x1.0ef49cb1f8397p-1", "-0x1.9608672682ca7p-2", "0x1.7f2c8d9ff28cep+1",
+        "0x1.7f2c8d9ff28cep+1", "-0x1.00be6d574009fp+0", "0x1.981cbeeb1985cp+0",
+        "-0x1.3678a71b3eaecp-1", "0x1.7f2c8d9ff28cep+1", "-0x1.00be6d574009fp+0",
+        "0x1.981cbeeb1985cp+0",
+    )),
+    (-0.0, (
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+3",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+2",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.2000000000000p+3",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+        "0x1.2000000000000p+3",
+    )),
+    (0.0, (
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+3",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+2",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.2000000000000p+3",
+        "0x1.0000000000000p+2", "0x1.0000000000000p+2", "0x1.0000000000000p+2",
+        "0x1.2000000000000p+3",
+    )),
+    (0.4, (
+        "0x1.9cde866fe46e9p+2", "0x1.1cde866fe46e9p+3", "0x1.1cde866fe46e9p+4",
+        "0x1.8d635fcfd0364p+2", "0x1.dbd2a307c26d9p+2", "0x1.9cde866fe46e9p+2",
+        "0x1.9cde866fe46e9p+2", "0x1.1cde866fe46e9p+3", "0x1.ef64d40287089p-3",
+        "0x1.ef64d40287089p-3", "0x1.77a9a76019be2p+0", "0x1.ef64d40287089p-3",
+        "0x1.ef64d40287089p-3", "0x1.77a9a76019be2p+0", "0x1.a1fd3ec1cff3bp+2",
+        "0x1.a1fd3ec1cff3bp+2", "0x1.29ab533cb13b6p+3", "0x1.2cde866fe46e9p+4",
+        "0x1.f56c3ca15c073p+2", "0x1.a1fd3ec1cff3bp+2", "0x1.29ab533cb13b6p+3",
+        "0x1.2cde866fe46e9p+4",
+    )),
+    (1.5, (
+        "0x1.515e5bf6fb105p+5", "0x1.415e5bf6fb105p+6", "0x1.415e5bf6fb105p+7",
+        "0x1.e0c85b29793a6p+4", "0x1.89135b903a255p+5", "0x1.515e5bf6fb105p+5",
+        "0x1.515e5bf6fb105p+5", "0x1.415e5bf6fb105p+6", "0x1.83e8b988f9cc9p+3",
+        "0x1.83e8b988f9cc9p+3", "0x1.f352b8bb77f6ap+4", "0x1.83e8b988f9cc9p+3",
+        "0x1.83e8b988f9cc9p+3", "0x1.f352b8bb77f6ap+4", "0x1.5a5e5bf6fb105p+5",
+        "0x1.5a5e5bf6fb105p+5", "0x1.475e5bf6fb105p+6", "0x1.435e5bf6fb105p+7",
+        "0x1.95135b903a255p+5", "0x1.5a5e5bf6fb105p+5", "0x1.475e5bf6fb105p+6",
+        "0x1.435e5bf6fb105p+7",
+    )),
+    (40.0, (
+        "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+117", "0x1.55779b984f3eap+118",
+        "0x1.55779b984f3eap+115", "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+116",
+        "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+117", "0x1.55779b984f3eap+115",
+        "0x1.55779b984f3eap+115", "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+115",
+        "0x1.55779b984f3eap+115", "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+116",
+        "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+117", "0x1.55779b984f3eap+118",
+        "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+116", "0x1.55779b984f3eap+117",
+        "0x1.55779b984f3eap+118",
+    )),
+    (354.8, (
+        "inf", "inf", "inf",
+        "0x1.aa7fee3e4b2b7p+1023", "inf", "inf",
+        "inf", "inf", "0x1.aa7fee3e4b2b7p+1023",
+        "0x1.aa7fee3e4b2b7p+1023", "inf", "0x1.aa7fee3e4b2b7p+1023",
+        "0x1.aa7fee3e4b2b7p+1023", "inf", "inf",
+        "inf", "inf", "inf",
+        "inf", "inf", "inf",
+        "inf",
+    )),
+    (EXP_GUARD, (
+        "inf", "inf", "inf",
+        "0x1.fffffffffff2ap+1023", "inf", "inf",
+        "inf", "inf", "0x1.fffffffffff2ap+1023",
+        "0x1.fffffffffff2ap+1023", "inf", "0x1.fffffffffff2ap+1023",
+        "0x1.fffffffffff2ap+1023", "inf", "inf",
+        "inf", "inf", "inf",
+        "inf", "inf", "inf",
+        "inf",
+    )),
 
-        def c_eval(x):
-            e2 = np.exp(x[1])
-            val = np.array([e2, 1.0])
-            jac = np.zeros((2, 2))
-            jac[0, 1] = e2
-            hess = np.zeros((2, 2, 2))
-            hess[0, 1, 1] = e2
-            return val, jac, hess
+]
 
-        prob = make_system_problem(p_eval, c_eval, m=2, rho=1.0, name="toy")
-        x = np.array([0.3, -0.2])
-        p = np.exp(x)
-        c = np.array([np.exp(x[1]), 1.0])
-        expected = float((p - c) @ (p - c))
-        assert prob.phi(x) == pytest.approx(expected, rel=1e-12)
-        assert prob.f1_value(x) - prob.eval_f2(x)[0] == pytest.approx(expected, rel=1e-9)
 
-        rep = derivative_report(prob, x)
-        assert rep["grad_f1"] < 1e-7
-        assert rep["grad_f2"] < 1e-7
-        assert rep["hess_f1"] < 1e-6
-        assert rep["asym_f1"] < 1e-12
+def expsys_outputs(prob, x):
+    """Every evaluator's and derived method's result at x, flattened."""
+    parts = [*prob.eval_f1(x), *prob.eval_f2(x), prob.f1_value(x), *prob.f1_value_grad(x),
+             prob.phi_value(x), *prob.phi_value_grad(x), prob.phi(x), *prob.phi_with_grad(x),
+             prob.g_value(x), *prob.g_value_grad(x), prob.g_hessian(x), prob.grad_h(x),
+             *prob.eval_g(x)]
+    return tuple(float(v).hex() for part in parts for v in np.ravel(part))
 
-        phi, grad = prob.phi_with_grad(x)
-        fd = finite_difference_gradient(prob.phi, x)
-        assert phi == pytest.approx(expected, rel=1e-12)
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+class TestExpsysBits:
+    """The direct expsys keeps the system factory's bits: at -0.0, where
+    exp underflows to 0 (phi's gradient is +0.0 there), where e^2 is
+    subnormal, and where f1 and f2 overflow just below the guard."""
+
+    @pytest.mark.parametrize("t, expected", EXPSYS_BITS, ids=[repr(t) for t, _ in EXPSYS_BITS])
+    def test_outputs_have_the_recorded_bits(self, t, expected):
+        assert expsys_outputs(make_expsys_problem(), np.array([t])) == expected
+
+    def test_raises_past_the_guard(self):
+        prob = make_expsys_problem()
+        past = np.array([np.nextafter(EXP_GUARD, np.inf)])
+        for evaluate in (prob.eval_f1, prob.eval_f2, prob.f1_value, prob.f1_value_grad,
+                         prob.phi_value, prob.phi_value_grad, prob.phi, prob.phi_with_grad,
+                         prob.g_value, prob.g_value_grad, prob.g_hessian, prob.grad_h,
+                         prob.eval_g):
+            with pytest.raises(EvaluationOverflow):
+                evaluate(past)
+
+
+class TestReplace:
+    """dataclasses.replace() gives a problem whose fallbacks call its own pieces."""
+
+    def test_fallbacks_follow_the_replaced_f1(self):
+        def constant_f1(value):
+            return lambda x: (value, np.zeros(1), np.full((1, 1), value))
+
+        zero_f2 = lambda x: (0.0, np.zeros(1))
+        old = DcProblem(m=1, eval_f1=constant_f1(1.0), eval_f2=zero_f2)
+        new = replace(old, eval_f1=constant_f1(5.0))
+        x = np.array([0.3])
+        assert new.eval_f1(x)[0] == 5.0
+        assert new.g_hessian(x)[0, 0] == 5.0
+        assert new.f1_value(x) == new.g_value(x) == new.phi(x) == 5.0
+        assert new.f1_value_grad(x)[0] == new.g_value_grad(x)[0] == 5.0
+        assert old.f1_value(x) == old.phi(x) == 1.0
+
+    def test_supplied_paths_survive(self):
+        supplied = lambda x: 7.0
+        prob = replace(DcProblem(m=1, eval_f1=lambda x: (1.0, np.zeros(1), np.ones((1, 1))),
+                                 eval_f2=lambda x: (0.0, np.zeros(1)), f1_value=supplied),
+                       rho=2.0)
+        assert prob.f1_value is supplied
+        expsys = builtin_problem("expsys", rho=3.5)
+        assert expsys.f1_value.__self__ is expsys
+        assert expsys.f1_value_grad.__self__ is expsys
+
+    def test_instance_wrappers_are_seen(self):
+        # a wrapper set on the instance, as a tracer sets one, is what the
+        # fallbacks call
+        prob = make_expsys_problem()
+        calls = []
+        inner = prob.eval_f1
+        prob.eval_f1 = lambda x: calls.append(x) or inner(x)
+        prob.f1_value(np.array([0.1]))
+        prob.f1_value_grad(np.array([0.2]))
+        assert len(calls) == 2
 
 
 class TestF2Contract:

@@ -19,8 +19,14 @@ Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
 holds: the change wins at least nine tenths of the pairs, and its median is
 better than the parent's by more than the distance between the parent's
-quartiles.  Which direction is better comes from the parent's
-``BENCHMARK.json``.
+quartiles.  It also prints a no-regression verdict against the metric's
+``bound``, a fraction of the parent's median: "worse" when the change's
+median is worse than the parent's by more than that; otherwise
+"unresolved" when the parent's interquartile range is wider than that,
+unless every change run beat every parent run; otherwise "not worse".
+Which direction is better, and each bound, come from the parent's
+``BENCHMARK.json``.  A metric that reads "worse" also makes the exit
+status 1.
 """
 
 import argparse
@@ -88,6 +94,21 @@ def verdict(parent, change, better):
             "holds": wins >= WIN_SHARE * len(parent) and gap > iqr}
 
 
+def regression(parent, change, better, bound):
+    """"worse", "unresolved" or "not worse": the no-regression verdict on
+    paired samples of one metric whose allowed slip is ``bound`` times
+    the parent's median."""
+    sign = 1.0 if better == "lower" else -1.0
+    p_low, p_mid, p_high = quartiles(parent)
+    allowed = bound * abs(p_mid)
+    if sign * (quartiles(change)[1] - p_mid) > allowed:
+        return "worse"
+    all_beaten = all(sign * (p - c) > 0 for p in parent for c in change)
+    if p_high - p_low > allowed and not all_beaten:
+        return "unresolved"
+    return "not worse"
+
+
 def format_verdict(name, unit, better, result):
     p_low, p_mid, p_high = result["parent"]
     c_low, c_mid, c_high = result["change"]
@@ -143,14 +164,21 @@ def main(argv=None):
                                f"{samples['change'][name][-1]:.4g}" for name in metrics),
               flush=True)
 
+    worse = []
     for name, m in metrics.items():
-        result = verdict(samples["parent"][name], samples["change"][name], m["better"])
-        print(format_verdict(name, m["unit"], m["better"], result))
+        parent, change = samples["parent"][name], samples["change"][name]
+        print(format_verdict(name, m["unit"], m["better"], verdict(parent, change, m["better"])))
+        slip = regression(parent, change, m["better"], m["bound"])
+        print(f"  no regression beyond {100 * m['bound']:g} % of the parent's median: {slip}")
+        if slip == "worse":
+            worse.append(name)
+    if worse:
+        print(f"worse: {', '.join(worse)}")
     if mismatched:
         print(f"trial lines differ on seeds {mismatched}")
         return 1
     print(f"trial lines agree on all {len(args.seeds)} seeds")
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
