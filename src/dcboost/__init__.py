@@ -22,7 +22,7 @@ from .harness import (ComparisonRow, ExperimentResult, ExperimentSpec,
                       MatchedTargetResult, ProblemSource, TrialResult,
                       export_table, read_table, run_experiment,
                       run_matched_target)
-from .inner import InnerConfig, SubproblemSpec, minimize_subproblem, spd_solve
+from .inner import InnerConfig, minimize_subproblem, spd_solve
 from .problem import (BUILTIN_PROBLEMS, EXP_GUARD, DcProblem, builtin_problem,
                       derivative_report, finite_difference_gradient,
                       finite_difference_jacobian, make_expsys_problem,
@@ -45,7 +45,7 @@ __all__ = (
     "ComparisonRow", "ExperimentResult", "ExperimentSpec",
     "MatchedTargetResult", "ProblemSource", "TrialResult", "export_table",
     "read_table", "run_experiment", "run_matched_target",
-    "InnerConfig", "SubproblemSpec", "minimize_subproblem", "spd_solve",
+    "InnerConfig", "minimize_subproblem", "spd_solve",
     "BUILTIN_PROBLEMS", "EXP_GUARD", "DcProblem", "builtin_problem",
     "derivative_report", "finite_difference_gradient",
     "finite_difference_jacobian", "make_expsys_problem",

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .biochem import NetworkObjective, generate_network, load_network
-from .inner import value_or_inf
+from .inner import check_count, value_or_inf
 from .problem import BUILTIN_PROBLEMS, builtin_problem
 from .solver import SolverConfig, SolveResult, Variant, solve, write_trace_csv
 
@@ -149,12 +149,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("experiment needs at least one problem source")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.bdca_iters < 1:
-            raise ValueError("bdca_iters must be at least 1")
-        if self.dca_cap is not None and self.dca_cap < 1:
-            raise ValueError("dca_cap must be at least 1 when given")
+        check_count("trials", self.trials)
+        check_count("seed", self.seed, low=0)
+        check_count("bdca_iters", self.bdca_iters)
+        if self.dca_cap is not None:
+            check_count("dca_cap", self.dca_cap)
         if not self.x0_high > self.x0_low:
             raise ValueError("x0_high must exceed x0_low")
         if self.rho < 0:
@@ -345,7 +344,7 @@ def run_experiment(spec, out_dir=None):
             x0 = rng.uniform(spec.x0_low, spec.x0_high, size=problem.m)
             matched = run_matched_target(problem, x0, spec.solver,
                                          bdca_iters=spec.bdca_iters, dca_cap=dca_cap)
-            phi0 = value_or_inf(problem.phi, x0)
+            phi0 = value_or_inf(problem.phi_value, x0)
             trial_results.append(TrialResult(trial=trial, x0=x0, phi0=phi0,
                                              matched=matched))
         rows.append(_aggregate(label, problem, trial_results, n_reactions))

@@ -6,8 +6,8 @@ safeguard converges in a handful of steps from the warm start.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +15,7 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import EvaluationOverflow, NumericalError
 
-__all__ = ("InnerConfig", "SubproblemSpec", "spd_solve", "minimize_subproblem")
+__all__ = ("InnerConfig", "spd_solve", "minimize_subproblem")
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
@@ -25,6 +25,12 @@ _REFINEMENT_PASSES = 3
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
 # the LAPACK calls cho_factor/cho_solve make, without their checks
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def check_count(name, value, low=1):
+    """Raise ValueError unless value is an integer, not a bool, of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass
@@ -38,41 +44,9 @@ class InnerConfig:
     def __post_init__(self):
         if self.tol_grad <= 0:
             raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters)
         if self.damping_floor <= 0:
             raise ValueError(f"damping_floor must be positive, got {self.damping_floor}")
-
-
-@dataclass
-class SubproblemSpec:
-    """F(x) = g(x) - <linear_term, x>.
-
-    ``hessian_g`` maps x to g's Hessian, which is F's, and serves the
-    Newton steps; ``value_grad_g`` maps x to (value, gradient) and serves
-    the accepted points; ``value_g`` maps x to the value alone and serves
-    the line-search trials.
-    """
-
-    hessian_g: Callable
-    linear_term: np.ndarray
-    value_g: Callable
-    value_grad_g: Callable
-
-    def __post_init__(self):
-        self.linear_term = np.asarray(self.linear_term, dtype=float)
-
-    def value_grad(self, x):
-        """Value and gradient of F at x."""
-        v, grad = self.value_grad_g(x)
-        x = np.asarray(x, dtype=float)
-        v = float(v) - ddot(self.linear_term, x)
-        return v, np.asarray(grad, dtype=float) - self.linear_term
-
-    def value(self, x):
-        """Value of F at x."""
-        x = np.asarray(x, dtype=float)
-        return float(self.value_g(x)) - ddot(self.linear_term, x)
 
 
 def spd_solve(hess, rhs, damping_floor=1e-10):
@@ -95,7 +69,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
         raise NumericalError("non-finite Hessian or right-hand side")
 
-    rhs_norm = math.sqrt(ddot(rhs, rhs))
+    rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
 
@@ -108,7 +82,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
             d = _POTRS(factor, rhs, lower=False)[0]
             for passes in range(_REFINEMENT_PASSES + 1):
                 resid = rhs - shifted @ d
-                accepted = math.sqrt(ddot(resid, resid)) <= tol
+                accepted = _norm(resid) <= tol
                 if accepted or passes == _REFINEMENT_PASSES:
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
@@ -130,8 +104,22 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
             raise NumericalError(f"damping {mu:.3g} or its cap {mu_cap:.3g} is not finite")
 
 
-def minimize_subproblem(spec, x_init, config=None):
-    """Minimize a strongly convex subproblem by damped Newton steps.
+def _norm(v):
+    """||v||: sqrt(v . v) bit for bit, unless v is finite and v . v
+    overflows, where a norm read as inf would meet any tolerance."""
+    square = ddot(v, v)
+    if math.isinf(square) and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        v = v / scale
+        return scale * math.sqrt(ddot(v, v))
+    return math.sqrt(square)
+
+
+def minimize_subproblem(problem, linear_term, x_init, config=None):
+    """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
+
+    F's pieces come from ``problem``'s ``g_value`` (line-search trials),
+    ``g_value_grad`` (accepted points) and ``g_hessian`` (Newton steps).
 
     Stops when ||grad F|| <= tol_grad * max(1, ||grad F(x_init)||): far
     from a solution the test is relative to the warm start's residual (an
@@ -152,16 +140,20 @@ def minimize_subproblem(spec, x_init, config=None):
     """
     if config is None:
         config = InnerConfig()
+    b = np.asarray(linear_term, dtype=float)
     x = np.asarray(x_init, dtype=float).copy()
 
-    value, grad = _evaluate(spec, x)
-    tol = config.tol_grad * max(1.0, math.sqrt(ddot(grad, grad)))
+    def value_f(z):
+        return float(problem.g_value(z)) - ddot(b, z)
+
+    value, grad = _evaluate(problem, b, x)
+    tol = config.tol_grad * max(1.0, _norm(grad))
     for iteration in range(config.max_iters + 1):
-        if math.sqrt(ddot(grad, grad)) <= tol:
+        if _norm(grad) <= tol:
             return x, iteration
         if iteration == config.max_iters:
             break
-        hess = _overflow_as_error(spec.hessian_g, x)
+        hess = _overflow_as_error(problem.g_hessian, x)
         direction, _ = spd_solve(hess, -grad, config.damping_floor)
         slope = ddot(grad, direction)
         if slope >= 0.0:
@@ -174,11 +166,11 @@ def minimize_subproblem(spec, x_init, config=None):
             # the Armijo test cannot discriminate.  Take the full step as
             # long as the value does not rise beyond that floor; the
             # gradient keeps contracting through the quadratic phase.
-            if value_or_inf(spec.value, x + direction) > value + noise:
+            if value_or_inf(value_f, x + direction) > value + noise:
                 raise NumericalError("inner step stalled at the value resolution floor")
             step = 1.0
         else:
-            found = sufficient_decrease(spec.value, x, direction, value, slope,
+            found = sufficient_decrease(value_f, x, direction, value, slope,
                                         _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
             if found is None:
                 raise NumericalError("inner line search exhausted its halvings")
@@ -187,7 +179,7 @@ def minimize_subproblem(spec, x_init, config=None):
         if (x_new == x).all():
             raise NumericalError("inner step vanished below machine resolution")
         x = x_new
-        value, grad = _evaluate(spec, x)
+        value, grad = _evaluate(problem, b, x)
 
     raise NumericalError(
         f"inner solver did not reach its gradient tolerance {tol:g} "
@@ -195,8 +187,9 @@ def minimize_subproblem(spec, x_init, config=None):
     )
 
 
-def _evaluate(spec, x):
-    value, grad = _overflow_as_error(spec.value_grad, x)
+def _evaluate(problem, b, x):
+    value, grad = _overflow_as_error(problem.g_value_grad, x)
+    value, grad = float(value) - ddot(b, x), np.asarray(grad, dtype=float) - b
     if not (math.isfinite(value) and np.isfinite(grad).all()):
         raise NumericalError("non-finite subproblem derivatives at an accepted point")
     return value, grad

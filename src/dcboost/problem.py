@@ -61,10 +61,12 @@ class DcProblem:
         to discarding the Hessian, so a problem without it evaluates f1
         twice at each point where the inner solver takes a Newton step.
     phi_value : callable, optional
-        Fast path for phi itself.  Useful when f1 - f2 admits a compact
-        form that avoids cancellation between two large values.
+        ``x -> phi`` as a float; defaults to f1's value minus f2's.  Worth
+        supplying when f1 - f2 admits a compact form that avoids
+        cancellation between two large values.
     phi_value_grad : callable, optional
-        ``x -> (phi, grad_phi)`` without Hessian assembly.
+        ``x -> (phi, grad_phi)`` as a float and a float array, without
+        Hessian assembly; defaults to f1's minus f2's.
     """
 
     m: int
@@ -87,7 +89,7 @@ class DcProblem:
         if self.sigma_g < 0 or self.sigma_h < 0:
             raise ValueError("strong-convexity moduli must be nonnegative")
         # bind to this problem a fallback dataclasses.replace() carried over
-        for field in ("f1_value", "f1_value_grad"):
+        for field in ("f1_value", "f1_value_grad", "phi_value", "phi_value_grad"):
             fn, fallback = getattr(self, field), getattr(self, "_" + field)
             if fn is None or getattr(fn, "__func__", None) is fallback.__func__:
                 setattr(self, field, fallback)
@@ -98,19 +100,10 @@ class DcProblem:
     def _f1_value_grad(self, x):
         return self.eval_f1(x)[:2]
 
-    # -- plain objective -------------------------------------------------
-
-    def phi(self, x):
-        """Objective value f1(x) - f2(x)."""
-        if self.phi_value is not None:
-            return float(self.phi_value(x))
+    def _phi_value(self, x):
         return float(self.f1_value(x)) - float(self.eval_f2(x)[0])
 
-    def phi_with_grad(self, x):
-        """Objective value and gradient, skipping Hessians when possible."""
-        if self.phi_value_grad is not None:
-            v, grad = self.phi_value_grad(x)
-            return float(v), np.asarray(grad, dtype=float)
+    def _phi_value_grad(self, x):
         v1, g1 = self.f1_value_grad(x)
         v2, g2 = self.eval_f2(x)
         return float(v1) - float(v2), np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)

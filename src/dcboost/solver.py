@@ -26,8 +26,8 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
-from .inner import (InnerConfig, SubproblemSpec, minimize_subproblem,
-                    sufficient_decrease, value_or_inf)
+from .inner import (InnerConfig, check_count, minimize_subproblem, sufficient_decrease,
+                    value_or_inf)
 
 __all__ = (
     "Variant",
@@ -100,10 +100,8 @@ class SolverConfig:
             raise ValueError(
                 f"lambda_max ({self.lambda_max}) must exceed lambda_bar ({self.lambda_bar})"
             )
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
+        check_count("max_outer_iters", self.max_outer_iters)
+        check_count("max_backtracks", self.max_backtracks)
         for name in ("tol_d", "tol_x"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -168,20 +166,13 @@ class SolveResult:
 def dca_step(problem, x, config=None):
     """Solve the convex subproblem at x; returns (y, inner_iterations)."""
     cfg = config if config is not None else SolverConfig()
-    x = np.asarray(x, dtype=float)
-    spec = SubproblemSpec(
-        hessian_g=problem.g_hessian,
-        linear_term=problem.grad_h(x),
-        value_g=problem.g_value,
-        value_grad_g=problem.g_value_grad,
-    )
-    return minimize_subproblem(spec, x, cfg.inner)
+    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner)
 
 
 def descent_slope(problem, y, d):
     """Directional derivative <grad_phi(y), d> of the boost search."""
     d = np.asarray(d, dtype=float)
-    _, grad = problem.phi_with_grad(y)
+    _, grad = problem.phi_value_grad(y)
     return ddot(grad, d)
 
 
@@ -200,8 +191,8 @@ def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
     if lam <= 0:
         raise ValueError(f"lambda_init must be positive, got {lambda_init}")
     if phi_y is None:
-        phi_y = problem.phi(y)
-    found = sufficient_decrease(problem.phi, y, d, phi_y, -ddot(d, d), cfg.alpha,
+        phi_y = problem.phi_value(y)
+    found = sufficient_decrease(problem.phi_value, y, d, phi_y, -ddot(d, d), cfg.alpha,
                                 lam, cfg.beta, cfg.max_backtracks + 1)
     if found is None:
         raise LineSearchError(
@@ -238,13 +229,13 @@ def bdca_qi_select(problem, y, d, config=None, phi_y=None, slope=None):
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
     if phi_y is None:
-        phi_y = problem.phi(y)
+        phi_y = problem.phi_value(y)
     if slope is None:
         slope = descent_slope(problem, y, d)
-    phi_bar = value_or_inf(problem.phi, y + cfg.lambda_bar * d)
+    phi_bar = value_or_inf(problem.phi_value, y + cfg.lambda_bar * d)
     candidate = quad_interp_lambda(phi_y, slope, phi_bar, cfg.lambda_bar)
     if candidate is not None and candidate > 0.0:
-        if value_or_inf(problem.phi, y + candidate * d) < phi_bar:
+        if value_or_inf(problem.phi_value, y + candidate * d) < phi_bar:
             return min(candidate, cfg.lambda_max)
     return cfg.lambda_bar
 
@@ -264,8 +255,8 @@ def fm_step(problem, x, y, config=None, phi_x=None):
     y = np.asarray(y, dtype=float)
     d = y - x
     if phi_x is None:
-        phi_x = problem.phi(x)
-    found = sufficient_decrease(problem.phi, x, d, phi_x, -ddot(d, d), cfg.alpha,
+        phi_x = problem.phi_value(x)
+    found = sufficient_decrease(problem.phi_value, x, d, phi_x, -ddot(d, d), cfg.alpha,
                                 1.0, cfg.beta, cfg.max_backtracks + 1)
     if found is None:
         raise LineSearchError(
@@ -311,7 +302,7 @@ def solve(problem, x0, config=None):
     # the checks on accepted points turn that into NumericalFailure, so
     # NumPy's warnings about it would only repeat the status.
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_x = value_or_inf(problem.phi, x)
+        phi_x = value_or_inf(problem.phi_value, x)
 
         for k in range(cfg.max_outer_iters):
             if cfg.target_phi is not None and phi_x <= cfg.target_phi:
@@ -322,7 +313,7 @@ def solve(problem, x0, config=None):
                 y, inner_iters = dca_step(problem, x, cfg)
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
-                phi_y = value_or_inf(problem.phi, y)
+                phi_y = value_or_inf(problem.phi_value, y)
                 if not np.isfinite(phi_y):
                     raise NumericalError("objective is not finite at the subproblem solution")
                 slope = descent_slope(problem, y, d)
@@ -342,7 +333,7 @@ def solve(problem, x0, config=None):
                     x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
                     lam = cfg.beta ** level - 1.0
                     halvings = level
-                    phi_next = value_or_inf(problem.phi, x_next)
+                    phi_next = value_or_inf(problem.phi_value, x_next)
                 else:
                     if slope >= 0.0:
                         # the boost direction is numerically not a descent
@@ -357,7 +348,7 @@ def solve(problem, x0, config=None):
                         lam, halvings = backtrack(problem, y, d, lam_init, cfg,
                                                   phi_y=phi_y)
                         x_next = y + lam * d
-                        phi_next = value_or_inf(problem.phi, x_next)
+                        phi_next = value_or_inf(problem.phi_value, x_next)
             except LineSearchError as exc:
                 status = Status.LINE_SEARCH_FAILURE
                 message = str(exc)

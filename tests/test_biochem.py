@@ -128,7 +128,7 @@ class TestEvaluation:
         prob = NetworkObjective(net).as_dc_problem(rho=0.0)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, size=net.m)
-            phi = prob.phi(x)
+            phi = prob.phi_value(x)
             split = prob.f1_value(x) - prob.eval_f2(x)[0]
             assert split == pytest.approx(phi, rel=1e-10, abs=1e-10)
             _, _, f = NetworkObjective(net).rates(x)
@@ -152,11 +152,11 @@ class TestEvaluation:
         prob = obj.as_dc_problem()
         rng = np.random.default_rng(14)
         x = rng.uniform(-1.0, 1.0, size=net.m)
-        phi, grad = prob.phi_with_grad(x)
+        phi, grad = prob.phi_value_grad(x)
         _, g1, _ = prob.eval_f1(x)
         _, g2 = prob.eval_f2(x)
         np.testing.assert_allclose(grad, g1 - g2, rtol=1e-8, atol=1e-8)
-        assert phi == pytest.approx(prob.phi(x), rel=1e-12)
+        assert phi == pytest.approx(prob.phi_value(x), rel=1e-12)
 
     def test_hessians_positive_semidefinite(self):
         net = generate_network(7, 10, seed=7)
@@ -191,7 +191,7 @@ class TestEvaluation:
         obj.phi_value_grad(x)
         obj.f1_value_grad(x)
         prob.grad_h(x)
-        prob.phi_with_grad(x)
+        prob.phi_value_grad(x)
         prob.g_value_grad(x)
         assert "_hessian_op" not in vars(obj)
         obj.eval_f1(x)
@@ -216,12 +216,12 @@ class TestEvaluation:
                 assert bits(g_pair) == bits(g_full[:2])
                 assert bits(pair) == bits(NetworkObjective(net).eval_f1(x)[:2])
 
-    def test_phi_with_grad_value_is_phi(self):
+    def test_phi_value_grad_value_is_phi_value(self):
         net = generate_network(20, 30, seed=101)
         prob = NetworkObjective(net).as_dc_problem(rho=100.0)
         rng = np.random.default_rng(19)
         for x in rng.uniform(-2.0, 2.0, size=(1000, net.m)):
-            assert prob.phi_with_grad(x)[0] == prob.phi(x)
+            assert prob.phi_value_grad(x)[0] == prob.phi_value(x)
 
     def test_overflow_guard(self):
         net = generate_network(6, 9, seed=8)
@@ -264,8 +264,8 @@ def evaluations(problem, x):
     """Every value, gradient and Hessian a network problem computes at x."""
     return [*problem.eval_f1(x), *problem.eval_f2(x), problem.f1_value(x),
             *problem.f1_value_grad(x), problem.phi_value(x), *problem.phi_value_grad(x),
-            problem.phi(x), *problem.phi_with_grad(x), problem.g_value(x),
-            *problem.g_value_grad(x), problem.g_hessian(x), problem.grad_h(x)]
+            problem.g_value(x), *problem.g_value_grad(x), problem.g_hessian(x),
+            problem.grad_h(x)]
 
 
 @st.composite

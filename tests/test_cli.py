@@ -252,6 +252,29 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("top, solver_extra, named", [
+        ({"trials": 2.5}, {}, "trials"),
+        ({"trials": True}, {}, "trials"),
+        ({"seed": 1.5}, {}, "seed"),
+        ({"bdca_iters": 2.5}, {}, "bdca_iters"),
+        ({"dca_cap": 2.5}, {}, "dca_cap"),
+        ({}, {"max_outer_iters": 3.5}, "max_outer_iters"),
+        ({}, {"max_backtracks": 2.5}, "max_backtracks"),
+        ({}, {"inner": {"max_iters": 2.5}}, "max_iters"),
+    ])
+    def test_non_integer_count_exit_2(self, capsys, tmp_path, top, solver_extra, named):
+        # unchecked, each would reach range() or the start generator's seeding
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "problems": [{"builtin": "quartic"}], "trials": 1, "bdca_iters": 20, **top,
+            "solver": {"variant": "bdca-b", "lambda_bar": 2.0, "lambda_max": 8.0,
+                       **solver_extra},
+        }))
+        assert main(["compare", "--spec-file", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{named} must be an integer" in err
+        assert "Traceback" not in err
+
     def test_null_proximal_spec_loads(self, capsys, tmp_path):
         # spec files from before the proximal term was removed carry a null
         spec_path = tmp_path / "spec.json"

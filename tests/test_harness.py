@@ -146,6 +146,20 @@ class TestExperimentSpec:
             )
 
 
+    @pytest.mark.parametrize("field", ["trials", "seed", "bdca_iters", "dca_cap"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        source = ProblemSource(kind="builtin", name="quartic")
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentSpec(problems=[source], **{field: value})
+
+    def test_seed_may_be_zero_but_not_negative(self):
+        source = ProblemSource(kind="builtin", name="quartic")
+        assert ExperimentSpec(problems=[source], seed=np.int64(0)).seed == 0
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            ExperimentSpec(problems=[source], seed=-1)
+
+
 class TestRunExperiment:
     def small_spec(self):
         return ExperimentSpec(

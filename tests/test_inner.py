@@ -8,12 +8,12 @@ import pytest
 from scipy.linalg.blas import ddot
 
 from dcboost import (
+    DcProblem,
     EvaluationOverflow,
     InnerConfig,
     NetworkObjective,
     NumericalError,
     SolverConfig,
-    SubproblemSpec,
     Variant,
     generate_network,
     make_quartic_problem,
@@ -24,22 +24,28 @@ from dcboost import (
 from dcboost.biochem import _HessianOperator
 
 
-def quadratic_spec(hess, linear):
-    """F(x) = 0.5 x'Hx - <b, x>, minimized at H^{-1} b."""
+def zero_f2(x):
+    return 0.0, np.zeros(x.size)
+
+
+def quadratic_problem(hess):
+    """g(x) = 0.5 x'Hx (f1 = g, f2 = 0), so F = g - <b, x> is minimized
+    at H^{-1} b."""
     hess = np.asarray(hess, dtype=float)
-
-    return SubproblemSpec(hessian_g=lambda x: hess,
-                          linear_term=np.asarray(linear, dtype=float),
-                          value_g=lambda x: 0.5 * float(x @ hess @ x),
-                          value_grad_g=lambda x: (0.5 * float(x @ hess @ x), hess @ x))
+    return DcProblem(m=hess.shape[0], eval_f2=zero_f2,
+                     eval_f1=lambda x: (0.5 * float(x @ hess @ x), hess @ x, hess))
 
 
-def constant_spec(value, value_g):
-    """F with value ``value``, gradient 1 and Hessian 1 everywhere, whose
-    line-search trials read ``value_g``: the Newton direction is -1."""
-    return SubproblemSpec(hessian_g=lambda x: np.eye(1),
-                          linear_term=np.zeros(1), value_g=value_g,
-                          value_grad_g=lambda x: (value, np.ones(1)))
+def f_value(problem, linear, x):
+    return problem.g_value(x) - float(np.dot(linear, x))
+
+
+def constant_problem(value, f1_value):
+    """g with value ``value``, gradient 1 and Hessian 1 everywhere, whose
+    line-search trials read ``f1_value``: the Newton direction is -1."""
+    return DcProblem(m=1, eval_f2=zero_f2, f1_value=f1_value,
+                     eval_f1=lambda x: (value, np.ones(1), np.eye(1)),
+                     f1_value_grad=lambda x: (value, np.ones(1)))
 
 
 @contextmanager
@@ -157,15 +163,14 @@ class TestSpdSolve:
 
 class TestMinimize:
     def test_quadratic_single_step(self):
-        spec = quadratic_spec([[2.0, 0.3], [0.3, 1.5]], [1.0, -1.0])
-        x, iters = minimize_subproblem(spec, np.zeros(2))
-        expected = np.linalg.solve(spec.hessian_g(np.zeros(2)), spec.linear_term)
-        np.testing.assert_allclose(x, expected, atol=1e-10)
+        hess, linear = np.array([[2.0, 0.3], [0.3, 1.5]]), np.array([1.0, -1.0])
+        x, iters = minimize_subproblem(quadratic_problem(hess), linear, np.zeros(2))
+        np.testing.assert_allclose(x, np.linalg.solve(hess, linear), atol=1e-10)
         assert iters == 1
 
     def test_warm_start_hit(self):
-        spec = quadratic_spec(np.eye(2), [1.0, 2.0])
-        x, iters = minimize_subproblem(spec, np.array([1.0, 2.0]))
+        x, iters = minimize_subproblem(quadratic_problem(np.eye(2)), np.array([1.0, 2.0]),
+                                       np.array([1.0, 2.0]))
         assert iters == 0
         np.testing.assert_allclose(x, [1.0, 2.0])
 
@@ -173,50 +178,54 @@ class TestMinimize:
         # minimizing y^4/4 - <x, y> solves y^3 = x; from x = 27/125 the
         # solution is exactly 3/5
         prob = make_quartic_problem()
-        spec = SubproblemSpec(
-            hessian_g=prob.g_hessian,
-            linear_term=np.array([27.0 / 125.0]),
-            value_g=prob.g_value,
-            value_grad_g=prob.g_value_grad,
-        )
-        y, iters = minimize_subproblem(spec, np.array([27.0 / 125.0]))
+        y, iters = minimize_subproblem(prob, np.array([27.0 / 125.0]),
+                                       np.array([27.0 / 125.0]))
         assert abs(y[0] - 0.6) <= 1e-8
         assert iters >= 1
 
     def test_value_never_increases(self):
-        spec = quadratic_spec([[4.0, 1.0], [1.0, 3.0]], [2.0, -5.0])
+        prob, linear = quadratic_problem([[4.0, 1.0], [1.0, 3.0]]), np.array([2.0, -5.0])
         start = np.array([10.0, -10.0])
-        x, _ = minimize_subproblem(spec, start)
-        assert spec.value(x) <= spec.value(start) + 1e-12
+        x, _ = minimize_subproblem(prob, linear, start)
+        assert f_value(prob, linear, x) <= f_value(prob, linear, start) + 1e-12
 
     def test_iteration_budget(self):
         prob = make_quartic_problem()
-        spec = SubproblemSpec(hessian_g=prob.g_hessian, linear_term=np.array([27.0 / 125.0]),
-                              value_g=prob.g_value, value_grad_g=prob.g_value_grad)
         with pytest.raises(NumericalError, match="gradient tolerance"):
-            minimize_subproblem(spec, np.array([5.0]), InnerConfig(max_iters=1))
+            minimize_subproblem(prob, np.array([27.0 / 125.0]), np.array([5.0]),
+                                InnerConfig(max_iters=1))
 
     def test_stalled_at_value_floor(self):
         # a predicted decrease of 1 sits below the rounding floor of 1e20,
         # and the full step doubles the value
-        spec = constant_spec(1e20, lambda x: 2e20)
+        prob = constant_problem(1e20, lambda x: 2e20)
         with pytest.raises(NumericalError, match="stalled at the value resolution floor"):
-            minimize_subproblem(spec, np.zeros(1))
+            minimize_subproblem(prob, np.zeros(1), np.zeros(1))
 
     def test_vanished_below_resolution(self):
         # x + d == x at x = 1e20, d = -1: under the value floor, and as an
         # Armijo step that a value path reading below F accepts
         x = np.array([1e20])
         with pytest.raises(NumericalError, match="vanished below machine resolution"):
-            minimize_subproblem(constant_spec(1e20, lambda x: 1e20), x)
+            minimize_subproblem(constant_problem(1e20, lambda x: 1e20), np.zeros(1), x)
         with pytest.raises(NumericalError, match="vanished below machine resolution"):
-            minimize_subproblem(constant_spec(1.0, lambda x: 0.0), x)
+            minimize_subproblem(constant_problem(1.0, lambda x: 0.0), np.zeros(1), x)
 
     def test_line_search_exhausted(self):
         # every trial value sits above F's own, so no halving is accepted
-        spec = constant_spec(0.0, lambda x: 1.0)
+        prob = constant_problem(0.0, lambda x: 1.0)
         with pytest.raises(NumericalError, match="exhausted its halvings"):
-            minimize_subproblem(spec, np.zeros(1))
+            minimize_subproblem(prob, np.zeros(1), np.zeros(1))
+
+    def test_overflowing_gradient_norm_is_not_converged(self):
+        # F = 5e9 ||x||^2 at x = (1e145, 1e145) is 1e300, but its gradient's
+        # squared norm 2e310 overflows: read as inf, the norm would make the
+        # tolerance inf and the start count as converged; one Newton step
+        # lands next to the minimizer 0
+        prob = quadratic_problem(1e10 * np.eye(2))
+        x, iters = minimize_subproblem(prob, np.zeros(2), np.full(2, 1e145))
+        assert iters == 1
+        assert np.abs(x).max() <= 1e-10 * 1e145
 
 
 class TestLazyHessian:
@@ -242,12 +251,12 @@ class TestLazyHessian:
 
     def test_converged_start_asks_for_no_hessian(self):
         def no_hessian(x):
-            raise AssertionError("hessian_g was called")
+            raise AssertionError("eval_f1 was called")
 
-        spec = SubproblemSpec(hessian_g=no_hessian, linear_term=np.array([1.0, 2.0]),
-                              value_g=lambda x: 0.5 * float(x @ x),
-                              value_grad_g=lambda x: (0.5 * float(x @ x), x.copy()))
-        x, iters = minimize_subproblem(spec, np.array([1.0, 2.0]))
+        prob = DcProblem(m=2, eval_f1=no_hessian, eval_f2=zero_f2,
+                         f1_value=lambda x: 0.5 * float(x @ x),
+                         f1_value_grad=lambda x: (0.5 * float(x @ x), x.copy()))
+        x, iters = minimize_subproblem(prob, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         assert iters == 0
         assert np.array_equal(x, [1.0, 2.0])
 
@@ -257,14 +266,13 @@ class TestLazyHessian:
         def overflowing(x):
             raise EvaluationOverflow(400.0, 354.9)
 
-        for hessian_g, message in ((lambda x: np.full((1, 1), np.nan),
-                                    "non-finite Hessian"),
-                                   (overflowing, "overflow at an accepted point")):
-            spec = SubproblemSpec(hessian_g=hessian_g, linear_term=np.zeros(1),
-                                  value_g=lambda x: 0.0,
-                                  value_grad_g=lambda x: (0.0, np.ones(1)))
+        for eval_f1, message in ((lambda x: (0.0, np.ones(1), np.full((1, 1), np.nan)),
+                                  "non-finite Hessian"),
+                                 (overflowing, "overflow at an accepted point")):
+            prob = DcProblem(m=1, eval_f1=eval_f1, eval_f2=zero_f2, f1_value=lambda x: 0.0,
+                             f1_value_grad=lambda x: (0.0, np.ones(1)))
             with pytest.raises(NumericalError, match=message):
-                minimize_subproblem(spec, np.zeros(1))
+                minimize_subproblem(prob, np.zeros(1), np.zeros(1))
 
 
 class TestSpecValidation:
@@ -275,3 +283,8 @@ class TestSpecValidation:
             InnerConfig(max_iters=0)
         with pytest.raises(ValueError):
             InnerConfig(damping_floor=0.0)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, False, "2"])
+    def test_max_iters_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            InnerConfig(max_iters=value)

@@ -73,3 +73,27 @@ def test_probe_call_counts(monkeypatch):
     for count, result in zip(slopes, results):
         extra = count - len(result.trace)
         assert extra == 0 or (extra == 1 and result.status.is_failure), result.status
+
+
+def test_traced_spans_count_the_calls(tracer):
+    # a traced run must see every call of the fields and functions it
+    # wraps: a solver that went round a wrapped name would read as fewer
+    # calls here; eval_g is wrapped but the solvers never call it
+    problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+    x0 = np.random.default_rng(26).uniform(-2.0, 2.0, size=problem.m)
+    recorder = tracer.SpanRecorder()
+    with tracer.traced(recorder, problem) as calls:
+        calls.run_matched_target(problem, x0, SolverConfig(), bdca_iters=20)
+        for variant in ("bdca-b", "fm"):
+            calls.solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=20))
+    counts = {}
+    for span in recorder.spans:
+        counts[span[tracer.NAME]] = counts.get(span[tracer.NAME], 0) + 1
+    assert counts == {
+        "biochem.eval_f1": 317, "inner.spd_solve": 317, "biochem.f1_value": 317,
+        "biochem.phi_value": 327,
+        "biochem.eval_f2": 81, "problem.grad_h": 81, "inner.minimize_subproblem": 81,
+        "solver.descent_slope": 81, "biochem.phi_value_grad": 81,
+        "solver.backtrack": 40, "solver.bdca_qi_select": 20, "solver.fm_step": 20,
+        "solver.solve": 4, "harness.run_matched_target": 1,
+    }

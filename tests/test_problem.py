@@ -33,22 +33,22 @@ class TestQuartic:
         self.prob = make_quartic_problem()
 
     def test_minimizer_value(self):
-        assert self.prob.phi(np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
-        assert self.prob.phi(np.array([-1.0])) == pytest.approx(-0.25, abs=1e-15)
+        assert self.prob.phi_value(np.array([1.0])) == pytest.approx(-0.25, abs=1e-15)
+        assert self.prob.phi_value(np.array([-1.0])) == pytest.approx(-0.25, abs=1e-15)
 
     def test_frozen_point_values(self):
         x = np.array([0.6])
-        assert self.prob.phi(x) == pytest.approx(QUARTIC_PHI_AT_35, abs=1e-15)
-        phi, grad = self.prob.phi_with_grad(x)
+        assert self.prob.phi_value(x) == pytest.approx(QUARTIC_PHI_AT_35, abs=1e-15)
+        phi, grad = self.prob.phi_value_grad(x)
         assert phi == pytest.approx(QUARTIC_PHI_AT_35, abs=1e-15)
         assert grad[0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
-        assert self.prob.phi_with_grad(x)[1][0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
+        assert self.prob.phi_value_grad(x)[1][0] == pytest.approx(QUARTIC_GRAD_AT_35, abs=1e-12)
 
     def test_dc_identity(self):
         rng = np.random.default_rng(0)
         for x in rng.uniform(-2, 2, size=(10, 1)):
             direct = self.prob.f1_value(x) - self.prob.eval_f2(x)[0]
-            assert self.prob.phi(x) == pytest.approx(direct, abs=1e-12)
+            assert self.prob.phi_value(x) == pytest.approx(direct, abs=1e-12)
 
     def test_split_pieces(self):
         x = np.array([0.6])
@@ -89,25 +89,55 @@ class TestQuartic:
             assert rep["asym_f1"] == 0.0
 
 
+# (x, phi, phi') as hex from the quartic's f1-minus-f2 fallbacks,
+# recorded before they became the phi_value and phi_value_grad fields;
+# -0.0 and +0.0 both give +0.0, and 1e77 sits next to t^4's overflow
+QUARTIC_FALLBACK_BITS = (
+    (-0.0, "0x0.0p+0", "0x0.0p+0"),
+    (0.0, "0x0.0p+0", "0x0.0p+0"),
+    (-1e-200, "0x0.0p+0", "0x1.87e92154ef7acp-665"),
+    (1e-200, "0x0.0p+0", "-0x1.87e92154ef7acp-665"),
+    (-0.3, "-0x1.600d1b71758e2p-5", "0x1.178d4fdf3b646p-2"),
+    (0.7, "-0x1.7ad42c3c9eecbp-3", "-0x1.6d916872b020dp-2"),
+    (-1.0, "-0x1.0000000000000p-2", "0x0.0p+0"),
+    (1.0, "-0x1.0000000000000p-2", "0x0.0p+0"),
+    (1.5, "0x1.2000000000000p-3", "0x1.e000000000000p+0"),
+    (-3.5, "0x1.f640000000000p+4", "-0x1.3b00000000000p+5"),
+    (2.5, "0x1.a900000000000p+2", "0x1.a400000000000p+3"),
+    (1e+77, "0x1.1ccf385ebc8a0p+1021", "0x1.49c96cd6d16cbp+767"),
+)
+
+
+@pytest.mark.parametrize("t, phi_hex, grad_hex", QUARTIC_FALLBACK_BITS,
+                         ids=[repr(t) for t, _, _ in QUARTIC_FALLBACK_BITS])
+def test_quartic_fallbacks_have_the_recorded_bits(t, phi_hex, grad_hex):
+    prob = make_quartic_problem()
+    x = np.array([t])
+    value, grad = prob.phi_value_grad(x)
+    assert type(prob.phi_value(x)) is type(value) is float
+    assert grad.dtype == float and grad.shape == (1,)
+    assert (prob.phi_value(x).hex(), value.hex(), grad[0].hex()) == (phi_hex, phi_hex, grad_hex)
+
+
 class TestExpsys:
     def setup_method(self):
         self.prob = builtin_problem("expsys")
 
     def test_zero_at_origin(self):
-        assert self.prob.phi(np.array([0.0])) == 0.0
+        assert self.prob.phi_value(np.array([0.0])) == 0.0
 
     def test_value_formula(self):
         # phi(x) = (e^x - 1)^2, checked against a direct computation
         for t in (-1.5, -0.3, 0.4, 1.2):
             expected = (np.exp(t) - 1.0) ** 2
-            assert self.prob.phi(np.array([t])) == pytest.approx(expected, rel=1e-12)
+            assert self.prob.phi_value(np.array([t])) == pytest.approx(expected, rel=1e-12)
 
     def test_split_identity(self):
         rng = np.random.default_rng(2)
         for x in rng.uniform(-2, 2, size=(10, 1)):
             f1 = self.prob.f1_value(x)
             f2 = self.prob.eval_f2(x)[0]
-            phi = self.prob.phi(x)
+            phi = self.prob.phi_value(x)
             assert f1 - f2 == pytest.approx(phi, rel=1e-10, abs=1e-12)
             t = float(x[0])
             assert f1 == pytest.approx(2.0 * (np.exp(2 * t) + 1.0), rel=1e-12)
@@ -115,8 +145,8 @@ class TestExpsys:
 
     def test_gradient_against_fd(self):
         x = np.array([0.7])
-        fd = finite_difference_gradient(self.prob.phi, x)
-        assert self.prob.phi_with_grad(x)[1][0] == pytest.approx(fd[0], rel=1e-6)
+        fd = finite_difference_gradient(self.prob.phi_value, x)
+        assert self.prob.phi_value_grad(x)[1][0] == pytest.approx(fd[0], rel=1e-6)
 
     def test_default_rho(self):
         assert self.prob.rho == 1.0
@@ -124,7 +154,7 @@ class TestExpsys:
 
     def test_overflow_guard(self):
         with pytest.raises(EvaluationOverflow):
-            self.prob.phi(np.array([800.0]))
+            self.prob.phi_value(np.array([800.0]))
 
     def test_derivative_report(self):
         rng = np.random.default_rng(3)
@@ -255,9 +285,11 @@ EXPSYS_BITS = [
 
 
 def expsys_outputs(prob, x):
-    """Every evaluator's and derived method's result at x, flattened."""
+    """Every evaluator's and derived method's result at x, flattened.
+    phi's two paths are listed twice, which keeps the recorded tuples'
+    layout and checks that a repeated call returns the same bits."""
     parts = [*prob.eval_f1(x), *prob.eval_f2(x), prob.f1_value(x), *prob.f1_value_grad(x),
-             prob.phi_value(x), *prob.phi_value_grad(x), prob.phi(x), *prob.phi_with_grad(x),
+             prob.phi_value(x), *prob.phi_value_grad(x), prob.phi_value(x), *prob.phi_value_grad(x),
              prob.g_value(x), *prob.g_value_grad(x), prob.g_hessian(x), prob.grad_h(x),
              *prob.eval_g(x)]
     return tuple(float(v).hex() for part in parts for v in np.ravel(part))
@@ -276,7 +308,7 @@ class TestExpsysBits:
         prob = make_expsys_problem()
         past = np.array([np.nextafter(EXP_GUARD, np.inf)])
         for evaluate in (prob.eval_f1, prob.eval_f2, prob.f1_value, prob.f1_value_grad,
-                         prob.phi_value, prob.phi_value_grad, prob.phi, prob.phi_with_grad,
+                         prob.phi_value, prob.phi_value_grad,
                          prob.g_value, prob.g_value_grad, prob.g_hessian, prob.grad_h,
                          prob.eval_g):
             with pytest.raises(EvaluationOverflow):
@@ -296,9 +328,9 @@ class TestReplace:
         x = np.array([0.3])
         assert new.eval_f1(x)[0] == 5.0
         assert new.g_hessian(x)[0, 0] == 5.0
-        assert new.f1_value(x) == new.g_value(x) == new.phi(x) == 5.0
+        assert new.f1_value(x) == new.g_value(x) == new.phi_value(x) == 5.0
         assert new.f1_value_grad(x)[0] == new.g_value_grad(x)[0] == 5.0
-        assert old.f1_value(x) == old.phi(x) == 1.0
+        assert old.f1_value(x) == old.phi_value(x) == 1.0
 
     def test_supplied_paths_survive(self):
         supplied = lambda x: 7.0
@@ -309,6 +341,24 @@ class TestReplace:
         expsys = builtin_problem("expsys", rho=3.5)
         assert expsys.f1_value.__self__ is expsys
         assert expsys.f1_value_grad.__self__ is expsys
+
+    def test_phi_fallbacks_follow_the_replaced_f2(self):
+        quartic = make_quartic_problem()
+        new = replace(quartic, eval_f2=lambda x: (2.0, np.full(1, 3.0)))
+        x = np.array([0.6])
+        assert new.phi_value(x) == quartic.f1_value(x) - 2.0
+        value, grad = new.phi_value_grad(x)
+        assert value == new.phi_value(x)
+        assert grad[0] == quartic.f1_value_grad(x)[1][0] - 3.0
+        assert new.phi_value.__self__ is new and new.phi_value_grad.__self__ is new
+        assert quartic.phi_value(x) == pytest.approx(QUARTIC_PHI_AT_35, abs=1e-15)
+
+    def test_supplied_phi_paths_survive(self):
+        expsys = make_expsys_problem()
+        new = replace(expsys, rho=3.5)
+        assert new.phi_value is expsys.phi_value
+        assert new.phi_value_grad is expsys.phi_value_grad
+        assert not hasattr(new.phi_value, "__self__")
 
     def test_instance_wrappers_are_seen(self):
         # a wrapper set on the instance, as a tracer sets one, is what the
@@ -355,13 +405,13 @@ class TestValueGradPaths:
             assert bits(prob.f1_value_grad(x)) == bits(prob.eval_f1(x)[:2])
             assert bits(prob.g_value_grad(x)) == bits(prob.eval_g(x)[:2])
 
-    def test_phi_with_grad_builds_no_hessian(self):
+    def test_phi_value_grad_builds_no_hessian(self):
         def no_hessian(x):
             raise AssertionError("eval_f1 was called")
 
         prob = DcProblem(m=1, eval_f1=no_hessian, eval_f2=lambda x: (0.0, np.zeros(1)),
                          f1_value_grad=lambda x: (float(x @ x), 2.0 * x))
-        value, grad = prob.phi_with_grad(np.array([3.0]))
+        value, grad = prob.phi_value_grad(np.array([3.0]))
         assert value == 9.0
         assert np.array_equal(grad, [6.0])
         assert prob.g_value_grad(np.array([3.0]))[0] == 9.0

@@ -141,8 +141,8 @@ class TestSteps:
         lam = bdca_qi_select(self.prob, np.array([Y0]), np.array([D0]), cfg)
         assert lam == pytest.approx(float(lam_hat), abs=1e-10)
         # the interpolated point must actually beat the lambda_bar trial
-        phi_at = self.prob.phi(np.array([Y0 + lam * D0]))
-        assert phi_at < self.prob.phi(np.array([Y0 + 2.0 * D0]))
+        phi_at = self.prob.phi_value(np.array([Y0 + lam * D0]))
+        assert phi_at < self.prob.phi_value(np.array([Y0 + 2.0 * D0]))
 
     def test_qi_select_caps_at_lambda_max(self):
         # on a pure quadratic the interpolation is exact: phi(x) = (x-10)^2
@@ -197,7 +197,7 @@ class TestSolve:
         for _ in range(5):
             orbit.append(orbit[-1] ** (1.0 / 3.0))
         for rec, x in zip(result.trace[:6], orbit):
-            assert rec.phi_x == pytest.approx(self.prob.phi(np.array([x])), abs=1e-7)
+            assert rec.phi_x == pytest.approx(self.prob.phi_value(np.array([x])), abs=1e-7)
         assert all(rec.lambda_k == 0.0 for rec in result.trace)
         assert result.iterations == len(result.trace) - 1
 
@@ -285,6 +285,13 @@ class TestConfig:
             SolverConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tol_d=-1.0)
+
+    @pytest.mark.parametrize("field", ["max_outer_iters", "max_backtracks"])
+    @pytest.mark.parametrize("value", [3.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
     def test_variant_coercion(self):
         assert SolverConfig(variant="fm").variant is Variant.FM
@@ -431,22 +438,27 @@ def test_network_solves_hold_their_guarantees(tmp_path_factory, case):
 
 
 @st.composite
-def near_guard_starts(draw):
+def starts_at_top_exponent(draw, level):
     # x0 = t d with t chosen so that the top exponent max(w + t B d) is
-    # EXP_GUARD - gap: at the smallest t where an exponent rising along d
-    # reaches that level, no other exponent lies above it
+    # level(draw, objective): at the smallest t where an exponent rising
+    # along d reaches that level, no other exponent lies above it
     m = draw(st.integers(3, 8))
     net = generate_network(m, draw(st.integers(m, 2 * m)), seed=draw(st.integers(0, 10 ** 6)))
+    obj = NetworkObjective(net)
     # steps of 1e-3 keep every nonzero slope far from a subnormal
     d = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))) / 1000.0
-    slopes = NetworkObjective(net).B @ d
+    slopes = obj.B @ d
     if slopes.max() <= 0.0:
         d, slopes = -d, -slopes
     assume(slopes.max() > 0.0)
-    gap = draw(st.floats(0.0, 1.0))
+    top = level(draw, obj)
     rising = slopes > 0.0
-    t = float(np.min((EXP_GUARD - gap - net.w[rising]) / slopes[rising]))
+    t = float(np.min((top - net.w[rising]) / slopes[rising]))
     return net, t * d
+
+
+def near_guard_starts():
+    return starts_at_top_exponent(lambda draw, obj: EXP_GUARD - draw(st.floats(0.0, 1.0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,3 +475,22 @@ def test_solves_near_the_exponent_guard_end_in_a_status(case):
         assert result.message or not result.status.is_failure
         report = audit_trace(result.trace, problem, config, phi_final=result.phi_final)
         assert report.passed, (variant, report.violations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(starts_at_top_exponent(lambda draw, obj: obj.safe_exponent() - 0.01))
+def test_solves_inside_the_safe_domain_are_not_read_as_stationary(case):
+    # every evaluation is finite here, but a gradient's squared norm can
+    # overflow; read as an infinite norm, it would meet any tolerance and
+    # stop the solve at x0 as StationaryPoint with no Newton step
+    net, x0 = case
+    problem = NetworkObjective(net).as_dc_problem(rho=100.0)
+    for variant in Variant:
+        config = SolverConfig(variant=variant, max_outer_iters=20)
+        result = solve(problem, x0, config)
+        assert isinstance(result.status, Status)
+        report = audit_trace(result.trace, problem, config, phi_final=result.phi_final)
+        assert report.passed, (variant, report.violations)
+        if result.status is Status.STATIONARY_POINT:
+            first = result.trace[0]
+            assert first.inner_iters > 0 or first.norm_d > 0.0, variant
