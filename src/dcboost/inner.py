@@ -57,16 +57,20 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
     Returns ``(d, mu)``.
 
+    When the Hessian's infinity norm overflows although its entries are
+    finite, the system is solved with hess and rhs each divided by its
+    largest entry, and d and mu are returned in the original scale.
+
     Raises ValueError when damping_floor is not positive (no damping could
     then grow), and NumericalError for non-finite input, when the damping
-    needed exceeds 1e6 times the Hessian's infinity norm, or when that
-    norm or the damping overflows.
+    needed exceeds 1e6 times the Hessian's infinity norm, or when the
+    damping is not finite (in the original scale too).
     """
     if damping_floor <= 0:
         raise ValueError(f"damping_floor must be positive, got {damping_floor}")
     hess = np.asarray(hess, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if not (np.isfinite(hess).all() and np.isfinite(rhs).all()):
+    if not (_all_finite(hess.ravel("K")) and _all_finite(rhs)):
         raise NumericalError("non-finite Hessian or right-hand side")
 
     rhs_norm = _norm(rhs)
@@ -86,22 +90,39 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
                 if accepted or passes == _REFINEMENT_PASSES:
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
-            if accepted and np.isfinite(d).all():
+            if accepted and _all_finite(d):
                 return d, mu
         if mu == 0.0:
             # the cap is only needed once damping is
             mu = damping_floor
             with np.errstate(over="ignore"):
                 mu_cap = 1e6 * max(float(np.linalg.norm(hess, np.inf)), 1.0)
+            if math.isinf(mu_cap):
+                # ||H||_inf overflows, so no mu would reach the cap: with s and
+                # t the largest entries of H and rhs, solve (H/s + (mu/s) I) d' =
+                # rhs/t, whose d' is d scaled by s/t
+                scale, rhs_scale = float(np.abs(hess).max()), float(np.abs(rhs).max())
+                d, mu = spd_solve(hess / scale, rhs / rhs_scale, damping_floor)
+                mu *= scale
+                if math.isinf(mu):
+                    raise NumericalError(f"damping {mu:.3g} at the Hessian's scale "
+                                         f"{scale:.3g} is not finite")
+                return d * (rhs_scale / scale), mu
         else:
             mu = 4.0 * mu
         if mu > mu_cap:
             raise NumericalError(
                 f"damping exceeded {mu_cap:.3g} without a reliable factorization"
             )
-        if not (np.isfinite(mu) and np.isfinite(mu_cap)):
-            # an overflowing ||H||_inf makes the cap inf, which no mu exceeds
-            raise NumericalError(f"damping {mu:.3g} or its cap {mu_cap:.3g} is not finite")
+        if not math.isfinite(mu):
+            raise NumericalError(f"damping {mu:.3g} is not finite")
+
+
+def _all_finite(v):
+    """np.isfinite(v).all() for a vector: v . v is finite only if every
+    entry is, and one BLAS dot costs less than the elementwise test,
+    which is left for a finite v whose v . v overflows."""
+    return math.isfinite(ddot(v, v)) or bool(np.isfinite(v).all())
 
 
 def _norm(v):
@@ -115,7 +136,7 @@ def _norm(v):
     return math.sqrt(square)
 
 
-def minimize_subproblem(problem, linear_term, x_init, config=None):
+def minimize_subproblem(problem, linear_term, x_init, config=None, guess=None):
     """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
 
     F's pieces come from ``problem``'s ``g_value`` (line-search trials),
@@ -126,12 +147,22 @@ def minimize_subproblem(problem, linear_term, x_init, config=None):
     absolute 1e-8 is unreachable there, the gradient's own rounding floor
     is larger), near one it is the plain absolute tolerance.
 
+    A ``guess`` is a predicted solution.  The Newton loop starts there
+    instead of at x_init when F's value and gradient are finite there and
+    the value is no higher than at x_init; otherwise it is ignored.  The
+    tolerance stays the one taken at x_init either way.  Started that
+    close to the solution, the loop can stall at F's rounding floor where
+    the run from x_init would have passed it; so should the run from the
+    guess fail, the loop runs again from x_init, and a guess adds no
+    failure that the solve without it would not have.
+
     Each accepted point costs one value and gradient; a Hessian is asked
     for only where a Newton direction is computed, and its finiteness is
     checked by ``spd_solve``.
 
-    Returns ``(x, iterations)`` where ``iterations`` counts Newton steps
-    taken; 0 when the warm start already meets the gradient tolerance.
+    Returns ``(x, iterations)`` where ``iterations`` counts the Newton
+    steps taken (those of a failed run from the guess too); 0 when the
+    start (x_init or the guess taken) already meets the gradient tolerance.
 
     Raises NumericalError on a non-finite value or gradient at an accepted
     point, on a non-finite Hessian where a step is needed, on exhausted
@@ -142,57 +173,92 @@ def minimize_subproblem(problem, linear_term, x_init, config=None):
         config = InnerConfig()
     b = np.asarray(linear_term, dtype=float)
     x = np.asarray(x_init, dtype=float).copy()
+    at_x_init = (x, *_evaluate(problem, b, x))
+    tol = config.tol_grad * max(1.0, at_x_init[3])
+    steps = 0
+    for start in _starts(problem, b, guess, at_x_init):
+        x, taken, failure = _newton(problem, b, start, tol, config)
+        steps += taken
+        if failure is None:
+            return x, steps
+    raise failure
+
+
+def _starts(problem, b, guess, at_x_init):
+    """The starts to try in turn, each as (x, F, grad F, ||grad F||): the
+    guess when F and its gradient are finite there and F is no higher
+    than at x_init, then x_init, whose run is the solve without a guess."""
+    if guess is None:
+        return (at_x_init,)
+    guess = np.array(guess, dtype=float)
+    try:
+        at_guess = (guess, *_evaluate(problem, b, guess))
+    except NumericalError:
+        return (at_x_init,)
+    return (at_guess, at_x_init) if at_guess[1] <= at_x_init[1] else (at_x_init,)
+
+
+def _newton(problem, b, start, tol, config):
+    """Damped Newton steps from ``start`` until ||grad F|| <= tol.
+
+    Returns ``(x, steps, failure)``: failure is None once the tolerance is
+    met, else the NumericalError that ended the run at x after ``steps``
+    completed steps.
+    """
+    x, value, grad, grad_norm = start
 
     def value_f(z):
         return float(problem.g_value(z)) - ddot(b, z)
 
-    value, grad = _evaluate(problem, b, x)
-    tol = config.tol_grad * max(1.0, _norm(grad))
-    for iteration in range(config.max_iters + 1):
-        if _norm(grad) <= tol:
-            return x, iteration
-        if iteration == config.max_iters:
-            break
-        hess = _overflow_as_error(problem.g_hessian, x)
-        direction, _ = spd_solve(hess, -grad, config.damping_floor)
-        slope = ddot(grad, direction)
-        if slope >= 0.0:
-            # descent failed despite damping: direction numerically useless
-            raise NumericalError("Newton direction is not a descent direction")
+    iteration = 0
+    try:
+        for iteration in range(config.max_iters + 1):
+            if grad_norm <= tol:
+                return x, iteration, None
+            if iteration == config.max_iters:
+                break
+            hess = _overflow_as_error(problem.g_hessian, x)
+            direction, _ = spd_solve(hess, -grad, config.damping_floor)
+            slope = ddot(grad, direction)
+            if slope >= 0.0:
+                # descent failed despite damping: direction numerically useless
+                raise NumericalError("Newton direction is not a descent direction")
 
-        noise = _NOISE_RTOL * (1.0 + abs(value))
-        if -slope <= noise:
-            # Predicted decrease sits below the value's rounding floor, so
-            # the Armijo test cannot discriminate.  Take the full step as
-            # long as the value does not rise beyond that floor; the
-            # gradient keeps contracting through the quadratic phase.
-            if value_or_inf(value_f, x + direction) > value + noise:
-                raise NumericalError("inner step stalled at the value resolution floor")
-            step = 1.0
-        else:
-            found = sufficient_decrease(value_f, x, direction, value, slope,
-                                        _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
-            if found is None:
-                raise NumericalError("inner line search exhausted its halvings")
-            step = found[0]
-        x_new = x + step * direction
-        if (x_new == x).all():
-            raise NumericalError("inner step vanished below machine resolution")
-        x = x_new
-        value, grad = _evaluate(problem, b, x)
-
-    raise NumericalError(
+            noise = _NOISE_RTOL * (1.0 + abs(value))
+            if -slope <= noise:
+                # Predicted decrease sits below the value's rounding floor, so
+                # the Armijo test cannot discriminate.  Take the full step as
+                # long as the value does not rise beyond that floor; the
+                # gradient keeps contracting through the quadratic phase.
+                x_new = x + direction
+                if value_or_inf(value_f, x_new) > value + noise:
+                    raise NumericalError("inner step stalled at the value resolution floor")
+            else:
+                found = sufficient_decrease(value_f, x, direction, value, slope,
+                                            _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+                if found is None:
+                    raise NumericalError("inner line search exhausted its halvings")
+                x_new = found[2]
+            moved = x_new - x
+            if not ddot(moved, moved) > 0.0 and (x_new == x).all():
+                raise NumericalError("inner step vanished below machine resolution")
+            x = x_new
+            value, grad, grad_norm = _evaluate(problem, b, x)
+    except NumericalError as failure:
+        return x, iteration, failure
+    return x, iteration, NumericalError(
         f"inner solver did not reach its gradient tolerance {tol:g} "
         f"in {config.max_iters} iterations"
     )
 
 
 def _evaluate(problem, b, x):
+    """F's value, gradient and gradient norm at an accepted point x."""
     value, grad = _overflow_as_error(problem.g_value_grad, x)
     value, grad = float(value) - ddot(b, x), np.asarray(grad, dtype=float) - b
-    if not (math.isfinite(value) and np.isfinite(grad).all()):
+    if not (math.isfinite(value) and _all_finite(grad)):
         raise NumericalError("non-finite subproblem derivatives at an accepted point")
-    return value, grad
+    return value, grad, _norm(grad)
 
 
 def _overflow_as_error(evaluate, x):
@@ -215,7 +281,7 @@ def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, trie
     """Armijo search shared by the inner Newton loop and the outer steps.
 
     Tries t = step, step*shrink, ... (at most ``tries`` values) and returns
-    ``(t, i)`` for the first t = step*shrink^i with
+    ``(t, i, base + t * direction)`` for the first t = step*shrink^i with
 
         value(base + t * direction) <= f0 + c * t * slope,
 
@@ -223,7 +289,8 @@ def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, trie
     fail the test.
     """
     for i in range(tries):
-        if value_or_inf(value, base + step * direction) <= f0 + c * step * slope:
-            return step, i
+        trial = base + step * direction
+        if value_or_inf(value, trial) <= f0 + c * step * slope:
+            return step, i, trial
         step *= shrink
     return None

@@ -163,10 +163,14 @@ class SolveResult:
 # -- individual steps ----------------------------------------------------
 
 
-def dca_step(problem, x, config=None):
-    """Solve the convex subproblem at x; returns (y, inner_iterations)."""
+def dca_step(problem, x, config=None, guess=None):
+    """Solve the convex subproblem at x; returns (y, inner_iterations).
+
+    ``guess``, a predicted y, is passed on to ``minimize_subproblem``,
+    which starts there when the subproblem's value is no higher than at x.
+    """
     cfg = config if config is not None else SolverConfig()
-    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner)
+    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner, guess)
 
 
 def descent_slope(problem, y, d):
@@ -198,7 +202,7 @@ def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
         raise LineSearchError(
             f"no acceptable step after {cfg.max_backtracks} halvings from {lambda_init:g}"
         )
-    return found
+    return found[:2]
 
 
 def quad_interp_lambda(phi0, dphi0, phi_at_lambda_bar, lambda_bar):
@@ -262,8 +266,8 @@ def fm_step(problem, x, y, config=None, phi_x=None):
         raise LineSearchError(
             f"no acceptable backward step after {cfg.max_backtracks} reductions"
         )
-    step, level = found
-    return x + step * d, level
+    _, level, x_next = found
+    return x_next, level
 
 
 # -- outer loop ----------------------------------------------------------
@@ -295,6 +299,9 @@ def solve(problem, x0, config=None):
         )
 
     trace: List[TraceRecord] = []
+    # plain dca predicts y_k as x_k + d_{k-1}; the other variants start
+    # each subproblem at x_k, since after a boost d_{k-1} predicts badly
+    guess = None
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
@@ -310,7 +317,7 @@ def solve(problem, x0, config=None):
                 break
             started = time.perf_counter()
             try:
-                y, inner_iters = dca_step(problem, x, cfg)
+                y, inner_iters = dca_step(problem, x, cfg, guess)
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
                 phi_y = value_or_inf(problem.phi_value, y)
@@ -329,6 +336,7 @@ def solve(problem, x0, config=None):
 
                 if cfg.variant is Variant.DCA:
                     lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
+                    guess = y + d
                 elif cfg.variant is Variant.FM:
                     x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
                     lam = cfg.beta ** level - 1.0
@@ -363,7 +371,7 @@ def solve(problem, x0, config=None):
                 backtracks=halvings, inner_iters=inner_iters,
                 elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
             ))
-            step = x_next - x
+            step = d if x_next is y else x_next - x
             step_norm = math.sqrt(ddot(step, step))
             x = np.asarray(x_next, dtype=float)
             phi_x = phi_next

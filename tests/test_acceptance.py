@@ -213,21 +213,29 @@ def test_c6_benchmark_speedup():
         solver=SolverConfig(variant=Variant.BDCA_QI),
     )
     result = run_experiment(spec)
-    ratios = []
+    ratios, time_ratios = [], []
     for trials in result.trials.values():
         for trial in trials:
             matched = trial.matched
             ratios.append(matched.dca.iterations
                           / max(matched.bdca.iterations, 1))
+            time_ratios.append(solve_ms(matched.dca) / max(solve_ms(matched.bdca), 1e-9))
     ratios = np.array(ratios)
     frac_above_one = float(np.mean(ratios > 1.0))
     median_ratio = float(np.median(ratios))
     ok = frac_above_one >= 0.9 and median_ratio >= 1.5
+    # the time ratio is printed only: on a shared machine a gate on it
+    # would fail with the load, not with the code
     report("C6", ok,
            f"{ratios.size} trials on {len(NETWORK_SIZES)} networks: "
            f"ratio>1 in {frac_above_one:.0%}, median ratio "
            f"{median_ratio:.2f}, range [{ratios.min():.2f}, "
-           f"{ratios.max():.2f}]")
+           f"{ratios.max():.2f}]; median time ratio "
+           f"{float(np.median(time_ratios)):.2f} (not gated)")
+
+
+def solve_ms(result):
+    return sum(rec.elapsed_ms for rec in result.trace)
 
 
 def test_c7_interpolation_step_optimality():

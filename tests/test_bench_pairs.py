@@ -158,3 +158,34 @@ def test_regression_unresolved_when_the_parent_spreads(pairs):
     assert pairs.regression(PARENT, faster, "lower", 0.01) == "not worse"
     # a slip beyond the bound is worse whatever the spread
     assert pairs.regression(PARENT, [v + 0.002 for v in PARENT], "lower", 0.01) == "worse"
+
+
+def test_differing_solves_names_trial_and_label(pairs):
+    lines = pairs.outcome_lines(RUN_OUTPUT)
+    assert pairs.differing_solves(lines, lines) == []
+    chase_moved = pairs.outcome_lines(
+        RUN_OUTPUT.replace("dca 1210 it TargetReached phi 15.0162",
+                           "dca 1210 it TargetReached phi 15.0161")
+        .replace("reference trial 0: match",
+                 "reference trial 0: drift: dca newton_steps 2471 -> 1920 (-551)"))
+    assert pairs.differing_solves(lines, chase_moved) == ["trial 0 dca",
+                                                          "reference trial 0 dca"]
+    boost_moved = pairs.outcome_lines(
+        RUN_OUTPUT.replace("15 it NumericalFailure", "16 it NumericalFailure")
+        .replace("dca iterations 32 -> 34 (+2)",
+                 "bdca-qi iterations 15 -> 16 (+1); dca iterations 32 -> 34 (+2)"))
+    assert pairs.differing_solves(lines, boost_moved) == ["trial 1 bdca-qi",
+                                                          "reference trial 1 bdca-qi"]
+    assert pairs.differing_solves(lines, lines[:-1]) == ["4 outcome lines against 3"]
+    renumbered = [line.replace("trial 1:", "trial 2:") for line in lines]
+    assert pairs.differing_solves(lines, renumbered) == ["trial 1", "reference trial 1"]
+
+
+def test_solve_parts_keys_problems_and_caps_by_their_first_word(pairs):
+    line = "trial 3: bdca-qi 200 it MaxIters phi 9.1 | dca 20000 it MaxIters phi 9.5 | " \
+           "chase hit its cap | dca: audit found 1 violations, first x"
+    trial, parts = pairs.solve_parts(line)
+    assert trial == "trial 3"
+    assert list(parts) == ["bdca-qi", "dca", "chase"]
+    assert len(parts["dca"]) == 2
+    assert pairs.solve_parts("reference trial 3: match") == ("reference trial 3", {})

@@ -5,23 +5,29 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg.blas import ddot
 
 from dcboost import (
     DcProblem,
     EvaluationOverflow,
+    EXP_GUARD,
     InnerConfig,
     NetworkObjective,
     NumericalError,
     SolverConfig,
     Variant,
     generate_network,
+    builtin_problem,
     make_quartic_problem,
     minimize_subproblem,
     solve,
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
+from dcboost.inner import _all_finite
 
 
 def zero_f2(x):
@@ -138,13 +144,37 @@ class TestSpdSolve:
             spd_solve(-np.eye(3), np.ones(3), damping_floor=2e6)
 
     def test_non_finite_cap_or_shift_raises(self):
-        # ||H||_inf overflows to an infinite cap that no mu exceeds, and a
-        # NaN floor makes every shift NaN; both must raise, not loop
+        # ||H||_inf overflows, and the system scaled by 1e308 needs a mu
+        # above 2, so above 2e308 in the original scale; a NaN floor makes
+        # every shift NaN; both must raise, not loop
         with within_5_s():
             with pytest.raises(NumericalError, match="not finite"):
                 spd_solve(np.array([[-1e308, 1e308], [1e308, -1e308]]), np.ones(2))
             with pytest.raises(NumericalError, match="not finite"):
                 spd_solve(-np.eye(2), np.ones(2), damping_floor=np.nan)
+
+    def test_finite_hessian_whose_norm_overflows_is_solved_scaled(self):
+        # just inside safe_exponent() g's Hessian has finite entries up to
+        # 7.6e306, but ||H||_inf = 1.5e307 makes the cap 1e6 ||H||_inf inf;
+        # divided by its largest entry, the system solves at mu = 1e-10
+        obj = NetworkObjective(generate_network(8, 15, 819745))
+        problem = obj.as_dc_problem(rho=100.0)
+        d = np.array([453, 887, 763, 23, 881, 953, 941, -839]) / 1000.0
+        slopes = obj.B @ d
+        rising = slopes > 0.0
+        top = obj.safe_exponent() - 0.01
+        x0 = float(np.min((top - obj.network.w[rising]) / slopes[rising])) * d
+        hess = problem.g_hessian(x0)
+        rhs = problem.grad_h(x0) - problem.g_value_grad(x0)[1]
+        scale = float(np.abs(hess).max())
+        assert np.isfinite(hess).all() and 7e306 < scale < 8e306
+        norm = float(np.abs(hess).sum(axis=1).max())
+        assert 1.5e307 < norm < 1.6e307 and 1e6 * norm == np.inf
+        step, mu = spd_solve(hess, rhs)
+        assert mu == 1e-10 * scale
+        shifted = hess / scale + (mu / scale) * np.eye(obj.m)
+        resid = np.linalg.norm(shifted @ step - rhs / scale)
+        assert resid <= 1e-9 * np.linalg.norm(rhs / scale)
 
     @pytest.mark.parametrize("floor", [0.0, -1e-10])
     def test_nonpositive_floor_raises(self, floor):
@@ -226,6 +256,93 @@ class TestMinimize:
         x, iters = minimize_subproblem(prob, np.zeros(2), np.full(2, 1e145))
         assert iters == 1
         assert np.abs(x).max() <= 1e-10 * 1e145
+
+
+class TestGuess:
+    """A predicted solution starts the Newton loop only where F is no higher."""
+
+    def test_higher_guess_changes_no_bit(self):
+        prob, linear, start = make_quartic_problem(), np.array([0.3]), np.array([0.2])
+        assert f_value(prob, linear, np.array([5.0])) > f_value(prob, linear, start)
+        x, iters = minimize_subproblem(prob, linear, start)
+        x_guessed, iters_guessed = minimize_subproblem(prob, linear, start, guess=[5.0])
+        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
+
+    def test_guess_past_the_guard_is_ignored(self):
+        prob, start = builtin_problem("expsys"), np.array([1.5])
+        linear = prob.grad_h(start)
+        x, iters = minimize_subproblem(prob, linear, start)
+        x_guessed, iters_guessed = minimize_subproblem(prob, linear, start,
+                                                       guess=[EXP_GUARD + 1.0])
+        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
+
+    def test_tolerance_is_taken_at_x_init(self):
+        # F = (x1^4 + 1e8 x2^4) / 4: the guess has the lower F but a 97
+        # times larger gradient, and each Newton step shrinks the gradient
+        # only by 8/27, so a tolerance taken at the guess stops earlier
+        c = np.array([1.0, 1e8])
+        prob = DcProblem(m=2, eval_f2=zero_f2,
+                         eval_f1=lambda x: (float(c @ x ** 4) / 4.0, c * x ** 3,
+                                            np.diag(3.0 * c * x ** 2)))
+        start, guess, linear = np.array([1.0, 1e-3]), np.array([1e-2, 9.9e-3]), np.zeros(2)
+        assert f_value(prob, linear, guess) < f_value(prob, linear, start)
+        tol = 1e-8 * np.linalg.norm(prob.g_value_grad(start)[1])
+        x, iters = minimize_subproblem(prob, linear, start, guess=guess)
+        assert np.linalg.norm(prob.g_value_grad(x)[1]) <= tol and iters > 0
+        x_at_guess, _ = minimize_subproblem(prob, linear, guess)
+        assert np.linalg.norm(prob.g_value_grad(x_at_guess)[1]) > tol
+
+    def test_failed_run_from_the_guess_falls_back_to_x_init(self):
+        # F = x^4/4 - x; the second Hessian asked for is NaN, so the run from
+        # the guess 1.5 fails after one Newton step, and the run from x_init
+        # that follows is the solve without a guess, plus that one step
+        def quartic(nan_call):
+            calls = []
+
+            def eval_f1(x):
+                calls.append(None)
+                curvature = np.nan if len(calls) == nan_call else 3.0 * x[0] ** 2
+                return x[0] ** 4 / 4.0, x ** 3, np.array([[curvature]])
+
+            return DcProblem(m=1, eval_f1=eval_f1, eval_f2=zero_f2,
+                             f1_value=lambda x: x[0] ** 4 / 4.0,
+                             f1_value_grad=lambda x: (x[0] ** 4 / 4.0, x ** 3))
+
+        linear, start = np.ones(1), np.array([3.0])
+        x, iters = minimize_subproblem(quartic(None), linear, start)
+        x_guessed, iters_guessed = minimize_subproblem(quartic(2), linear, start,
+                                                       guess=[1.5])
+        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters + 1
+        with pytest.raises(NumericalError, match="non-finite Hessian"):
+            minimize_subproblem(quartic(2), linear, start)
+
+    def test_guess_at_the_minimizer_takes_no_newton_step(self):
+        prob = quadratic_problem(2.0 * np.eye(2))
+        x, iters = minimize_subproblem(prob, np.array([2.0, 4.0]), np.zeros(2),
+                                       guess=np.array([1.0, 2.0]))
+        assert iters == 0
+        assert np.array_equal(x, [1.0, 2.0])
+
+
+_ENTRIES = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([1e200, -1e200, 1e155, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=_ENTRIES),
+       arrays(np.float64, st.tuples(*[st.shared(st.integers(1, 12))] * 2), elements=_ENTRIES))
+def test_all_finite_is_numpys_test(vector, hessian):
+    assert _all_finite(vector) == np.isfinite(vector).all()
+    for layout in (hessian, np.asfortranarray(hessian)):
+        assert _all_finite(layout.ravel("K")) == np.isfinite(hessian).all()
+
+
+@pytest.mark.parametrize("vector, finite", [
+    ([1e200, 1e200], True), ([1e200, -1e200, 1.0], True), ([np.inf], False),
+    ([-np.inf, 1.0], False), ([np.nan], False), ([1e200, np.nan], False),
+    ([1e200, np.inf], False)])
+def test_all_finite_where_the_dot_overflows(vector, finite):
+    assert _all_finite(np.array(vector)) == finite
 
 
 class TestLazyHessian:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dcboost.solver
 from dcboost import (
     EXP_GUARD,
     LineSearchError,
@@ -35,6 +36,7 @@ from dcboost import (
     fm_step,
     generate_network,
     make_quartic_problem,
+    minimize_subproblem,
     quad_interp_lambda,
     read_trace_csv,
     run_matched_target,
@@ -364,11 +366,11 @@ PINNED_OUTCOMES = (
     ("quartic", "bdca-b", 7, "StationaryPoint", "-0x1.fffffffffffffp-3"),
     ("quartic", "bdca-qi", 6, "StationaryPoint", "-0x1.0000000000000p-2"),
     ("quartic", "fm", 16, "StationaryPoint", "-0x1.ffffffffffff8p-3"),
-    ("expsys", "dca", 71, "StationaryPoint", "0x1.916d443d28240p-50"),
+    ("expsys", "dca", 71, "StationaryPoint", "0x1.9167b51a07231p-50"),
     ("expsys", "bdca-b", 100, "MaxIters", "0x1.fffa265bc8b54p-1"),
     ("expsys", "bdca-qi", 28, "StationaryPoint", "0x1.d659000000000p-84"),
     ("expsys", "fm", 71, "StationaryPoint", "0x1.916d443d28240p-50"),
-    ("network", "dca", 100, "MaxIters", "0x1.0da540d46c21ap+8"),
+    ("network", "dca", 100, "MaxIters", "0x1.0da540aef55d4p+8"),
     ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d46d4be77p+3"),
     ("network", "bdca-qi", 100, "MaxIters", "0x1.693521013ea22p-8"),
     ("network", "fm", 100, "MaxIters", "0x1.0da540d46c22ap+8"),
@@ -393,16 +395,39 @@ def test_iterates_pinned(name, variant, iterations, status, phi_hex):
     assert result.phi_final.hex() == phi_hex
 
 
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
+    # dca starts subproblem k at x_k + d_{k-1}; every other variant passes
+    # no guess, so its subproblems start at x_k and keep their iterates
+    calls = []
+
+    def recording(problem, linear_term, x_init, config=None, guess=None):
+        calls.append((x_init, guess))
+        return minimize_subproblem(problem, linear_term, x_init, config, guess)
+
+    monkeypatch.setattr(dcboost.solver, "minimize_subproblem", recording)
+    problem, x0 = pinned_problem("network")
+    solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=20))
+    assert len(calls) == 20 and calls[0][1] is None
+    for (x_before, _), (x, guess) in zip(calls, calls[1:]):
+        if variant == "dca":
+            assert np.array_equal(guess, x + (x - x_before))
+        else:
+            assert guess is None
+
+
 def test_c6_scale_matched_trial_pinned():
     # the pins above stop at m = 6; this is C6's first trial at m = 20,
-    # both the boosted run and the plain chase of its value
+    # both the boosted run and the plain chase of its value, with their
+    # Newton steps (the chase's warm starts took 1,959 down to 1,307)
     problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
     x0 = np.random.default_rng([0, 0, 0]).uniform(-2.0, 2.0, 20)
     result = run_matched_target(problem, x0, SolverConfig(variant="bdca-qi"), bdca_iters=200)
-    assert [(run.iterations, run.status.value, run.phi_final.hex())
+    assert [(run.iterations, run.status.value, run.phi_final.hex(),
+             sum(rec.inner_iters for rec in run.trace))
             for run in (result.bdca, result.dca)] == [
-        (200, "MaxIters", "0x1.5c4eb48256156p+6"),
-        (861, "TargetReached", "0x1.5c46d5cc385e3p+6"),
+        (200, "MaxIters", "0x1.5c4eb48256156p+6", 464),
+        (861, "TargetReached", "0x1.5c46deeee1b17p+6", 1307),
     ]
 
 

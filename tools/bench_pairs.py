@@ -12,8 +12,9 @@ come from the JSON object on the last line of its output.
 
 The two sides must solve the same problems the same way: their ``trial``
 and ``reference trial`` lines must agree once the wall times in
-parentheses are stripped.  If they do not, the script says which seed
-differs and exits with status 1.
+parentheses are stripped.  If they do not, the script names, per seed,
+the solves that differ (trial and label, such as ``trial 0 dca``) and
+exits with status 1.
 
 Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
@@ -60,6 +61,41 @@ def outcome_lines(output):
     """The trial and reference-trial lines of a run, without wall times."""
     return [strip_wall_times(line) for line in output.splitlines()
             if line.startswith(("trial ", "reference trial "))]
+
+
+def solve_parts(line):
+    """An outcome line as (its trial, {label: parts}).  A trial line's
+    parts are its solves and problems, split at " | "; a reference line's
+    are its drift items, split at "; " ("match" has none).  Each part is
+    keyed by its first word, the solve's label."""
+    trial, _, body = line.partition(": ")
+    if trial.startswith("reference "):
+        items = [] if body == "match" else body.removeprefix("drift: ").split("; ")
+    else:
+        items = body.split(" | ")
+    parts = {}
+    for item in items:
+        parts.setdefault(item.split(" ", 1)[0].rstrip(":"), []).append(item)
+    return trial, parts
+
+
+def differing_solves(parent_lines, change_lines):
+    """Names ("trial 0 dca", "reference trial 0 dca") of the solves whose
+    outcome lines differ between the two sides, in line order."""
+    if len(parent_lines) != len(change_lines):
+        return [f"{len(parent_lines)} outcome lines against {len(change_lines)}"]
+    names = []
+    for parent_line, change_line in zip(parent_lines, change_lines):
+        if parent_line == change_line:
+            continue
+        trial, parent = solve_parts(parent_line)
+        change = solve_parts(change_line)[1]
+        labels = list(parent) + [label for label in change if label not in parent]
+        differing = [f"{trial} {label}" for label in labels
+                     if parent.get(label) != change.get(label)]
+        # lines that differ where no part does still count as different
+        names += differing or [trial]
+    return names
 
 
 def last_json(output):
@@ -152,14 +188,16 @@ def main(argv=None):
         for side in order:
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
-        same = outcome_lines(outputs["parent"]) == outcome_lines(outputs["change"])
-        if not same:
+        differing = differing_solves(outcome_lines(outputs["parent"]),
+                                     outcome_lines(outputs["change"]))
+        if differing:
             mismatched.append(seed)
         print(f"seed {seed} ({order[0]} first): "
               + "; ".join(f"{side} correct {parsed[side]['correct']} "
                           f"failed {parsed[side]['failed']}/{parsed[side]['attempted']}"
                           for side in ("parent", "change"))
-              + ("" if same else "; TRIAL LINES DIFFER"), flush=True)
+              + ("; TRIAL LINES DIFFER in " + ", ".join(differing) if differing else ""),
+              flush=True)
         print("  " + "; ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
                                f"{samples['change'][name][-1]:.4g}" for name in metrics),
               flush=True)
