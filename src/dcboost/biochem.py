@@ -128,6 +128,10 @@ class NetworkObjective:
         self.NT = self.N.transpose()
         self.AT = self.A.transpose()
         self.MpNT = self.MpN.transpose()
+        # paired products in one call each: [M; N] e is [p; c], and
+        # diag(B, N^T) [p; c] is [B p; N^T c], whose halves f1 adds
+        self.MN = _CsrOperator.stacked((self.M, self.N))
+        self.BNT = _CsrOperator.stacked((self.B, self.NT), diagonal=True)
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
@@ -155,7 +159,7 @@ class NetworkObjective:
         # no NumPy warning can arise here: _flux raises before exp()
         # overflows, and csr_matvec is compiled code that sets none
         e = self._flux(x)
-        self._point = point = _Point(key, e, self.M @ e, self.N @ e)
+        self._point = point = _Point(key, e, self.MN @ e)
         return point
 
     def rates(self, x):
@@ -209,8 +213,9 @@ class NetworkObjective:
 
     def _f1(self, point):
         if point.f1_grad is None:
-            e, p, c = point.e, point.p, point.c
-            point.et = e * (self.B @ p + self.NT @ c)
+            bt = self.BNT @ point.pc
+            half = bt.size // 2
+            point.et = point.e * (bt[:half] + bt[half:])
             point.f1_grad = _frozen(4.0 * (self.M @ point.et))
         return self._f1_value(point), point.f1_grad
 
@@ -277,6 +282,23 @@ class _CsrOperator:
         """The operator of a scipy CSR matrix, in its storage order."""
         return cls(mat.indptr, mat.indices, mat.data, mat.shape)
 
+    @classmethod
+    def stacked(cls, operators, diagonal=False):
+        """The operators' rows one under another, each in its storage
+        order, so each row sums as in its own operator: [A; B] on one
+        input, or with ``diagonal`` diag(A, B) on the inputs stacked."""
+        indptr, indices, nnz, width = [operators[0].indptr[:1]], [], 0, 0
+        for op in operators:
+            indptr.append(op.indptr[1:] + nnz)
+            indices.append(op.indices + width)
+            nnz += op.nnz
+            if diagonal:
+                width += op.shape[1]
+        rows = sum(op.shape[0] for op in operators)
+        return cls(np.concatenate(indptr), np.concatenate(indices),
+                   np.concatenate([op.data for op in operators]),
+                   (rows, width if diagonal else operators[0].shape[1]))
+
     @property
     def nnz(self):
         return self.data.size
@@ -308,18 +330,20 @@ class _CsrOperator:
 
 class _Point:
     """The last point evaluated: x's bytes as its key, the flux e, the
-    bundles p and c, and, once asked for, f1's value, phi's value, f1's
-    gradient with the weights et it shares with the Hessian, and f1's
-    Hessian.  A Newton step's accepted trial and the outer loop's phi,
+    bundles p and c as the halves of pc = [p; c], and, once asked for,
+    f1's value, phi's value, f1's gradient with the weights et it shares
+    with the Hessian, and f1's Hessian.  A Newton step's accepted trial and the outer loop's phi,
     grad phi and grad h calls land on the same point, so each costs one
     flux, and each value is computed once.  The arrays are read-only: a
     caller writing into one fails, not the next call."""
 
-    __slots__ = ("key", "e", "p", "c", "f1", "phi", "et", "f1_grad", "hess")
+    __slots__ = ("key", "e", "pc", "p", "c", "f1", "phi", "et", "f1_grad", "hess")
 
-    def __init__(self, key, e, p, c):
+    def __init__(self, key, e, pc):
         self.key = key
-        self.e, self.p, self.c = map(_frozen, (e, p, c))
+        self.e, self.pc = _frozen(e), _frozen(pc)
+        half = pc.size // 2
+        self.p, self.c = pc[:half], pc[half:]
         self.f1 = self.phi = self.et = self.f1_grad = self.hess = None
 
 

@@ -23,6 +23,7 @@ _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
 # a value's rounding floor, relative to 1 + |value|
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # the LAPACK calls cho_factor/cho_solve make, without their checks
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
@@ -127,9 +128,11 @@ def _all_finite(v):
 
 def _norm(v):
     """||v||: sqrt(v . v) bit for bit, unless v is finite and v . v
-    overflows, where a norm read as inf would meet any tolerance."""
+    overflows, where a norm read as inf would meet any tolerance, or v is
+    nonzero and v . v falls below the normal range, where the norm loses
+    digits or reads as 0; either way v is scaled by its largest entry."""
     square = ddot(v, v)
-    if math.isinf(square) and np.isfinite(v).all():
+    if (math.isinf(square) and np.isfinite(v).all()) or (square < _TINY and v.any()):
         scale = float(np.abs(v).max())
         v = v / scale
         return scale * math.sqrt(ddot(v, v))

@@ -270,6 +270,19 @@ def fm_step(problem, x, y, config=None, phi_x=None):
     return x_next, level
 
 
+def _predicted_step(steps):
+    """The next step of the polynomial through the last len(steps) + 1
+    iterates, given their steps newest first: d_k for one step, the
+    line's 2 d_k - d_{k-1} for two, the cubic's 3 d_k - 3 d_{k-1} + d_{k-2}
+    for three.  Plain DCA's iterates follow a smooth path, so y_k plus
+    this step predicts its next subproblem solution."""
+    if len(steps) == 1:
+        return steps[0]
+    if len(steps) == 2:
+        return 2.0 * steps[0] - steps[1]
+    return 3.0 * (steps[0] - steps[1]) + steps[2]
+
+
 # -- outer loop ----------------------------------------------------------
 
 
@@ -299,9 +312,11 @@ def solve(problem, x0, config=None):
         )
 
     trace: List[TraceRecord] = []
-    # plain dca predicts y_k as x_k + d_{k-1}; the other variants start
-    # each subproblem at x_k, since after a boost d_{k-1} predicts badly
+    # plain dca predicts y_k from its last steps (_predicted_step); the other
+    # variants start each subproblem at x_k, since after a boost the last
+    # steps predict the next one badly
     guess = None
+    steps = []
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
@@ -336,7 +351,8 @@ def solve(problem, x0, config=None):
 
                 if cfg.variant is Variant.DCA:
                     lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
-                    guess = y + d
+                    steps = [d] + steps[:2]
+                    guess = y + _predicted_step(steps)
                 elif cfg.variant is Variant.FM:
                     x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
                     lam = cfg.beta ** level - 1.0

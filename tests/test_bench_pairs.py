@@ -189,3 +189,38 @@ def test_solve_parts_keys_problems_and_caps_by_their_first_word(pairs):
     assert list(parts) == ["bdca-qi", "dca", "chase"]
     assert len(parts["dca"]) == 2
     assert pairs.solve_parts("reference trial 3: match") == ("reference trial 3", {})
+
+
+def test_newton_step_drift_sums_each_label_over_the_reference_lines(pairs):
+    lines = pairs.outcome_lines(
+        RUN_OUTPUT.replace("reference trial 0: match",
+                           "reference trial 0: drift: dca phi_final 15.1 -> 15.2; "
+                           "dca newton_steps 2471 -> 1920 (-551)")
+        .replace("dca iterations 32 -> 34 (+2)",
+                 "bdca-qi newton_steps 40 -> 43 (+3); dca iterations 32 -> 34 (+2); "
+                 "dca newton_steps 98 -> 90 (-8)"))
+    assert pairs.newton_step_drift(lines) == {"dca": -559, "bdca-qi": 3}
+    assert pairs.newton_step_drift(pairs.outcome_lines(RUN_OUTPUT)) == {}
+    assert pairs.step_drift_lines(pairs.outcome_lines(RUN_OUTPUT), lines) == [
+        "dca newton_steps vs reference: parent +0, change -559",
+        "bdca-qi newton_steps vs reference: parent +0, change +3",
+    ]
+
+
+def test_differing_lines_print_the_step_drift_and_fail(pairs, tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": "step_ms_p50", "unit": "ms", "better": "lower",
+                            "bound": 0.12}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    moved = (RUN_OUTPUT.replace("phi 15.0162", "phi 15.0161")
+             .replace("reference trial 0: match",
+                      "reference trial 0: drift: dca newton_steps 2471 -> 1920 (-551)"))
+    monkeypatch.setattr(pairs, "run", lambda checkout, workload, seed:
+                        RUN_OUTPUT if checkout.name == "parent" else moved)
+    status = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                         "--workload", "matched_m20", "--seeds", "1-2"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert out.count("  dca newton_steps vs reference: parent +0, change -551\n") == 2
+    assert "trial lines differ on seeds [1, 2]" in out

@@ -314,15 +314,18 @@ class TestSafeExponent:
 
 
 def scipy_operators(net):
-    """The eight matrices a NetworkObjective applies, as scipy CSR
-    matrices built the way the objective used to build them."""
+    """The ten matrices a NetworkObjective applies, as scipy CSR
+    matrices built the way the objective used to build them; the last
+    two stack pairs of the first eight."""
     F, R = net.F.astype(float), net.R.astype(float)
     M = sp.hstack([F, R]).tocsr()
     N = sp.hstack([R, F]).tocsr()
     A = (M - N).tocsr()
     MpN = (M + N).tocsr()
-    return dict(M=M, N=N, A=A, MpN=MpN,
-                B=M.T.tocsr(), NT=N.T.tocsr(), AT=A.T.tocsr(), MpNT=MpN.T.tocsr())
+    B, NT = M.T.tocsr(), N.T.tocsr()
+    return dict(M=M, N=N, A=A, MpN=MpN, B=B, NT=NT, AT=A.T.tocsr(), MpNT=MpN.T.tocsr(),
+                MN=sp.vstack([M, N], format="csr"),
+                BNT=sp.block_diag([B, NT], format="csr"))
 
 
 def full_pattern_hessian(net, x):

@@ -27,7 +27,7 @@ from dcboost import (
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
-from dcboost.inner import _all_finite
+from dcboost.inner import _all_finite, _norm
 
 
 def zero_f2(x):
@@ -99,6 +99,11 @@ class TestSpdSolve:
         d, mu = spd_solve(np.diag([2.0, 3.0]), np.zeros(2))
         assert np.all(d == 0.0)
         assert mu == 0.0
+
+    def test_rhs_whose_square_underflows_is_solved(self):
+        # ||rhs||^2 = 2e-340 underflows to 0, which read as a zero rhs
+        d, mu = spd_solve(np.eye(2), np.full(2, 1e-170))
+        assert d.tolist() == [1e-170, 1e-170] and mu == 0.0
 
     def test_near_singular_gets_damped(self):
         # symmetric matrix with a slightly negative eigenvalue
@@ -343,6 +348,21 @@ def test_all_finite_is_numpys_test(vector, hessian):
     ([1e200, np.inf], False)])
 def test_all_finite_where_the_dot_overflows(vector, finite):
     assert _all_finite(np.array(vector)) == finite
+
+
+@pytest.mark.parametrize("vector, norm", [
+    (np.full(3, 1e-160), np.sqrt(3.0) * 1e-160), (np.array([3e-170, -4e-170]), 5e-170),
+    (np.array([0.0, 5e-324]), 5e-324), (np.full(2, 1e200), np.sqrt(2.0) * 1e200)])
+def test_norm_outside_the_normal_range_of_its_square(vector, norm):
+    # v . v is subnormal, 0 or inf here, and sqrt(v . v) would lose digits
+    # or read 0 or inf; the norm scaled by the largest entry keeps them
+    assert _norm(vector) == pytest.approx(norm, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("vector", [np.zeros(3), np.array([1e-154, 2.0]),
+                                    np.array([1.5e-154, 0.0]), np.full(3, 1e150)])
+def test_norm_is_the_square_root_of_the_dot_elsewhere(vector):
+    assert _norm(vector) == np.sqrt(ddot(vector, vector))
 
 
 class TestLazyHessian:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import dcboost.solver
 from dcboost import (
     EXP_GUARD,
+    DcProblem,
     LineSearchError,
     NetworkObjective,
     SolverConfig,
@@ -57,7 +58,6 @@ def quartic_phi_exact(t):
 
 def quadratic_problem(center):
     """phi(x) = (x - center)^2 as a DC pair with f2 = 0."""
-    from dcboost import DcProblem
 
     def eval_f1(x):
         t = float(np.asarray(x).reshape(()))
@@ -366,11 +366,11 @@ PINNED_OUTCOMES = (
     ("quartic", "bdca-b", 7, "StationaryPoint", "-0x1.fffffffffffffp-3"),
     ("quartic", "bdca-qi", 6, "StationaryPoint", "-0x1.0000000000000p-2"),
     ("quartic", "fm", 16, "StationaryPoint", "-0x1.ffffffffffff8p-3"),
-    ("expsys", "dca", 71, "StationaryPoint", "0x1.9167b51a07231p-50"),
+    ("expsys", "dca", 71, "StationaryPoint", "0x1.86cdd9e843a64p-50"),
     ("expsys", "bdca-b", 100, "MaxIters", "0x1.fffa265bc8b54p-1"),
     ("expsys", "bdca-qi", 28, "StationaryPoint", "0x1.d659000000000p-84"),
     ("expsys", "fm", 71, "StationaryPoint", "0x1.916d443d28240p-50"),
-    ("network", "dca", 100, "MaxIters", "0x1.0da540aef55d4p+8"),
+    ("network", "dca", 100, "MaxIters", "0x1.0da540b1f7977p+8"),
     ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d46d4be77p+3"),
     ("network", "bdca-qi", 100, "MaxIters", "0x1.693521013ea22p-8"),
     ("network", "fm", 100, "MaxIters", "0x1.0da540d46c22ap+8"),
@@ -397,8 +397,11 @@ def test_iterates_pinned(name, variant, iterations, status, phi_hex):
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
-    # dca starts subproblem k at x_k + d_{k-1}; every other variant passes
-    # no guess, so its subproblems start at x_k and keep their iterates
+    # dca starts subproblem k at x_k plus the step of the polynomial through
+    # its last iterates: d_{k-1} in iteration 1, 2 d_{k-1} - d_{k-2} in
+    # iteration 2, 3 d_{k-1} - 3 d_{k-2} + d_{k-3} from iteration 3 on; every
+    # other variant passes no guess, so its subproblems start at x_k and
+    # keep their iterates
     calls = []
 
     def recording(problem, linear_term, x_init, config=None, guess=None):
@@ -409,17 +412,49 @@ def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
     problem, x0 = pinned_problem("network")
     solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=20))
     assert len(calls) == 20 and calls[0][1] is None
-    for (x_before, _), (x, guess) in zip(calls, calls[1:]):
-        if variant == "dca":
-            assert np.array_equal(guess, x + (x - x_before))
-        else:
+    xs = [x for x, _ in calls]
+    for k, (x, guess) in enumerate(calls[1:], start=1):
+        if variant != "dca":
             assert guess is None
+            continue
+        d = [xs[j] - xs[j - 1] for j in range(k, max(k - 3, 0), -1)]  # newest first
+        if len(d) == 1:
+            step = d[0]
+        elif len(d) == 2:
+            step = 2.0 * d[0] - d[1]
+        else:
+            step = 3.0 * (d[0] - d[1]) + d[2]
+        assert np.array_equal(guess, x + step), k
+
+
+def test_predicted_subproblem_solution_is_exact_on_a_cubic_path(monkeypatch):
+    # iterates that are a cubic in k, with small integers for coordinates
+    # so that every difference is exact in floats: from iteration 3 on the
+    # guess is the next iterate itself, and before that it is not
+    def path(k):
+        k = float(k)
+        return np.array([k ** 3 - 2.0 * k, 2.0 - k ** 2, 3.0 * k ** 3 + k ** 2 - 5.0])
+
+    guesses = []
+
+    def cubic_subproblem(problem, linear_term, x_init, config=None, guess=None):
+        guesses.append(guess)
+        return path(len(guesses)), 1
+
+    monkeypatch.setattr(dcboost.solver, "minimize_subproblem", cubic_subproblem)
+    problem = DcProblem(m=3, eval_f1=lambda x: (0.5 * (x @ x), x.copy(), np.eye(3)),
+                        eval_f2=lambda x: (0.0, np.zeros(3)), sigma_g=1.0)
+    solve(problem, path(0), SolverConfig(variant="dca", max_outer_iters=8))
+    assert len(guesses) == 8 and guesses[0] is None
+    assert not np.array_equal(guesses[2], path(3))
+    for k, guess in enumerate(guesses[3:], start=3):
+        assert np.array_equal(guess, path(k + 1)), k
 
 
 def test_c6_scale_matched_trial_pinned():
     # the pins above stop at m = 6; this is C6's first trial at m = 20,
     # both the boosted run and the plain chase of its value, with their
-    # Newton steps (the chase's warm starts took 1,959 down to 1,307)
+    # Newton steps (the chase's predicted starts took 1,959 down to 912)
     problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
     x0 = np.random.default_rng([0, 0, 0]).uniform(-2.0, 2.0, 20)
     result = run_matched_target(problem, x0, SolverConfig(variant="bdca-qi"), bdca_iters=200)
@@ -427,7 +462,7 @@ def test_c6_scale_matched_trial_pinned():
              sum(rec.inner_iters for rec in run.trace))
             for run in (result.bdca, result.dca)] == [
         (200, "MaxIters", "0x1.5c4eb48256156p+6", 464),
-        (861, "TargetReached", "0x1.5c46deeee1b17p+6", 1307),
+        (861, "TargetReached", "0x1.5c46e082739bdp+6", 912),
     ]
 
 

@@ -13,8 +13,9 @@ come from the JSON object on the last line of its output.
 The two sides must solve the same problems the same way: their ``trial``
 and ``reference trial`` lines must agree once the wall times in
 parentheses are stripped.  If they do not, the script names, per seed,
-the solves that differ (trial and label, such as ``trial 0 dca``) and
-exits with status 1.
+the solves that differ (trial and label, such as ``trial 0 dca``),
+prints per label each side's Newton-step drift against ``reference.json``
+summed over the seed's ``reference trial`` lines, and exits with status 1.
 
 Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
@@ -42,6 +43,8 @@ SECONDS = 20
 WIN_SHARE = 0.9
 # " (1.254 s wall, 0.752 s in kernel calls)" in a trial line
 _WALL_TIMES = re.compile(r" \([0-9.]+ s wall, [0-9.]+ s in kernel calls\)")
+# "dca newton_steps 2471 -> 1920 (-551)", a drift item of a reference line
+_STEP_DRIFT = re.compile(r"\S+ newton_steps \d+ -> \d+ \(([+-]\d+)\)")
 
 
 def parse_seeds(text):
@@ -96,6 +99,29 @@ def differing_solves(parent_lines, change_lines):
         # lines that differ where no part does still count as different
         names += differing or [trial]
     return names
+
+
+def newton_step_drift(lines):
+    """Per solve label, the Newton steps its drift items in the reference
+    trial lines add up to against the stored reference (run minus stored);
+    no part of a trial line has a drift item's form."""
+    totals = {}
+    for line in lines:
+        for label, items in solve_parts(line)[1].items():
+            for item in items:
+                match = _STEP_DRIFT.fullmatch(item)
+                if match:
+                    totals[label] = totals.get(label, 0) + int(match.group(1))
+    return totals
+
+
+def step_drift_lines(parent_lines, change_lines):
+    """"dca newton_steps vs reference: parent -551, change -1020", one
+    line per label that drifts on either side."""
+    parent, change = newton_step_drift(parent_lines), newton_step_drift(change_lines)
+    labels = list(parent) + [label for label in change if label not in parent]
+    return [f"{label} newton_steps vs reference: parent {parent.get(label, 0):+d}, "
+            f"change {change.get(label, 0):+d}" for label in labels]
 
 
 def last_json(output):
@@ -188,8 +214,8 @@ def main(argv=None):
         for side in order:
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
-        differing = differing_solves(outcome_lines(outputs["parent"]),
-                                     outcome_lines(outputs["change"]))
+        lines = {side: outcome_lines(out) for side, out in outputs.items()}
+        differing = differing_solves(lines["parent"], lines["change"])
         if differing:
             mismatched.append(seed)
         print(f"seed {seed} ({order[0]} first): "
@@ -198,6 +224,9 @@ def main(argv=None):
                           for side in ("parent", "change"))
               + ("; TRIAL LINES DIFFER in " + ", ".join(differing) if differing else ""),
               flush=True)
+        if differing:
+            for line in step_drift_lines(lines["parent"], lines["change"]):
+                print("  " + line, flush=True)
         print("  " + "; ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
                                f"{samples['change'][name][-1]:.4g}" for name in metrics),
               flush=True)
