@@ -22,11 +22,10 @@ from .harness import (ComparisonRow, ExperimentResult, ExperimentSpec,
                       MatchedTargetResult, ProblemSource, TrialResult,
                       export_table, read_table, run_experiment,
                       run_matched_target)
-from .inner import InnerConfig, minimize_subproblem, spd_solve
+from .inner import minimize_subproblem, spd_solve
 from .problem import (BUILTIN_PROBLEMS, EXP_GUARD, DcProblem, builtin_problem,
-                      derivative_report, finite_difference_gradient,
-                      finite_difference_jacobian, make_expsys_problem,
-                      make_quartic_problem)
+                      derivative_report, finite_difference_jacobian,
+                      make_expsys_problem, make_quartic_problem)
 from .solver import (TRACE_COLUMNS, SolveResult, SolverConfig, Status,
                      TraceRecord, Variant, backtrack, bdca_qi_select, dca_step,
                      descent_slope, fm_step, quad_interp_lambda, read_trace_csv,
@@ -45,10 +44,9 @@ __all__ = (
     "ComparisonRow", "ExperimentResult", "ExperimentSpec",
     "MatchedTargetResult", "ProblemSource", "TrialResult", "export_table",
     "read_table", "run_experiment", "run_matched_target",
-    "InnerConfig", "minimize_subproblem", "spd_solve",
+    "minimize_subproblem", "spd_solve",
     "BUILTIN_PROBLEMS", "EXP_GUARD", "DcProblem", "builtin_problem",
-    "derivative_report", "finite_difference_gradient",
-    "finite_difference_jacobian", "make_expsys_problem",
+    "derivative_report", "finite_difference_jacobian", "make_expsys_problem",
     "make_quartic_problem",
     "TRACE_COLUMNS", "SolveResult", "SolverConfig", "Status", "TraceRecord",
     "Variant", "backtrack", "bdca_qi_select", "dca_step", "descent_slope",

@@ -19,7 +19,6 @@ from .biochem import (check_mass_conservation, generate_network, load_network,
                       save_network)
 from .exceptions import DcError, GenerationError, SchemaError
 from .harness import ExperimentSpec, ProblemSource, run_experiment
-from .inner import InnerConfig
 from .problem import BUILTIN_PROBLEMS
 from .solver import (SolverConfig, Variant, read_trace_csv, solve,
                      write_trace_csv)
@@ -47,10 +46,8 @@ def _solver_flags(parser):
 
 
 def _solver_config(args, **fields):
-    if args.inner_tol is not None:
-        fields["inner"] = InnerConfig(tol_grad=args.inner_tol)
     return SolverConfig(**_given(args, "variant", "alpha", "beta", "lambda_bar",
-                                 "lambda_max"), **fields)
+                                 "lambda_max", "inner_tol"), **fields)
 
 
 # -- solve ---------------------------------------------------------------
@@ -83,8 +80,7 @@ def cmd_solve(args):
         x0 = rng.uniform(spec.x0_low, spec.x0_high, size=problem.m)
         start = {"x0_seed": args.x0_seed}
 
-    cfg = _solver_config(args, **_given(args, "max_outer_iters"),
-                         tol_d=args.tol, tol_x=args.tol)
+    cfg = _solver_config(args, **_given(args, "max_outer_iters"), tol=args.tol)
     _echo({"command": "solve", "problem": source.to_json(), "m": problem.m,
            "rho": problem.rho, **cfg.to_json(), **start})
 
@@ -291,7 +287,7 @@ def build_parser():
                         "default for models)")
     p.add_argument("--max-iters", type=int, dest="max_outer_iters")
     p.add_argument("--tol", type=float,
-                   help="sets both direction and step stopping tolerances")
+                   help="stop once the direction or the step is no longer than this")
     p.add_argument("--x0", help="comma-separated start point")
     p.add_argument("--x0-seed", type=int, default=0,
                    help="seed for a uniform start in compare's start box")

@@ -156,8 +156,8 @@ class ExperimentSpec:
             check_count("dca_cap", self.dca_cap)
         if not self.x0_high > self.x0_low:
             raise ValueError("x0_high must exceed x0_low")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not self.rho >= 0:
+            raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if self.solver.variant is Variant.DCA:
             raise ValueError("the boosted side of the comparison cannot be dca")
 

@@ -7,7 +7,6 @@ safeguard converges in a handful of steps from the warm start.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -15,10 +14,13 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import EvaluationOverflow, NumericalError
 
-__all__ = ("InnerConfig", "spd_solve", "minimize_subproblem")
+__all__ = ("spd_solve", "minimize_subproblem")
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 60
+_MAX_NEWTON_STEPS = 200
+# the first nonzero damping spd_solve tries, before growing it 4x at a time
+_DAMPING_FLOOR = 1e-10
 _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
 # a value's rounding floor, relative to 1 + |value|
@@ -34,26 +36,10 @@ def check_count(name, value, low=1):
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-@dataclass
-class InnerConfig:
-    """Termination and damping controls for the Newton loop."""
-
-    tol_grad: float = 1e-8
-    max_iters: int = 200
-    damping_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
-        check_count("max_iters", self.max_iters)
-        if self.damping_floor <= 0:
-            raise ValueError(f"damping_floor must be positive, got {self.damping_floor}")
-
-
-def spd_solve(hess, rhs, damping_floor=1e-10):
+def spd_solve(hess, rhs):
     """Solve (hess + mu*I) d = rhs with the smallest workable damping mu.
 
-    Tries mu = 0 first, then damping_floor * 4^j.  A solve is accepted once
+    Tries mu = 0 first, then 1e-10 * 4^j.  A solve is accepted once
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
     Returns ``(d, mu)``.
@@ -62,13 +48,10 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
     finite, the system is solved with hess and rhs each divided by its
     largest entry, and d and mu are returned in the original scale.
 
-    Raises ValueError when damping_floor is not positive (no damping could
-    then grow), and NumericalError for non-finite input, when the damping
-    needed exceeds 1e6 times the Hessian's infinity norm, or when the
-    damping is not finite (in the original scale too).
+    Raises NumericalError for non-finite input, when the damping needed
+    exceeds 1e6 times the Hessian's infinity norm, or when the damping in
+    the original scale is not finite.
     """
-    if damping_floor <= 0:
-        raise ValueError(f"damping_floor must be positive, got {damping_floor}")
     hess = np.asarray(hess, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not (_all_finite(hess.ravel("K")) and _all_finite(rhs)):
@@ -95,7 +78,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
                 return d, mu
         if mu == 0.0:
             # the cap is only needed once damping is
-            mu = damping_floor
+            mu = _DAMPING_FLOOR
             with np.errstate(over="ignore"):
                 mu_cap = 1e6 * max(float(np.linalg.norm(hess, np.inf)), 1.0)
             if math.isinf(mu_cap):
@@ -103,7 +86,7 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
                 # t the largest entries of H and rhs, solve (H/s + (mu/s) I) d' =
                 # rhs/t, whose d' is d scaled by s/t
                 scale, rhs_scale = float(np.abs(hess).max()), float(np.abs(rhs).max())
-                d, mu = spd_solve(hess / scale, rhs / rhs_scale, damping_floor)
+                d, mu = spd_solve(hess / scale, rhs / rhs_scale)
                 mu *= scale
                 if math.isinf(mu):
                     raise NumericalError(f"damping {mu:.3g} at the Hessian's scale "
@@ -115,8 +98,6 @@ def spd_solve(hess, rhs, damping_floor=1e-10):
             raise NumericalError(
                 f"damping exceeded {mu_cap:.3g} without a reliable factorization"
             )
-        if not math.isfinite(mu):
-            raise NumericalError(f"damping {mu:.3g} is not finite")
 
 
 def _all_finite(v):
@@ -139,7 +120,7 @@ def _norm(v):
     return math.sqrt(square)
 
 
-def minimize_subproblem(problem, linear_term, x_init, config=None, guess=None):
+def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None):
     """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
 
     F's pieces come from ``problem``'s ``g_value`` (line-search trials),
@@ -172,15 +153,13 @@ def minimize_subproblem(problem, linear_term, x_init, config=None, guess=None):
     damping, or when the iteration or line-search budget runs out before
     the tolerance is met.
     """
-    if config is None:
-        config = InnerConfig()
     b = np.asarray(linear_term, dtype=float)
     x = np.asarray(x_init, dtype=float).copy()
     at_x_init = (x, *_evaluate(problem, b, x))
-    tol = config.tol_grad * max(1.0, at_x_init[3])
+    tol = tol_grad * max(1.0, at_x_init[3])
     steps = 0
     for start in _starts(problem, b, guess, at_x_init):
-        x, taken, failure = _newton(problem, b, start, tol, config)
+        x, taken, failure = _newton(problem, b, start, tol)
         steps += taken
         if failure is None:
             return x, steps
@@ -201,7 +180,7 @@ def _starts(problem, b, guess, at_x_init):
     return (at_guess, at_x_init) if at_guess[1] <= at_x_init[1] else (at_x_init,)
 
 
-def _newton(problem, b, start, tol, config):
+def _newton(problem, b, start, tol):
     """Damped Newton steps from ``start`` until ||grad F|| <= tol.
 
     Returns ``(x, steps, failure)``: failure is None once the tolerance is
@@ -215,13 +194,13 @@ def _newton(problem, b, start, tol, config):
 
     iteration = 0
     try:
-        for iteration in range(config.max_iters + 1):
+        for iteration in range(_MAX_NEWTON_STEPS + 1):
             if grad_norm <= tol:
                 return x, iteration, None
-            if iteration == config.max_iters:
+            if iteration == _MAX_NEWTON_STEPS:
                 break
             hess = _overflow_as_error(problem.g_hessian, x)
-            direction, _ = spd_solve(hess, -grad, config.damping_floor)
+            direction, _ = spd_solve(hess, -grad)
             slope = ddot(grad, direction)
             if slope >= 0.0:
                 # descent failed despite damping: direction numerically useless
@@ -251,7 +230,7 @@ def _newton(problem, b, start, tol, config):
         return x, iteration, failure
     return x, iteration, NumericalError(
         f"inner solver did not reach its gradient tolerance {tol:g} "
-        f"in {config.max_iters} iterations"
+        f"in {_MAX_NEWTON_STEPS} iterations"
     )
 
 

@@ -22,7 +22,6 @@ __all__ = (
     "make_expsys_problem",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
-    "finite_difference_gradient",
     "finite_difference_jacobian",
     "derivative_report",
 )
@@ -84,10 +83,12 @@ class DcProblem:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
-        if self.rho < 0:
+        # written so that a NaN fails each test
+        if not self.rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if self.sigma_g < 0 or self.sigma_h < 0:
-            raise ValueError("strong-convexity moduli must be nonnegative")
+        if not (self.sigma_g >= 0 and self.sigma_h >= 0):
+            raise ValueError("strong-convexity moduli must be nonnegative, got "
+                             f"{self.sigma_g} and {self.sigma_h}")
         # bind to this problem a fallback dataclasses.replace() carried over
         for field in ("f1_value", "f1_value_grad", "phi_value", "phi_value_grad"):
             fn, fallback = getattr(self, field), getattr(self, "_" + field)
@@ -238,13 +239,9 @@ def builtin_problem(name, rho=None):
 # -- finite-difference validation hooks ----------------------------------
 
 
-def finite_difference_gradient(fun, x, step=None):
-    """Central-difference gradient of a scalar function."""
-    return finite_difference_jacobian(fun, x, step)
-
-
 def finite_difference_jacobian(fun, x, step=None):
-    """Central-difference Jacobian of a vector function."""
+    """Central-difference Jacobian of a vector function; of a scalar
+    function, its gradient."""
     x = np.asarray(x, dtype=float)
     if step is None:
         step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
@@ -271,7 +268,7 @@ def derivative_report(problem, x, step=None):
     report = {}
     for label, ev, val in (("f1", problem.f1_value_grad, problem.f1_value),
                            ("f2", problem.eval_f2, lambda z: problem.eval_f2(z)[0])):
-        fd_grad = finite_difference_gradient(lambda z: float(val(z)), x, step)
+        fd_grad = finite_difference_jacobian(lambda z: float(val(z)), x, step)
         report[f"grad_{label}"] = rel(ev(x)[1], fd_grad)
     _, _, hess = problem.eval_f1(x)
     fd_hess = finite_difference_jacobian(lambda z: problem.f1_value_grad(z)[1], x, step)

@@ -15,10 +15,11 @@ is chosen from x_k and y_k:
 
 import csv
 import enum
+import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,8 +27,8 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
-from .inner import (InnerConfig, check_count, minimize_subproblem, sufficient_decrease,
-                    value_or_inf)
+from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, check_count, minimize_subproblem,
+                    sufficient_decrease, value_or_inf)
 
 __all__ = (
     "Variant",
@@ -46,6 +47,14 @@ __all__ = (
     "read_trace_csv",
     "TRACE_COLUMNS",
 )
+
+# halvings (backward reductions for fm) a line search may take
+_MAX_BACKTRACKS = 60
+# fields of older spec files, each with the one value it may still hold
+_REMOVED_FIELDS = {"proximal_c": None, "max_backtracks": _MAX_BACKTRACKS,
+                   "tol_d": None, "tol_x": None,
+                   "inner.max_iters": _MAX_NEWTON_STEPS,
+                   "inner.damping_floor": _DAMPING_FLOOR}
 
 
 class Variant(str, enum.Enum):
@@ -71,7 +80,9 @@ class Status(str, enum.Enum):
 class SolverConfig:
     """Outer-loop controls shared by all variants.
 
-    ``tol_d`` and ``tol_x`` default to 1e-8 * sqrt(m) when left None.
+    ``tol`` stops a run once the direction or the step is no longer than
+    it; left None it is 1e-8 * sqrt(m).  ``inner_tol`` is the subproblem
+    solver's gradient tolerance (see ``minimize_subproblem``).
     ``target_phi`` stops a run as soon as the objective is at or below
     the given value (used by the matched-target comparison protocol).
     """
@@ -82,51 +93,57 @@ class SolverConfig:
     lambda_bar: float = 50.0
     lambda_max: float = 200.0
     max_outer_iters: int = 1000
-    max_backtracks: int = 60
-    tol_d: Optional[float] = None
-    tol_x: Optional[float] = None
-    inner: InnerConfig = field(default_factory=InnerConfig)
+    tol: Optional[float] = None
+    inner_tol: float = 1e-8
     target_phi: Optional[float] = None
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        if self.alpha <= 0:
+        # each test is written so that a NaN fails it
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.lambda_bar <= 0:
+        if not self.lambda_bar > 0:
             raise ValueError(f"lambda_bar must be positive, got {self.lambda_bar}")
-        if self.lambda_max <= self.lambda_bar:
+        if not self.lambda_max > self.lambda_bar:
             raise ValueError(
                 f"lambda_max ({self.lambda_max}) must exceed lambda_bar ({self.lambda_bar})"
             )
         check_count("max_outer_iters", self.max_outer_iters)
-        check_count("max_backtracks", self.max_backtracks)
-        for name in ("tol_d", "tol_x"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if self.tol is not None and not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if not self.inner_tol > 0:
+            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
-    def resolved_tols(self, m):
-        tol_d = self.tol_d if self.tol_d is not None else 1e-8 * np.sqrt(m)
-        tol_x = self.tol_x if self.tol_x is not None else 1e-8 * np.sqrt(m)
-        return float(tol_d), float(tol_x)
+    def resolved_tol(self, m):
+        return float(self.tol if self.tol is not None else 1e-8 * np.sqrt(m))
 
     def to_json(self):
-        """Every field under its own name; ``inner`` as a nested object."""
+        """Every field under its own name."""
         out = asdict(self)
         out["variant"] = self.variant.value
         return out
 
     @classmethod
     def from_json(cls, obj):
-        """Inverse of to_json; omitted fields take their defaults."""
+        """Inverse of to_json; omitted fields take their defaults.
+
+        Spec files written before a setting became a constant still load:
+        a removed field may hold only the value the solver now fixes, and
+        the inner solver's ``tol_grad`` is read as ``inner_tol``.
+        """
         obj = dict(obj)
-        # older spec files carry "proximal_c": null for a removed field
-        if "proximal_c" in obj and obj.pop("proximal_c") is not None:
-            raise ValueError("solver field proximal_c was removed; "
-                             "subproblems have no proximal term")
-        return cls(inner=InnerConfig(**obj.pop("inner", {})), **obj)
+        obj.update({f"inner.{k}": v for k, v in dict(obj.pop("inner", {})).items()})
+        if "inner.tol_grad" in obj:
+            obj["inner_tol"] = obj.pop("inner.tol_grad")
+        for name, kept in _REMOVED_FIELDS.items():
+            if name in obj:
+                value = obj.pop(name)
+                if type(value) is not type(kept) or value != kept:
+                    raise ValueError(f"solver field {name} was removed; it may only "
+                                     f"hold {json.dumps(kept)}, got {json.dumps(value)}")
+        return cls(**obj)
 
 
 @dataclass
@@ -170,7 +187,7 @@ def dca_step(problem, x, config=None, guess=None):
     which starts there when the subproblem's value is no higher than at x.
     """
     cfg = config if config is not None else SolverConfig()
-    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner, guess)
+    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, guess)
 
 
 def descent_slope(problem, y, d):
@@ -180,13 +197,13 @@ def descent_slope(problem, y, d):
     return ddot(grad, d)
 
 
-def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
+def backtrack(problem, y, d, lambda_init, config=None, *, phi_y):
     """Halve lambda from lambda_init until the sufficient-decrease test
 
         phi(y + lambda d) <= phi(y) - alpha * lambda * ||d||^2
 
-    holds.  Returns (lambda, halvings); raises LineSearchError when the
-    halving budget runs out.
+    holds, with ``phi_y`` = phi(y).  Returns (lambda, halvings); raises
+    LineSearchError after 60 halvings.
     """
     cfg = config if config is not None else SolverConfig()
     y = np.asarray(y, dtype=float)
@@ -194,13 +211,11 @@ def backtrack(problem, y, d, lambda_init, config=None, phi_y=None):
     lam = float(lambda_init)
     if lam <= 0:
         raise ValueError(f"lambda_init must be positive, got {lambda_init}")
-    if phi_y is None:
-        phi_y = problem.phi_value(y)
     found = sufficient_decrease(problem.phi_value, y, d, phi_y, -ddot(d, d), cfg.alpha,
-                                lam, cfg.beta, cfg.max_backtracks + 1)
+                                lam, cfg.beta, _MAX_BACKTRACKS + 1)
     if found is None:
         raise LineSearchError(
-            f"no acceptable step after {cfg.max_backtracks} halvings from {lambda_init:g}"
+            f"no acceptable step after {_MAX_BACKTRACKS} halvings from {lambda_init:g}"
         )
     return found[:2]
 
@@ -222,8 +237,9 @@ def quad_interp_lambda(phi0, dphi0, phi_at_lambda_bar, lambda_bar):
     return float(-dphi0 * lambda_bar ** 2 / (2.0 * gap))
 
 
-def bdca_qi_select(problem, y, d, config=None, phi_y=None, slope=None):
-    """Initial boost step for the interpolating variant.
+def bdca_qi_select(problem, y, d, config=None, *, phi_y, slope):
+    """Initial boost step for the interpolating variant, given phi(y) and
+    the slope <grad_phi(y), d> (``descent_slope``).
 
     Falls back to lambda_bar when the interpolation is invalid, suggests
     a nonpositive step, or does not actually improve on the lambda_bar
@@ -232,10 +248,6 @@ def bdca_qi_select(problem, y, d, config=None, phi_y=None, slope=None):
     cfg = config if config is not None else SolverConfig()
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
-    if phi_y is None:
-        phi_y = problem.phi_value(y)
-    if slope is None:
-        slope = descent_slope(problem, y, d)
     phi_bar = value_or_inf(problem.phi_value, y + cfg.lambda_bar * d)
     candidate = quad_interp_lambda(phi_y, slope, phi_bar, cfg.lambda_bar)
     if candidate is not None and candidate > 0.0:
@@ -244,27 +256,25 @@ def bdca_qi_select(problem, y, d, config=None, phi_y=None, slope=None):
     return cfg.lambda_bar
 
 
-def fm_step(problem, x, y, config=None, phi_x=None):
+def fm_step(problem, x, y, config=None, *, phi_x):
     """Backward search of the classical baseline.
 
     Finds the smallest l >= 0 with
 
         phi(x + beta^l d) <= phi(x) - alpha * beta^l * ||d||^2,
 
-    d = y - x, and returns (x_next, l).  Raises LineSearchError when l
-    exceeds the backtracking budget.
+    d = y - x and ``phi_x`` = phi(x), and returns (x_next, l).  Raises
+    LineSearchError when l would exceed 60.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = y - x
-    if phi_x is None:
-        phi_x = problem.phi_value(x)
     found = sufficient_decrease(problem.phi_value, x, d, phi_x, -ddot(d, d), cfg.alpha,
-                                1.0, cfg.beta, cfg.max_backtracks + 1)
+                                1.0, cfg.beta, _MAX_BACKTRACKS + 1)
     if found is None:
         raise LineSearchError(
-            f"no acceptable backward step after {cfg.max_backtracks} reductions"
+            f"no acceptable backward step after {_MAX_BACKTRACKS} reductions"
         )
     _, level, x_next = found
     return x_next, level
@@ -290,15 +300,15 @@ def solve(problem, x0, config=None):
     """Run the configured variant from x0 and return a SolveResult.
 
     The trace records one row per completed iteration; when the
-    direction norm drops to tol_d a final row with lambda = 0 is written
-    and the current iterate is returned unchanged.  Failures keep the
+    direction norm drops to the tolerance a final row with lambda = 0 is
+    written and the current iterate is returned unchanged.  Failures keep the
     partial trace and report the reason in ``message``.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.size != problem.m:
         raise ValueError(f"x0 has size {x.size}, problem expects {problem.m}")
-    tol_d, tol_x = cfg.resolved_tols(problem.m)
+    tol = cfg.resolved_tol(problem.m)
     problem.subproblem_modulus()  # warns once when subproblems are not strongly convex
 
     boosted = cfg.variant in (Variant.BDCA_B, Variant.BDCA_QI, Variant.FM)
@@ -340,7 +350,7 @@ def solve(problem, x0, config=None):
                     raise NumericalError("objective is not finite at the subproblem solution")
                 slope = descent_slope(problem, y, d)
 
-                if norm_d <= tol_d:
+                if norm_d <= tol:
                     trace.append(TraceRecord(
                         k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=0.0,
                         backtracks=0, inner_iters=inner_iters,
@@ -392,7 +402,7 @@ def solve(problem, x0, config=None):
             x = np.asarray(x_next, dtype=float)
             phi_x = phi_next
             iterations += 1
-            if step_norm <= tol_x:
+            if step_norm <= tol:
                 status = Status.STATIONARY_POINT
                 break
 

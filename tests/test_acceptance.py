@@ -165,7 +165,7 @@ def test_c5_asymptotic_rates():
     errors = [abs(x[0] - 1.0)]
     for _ in range(80):
         y, _ = dca_step(problem, x, config)
-        if np.linalg.norm(y - x) <= config.resolved_tols(1)[0]:
+        if np.linalg.norm(y - x) <= config.resolved_tol(1):
             break
         x = y
         errors.append(abs(x[0] - 1.0))
@@ -185,7 +185,8 @@ def test_c5_asymptotic_rates():
         if np.linalg.norm(d) < 1e-15:
             break
         if descent_slope(problem, y, d) < 0:
-            lam, _ = backtrack(problem, y, d, config.lambda_bar, config)
+            lam, _ = backtrack(problem, y, d, config.lambda_bar, config,
+                               phi_y=problem.phi_value(y))
             x = y + lam * d
         else:
             x = y

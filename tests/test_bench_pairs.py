@@ -207,20 +207,72 @@ def test_newton_step_drift_sums_each_label_over_the_reference_lines(pairs):
     ]
 
 
-def test_differing_lines_print_the_step_drift_and_fail(pairs, tmp_path, monkeypatch, capsys):
+def main_on_canned_runs(pairs, tmp_path, monkeypatch, parent_output, change_output):
+    """Run main on seeds 1-2 with each side printing the given output."""
     spec = {"end_to_end": [{"name": "step_ms_p50", "unit": "ms", "better": "lower",
                             "bound": 0.12}]}
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(pairs, "run", lambda checkout, workload, seed:
+                        parent_output if checkout.name == "parent" else change_output)
+    return pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--workload", "matched_m20", "--seeds", "1-2"])
+
+
+def with_last_line(output, **fields):
+    head, last = output.rsplit("\n", 1)
+    return head + "\n" + json.dumps({**json.loads(last), **fields})
+
+
+def test_differing_lines_print_the_step_drift_and_fail(pairs, tmp_path, monkeypatch, capsys):
     moved = (RUN_OUTPUT.replace("phi 15.0162", "phi 15.0161")
              .replace("reference trial 0: match",
                       "reference trial 0: drift: dca newton_steps 2471 -> 1920 (-551)"))
-    monkeypatch.setattr(pairs, "run", lambda checkout, workload, seed:
-                        RUN_OUTPUT if checkout.name == "parent" else moved)
-    status = pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                         "--workload", "matched_m20", "--seeds", "1-2"])
+    status = main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, moved)
     out = capsys.readouterr().out
     assert status == 1
     assert out.count("  dca newton_steps vs reference: parent +0, change -551\n") == 2
     assert "trial lines differ on seeds [1, 2]" in out
+
+
+def test_identical_runs_pass(pairs, tmp_path, monkeypatch, capsys):
+    status = main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, RUN_OUTPUT)
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "trial lines agree on all 2 seeds" in out and "correct\": false" not in out
+
+
+def test_a_run_that_is_not_correct_fails(pairs, tmp_path, monkeypatch, capsys):
+    wrong = with_last_line(RUN_OUTPUT, correct=False)
+    status = main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, wrong)
+    out = capsys.readouterr().out
+    assert status == 1
+    assert 'change seed 1 printed "correct": false\n' in out
+    assert 'change seed 2 printed "correct": false\n' in out
+    assert "parent seed" not in out and "more than the parent's" not in out
+    assert "trial lines agree on all 2 seeds" in out
+
+
+def test_a_larger_failed_share_fails(pairs, tmp_path, monkeypatch, capsys):
+    failing = with_last_line(RUN_OUTPUT, failed=1)
+    status = main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, failing)
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "change failed 2/4 trials, more than the parent's 0/4\n" in out
+    assert "printed \"correct\": false" not in out
+
+
+def test_fault_lines_compare_shares_not_counts(pairs):
+    def runs(parent, change):
+        return {side: [(seed, {"correct": True, "failed": failed, "attempted": tried})
+                       for seed, (failed, tried) in enumerate(counts, start=1)]
+                for side, counts in (("parent", parent), ("change", change))}
+
+    # 2 of 8 is no larger a share than 1 of 4, nor is anything of nothing
+    assert pairs.fault_lines(runs([(1, 4)], [(1, 4), (1, 4)])) == []
+    assert pairs.fault_lines(runs([(0, 0)], [(0, 0)])) == []
+    assert pairs.fault_lines(runs([(1, 4)], [(1, 3)])) == [
+        "change failed 1/3 trials, more than the parent's 1/4"]
+    # fewer failures on the change's side are not a fault
+    assert pairs.fault_lines(runs([(2, 4)], [(0, 4)])) == []

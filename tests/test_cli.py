@@ -2,12 +2,14 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from dcboost import ExperimentSpec, ProblemSource, SolverConfig
 from dcboost.analysis import AUDIT_TOL_BASE
 from dcboost.cli import main
+from dcboost.solver import read_trace_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
 
@@ -59,6 +61,17 @@ class TestSolve:
         assert main(["solve", "--builtin", "quartic", "--beta", "1.5"]) == 2
         assert main(["solve", "--builtin", "quartic", "--tol", "-1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--alpha", "alpha"), ("--lambda-bar", "lambda_bar"), ("--lambda-max", "lambda_max"),
+        ("--tol", "tol"), ("--inner-tol", "inner_tol"), ("--rho", "rho"),
+    ])
+    def test_nan_setting_exit_2(self, capsys, flag, field):
+        # a NaN passes no comparison, so each check must fail on it
+        assert main(["solve", "--builtin", "quartic", "--x0", "0.5", flag, "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert field in captured.err and "must" in captured.err
 
     def test_negative_rho_exit_2(self, capsys):
         assert main(["solve", "--builtin", "quartic", "--rho", "-1",
@@ -259,8 +272,6 @@ class TestCompare:
         ({"bdca_iters": 2.5}, {}, "bdca_iters"),
         ({"dca_cap": 2.5}, {}, "dca_cap"),
         ({}, {"max_outer_iters": 3.5}, "max_outer_iters"),
-        ({}, {"max_backtracks": 2.5}, "max_backtracks"),
-        ({}, {"inner": {"max_iters": 2.5}}, "max_iters"),
     ])
     def test_non_integer_count_exit_2(self, capsys, tmp_path, top, solver_extra, named):
         # unchecked, each would reach range() or the start generator's seeding
@@ -286,6 +297,55 @@ class TestCompare:
         assert main(["compare", "--spec-file", str(spec_path)]) == 0
         config, _ = first_line_json(capsys)
         assert "proximal_c" not in config["solver"]
+
+    # a compare echo as printed before the stop tolerances merged and the
+    # budgets and the damping floor became constants
+    OLD_ECHO = (
+        '{"problems": [{"builtin": "quartic"}], "trials": 1, "seed": 0, "x0_low": -2.0, '
+        '"x0_high": 2.0, "bdca_iters": 20, "dca_cap": 2000, "rho": 100.0, "solver": '
+        '{"variant": "bdca-b", "alpha": 0.4, "beta": 0.5, "lambda_bar": 2.0, '
+        '"lambda_max": 8.0, "max_outer_iters": 1000, "max_backtracks": 60, '
+        '"tol_d": null, "tol_x": null, "inner": {"tol_grad": 1e-08, "max_iters": 200, '
+        '"damping_floor": 1e-10}, "target_phi": null}}')
+
+    def test_old_echo_loads_and_runs_as_the_defaults_do(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(self.OLD_ECHO)
+        assert main(["compare", "--spec-file", str(spec_path), "--out",
+                     str(tmp_path / "old")]) == 0
+        config, _ = first_line_json(capsys)
+        assert config["solver"] == SolverConfig(variant="bdca-b", lambda_bar=2.0,
+                                                lambda_max=8.0).to_json()
+        assert main(["compare", "--builtin", "quartic", "--trials", "1",
+                     "--bdca-iters", "20", "--variant", "bdca-b", "--lambda-bar", "2",
+                     "--lambda-max", "8", "--out", str(tmp_path / "new")]) == 0
+        assert first_line_json(capsys)[0] == config
+        for name in ("quartic_0_bdca-b.csv", "quartic_0_dca.csv"):
+            old, new = (read_trace_csv(tmp_path / side / "traces" / name)
+                        for side in ("old", "new"))
+            assert [replace(r, elapsed_ms=0.0) for r in old] == \
+                [replace(r, elapsed_ms=0.0) for r in new]
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_backtracks", 2.5), ("max_backtracks", 61), ("tol_d", 1e-6), ("tol_x", 0.0),
+        ("inner.max_iters", 2.5), ("inner.max_iters", 2000), ("inner.damping_floor", 1e-8),
+    ])
+    def test_removed_field_at_another_value_exit_2(self, capsys, tmp_path, field, value):
+        spec = json.loads(self.OLD_ECHO)
+        outer, _, name = field.rpartition(".")
+        (spec["solver"][outer] if outer else spec["solver"])[name] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["compare", "--spec-file", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: solver field {field} was removed")
+        assert "Traceback" not in err
+
+    def test_nan_rho_exit_2(self, capsys):
+        assert main(["compare", "--generate", "4:6:1", "--trials", "1",
+                     "--bdca-iters", "5", "--rho", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rho must be nonnegative" in captured.err
 
     def test_no_problems_exit_2(self, capsys):
         assert main(["compare"]) == 2

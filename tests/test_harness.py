@@ -145,6 +145,10 @@ class TestExperimentSpec:
                 trials=0,
             )
 
+    def test_nan_rho_raises(self):
+        source = ProblemSource(kind="builtin", name="quartic")
+        with pytest.raises(ValueError, match="rho must be nonnegative, got nan"):
+            ExperimentSpec(problems=[source], rho=float("nan"))
 
     @pytest.mark.parametrize("field", ["trials", "seed", "bdca_iters", "dca_cap"])
     @pytest.mark.parametrize("value", [2.5, True, "3"])

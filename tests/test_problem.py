@@ -18,7 +18,6 @@ from dcboost import (
     TheoryWarning,
     builtin_problem,
     derivative_report,
-    finite_difference_gradient,
     finite_difference_jacobian,
     make_expsys_problem,
     make_quartic_problem,
@@ -145,7 +144,7 @@ class TestExpsys:
 
     def test_gradient_against_fd(self):
         x = np.array([0.7])
-        fd = finite_difference_gradient(self.prob.phi_value, x)
+        fd = finite_difference_jacobian(self.prob.phi_value, x)
         assert self.prob.phi_value_grad(x)[1][0] == pytest.approx(fd[0], rel=1e-6)
 
     def test_default_rho(self):
@@ -439,6 +438,12 @@ class TestValidation:
             DcProblem(m=1, eval_f1=ev, eval_f2=ev, rho=-1.0)
         with pytest.raises(ValueError):
             DcProblem(m=1, eval_f1=ev, eval_f2=ev, sigma_h=-0.5)
+
+    @pytest.mark.parametrize("field", ["rho", "sigma_g", "sigma_h"])
+    def test_nan_parameters_raise(self, field):
+        ev = lambda x: (0.0, np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            DcProblem(m=1, eval_f1=ev, eval_f2=ev, **{field: float("nan")})
 
     def test_fd_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])])

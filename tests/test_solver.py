@@ -9,6 +9,7 @@ With alpha = 0.4, lambda_bar = 2 the first trial is rejected
 lambda = 1 accepted (phi(123/125) = -0.24974807961601536...).
 """
 
+import json
 import warnings
 from fractions import Fraction
 
@@ -72,6 +73,8 @@ def quadratic_problem(center):
 class TestSteps:
     def setup_method(self):
         self.prob = make_quartic_problem()
+        self.phi_x0 = self.prob.phi_value(np.array([X0]))
+        self.phi_y0 = self.prob.phi_value(np.array([Y0]))
 
     def test_dca_step_cube_root(self):
         y, inner_iters = dca_step(self.prob, np.array([X0]))
@@ -96,13 +99,14 @@ class TestSteps:
         # lambda = 25/24 puts the trial exactly on the minimizer x = 1
         cfg = SolverConfig(variant="bdca-b", lambda_bar=2.0, lambda_max=8.0)
         lam, halvings = backtrack(self.prob, np.array([Y0]), np.array([D0]),
-                                  25.0 / 24.0, cfg)
+                                  25.0 / 24.0, cfg, phi_y=self.phi_y0)
         assert lam == pytest.approx(25.0 / 24.0, abs=1e-15)
         assert halvings == 0
 
     def test_backtrack_one_halving(self):
         cfg = SolverConfig(variant="bdca-b", lambda_bar=2.0, lambda_max=8.0)
-        lam, halvings = backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg)
+        lam, halvings = backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg,
+                                  phi_y=self.phi_y0)
         assert lam == pytest.approx(1.0, abs=1e-15)
         assert halvings == 1
         # frozen rejection data: the lambda=2 trial value and its threshold
@@ -110,15 +114,17 @@ class TestSteps:
         threshold = float(quartic_phi_exact(Fraction(3, 5))) - 0.4 * 2.0 * D0 ** 2
         assert phi_trial > threshold
 
-    def test_backtrack_exhausts(self):
-        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0,
-                           lambda_max=8.0, max_backtracks=10)
-        with pytest.raises(LineSearchError):
-            backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg)
+    def test_backtrack_exhausts(self, monkeypatch):
+        # at 60 halvings the step is so short that phi's rounding accepts it
+        monkeypatch.setattr(dcboost.solver, "_MAX_BACKTRACKS", 10)
+        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
+        with pytest.raises(LineSearchError, match="after 10 halvings"):
+            backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg,
+                      phi_y=self.phi_y0)
 
     def test_backtrack_rejects_bad_init(self):
         with pytest.raises(ValueError):
-            backtrack(self.prob, np.array([Y0]), np.array([D0]), 0.0)
+            backtrack(self.prob, np.array([Y0]), np.array([D0]), 0.0, phi_y=self.phi_y0)
 
     def test_quad_interp_known_values(self):
         # quadratic through (0, 2) with slope -1 and (1, 2) has its
@@ -140,7 +146,8 @@ class TestSteps:
         assert gap > 0
 
         cfg = SolverConfig(variant="bdca-qi", lambda_bar=2.0, lambda_max=8.0)
-        lam = bdca_qi_select(self.prob, np.array([Y0]), np.array([D0]), cfg)
+        lam = bdca_qi_select(self.prob, np.array([Y0]), np.array([D0]), cfg,
+                             phi_y=self.phi_y0, slope=SLOPE0)
         assert lam == pytest.approx(float(lam_hat), abs=1e-10)
         # the interpolated point must actually beat the lambda_bar trial
         phi_at = self.prob.phi_value(np.array([Y0 + lam * D0]))
@@ -151,19 +158,24 @@ class TestSteps:
         # from y = 0, d = 1 suggests lambda = 10, capped by lambda_max = 5
         prob = quadratic_problem(10.0)
         cfg = SolverConfig(variant="bdca-qi", lambda_bar=2.0, lambda_max=5.0)
-        lam = bdca_qi_select(prob, np.array([0.0]), np.array([1.0]), cfg)
+        lam = bdca_qi_select(prob, np.array([0.0]), np.array([1.0]), cfg,
+                             phi_y=prob.phi_value(np.array([0.0])),
+                             slope=descent_slope(prob, np.array([0.0]), np.array([1.0])))
         assert lam == pytest.approx(5.0, abs=1e-12)
 
     def test_qi_select_falls_back_when_worse(self):
         # with the interpolated point past the valley and above the
         # lambda_bar trial, the initial step stays at lambda_bar
         cfg = SolverConfig(variant="bdca-qi", lambda_bar=2.0, lambda_max=300.0)
-        lam = bdca_qi_select(self.prob, np.array([Y0]), np.array([0.01]), cfg)
+        lam = bdca_qi_select(self.prob, np.array([Y0]), np.array([0.01]), cfg,
+                             phi_y=self.phi_y0,
+                             slope=descent_slope(self.prob, np.array([Y0]), np.array([0.01])))
         assert lam == 2.0
 
     def test_fm_step_full_step(self):
         cfg = SolverConfig(variant="fm", lambda_bar=2.0)
-        x_next, level = fm_step(self.prob, np.array([X0]), np.array([Y0]), cfg)
+        x_next, level = fm_step(self.prob, np.array([X0]), np.array([Y0]), cfg,
+                                phi_x=self.phi_x0)
         assert level == 0
         assert abs(x_next[0] - Y0) <= 1e-15
 
@@ -171,17 +183,18 @@ class TestSteps:
         cfg = SolverConfig(variant="fm", alpha=0.5, beta=0.5, lambda_bar=2.0)
         x = np.array([1.8])
         y, _ = dca_step(self.prob, x)
-        x_next, level = fm_step(self.prob, x, y, cfg)
+        x_next, level = fm_step(self.prob, x, y, cfg, phi_x=self.prob.phi_value(x))
         lo, hi = sorted((x[0], y[0]))
         assert lo - 1e-12 <= x_next[0] <= hi + 1e-12
 
-    def test_fm_exhausts_when_alpha_too_steep(self):
+    def test_fm_exhausts_when_alpha_too_steep(self, monkeypatch):
         # acceptance needs alpha below |phi'(x) d| / ||d||^2 in the
-        # small-step limit; alpha = 10 exceeds it everywhere here
-        cfg = SolverConfig(variant="fm", alpha=10.0, lambda_bar=2.0,
-                           max_backtracks=15)
-        with pytest.raises(LineSearchError):
-            fm_step(self.prob, np.array([X0]), np.array([Y0]), cfg)
+        # small-step limit; alpha = 10 exceeds it everywhere here, until
+        # the step is so short that phi's rounding accepts it
+        monkeypatch.setattr(dcboost.solver, "_MAX_BACKTRACKS", 15)
+        cfg = SolverConfig(variant="fm", alpha=10.0, lambda_bar=2.0)
+        with pytest.raises(LineSearchError, match="after 15 reductions"):
+            fm_step(self.prob, np.array([X0]), np.array([Y0]), cfg, phi_x=self.phi_x0)
 
 
 @pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
@@ -245,9 +258,9 @@ class TestSolve:
         assert result.phi_final <= -0.2
         assert result.iterations < 100
 
-    def test_line_search_failure_surfaces(self):
-        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0,
-                           lambda_max=8.0, max_backtracks=8)
+    def test_line_search_failure_surfaces(self, monkeypatch):
+        monkeypatch.setattr(dcboost.solver, "_MAX_BACKTRACKS", 8)
+        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
         result = solve(self.prob, np.array([X0]), cfg)
         assert result.status is Status.LINE_SEARCH_FAILURE
         assert result.status.is_failure
@@ -286,14 +299,48 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
         with pytest.raises(ValueError):
-            SolverConfig(tol_d=-1.0)
+            SolverConfig(tol=-1.0)
+        with pytest.raises(ValueError):
+            SolverConfig(inner_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["max_outer_iters", "max_backtracks"])
+    @pytest.mark.parametrize("field", ["max_outer_iters"])
     @pytest.mark.parametrize("value", [3.5, 3.0, True])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverConfig(**{field: value})
         assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("field", ["alpha", "lambda_bar", "lambda_max", "tol",
+                                       "inner_tol"])
+    def test_nan_settings_raise(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_backtracks", 3.5), ("max_backtracks", 3.0), ("max_backtracks", True),
+        ("max_backtracks", 61), ("tol_d", 1e-6), ("tol_x", 0.0),
+        ("inner.max_iters", 2.5), ("inner.max_iters", 2.0), ("inner.max_iters", "2"),
+        ("inner.max_iters", False), ("inner.max_iters", 2000),
+        ("inner.damping_floor", 0.0), ("inner.damping_floor", 1e-8),
+        ("proximal_c", 1.0),
+    ])
+    def test_removed_field_at_another_value_raises(self, field, value):
+        # a removed field loads only at the value the solver now fixes
+        outer, _, inner = field.rpartition(".")
+        obj = {"inner": {inner: value}} if outer else {field: value}
+        with pytest.raises(ValueError, match=f"solver field {field} was removed"):
+            SolverConfig.from_json(obj)
+
+    def test_removed_fields_at_their_fixed_values_load(self):
+        old = {"variant": "fm", "max_backtracks": 60, "tol_d": None, "tol_x": None,
+               "proximal_c": None,
+               "inner": {"tol_grad": 1e-6, "max_iters": 200, "damping_floor": 1e-10}}
+        assert SolverConfig.from_json(old) == SolverConfig(variant="fm", inner_tol=1e-6)
+
+    def test_json_round_trip(self):
+        cfg = SolverConfig(variant="bdca-b", tol=1e-7, inner_tol=1e-9, target_phi=2.0)
+        assert SolverConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        assert len(cfg.to_json()) == 9
 
     def test_variant_coercion(self):
         assert SolverConfig(variant="fm").variant is Variant.FM
@@ -302,11 +349,8 @@ class TestConfig:
 
     def test_default_tolerances_scale(self):
         cfg = SolverConfig()
-        tol_d, tol_x = cfg.resolved_tols(4)
-        assert tol_d == pytest.approx(2e-8, rel=1e-12)
-        assert tol_x == pytest.approx(2e-8, rel=1e-12)
-        cfg = SolverConfig(tol_d=1e-6, tol_x=1e-5)
-        assert cfg.resolved_tols(4) == (1e-6, 1e-5)
+        assert cfg.resolved_tol(4) == pytest.approx(2e-8, rel=1e-12)
+        assert SolverConfig(tol=1e-6).resolved_tol(4) == 1e-6
 
 
 class TestTraceCsv:
@@ -404,9 +448,9 @@ def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
     # keep their iterates
     calls = []
 
-    def recording(problem, linear_term, x_init, config=None, guess=None):
+    def recording(problem, linear_term, x_init, tol_grad=1e-8, guess=None):
         calls.append((x_init, guess))
-        return minimize_subproblem(problem, linear_term, x_init, config, guess)
+        return minimize_subproblem(problem, linear_term, x_init, tol_grad, guess)
 
     monkeypatch.setattr(dcboost.solver, "minimize_subproblem", recording)
     problem, x0 = pinned_problem("network")
@@ -437,7 +481,7 @@ def test_predicted_subproblem_solution_is_exact_on_a_cubic_path(monkeypatch):
 
     guesses = []
 
-    def cubic_subproblem(problem, linear_term, x_init, config=None, guess=None):
+    def cubic_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None):
         guesses.append(guess)
         return path(len(guesses)), 1
 

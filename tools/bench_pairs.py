@@ -29,6 +29,11 @@ unless every change run beat every parent run; otherwise "not worse".
 Which direction is better, and each bound, come from the parent's
 ``BENCHMARK.json``.  A metric that reads "worse" also makes the exit
 status 1.
+
+Two faults make the exit status 1 whatever the timings say, and each is
+printed when it fires: a run whose last line has ``"correct": false``,
+and a change whose failed trials, summed over the seeds, are a larger
+share of its attempted trials than the parent's.
 """
 
 import argparse
@@ -128,6 +133,25 @@ def last_json(output):
     return json.loads(output.strip().splitlines()[-1])
 
 
+def fault_lines(runs):
+    """One line per fault that refuses a change whatever its timings:
+    each run that printed "correct": false, and a change whose summed
+    failed/attempted exceeds the parent's.  ``runs`` maps "parent" and
+    "change" to their (seed, last JSON line) pairs."""
+    lines = [f'{side} seed {seed} printed "correct": false'
+             for side, pairs in runs.items() for seed, parsed in pairs
+             if not parsed["correct"]]
+    failed = {side: sum(parsed["failed"] for _, parsed in pairs) for side, pairs in runs.items()}
+    tried = {side: sum(parsed["attempted"] for _, parsed in pairs)
+             for side, pairs in runs.items()}
+    # the two shares compared without a division, which a side with no
+    # attempted trial would make undefined
+    if failed["change"] * tried["parent"] > failed["parent"] * tried["change"]:
+        lines.append(f"change failed {failed['change']}/{tried['change']} trials, "
+                     f"more than the parent's {failed['parent']}/{tried['parent']}")
+    return lines
+
+
 def quartiles(values):
     """(lower quartile, median, upper quartile), interpolated linearly."""
     if len(values) == 1:
@@ -206,12 +230,14 @@ def main(argv=None):
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
+    runs = {side: [] for side in ("parent", "change")}
     mismatched = []
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         outputs = {side: run(getattr(args, side), args.workload, seed) for side in order}
         parsed = {side: last_json(out) for side, out in outputs.items()}
         for side in order:
+            runs[side].append((seed, parsed[side]))
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
         lines = {side: outcome_lines(out) for side, out in outputs.items()}
@@ -241,11 +267,14 @@ def main(argv=None):
             worse.append(name)
     if worse:
         print(f"worse: {', '.join(worse)}")
+    faults = fault_lines(runs)
+    for line in faults:
+        print(line)
     if mismatched:
         print(f"trial lines differ on seeds {mismatched}")
-        return 1
-    print(f"trial lines agree on all {len(args.seeds)} seeds")
-    return 1 if worse else 0
+    else:
+        print(f"trial lines agree on all {len(args.seeds)} seeds")
+    return 1 if worse or faults or mismatched else 0
 
 
 if __name__ == "__main__":
