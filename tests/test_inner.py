@@ -402,3 +402,15 @@ class TestLazyHessian:
             with pytest.raises(NumericalError, match=message):
                 minimize_subproblem(prob, np.zeros(1), np.zeros(1))
 
+
+class TestSpecValidation:
+    def test_config_validation(self):
+        # the subproblem's gradient tolerance is still a setting; its Newton
+        # budget and damping floor are fixed, and a spec file asking for
+        # another value of either is refused
+        for tol in (0.0, -1e-8, float("nan")):
+            with pytest.raises(ValueError, match="inner_tol"):
+                SolverConfig(inner_tol=tol)
+        for field, value in (("max_iters", 0), ("damping_floor", 0.0)):
+            with pytest.raises(ValueError, match=f"solver field inner.{field} was removed"):
+                SolverConfig.from_json({"inner": {field: value}})
