@@ -23,6 +23,8 @@ _MAX_NEWTON_STEPS = 200
 _DAMPING_FLOOR = 1e-10
 _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
+# an accepted chord step keeps its factor only if ||grad F|| fell this much
+_CHORD_CONTRACTION = 0.1
 # a value's rounding floor, relative to 1 + |value|
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -36,13 +38,20 @@ def check_count(name, value, low=1):
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-def spd_solve(hess, rhs):
+class ChordState:
+    """Plain DCA's per-solve state: the undamped factor its chord steps reuse, or None."""
+
+    factor = None
+
+
+def spd_solve(hess, rhs, chord=None):
     """Solve (hess + mu*I) d = rhs with the smallest workable damping mu.
 
     Tries mu = 0 first, then 1e-10 * 4^j.  A solve is accepted once
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
-    Returns ``(d, mu)``.
+    Returns ``(d, mu)``; with mu = 0 the Cholesky factor of hess is also
+    kept as ``chord.factor`` when a ChordState ``chord`` is given.
 
     When the Hessian's infinity norm overflows although its entries are
     finite, the system is solved with hess and rhs each divided by its
@@ -75,6 +84,8 @@ def spd_solve(hess, rhs):
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
             if accepted and _all_finite(d):
+                if chord is not None and mu == 0.0:
+                    chord.factor = factor
                 return d, mu
         if mu == 0.0:
             # the cap is only needed once damping is
@@ -120,7 +131,8 @@ def _norm(v):
     return math.sqrt(square)
 
 
-def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None):
+def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None,
+                        chord=None):
     """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
 
     F's pieces come from ``problem``'s ``g_value`` (line-search trials),
@@ -140,13 +152,17 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None)
     guess fail, the loop runs again from x_init, and a guess adds no
     failure that the solve without it would not have.
 
+    With a ``chord`` (ChordState) holding a factor, steps reuse it (chord
+    steps, see ``_newton``); should the runs fail, they are repeated
+    without it, so a run that took a chord step adds no failure.
+
     Each accepted point costs one value and gradient; a Hessian is asked
     for only where a Newton direction is computed, and its finiteness is
     checked by ``spd_solve``.
 
-    Returns ``(x, iterations)`` where ``iterations`` counts the Newton
-    steps taken (those of a failed run from the guess too); 0 when the
-    start (x_init or the guess taken) already meets the gradient tolerance.
+    Returns ``(x, iterations)`` where ``iterations`` counts the Newton and
+    chord steps taken (those of failed runs too); 0 when the start
+    (x_init or the guess taken) already meets the gradient tolerance.
 
     Raises NumericalError on a non-finite value or gradient at an accepted
     point, on a non-finite Hessian where a step is needed, on exhausted
@@ -157,13 +173,17 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None)
     x = np.asarray(x_init, dtype=float).copy()
     at_x_init = (x, *_evaluate(problem, b, x))
     tol = tol_grad * max(1.0, at_x_init[3])
+    starts = _starts(problem, b, guess, at_x_init)
     steps = 0
-    for start in _starts(problem, b, guess, at_x_init):
-        x, taken, failure = _newton(problem, b, start, tol)
-        steps += taken
-        if failure is None:
-            return x, steps
-    raise failure
+    for reuse in (chord, None):
+        for start in starts:
+            x, taken, failure = _newton(problem, b, start, tol, reuse)
+            steps += taken
+            if failure is None:
+                return x, steps
+        if reuse is None:
+            raise failure
+        reuse.factor = None
 
 
 def _starts(problem, b, guess, at_x_init):
@@ -180,8 +200,8 @@ def _starts(problem, b, guess, at_x_init):
     return (at_guess, at_x_init) if at_guess[1] <= at_x_init[1] else (at_x_init,)
 
 
-def _newton(problem, b, start, tol):
-    """Damped Newton steps from ``start`` until ||grad F|| <= tol.
+def _newton(problem, b, start, tol, chord=None):
+    """Damped Newton or chord steps from ``start`` until ||grad F|| <= tol.
 
     Returns ``(x, steps, failure)``: failure is None once the tolerance is
     met, else the NumericalError that ended the run at x after ``steps``
@@ -199,33 +219,51 @@ def _newton(problem, b, start, tol):
                 return x, iteration, None
             if iteration == _MAX_NEWTON_STEPS:
                 break
-            hess = _overflow_as_error(problem.g_hessian, x)
-            direction, _ = spd_solve(hess, -grad)
-            slope = ddot(grad, direction)
-            if slope >= 0.0:
-                # descent failed despite damping: direction numerically useless
-                raise NumericalError("Newton direction is not a descent direction")
+            # a chord step solves with an earlier Hessian's cached factor; a
+            # chord direction failing a test gives way, factor and all, to Newton
+            chorded = chord is not None and chord.factor is not None
+            while True:
+                try:
+                    if chorded:
+                        direction = _POTRS(chord.factor, -grad, lower=False)[0]
+                        if not _all_finite(direction):
+                            raise NumericalError("chord direction is not finite")
+                    else:
+                        hess = _overflow_as_error(problem.g_hessian, x)
+                        direction, _ = spd_solve(hess, -grad, chord)
+                    slope = ddot(grad, direction)
+                    if slope >= 0.0:
+                        # descent failed despite damping: direction numerically useless
+                        raise NumericalError("Newton direction is not a descent direction")
 
-            noise = _NOISE_RTOL * (1.0 + abs(value))
-            if -slope <= noise:
-                # Predicted decrease sits below the value's rounding floor, so
-                # the Armijo test cannot discriminate.  Take the full step as
-                # long as the value does not rise beyond that floor; the
-                # gradient keeps contracting through the quadratic phase.
-                x_new = x + direction
-                if value_or_inf(value_f, x_new) > value + noise:
-                    raise NumericalError("inner step stalled at the value resolution floor")
-            else:
-                found = sufficient_decrease(value_f, x, direction, value, slope,
-                                            _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
-                if found is None:
-                    raise NumericalError("inner line search exhausted its halvings")
-                x_new = found[2]
-            moved = x_new - x
-            if not ddot(moved, moved) > 0.0 and (x_new == x).all():
-                raise NumericalError("inner step vanished below machine resolution")
-            x = x_new
+                    noise = _NOISE_RTOL * (1.0 + abs(value))
+                    if -slope <= noise:
+                        # Predicted decrease sits below the value's rounding floor, so
+                        # the Armijo test cannot discriminate.  Take the full step as
+                        # long as the value does not rise beyond that floor; the
+                        # gradient keeps contracting through the quadratic phase.
+                        x_new = x + direction
+                        if value_or_inf(value_f, x_new) > value + noise:
+                            raise NumericalError(
+                                "inner step stalled at the value resolution floor")
+                    else:
+                        found = sufficient_decrease(value_f, x, direction, value, slope,
+                                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+                        if found is None:
+                            raise NumericalError("inner line search exhausted its halvings")
+                        x_new = found[2]
+                    moved = x_new - x
+                    if not ddot(moved, moved) > 0.0 and (x_new == x).all():
+                        raise NumericalError("inner step vanished below machine resolution")
+                    break
+                except NumericalError:
+                    if not chorded:
+                        raise
+                    chorded = chord.factor = None
+            x, last_norm = x_new, grad_norm
             value, grad, grad_norm = _evaluate(problem, b, x)
+            if chorded and not grad_norm <= _CHORD_CONTRACTION * last_norm:
+                chord.factor = None
     except NumericalError as failure:
         return x, iteration, failure
     return x, iteration, NumericalError(

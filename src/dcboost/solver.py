@@ -27,8 +27,8 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
-from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, check_count, minimize_subproblem,
-                    sufficient_decrease, value_or_inf)
+from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, ChordState, check_count,
+                    minimize_subproblem, sufficient_decrease, value_or_inf)
 
 __all__ = (
     "Variant",
@@ -115,6 +115,8 @@ class SolverConfig:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
         if not self.inner_tol > 0:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if self.target_phi is not None and math.isnan(self.target_phi):
+            raise ValueError("target_phi must not be NaN")
 
     def resolved_tol(self, m):
         return float(self.tol if self.tol is not None else 1e-8 * np.sqrt(m))
@@ -180,14 +182,14 @@ class SolveResult:
 # -- individual steps ----------------------------------------------------
 
 
-def dca_step(problem, x, config=None, guess=None):
+def dca_step(problem, x, config=None, guess=None, chord=None):
     """Solve the convex subproblem at x; returns (y, inner_iterations).
 
-    ``guess``, a predicted y, is passed on to ``minimize_subproblem``,
-    which starts there when the subproblem's value is no higher than at x.
+    ``guess``, a predicted y, and ``chord``, plain DCA's ChordState, are
+    passed on to ``minimize_subproblem``.
     """
     cfg = config if config is not None else SolverConfig()
-    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, guess)
+    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, guess, chord)
 
 
 def descent_slope(problem, y, d):
@@ -327,6 +329,8 @@ def solve(problem, x0, config=None):
     # steps predict the next one badly
     guess = None
     steps = []
+    # plain dca's steps are short enough to reuse a Hessian's factor across them
+    chord = ChordState() if cfg.variant is Variant.DCA else None
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
@@ -342,7 +346,7 @@ def solve(problem, x0, config=None):
                 break
             started = time.perf_counter()
             try:
-                y, inner_iters = dca_step(problem, x, cfg, guess)
+                y, inner_iters = dca_step(problem, x, cfg, guess, chord)
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
                 phi_y = value_or_inf(problem.phi_value, y)

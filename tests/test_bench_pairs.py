@@ -276,3 +276,44 @@ def test_fault_lines_compare_shares_not_counts(pairs):
         "change failed 1/3 trials, more than the parent's 1/4"]
     # fewer failures on the change's side are not a fault
     assert pairs.fault_lines(runs([(2, 4)], [(0, 4)])) == []
+
+
+def test_solve_change_tells_counts_from_phi(pairs):
+    solve = "dca 712 it TargetReached phi 15.0162"
+    assert pairs.solve_change([solve], [solve.replace("712", "711")]) == "iterations 712 -> 711"
+    assert pairs.solve_change([solve], [solve.replace("15.0162", "15.0161")]) == "phi only"
+    assert (pairs.solve_change([solve], ["dca 20000 it MaxIters phi 15.1"])
+            == "iterations 712 -> 20000, status TargetReached -> MaxIters")
+    audit = "dca: audit found 1 violations, first x"
+    assert pairs.solve_change([solve], [solve, audit]) == "other"
+    assert pairs.solve_change([solve], []) == "other"
+
+
+def test_solve_changes_cover_trial_lines_only(pairs):
+    lines = pairs.outcome_lines(RUN_OUTPUT)
+    moved = pairs.outcome_lines(
+        RUN_OUTPUT.replace("phi 15.0162", "phi 15.0161")
+        .replace("15 it NumericalFailure", "16 it NumericalFailure")
+        .replace("reference trial 0: match",
+                 "reference trial 0: drift: dca newton_steps 2471 -> 1920 (-551)"))
+    changes = pairs.solve_changes(lines, moved)
+    assert changes == [("dca", "phi only", "trial 0 dca: phi only"),
+                       ("bdca-qi", "iterations or status",
+                        "trial 1 bdca-qi: iterations 15 -> 16")]
+    assert pairs.change_count_lines(changes + changes[:1]) == [
+        "dca: 2 phi only", "bdca-qi: 1 iterations or status"]
+    assert pairs.solve_changes(lines, lines[:-1]) == []
+
+
+def test_differing_lines_say_what_changed_per_solve_and_label(pairs, tmp_path, monkeypatch,
+                                                              capsys):
+    moved = (RUN_OUTPUT.replace("phi 15.0162", "phi 15.0161")
+             .replace("bdca-qi 15 it", "bdca-qi 14 it"))
+    status = main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, moved)
+    out = capsys.readouterr().out
+    assert status == 1
+    assert out.count("  trial 0 dca: phi only\n") == 2
+    assert out.count("  trial 1 bdca-qi: iterations 15 -> 14\n") == 2
+    assert out.endswith("trial lines differ on seeds [1, 2]\n"
+                        "  differing trial solves, dca: 2 phi only\n"
+                        "  differing trial solves, bdca-qi: 2 iterations or status\n")

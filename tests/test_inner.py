@@ -27,7 +27,7 @@ from dcboost import (
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
-from dcboost.inner import _all_finite, _norm
+from dcboost.inner import _POTRF, ChordState, _all_finite, _norm
 
 
 def zero_f2(x):
@@ -254,6 +254,84 @@ class TestMinimize:
         assert np.abs(x).max() <= 1e-10 * 1e145
 
 
+class TestChord:
+    """Steps that reuse a cached Cholesky factor instead of a new Hessian."""
+
+    HESS, LINEAR = np.array([[2.0, 0.3], [0.3, 1.5]]), np.array([1.0, -1.0])
+
+    @staticmethod
+    def cached(matrix):
+        chord = ChordState()
+        chord.factor = _POTRF(np.asarray(matrix, dtype=float), lower=False)[0]
+        return chord
+
+    def test_spd_solve_keeps_only_an_undamped_factor(self):
+        chord = ChordState()
+        spd_solve(4.0 * np.eye(2), np.ones(2), chord)
+        assert np.array_equal(np.triu(chord.factor), 2.0 * np.eye(2))
+        chord = ChordState()
+        _, mu = spd_solve(np.diag([1.0, -1e-3]), np.ones(2), chord)
+        assert mu > 0.0 and chord.factor is None
+
+    def test_wrong_factor_gives_way_to_a_newton_step(self):
+        # the factor of 1e6 I gives a descent direction a millionth of the
+        # Newton step's; the gradient falls far less than tenfold, so the
+        # factor is dropped, one Newton step solves the quadratic, and its
+        # undamped factor is kept
+        problem = quadratic_problem(self.HESS)
+        chord = self.cached(1e6 * np.eye(2))
+        x, steps = minimize_subproblem(problem, self.LINEAR, np.zeros(2), chord=chord)
+        np.testing.assert_allclose(x, np.linalg.solve(self.HESS, self.LINEAR), atol=1e-10)
+        assert steps == 2
+        assert np.allclose(np.triu(chord.factor), np.linalg.cholesky(self.HESS).T)
+
+    def test_failing_chord_direction_is_replaced_from_the_same_point(self):
+        # from (1, 1) the factor of 1e200 I gives a step of about 1e-200,
+        # which vanishes below the resolution of x; the Newton step that
+        # replaces it starts from the same point, so the run is the run
+        # without a factor, one step long
+        problem = quadratic_problem(self.HESS)
+        plain = minimize_subproblem(problem, self.LINEAR, np.ones(2))
+        chord = self.cached(1e200 * np.eye(2))
+        x, steps = minimize_subproblem(problem, self.LINEAR, np.ones(2), chord=chord)
+        assert (x.tolist(), steps) == (plain[0].tolist(), plain[1]) == (plain[0].tolist(), 1)
+        assert np.allclose(np.triu(chord.factor), np.linalg.cholesky(self.HESS).T)
+
+    def test_a_run_failing_after_a_chord_step_is_repeated_without_it(self):
+        # F = x^2 - 2x from 0: the Newton step lands on 1, while the chord
+        # step with the factor of 1.5 is accepted at 4/3, where the gradient
+        # is not finite; the run is repeated without the factor and solves
+        def f1_value_grad(x):
+            grad = np.full(1, np.nan) if 1.3 < x[0] < 1.4 else 2.0 * x
+            return float(x @ x), grad
+
+        problem = DcProblem(m=1, eval_f2=zero_f2, f1_value_grad=f1_value_grad,
+                            eval_f1=lambda x: (float(x @ x), 2.0 * x, 2.0 * np.eye(1)))
+        linear = np.array([2.0])
+        plain = minimize_subproblem(problem, linear, np.zeros(1))
+        chord = self.cached([[1.5]])
+        x, _ = minimize_subproblem(problem, linear, np.zeros(1), chord=chord)
+        assert x.tolist() == plain[0].tolist() and x[0] == pytest.approx(1.0, abs=1e-15)
+        assert chord.factor is None
+
+    def test_a_factor_never_outlives_its_solve(self):
+        # each plain dca solve starts without a factor, so a solve gives the
+        # bits it gives alone whichever solve ran before it
+        problems = [NetworkObjective(generate_network(20, 30, seed)).as_dc_problem(rho=100.0)
+                    for seed in (101, 102)]
+        x0 = np.random.default_rng(25).uniform(-2.0, 2.0, size=20)
+        cfg = SolverConfig(variant="dca", max_outer_iters=60)
+
+        def outcome(problem):
+            result = solve(problem, x0, cfg)
+            return (result.iterations, result.phi_final.hex(), result.x_final.tolist(),
+                    [rec.inner_iters for rec in result.trace])
+
+        first, second = outcome(problems[1]), outcome(problems[0])
+        assert [outcome(problems[0]), outcome(problems[1])] == [second, first]
+        assert outcome(problems[1]) == first
+
+
 class TestGuess:
     """A predicted solution starts the Newton loop only where F is no higher."""
 
@@ -362,20 +440,31 @@ class TestLazyHessian:
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_one_hessian_per_newton_step(self, monkeypatch, variant):
         # no Hessian at a subproblem's final point: each one assembled
-        # serves one spd_solve
-        assembled = []
-        assemble = _HessianOperator.assemble
+        # serves one spd_solve; the boosted variants assemble one per step,
+        # while plain dca's chord steps reuse an earlier Hessian's factor
+        assembled, solved = [], []
+        assemble, spd_solve = _HessianOperator.assemble, dcboost.inner.spd_solve
 
         def counted(self, e, et):
             assembled.append(None)
             return assemble(self, e, et)
 
+        def counted_solve(*args):
+            solved.append(None)
+            return spd_solve(*args)
+
         monkeypatch.setattr(_HessianOperator, "assemble", counted)
+        monkeypatch.setattr(dcboost.inner, "spd_solve", counted_solve)
         problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
         x0 = np.random.default_rng(24).uniform(-2.0, 2.0, size=problem.m)
         result = solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=40))
+        steps = sum(rec.inner_iters for rec in result.trace)
         assert not result.status.is_failure
-        assert len(assembled) == sum(rec.inner_iters for rec in result.trace) > 0
+        assert len(assembled) == len(solved) > 0
+        if variant == "dca":
+            assert len(assembled) < steps
+        else:
+            assert len(assembled) == steps
 
     def test_converged_start_asks_for_no_hessian(self):
         def no_hessian(x):

@@ -13,9 +13,13 @@ come from the JSON object on the last line of its output.
 The two sides must solve the same problems the same way: their ``trial``
 and ``reference trial`` lines must agree once the wall times in
 parentheses are stripped.  If they do not, the script names, per seed,
-the solves that differ (trial and label, such as ``trial 0 dca``),
-prints per label each side's Newton-step drift against ``reference.json``
-summed over the seed's ``reference trial`` lines, and exits with status 1.
+the solves that differ (trial and label, such as ``trial 0 dca``), says
+of each differing solve of a trial line whether its iteration count or
+status changed or only its printed phi (``trial 0 dca: iterations 712 ->
+711``, ``trial 1 dca: phi only``), prints per label each side's
+Newton-step drift against ``reference.json`` summed over the seed's
+``reference trial`` lines, counts the differing trial-line solves per
+label over all seeds, and exits with status 1.
 
 Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
@@ -42,6 +46,7 @@ import re
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SECONDS = 20
@@ -50,6 +55,11 @@ WIN_SHARE = 0.9
 _WALL_TIMES = re.compile(r" \([0-9.]+ s wall, [0-9.]+ s in kernel calls\)")
 # "dca newton_steps 2471 -> 1920 (-551)", a drift item of a reference line
 _STEP_DRIFT = re.compile(r"\S+ newton_steps \d+ -> \d+ \(([+-]\d+)\)")
+# "dca 1210 it TargetReached phi 15.0162", a solve of a trial line
+_SOLVE = re.compile(r"\S+ (\d+) it (\S+) phi \S+")
+# what a differing trial-line solve changed; "other" is a part that is no
+# solve on one side (an audit problem, a chase's cap)
+PHI_ONLY, ITERATIONS_OR_STATUS, OTHER = "phi only", "iterations or status", "other"
 
 
 def parse_seeds(text):
@@ -87,6 +97,16 @@ def solve_parts(line):
     return trial, parts
 
 
+def differing_parts(parent_line, change_line):
+    """(trial, [(label, parent parts, change parts)]) for the labels whose
+    parts differ between two outcome lines of the same trial."""
+    trial, parent = solve_parts(parent_line)
+    change = solve_parts(change_line)[1]
+    labels = list(parent) + [label for label in change if label not in parent]
+    return trial, [(label, parent.get(label, []), change.get(label, []))
+                   for label in labels if parent.get(label) != change.get(label)]
+
+
 def differing_solves(parent_lines, change_lines):
     """Names ("trial 0 dca", "reference trial 0 dca") of the solves whose
     outcome lines differ between the two sides, in line order."""
@@ -96,14 +116,61 @@ def differing_solves(parent_lines, change_lines):
     for parent_line, change_line in zip(parent_lines, change_lines):
         if parent_line == change_line:
             continue
-        trial, parent = solve_parts(parent_line)
-        change = solve_parts(change_line)[1]
-        labels = list(parent) + [label for label in change if label not in parent]
-        differing = [f"{trial} {label}" for label in labels
-                     if parent.get(label) != change.get(label)]
+        trial, differing = differing_parts(parent_line, change_line)
         # lines that differ where no part does still count as different
-        names += differing or [trial]
+        names += [f"{trial} {label}" for label, _, _ in differing] or [trial]
     return names
+
+
+def solve_change(parent_parts, change_parts):
+    """What one differing solve of a trial line changed: its iteration
+    count and status changes ("iterations 712 -> 711", "status MaxIters
+    -> TargetReached", comma-joined when both moved), PHI_ONLY when only
+    its printed phi moved, or OTHER when a side has no single solve part
+    or another part differs."""
+    solves = [[m.groups() for m in map(_SOLVE.fullmatch, parts) if m]
+              for parts in (parent_parts, change_parts)]
+    if not all(len(found) == 1 for found in solves):
+        return OTHER
+    (old_its, old_status), (new_its, new_status) = solves[0][0], solves[1][0]
+    moved = [f"{name} {old} -> {new}" for name, old, new in
+             (("iterations", old_its, new_its), ("status", old_status, new_status))
+             if old != new]
+    if moved:
+        return ", ".join(moved)
+    rest = [[part for part in parts if not _SOLVE.fullmatch(part)]
+            for parts in (parent_parts, change_parts)]
+    return PHI_ONLY if rest[0] == rest[1] else OTHER
+
+
+def solve_changes(parent_lines, change_lines):
+    """(label, kind, "trial 0 dca: phi only") per differing solve of the
+    trial lines (reference lines excluded), in line order; none when the
+    two sides printed different numbers of lines."""
+    if len(parent_lines) != len(change_lines):
+        return []
+    changes = []
+    for parent_line, change_line in zip(parent_lines, change_lines):
+        if parent_line == change_line or not parent_line.startswith("trial "):
+            continue
+        trial, differing = differing_parts(parent_line, change_line)
+        for label, parent, change in differing:
+            text = solve_change(parent, change)
+            kind = text if text in (PHI_ONLY, OTHER) else ITERATIONS_OR_STATUS
+            changes.append((label, kind, f"{trial} {label}: {text}"))
+    return changes
+
+
+def change_count_lines(changes):
+    """"dca: 1 iterations or status, 7 phi only", one line per label, from
+    solve_changes' tuples gathered over the seeds."""
+    counts = {}
+    for label, kind, _ in changes:
+        counts.setdefault(label, Counter())[kind] += 1
+    return [f"{label}: " + ", ".join(f"{per_label[kind]} {kind}" for kind in
+                                     (ITERATIONS_OR_STATUS, PHI_ONLY, OTHER)
+                                     if per_label[kind])
+            for label, per_label in counts.items()]
 
 
 def newton_step_drift(lines):
@@ -231,7 +298,7 @@ def main(argv=None):
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     runs = {side: [] for side in ("parent", "change")}
-    mismatched = []
+    mismatched, changes = [], []
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         outputs = {side: run(getattr(args, side), args.workload, seed) for side in order}
@@ -251,7 +318,10 @@ def main(argv=None):
               + ("; TRIAL LINES DIFFER in " + ", ".join(differing) if differing else ""),
               flush=True)
         if differing:
-            for line in step_drift_lines(lines["parent"], lines["change"]):
+            seed_changes = solve_changes(lines["parent"], lines["change"])
+            changes += seed_changes
+            for line in ([text for _, _, text in seed_changes]
+                         + step_drift_lines(lines["parent"], lines["change"])):
                 print("  " + line, flush=True)
         print("  " + "; ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
                                f"{samples['change'][name][-1]:.4g}" for name in metrics),
@@ -272,6 +342,8 @@ def main(argv=None):
         print(line)
     if mismatched:
         print(f"trial lines differ on seeds {mismatched}")
+        for line in change_count_lines(changes):
+            print("  differing trial solves, " + line)
     else:
         print(f"trial lines agree on all {len(args.seeds)} seeds")
     return 1 if worse or faults or mismatched else 0
