@@ -96,20 +96,22 @@ def verify_rate_inequality(s, alpha, beta, from_index=0):
     there, which is the alpha = 0 regime's conclusion).  Comparisons
     carry a 1e-12 relative slack so exact-equality constructions pass.
 
-    Raises ValueError for negative data, alpha < 0, beta <= 0, or a
-    tail (from ``from_index`` on) that is not nonincreasing.
+    Raises ValueError for negative or NaN data, an alpha that is not
+    nonnegative, a beta that is not positive, or a tail (from
+    ``from_index`` on) that is not nonincreasing.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    if alpha < 0:
+    # each test is written so that a NaN fails it
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not 0 <= from_index <= s.size - 2:
         raise ValueError(
             f"from_index {from_index} leaves no pairs in a length-{s.size} sequence"
         )
     s = s[from_index:]
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise ValueError("sequence must be nonnegative")
     rises = s[1:] - s[:-1]
     if np.any(rises > _REL_SLACK * (1.0 + s[:-1])):
@@ -120,7 +122,7 @@ def verify_rate_inequality(s, alpha, beta, from_index=0):
             continue
         lhs = s[k] ** alpha
         rhs = beta * (s[k] - s[k + 1])
-        if lhs > rhs + _REL_SLACK * max(1.0, lhs):
+        if not lhs <= rhs + _REL_SLACK * max(1.0, lhs):
             return False
     return True
 
@@ -138,7 +140,8 @@ def _rms_line_fit(x, y):
 def classify_rate(s, atol=None):
     """Label an error sequence Finite, Linear, Sublinear or Inconclusive.
 
-    Finite: some term falls to atol (default 1e-14 * s_0).  Linear: the
+    Finite: some term falls to atol (default 1e-14 * s_0; a given atol
+    must be nonnegative, else ValueError).  Linear: the
     last-third ratios have variance below 0.01 and a mean inside (0, 1),
     and a geometric model fits the tail at least as well as a power
     model.  Sublinear: the log-log regression over the last third has a
@@ -152,6 +155,8 @@ def classify_rate(s, atol=None):
         raise ValueError("sequence must be nonnegative and finite")
     if atol is None:
         atol = 1e-14 * s[0]
+    elif not atol >= 0:
+        raise ValueError(f"atol must be nonnegative, got {atol}")
 
     hits = np.flatnonzero(s <= atol)
     if hits.size:
@@ -200,9 +205,16 @@ def effective_modulus(moduli):
 
 def _unpack_moduli(moduli):
     if hasattr(moduli, "sigma_g"):
-        return float(moduli.sigma_g), float(moduli.sigma_h), float(moduli.rho)
-    sigma_g, sigma_h, rho = moduli
-    return float(sigma_g), float(sigma_h), float(rho)
+        moduli = (moduli.sigma_g, moduli.sigma_h, moduli.rho)
+    sigma_g, sigma_h, rho = (float(v) for v in moduli)
+    for name, value in (("sigma_g", sigma_g), ("sigma_h", sigma_h), ("rho", rho)):
+        _check_finite_nonnegative(name, value)
+    return sigma_g, sigma_h, rho
+
+
+def _check_finite_nonnegative(name, value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def audit_trace(trace, problem_moduli, config, phi_final=None,
@@ -225,8 +237,11 @@ def audit_trace(trace, problem_moduli, config, phi_final=None,
     summability proxy uses rho_eff * nd^2 for the forward variants.
 
     ``phi_final`` supplies phi after the last row; without it the last
-    row is only checked for prop3/prop4.
+    row is only checked for prop3/prop4.  A NaN on either side fails an
+    inequality.  Raises ValueError for a modulus or ``tol_base`` that is
+    not finite and nonnegative.
     """
+    _check_finite_nonnegative("tol_base", tol_base)
     _, sigma_h, rho = _unpack_moduli(problem_moduli)
     rho_eff = effective_modulus(problem_moduli)
     slope_modulus = sigma_h + rho
@@ -244,12 +259,12 @@ def audit_trace(trace, problem_moduli, config, phi_final=None,
 
         lhs = rec.phi_y
         rhs = rec.phi_x - rho_eff * nd2 + tol_k
-        if lhs > rhs:
+        if not lhs <= rhs:
             violations.append(Violation(rec.k, "prop3_decrease", lhs, rhs))
 
         if rec.slope is not None and rec.norm_d > 0.0:
             rhs = -slope_modulus * nd2 + tol_base * (1.0 + nd2)
-            if rec.slope > rhs:
+            if not rec.slope <= rhs:
                 violations.append(Violation(rec.k, "prop4_slope", rec.slope, rhs))
 
         if idx + 1 < len(trace):
@@ -268,14 +283,14 @@ def audit_trace(trace, problem_moduli, config, phi_final=None,
             drop = (alpha * rec.lambda_k + rho_eff) * nd2
             summed = rho_eff * nd2
         rhs = rec.phi_x - drop + tol_k
-        if phi_next > rhs:
+        if not phi_next <= rhs:
             # attributed to the iterate whose value broke the decrease
             violations.append(Violation(next_k, "phi_decreasing", phi_next, rhs))
 
         running_sum += summed
         running_slack += tol_k
         rhs = phi_first - phi_next + running_slack
-        if running_sum > rhs:
+        if not running_sum <= rhs:
             violations.append(Violation(rec.k, "bound_sum", running_sum, rhs))
 
     return AuditReport(violations=violations, audit_tol=tol_base,

@@ -225,6 +225,9 @@ def cmd_validate(args):
 def cmd_rate(args):
     _echo({"command": "rate", "trace": args.trace, "column": args.column,
            "subtract_final": args.subtract_final, "atol": args.atol})
+    if args.atol is not None and not args.atol >= 0:
+        print(f"error: --atol must be nonnegative, got {args.atol}", file=sys.stderr)
+        return 2
     try:
         with open(args.trace, newline="") as handle:
             reader = csv.DictReader(handle)

@@ -10,6 +10,7 @@ computed from the averages.
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass, field, replace
@@ -156,6 +157,9 @@ class ExperimentSpec:
             check_count("dca_cap", self.dca_cap)
         if not self.x0_high > self.x0_low:
             raise ValueError("x0_high must exceed x0_low")
+        if not math.isfinite(self.x0_high - self.x0_low):
+            raise ValueError(f"the start box [{self.x0_low}, {self.x0_high}] "
+                             "must have a finite width")
         if not self.rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if self.solver.variant is Variant.DCA:

@@ -38,20 +38,36 @@ def check_count(name, value, low=1):
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-class ChordState:
-    """Plain DCA's per-solve state: the undamped factor its chord steps reuse, or None."""
+class PlainDcaState:
+    """Plain DCA's per-solve state: its last three subproblem steps
+    y - x_init, newest first, and the undamped Cholesky factor its chord
+    steps reuse, or None."""
 
+    steps = ()
     factor = None
 
+    def guess(self, x):
+        """The predicted solution of the subproblem at x, or None before a
+        step.  Plain DCA's iterates follow a smooth path, so this is x plus
+        the next step of the polynomial through the last len(steps) + 1
+        iterates: d_k for one step, the line's 2 d_k - d_{k-1} for two, the
+        cubic's 3 d_k - 3 d_{k-1} + d_{k-2} for three."""
+        steps = self.steps
+        if len(steps) < 2:
+            return x + steps[0] if steps else None
+        if len(steps) == 2:
+            return x + (2.0 * steps[0] - steps[1])
+        return x + (3.0 * (steps[0] - steps[1]) + steps[2])
 
-def spd_solve(hess, rhs, chord=None):
+
+def spd_solve(hess, rhs, state=None):
     """Solve (hess + mu*I) d = rhs with the smallest workable damping mu.
 
     Tries mu = 0 first, then 1e-10 * 4^j.  A solve is accepted once
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
     Returns ``(d, mu)``; with mu = 0 the Cholesky factor of hess is also
-    kept as ``chord.factor`` when a ChordState ``chord`` is given.
+    kept as ``state.factor`` when a PlainDcaState ``state`` is given.
 
     When the Hessian's infinity norm overflows although its entries are
     finite, the system is solved with hess and rhs each divided by its
@@ -84,8 +100,8 @@ def spd_solve(hess, rhs, chord=None):
                     break
                 d = d + _POTRS(factor, resid, lower=False)[0]
             if accepted and _all_finite(d):
-                if chord is not None and mu == 0.0:
-                    chord.factor = factor
+                if state is not None and mu == 0.0:
+                    state.factor = factor
                 return d, mu
         if mu == 0.0:
             # the cap is only needed once damping is
@@ -131,8 +147,7 @@ def _norm(v):
     return math.sqrt(square)
 
 
-def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None,
-                        chord=None):
+def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None):
     """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
 
     F's pieces come from ``problem``'s ``g_value`` (line-search trials),
@@ -143,25 +158,20 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None,
     absolute 1e-8 is unreachable there, the gradient's own rounding floor
     is larger), near one it is the plain absolute tolerance.
 
-    A ``guess`` is a predicted solution.  The Newton loop starts there
-    instead of at x_init when F's value and gradient are finite there and
-    the value is no higher than at x_init; otherwise it is ignored.  The
-    tolerance stays the one taken at x_init either way.  Started that
-    close to the solution, the loop can stall at F's rounding floor where
-    the run from x_init would have passed it; so should the run from the
-    guess fail, the loop runs again from x_init, and a guess adds no
-    failure that the solve without it would not have.
-
-    With a ``chord`` (ChordState) holding a factor, steps reuse it (chord
-    steps, see ``_newton``); should the runs fail, they are repeated
-    without it, so a run that took a chord step adds no failure.
+    With a ``state`` (PlainDcaState) the run starts at its guess if F's
+    value and gradient are finite there and the value is no higher than
+    at x_init (the tolerance stays the one taken at x_init), and takes chord
+    steps while it holds a factor (see ``_newton``).  Should that run
+    fail, the factor is dropped and one more run is made from x_init
+    without a factor, which is the run without a state, so a state adds
+    no failure.  On success ``y - x_init`` becomes its newest step.
 
     Each accepted point costs one value and gradient; a Hessian is asked
     for only where a Newton direction is computed, and its finiteness is
     checked by ``spd_solve``.
 
     Returns ``(x, iterations)`` where ``iterations`` counts the Newton and
-    chord steps taken (those of failed runs too); 0 when the start
+    chord steps taken (those of a failed run too); 0 when the start
     (x_init or the guess taken) already meets the gradient tolerance.
 
     Raises NumericalError on a non-finite value or gradient at an accepted
@@ -170,37 +180,36 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None,
     the tolerance is met.
     """
     b = np.asarray(linear_term, dtype=float)
-    x = np.asarray(x_init, dtype=float).copy()
-    at_x_init = (x, *_evaluate(problem, b, x))
+    x_init = np.asarray(x_init, dtype=float).copy()
+    at_x_init = (x_init, *_evaluate(problem, b, x_init))
     tol = tol_grad * max(1.0, at_x_init[3])
-    starts = _starts(problem, b, guess, at_x_init)
-    steps = 0
-    for reuse in (chord, None):
-        for start in starts:
-            x, taken, failure = _newton(problem, b, start, tol, reuse)
-            steps += taken
-            if failure is None:
-                return x, steps
-        if reuse is None:
-            raise failure
-        reuse.factor = None
+    x, steps, failure = _newton(problem, b, _start(problem, b, state, at_x_init), tol, state)
+    if failure is not None and state is not None:
+        state.factor = None
+        x, more, failure = _newton(problem, b, at_x_init, tol)
+        steps += more
+    if failure is not None:
+        raise failure
+    if state is not None:
+        state.steps = (x - x_init, *state.steps[:2])
+    return x, steps
 
 
-def _starts(problem, b, guess, at_x_init):
-    """The starts to try in turn, each as (x, F, grad F, ||grad F||): the
+def _start(problem, b, state, at_x_init):
+    """The first run's start as (x, F, grad F, ||grad F||): the state's
     guess when F and its gradient are finite there and F is no higher
-    than at x_init, then x_init, whose run is the solve without a guess."""
+    than at x_init, else x_init."""
+    guess = None if state is None else state.guess(at_x_init[0])
     if guess is None:
-        return (at_x_init,)
-    guess = np.array(guess, dtype=float)
+        return at_x_init
     try:
         at_guess = (guess, *_evaluate(problem, b, guess))
     except NumericalError:
-        return (at_x_init,)
-    return (at_guess, at_x_init) if at_guess[1] <= at_x_init[1] else (at_x_init,)
+        return at_x_init
+    return at_guess if at_guess[1] <= at_x_init[1] else at_x_init
 
 
-def _newton(problem, b, start, tol, chord=None):
+def _newton(problem, b, start, tol, state=None):
     """Damped Newton or chord steps from ``start`` until ||grad F|| <= tol.
 
     Returns ``(x, steps, failure)``: failure is None once the tolerance is
@@ -221,16 +230,16 @@ def _newton(problem, b, start, tol, chord=None):
                 break
             # a chord step solves with an earlier Hessian's cached factor; a
             # chord direction failing a test gives way, factor and all, to Newton
-            chorded = chord is not None and chord.factor is not None
+            chorded = state is not None and state.factor is not None
             while True:
                 try:
                     if chorded:
-                        direction = _POTRS(chord.factor, -grad, lower=False)[0]
+                        direction = _POTRS(state.factor, -grad, lower=False)[0]
                         if not _all_finite(direction):
                             raise NumericalError("chord direction is not finite")
                     else:
                         hess = _overflow_as_error(problem.g_hessian, x)
-                        direction, _ = spd_solve(hess, -grad, chord)
+                        direction, _ = spd_solve(hess, -grad, state)
                     slope = ddot(grad, direction)
                     if slope >= 0.0:
                         # descent failed despite damping: direction numerically useless
@@ -259,11 +268,11 @@ def _newton(problem, b, start, tol, chord=None):
                 except NumericalError:
                     if not chorded:
                         raise
-                    chorded = chord.factor = None
+                    chorded = state.factor = None
             x, last_norm = x_new, grad_norm
             value, grad, grad_norm = _evaluate(problem, b, x)
             if chorded and not grad_norm <= _CHORD_CONTRACTION * last_norm:
-                chord.factor = None
+                state.factor = None
     except NumericalError as failure:
         return x, iteration, failure
     return x, iteration, NumericalError(

@@ -27,7 +27,7 @@ from scipy.linalg.blas import ddot
 
 from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
                          TheoryWarning)
-from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, ChordState, check_count,
+from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, PlainDcaState, check_count,
                     minimize_subproblem, sufficient_decrease, value_or_inf)
 
 __all__ = (
@@ -182,14 +182,14 @@ class SolveResult:
 # -- individual steps ----------------------------------------------------
 
 
-def dca_step(problem, x, config=None, guess=None, chord=None):
+def dca_step(problem, x, config=None, state=None):
     """Solve the convex subproblem at x; returns (y, inner_iterations).
 
-    ``guess``, a predicted y, and ``chord``, plain DCA's ChordState, are
-    passed on to ``minimize_subproblem``.
+    ``state``, plain DCA's PlainDcaState, is passed on to
+    ``minimize_subproblem``.
     """
     cfg = config if config is not None else SolverConfig()
-    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, guess, chord)
+    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, state)
 
 
 def descent_slope(problem, y, d):
@@ -282,19 +282,6 @@ def fm_step(problem, x, y, config=None, *, phi_x):
     return x_next, level
 
 
-def _predicted_step(steps):
-    """The next step of the polynomial through the last len(steps) + 1
-    iterates, given their steps newest first: d_k for one step, the
-    line's 2 d_k - d_{k-1} for two, the cubic's 3 d_k - 3 d_{k-1} + d_{k-2}
-    for three.  Plain DCA's iterates follow a smooth path, so y_k plus
-    this step predicts its next subproblem solution."""
-    if len(steps) == 1:
-        return steps[0]
-    if len(steps) == 2:
-        return 2.0 * steps[0] - steps[1]
-    return 3.0 * (steps[0] - steps[1]) + steps[2]
-
-
 # -- outer loop ----------------------------------------------------------
 
 
@@ -324,13 +311,9 @@ def solve(problem, x0, config=None):
         )
 
     trace: List[TraceRecord] = []
-    # plain dca predicts y_k from its last steps (_predicted_step); the other
-    # variants start each subproblem at x_k, since after a boost the last
-    # steps predict the next one badly
-    guess = None
-    steps = []
-    # plain dca's steps are short enough to reuse a Hessian's factor across them
-    chord = ChordState() if cfg.variant is Variant.DCA else None
+    # plain dca's subproblems start at a predicted y_k and reuse a factor; the
+    # others start at x_k, as after a boost the last moves predict badly
+    state = PlainDcaState() if cfg.variant is Variant.DCA else None
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
@@ -346,7 +329,7 @@ def solve(problem, x0, config=None):
                 break
             started = time.perf_counter()
             try:
-                y, inner_iters = dca_step(problem, x, cfg, guess, chord)
+                y, inner_iters = dca_step(problem, x, cfg, state)
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
                 phi_y = value_or_inf(problem.phi_value, y)
@@ -365,8 +348,6 @@ def solve(problem, x0, config=None):
 
                 if cfg.variant is Variant.DCA:
                     lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
-                    steps = [d] + steps[:2]
-                    guess = y + _predicted_step(steps)
                 elif cfg.variant is Variant.FM:
                     x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
                     lam = cfg.beta ** level - 1.0

@@ -47,6 +47,16 @@ class TestVerifyRateInequality:
             verify_rate_inequality(s, alpha=1.0, beta=2.0)
         assert verify_rate_inequality(s, alpha=1.0, beta=2.0, from_index=1)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_alpha_or_beta_raises(self, alpha, beta):
+        # a NaN beta made every comparison false, so the check passed
+        with pytest.raises(ValueError, match="alpha must be|beta must be"):
+            verify_rate_inequality([1.0, 0.9, 0.8], alpha, beta)
+
+    def test_nan_term_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_rate_inequality([1.0, np.nan, 0.8], alpha=1.0, beta=0.01)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             verify_rate_inequality([1.0, 0.5], alpha=-1.0, beta=1.0)
@@ -120,6 +130,12 @@ class TestClassifyRate:
         assert report.regime is Regime.FINITE
         assert report.samples_used == 11  # 0.5^10 < 1e-3 first
 
+    @pytest.mark.parametrize("atol", [np.nan, -1e-3])
+    def test_nan_or_negative_atol_raises(self, atol):
+        # a NaN atol matched no term, so a sequence reaching 0 read Inconclusive
+        with pytest.raises(ValueError, match="atol must be nonnegative"):
+            classify_rate(np.array([1.0, 0.5, 0.25, 0.0]), atol=atol)
+
     def test_to_json(self):
         report = classify_rate(0.5 ** np.arange(5))
         payload = report.to_json()
@@ -185,6 +201,25 @@ class TestAuditTrace:
         violation = report.violations[0]
         assert violation.iteration == 3
         assert violation.inequality == "phi_decreasing"
+
+    @pytest.mark.parametrize("column", ["phi_x", "phi_y", "slope"])
+    def test_nan_cell_fails_the_audit(self, column):
+        # every inequality is written so that a NaN on either side fails it
+        prob, cfg, result = self.run_quartic("dca")
+        trace = list(result.trace)
+        trace[2] = replace(trace[2], **{column: float("nan")})
+        report = audit_trace(trace, prob, cfg, phi_final=result.phi_final)
+        assert not report.passed
+        assert all(v.iteration >= 1 for v in report.violations)
+
+    @pytest.mark.parametrize("moduli, tol_base", [
+        ((np.nan, 0.0, 0.0), 1e-6), ((0.0, 1.0, np.nan), 1e-6), ((0.0, -1.0, 0.0), 1e-6),
+        ((np.inf, 0.0, 0.0), 1e-6), ((0.0, 1.0, 0.0), np.nan), ((0.0, 1.0, 0.0), -1e-6),
+        ((0.0, 1.0, 0.0), np.inf)])
+    def test_moduli_and_tol_base_must_be_finite_and_nonnegative(self, moduli, tol_base):
+        prob, cfg, result = self.run_quartic("dca")
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            audit_trace(result.trace, moduli, cfg, tol_base=tol_base)
 
     def test_dca_rows_reduce_to_plain_decrease(self):
         prob, cfg, result = self.run_quartic("dca")

@@ -174,6 +174,13 @@ class TestRate:
         assert main(["rate", str(tmp_path / "absent.csv")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("atol", ["nan", "-1"])
+    def test_nan_or_negative_atol_exit_2(self, capsys, tmp_path, atol):
+        path = tmp_path / "series.csv"
+        path.write_text("k,norm_d\n0,1\n1,0.5\n2,0.25\n3,0\n")
+        assert main(["rate", str(path), f"--atol={atol}"]) == 2
+        assert "error: --atol must be nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subtract_final", [False, True])
     def test_empty_trace(self, capsys, tmp_path, subtract_final):
         path = tmp_path / "trace.csv"
@@ -215,6 +222,30 @@ class TestAudit:
         assert main(["audit", str(tmp_path / "missing.csv")]) == 1
         capsys.readouterr()
 
+    def rewrite(self, trace, cells):
+        with open(trace, newline="") as handle:
+            rows = list(csv.reader(handle))
+        for (row, column), value in cells.items():
+            rows[row][column] = value
+        with open(trace, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+
+    def test_nan_cells_fail(self, capsys, tmp_path):
+        trace = self.make_trace(tmp_path, capsys)
+        self.rewrite(trace, {(3, 1): "nan", (5, 2): "nan"})  # phi_x at k=2, phi_y at k=4
+        assert main(["audit", str(trace), "--sigma-h", "1", "--variant", "dca"]) == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["passed"] is False
+
+    @pytest.mark.parametrize("flag", ["--tol-base", "--rho", "--sigma-g", "--sigma-h"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_modulus_or_tol_base_exit_2(self, capsys, tmp_path, flag, value):
+        # with phi raised to 1e9 at k=2 the audit fails, unless a NaN made
+        # every comparison false
+        trace = self.make_trace(tmp_path, capsys)
+        self.rewrite(trace, {(3, 1): "1e9"})
+        assert main(["audit", str(trace), f"{flag}={value}"]) == 2
+        assert "must be finite and nonnegative" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_flags_run_and_echo_reproduces(self, capsys, tmp_path):
@@ -242,6 +273,17 @@ class TestCompare:
         spec = ExperimentSpec.from_json(config)
         assert spec.trials == 1
         assert spec.bdca_iters == 20
+
+    @pytest.mark.parametrize("box", ['"x0_low": -Infinity',
+                                     '"x0_low": -1e308, "x0_high": 1e308'])
+    def test_start_box_of_infinite_width_exit_2(self, capsys, tmp_path, box):
+        # rng.uniform raised OverflowError on these boxes, a traceback and exit 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"problems": [{"builtin": "quartic"}], "trials": 1, '
+                             f'"bdca_iters": 20, {box}}}')
+        assert main(["compare", "--spec-file", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite width" in err
 
     def test_bad_spec_exit_2(self, capsys, tmp_path):
         quartic = [{"builtin": "quartic"}]

@@ -157,6 +157,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentSpec(problems=[source], **{field: value})
 
+    @pytest.mark.parametrize("low, high", [(-np.inf, 2.0), (-2.0, np.inf),
+                                           (-1e308, 1e308)])
+    def test_start_box_needs_a_finite_width(self, low, high):
+        # rng.uniform would raise OverflowError on such a box
+        source = ProblemSource(kind="builtin", name="quartic")
+        with pytest.raises(ValueError, match="must have a finite width"):
+            ExperimentSpec(problems=[source], x0_low=low, x0_high=high)
+        assert ExperimentSpec(problems=[source], x0_low=-1e307, x0_high=1e307)
+
     def test_seed_may_be_zero_but_not_negative(self):
         source = ProblemSource(kind="builtin", name="quartic")
         assert ExperimentSpec(problems=[source], seed=np.int64(0)).seed == 0

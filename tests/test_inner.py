@@ -27,7 +27,7 @@ from dcboost import (
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
-from dcboost.inner import _POTRF, ChordState, _all_finite, _norm
+from dcboost.inner import _POTRF, PlainDcaState, _all_finite, _norm
 
 
 def zero_f2(x):
@@ -261,17 +261,17 @@ class TestChord:
 
     @staticmethod
     def cached(matrix):
-        chord = ChordState()
-        chord.factor = _POTRF(np.asarray(matrix, dtype=float), lower=False)[0]
-        return chord
+        state = PlainDcaState()
+        state.factor = _POTRF(np.asarray(matrix, dtype=float), lower=False)[0]
+        return state
 
     def test_spd_solve_keeps_only_an_undamped_factor(self):
-        chord = ChordState()
-        spd_solve(4.0 * np.eye(2), np.ones(2), chord)
-        assert np.array_equal(np.triu(chord.factor), 2.0 * np.eye(2))
-        chord = ChordState()
-        _, mu = spd_solve(np.diag([1.0, -1e-3]), np.ones(2), chord)
-        assert mu > 0.0 and chord.factor is None
+        state = PlainDcaState()
+        spd_solve(4.0 * np.eye(2), np.ones(2), state)
+        assert np.array_equal(np.triu(state.factor), 2.0 * np.eye(2))
+        state = PlainDcaState()
+        _, mu = spd_solve(np.diag([1.0, -1e-3]), np.ones(2), state)
+        assert mu > 0.0 and state.factor is None
 
     def test_wrong_factor_gives_way_to_a_newton_step(self):
         # the factor of 1e6 I gives a descent direction a millionth of the
@@ -279,11 +279,11 @@ class TestChord:
         # factor is dropped, one Newton step solves the quadratic, and its
         # undamped factor is kept
         problem = quadratic_problem(self.HESS)
-        chord = self.cached(1e6 * np.eye(2))
-        x, steps = minimize_subproblem(problem, self.LINEAR, np.zeros(2), chord=chord)
+        state = self.cached(1e6 * np.eye(2))
+        x, steps = minimize_subproblem(problem, self.LINEAR, np.zeros(2), state=state)
         np.testing.assert_allclose(x, np.linalg.solve(self.HESS, self.LINEAR), atol=1e-10)
         assert steps == 2
-        assert np.allclose(np.triu(chord.factor), np.linalg.cholesky(self.HESS).T)
+        assert np.allclose(np.triu(state.factor), np.linalg.cholesky(self.HESS).T)
 
     def test_failing_chord_direction_is_replaced_from_the_same_point(self):
         # from (1, 1) the factor of 1e200 I gives a step of about 1e-200,
@@ -292,27 +292,57 @@ class TestChord:
         # without a factor, one step long
         problem = quadratic_problem(self.HESS)
         plain = minimize_subproblem(problem, self.LINEAR, np.ones(2))
-        chord = self.cached(1e200 * np.eye(2))
-        x, steps = minimize_subproblem(problem, self.LINEAR, np.ones(2), chord=chord)
+        state = self.cached(1e200 * np.eye(2))
+        x, steps = minimize_subproblem(problem, self.LINEAR, np.ones(2), state=state)
         assert (x.tolist(), steps) == (plain[0].tolist(), plain[1]) == (plain[0].tolist(), 1)
-        assert np.allclose(np.triu(chord.factor), np.linalg.cholesky(self.HESS).T)
+        assert np.allclose(np.triu(state.factor), np.linalg.cholesky(self.HESS).T)
 
-    def test_a_run_failing_after_a_chord_step_is_repeated_without_it(self):
-        # F = x^2 - 2x from 0: the Newton step lands on 1, while the chord
-        # step with the factor of 1.5 is accepted at 4/3, where the gradient
-        # is not finite; the run is repeated without the factor and solves
+    @staticmethod
+    def nan_past_the_chord_step():
+        """F = x^2 - 2x, whose Newton step from any x lands on 1, while a
+        chord step with the factor of 1.5 lands in (1.3, 1.4) from x_init
+        0 and from 0.05, where the gradient is not finite."""
         def f1_value_grad(x):
             grad = np.full(1, np.nan) if 1.3 < x[0] < 1.4 else 2.0 * x
             return float(x @ x), grad
 
-        problem = DcProblem(m=1, eval_f2=zero_f2, f1_value_grad=f1_value_grad,
-                            eval_f1=lambda x: (float(x @ x), 2.0 * x, 2.0 * np.eye(1)))
-        linear = np.array([2.0])
+        return DcProblem(m=1, eval_f2=zero_f2, f1_value_grad=f1_value_grad,
+                         eval_f1=lambda x: (float(x @ x), 2.0 * x, 2.0 * np.eye(1)))
+
+    def test_a_run_failing_after_a_chord_step_is_repeated_without_it(self):
+        # from 0 the chord step is accepted at 4/3; the run is repeated
+        # without the factor and solves
+        problem, linear = self.nan_past_the_chord_step(), np.array([2.0])
         plain = minimize_subproblem(problem, linear, np.zeros(1))
-        chord = self.cached([[1.5]])
-        x, _ = minimize_subproblem(problem, linear, np.zeros(1), chord=chord)
+        state = self.cached([[1.5]])
+        x, _ = minimize_subproblem(problem, linear, np.zeros(1), state=state)
         assert x.tolist() == plain[0].tolist() and x[0] == pytest.approx(1.0, abs=1e-15)
-        assert chord.factor is None
+        assert state.factor is None
+
+    def test_a_failed_run_is_followed_by_one_run_without_the_state(self, monkeypatch):
+        # the run from the guess 0.05 with the factor fails at 1.3167; so
+        # would one from x_init with it, but the one more run made is from
+        # x_init without the factor: the run without a state, bit for bit
+        problem, linear, start = self.nan_past_the_chord_step(), np.array([2.0]), np.zeros(1)
+        plain = minimize_subproblem(problem, linear, start)
+        runs, newton = [], dcboost.inner._newton
+
+        def counted(problem, b, run_start, tol, state=None):
+            runs.append((run_start[0].copy(), state, newton(problem, b, run_start, tol, state)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(dcboost.inner, "_newton", counted)
+        state = self.cached([[1.5]])
+        state.steps = (np.array([0.05]),)
+        x, steps = minimize_subproblem(problem, linear, start, state=state)
+        assert len(runs) == 2
+        (guess, first_state, first), (again, second_state, second) = runs
+        assert guess.tolist() == [0.05] and first_state is state
+        assert isinstance(first[2], NumericalError) and first[1] == 0
+        assert again.tolist() == start.tolist() and second_state is None
+        assert second[2] is None and second[0].tobytes() == plain[0].tobytes()
+        assert (x.tobytes(), steps) == (plain[0].tobytes(), first[1] + plain[1])
+        assert state.factor is None and state.steps[0].tobytes() == plain[0].tobytes()
 
     def test_a_factor_never_outlives_its_solve(self):
         # each plain dca solve starts without a factor, so a solve gives the
@@ -332,22 +362,30 @@ class TestChord:
         assert outcome(problems[1]) == first
 
 
+def guessing(guess, start):
+    """A state whose guess at ``start`` is ``guess``, up to rounding."""
+    state = PlainDcaState()
+    state.steps = (np.asarray(guess, dtype=float) - start,)
+    return state
+
+
 class TestGuess:
     """A predicted solution starts the Newton loop only where F is no higher."""
 
     def test_higher_guess_changes_no_bit(self):
         prob, linear, start = make_quartic_problem(), np.array([0.3]), np.array([0.2])
         assert f_value(prob, linear, np.array([5.0])) > f_value(prob, linear, start)
-        x, iters = minimize_subproblem(prob, linear, start)
-        x_guessed, iters_guessed = minimize_subproblem(prob, linear, start, guess=[5.0])
+        x, iters = minimize_subproblem(prob, linear, start, state=PlainDcaState())
+        x_guessed, iters_guessed = minimize_subproblem(prob, linear, start,
+                                                       state=guessing([5.0], start))
         assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
 
     def test_guess_past_the_guard_is_ignored(self):
         prob, start = builtin_problem("expsys"), np.array([1.5])
         linear = prob.grad_h(start)
-        x, iters = minimize_subproblem(prob, linear, start)
-        x_guessed, iters_guessed = minimize_subproblem(prob, linear, start,
-                                                       guess=[EXP_GUARD + 1.0])
+        x, iters = minimize_subproblem(prob, linear, start, state=PlainDcaState())
+        x_guessed, iters_guessed = minimize_subproblem(
+            prob, linear, start, state=guessing([EXP_GUARD + 1.0], start))
         assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
 
     def test_tolerance_is_taken_at_x_init(self):
@@ -358,18 +396,21 @@ class TestGuess:
         prob = DcProblem(m=2, eval_f2=zero_f2,
                          eval_f1=lambda x: (float(c @ x ** 4) / 4.0, c * x ** 3,
                                             np.diag(3.0 * c * x ** 2)))
-        start, guess, linear = np.array([1.0, 1e-3]), np.array([1e-2, 9.9e-3]), np.zeros(2)
+        start, linear = np.array([1.0, 1e-3]), np.zeros(2)
+        state = guessing([1e-2, 9.9e-3], start)
+        guess = state.guess(start)
         assert f_value(prob, linear, guess) < f_value(prob, linear, start)
         tol = 1e-8 * np.linalg.norm(prob.g_value_grad(start)[1])
-        x, iters = minimize_subproblem(prob, linear, start, guess=guess)
+        x, iters = minimize_subproblem(prob, linear, start, state=state)
         assert np.linalg.norm(prob.g_value_grad(x)[1]) <= tol and iters > 0
         x_at_guess, _ = minimize_subproblem(prob, linear, guess)
         assert np.linalg.norm(prob.g_value_grad(x_at_guess)[1]) > tol
 
     def test_failed_run_from_the_guess_falls_back_to_x_init(self):
         # F = x^4/4 - x; the second Hessian asked for is NaN, so the run from
-        # the guess 1.5 fails after one Newton step, and the run from x_init
-        # that follows is the solve without a guess, plus that one step
+        # the guess 1.5 fails after a Newton step and a chord step, whose
+        # gradient fell less than tenfold, and the run from x_init that
+        # follows is the solve without a state, plus those two steps
         def quartic(nan_call):
             calls = []
 
@@ -385,15 +426,15 @@ class TestGuess:
         linear, start = np.ones(1), np.array([3.0])
         x, iters = minimize_subproblem(quartic(None), linear, start)
         x_guessed, iters_guessed = minimize_subproblem(quartic(2), linear, start,
-                                                       guess=[1.5])
-        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters + 1
+                                                       state=guessing([1.5], start))
+        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters + 2
         with pytest.raises(NumericalError, match="non-finite Hessian"):
             minimize_subproblem(quartic(2), linear, start)
 
     def test_guess_at_the_minimizer_takes_no_newton_step(self):
         prob = quadratic_problem(2.0 * np.eye(2))
         x, iters = minimize_subproblem(prob, np.array([2.0, 4.0]), np.zeros(2),
-                                       guess=np.array([1.0, 2.0]))
+                                       state=guessing([1.0, 2.0], np.zeros(2)))
         assert iters == 0
         assert np.array_equal(x, [1.0, 2.0])
 

@@ -45,6 +45,7 @@ from dcboost import (
     solve,
     write_trace_csv,
 )
+from dcboost.inner import PlainDcaState
 
 X0 = 27.0 / 125.0
 Y0 = 0.6
@@ -456,26 +457,27 @@ def test_iterates_pinned(name, variant, iterations, status, phi_hex):
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
-    # dca starts subproblem k at x_k plus the step of the polynomial through
-    # its last iterates: d_{k-1} in iteration 1, 2 d_{k-1} - d_{k-2} in
-    # iteration 2, 3 d_{k-1} - 3 d_{k-2} + d_{k-3} from iteration 3 on; every
-    # other variant passes no guess, so its subproblems start at x_k and
-    # keep their iterates
+    # dca's one state guesses that subproblem k starts at x_k plus the step of
+    # the polynomial through its last iterates: d_{k-1} in iteration 1,
+    # 2 d_{k-1} - d_{k-2} in iteration 2, 3 d_{k-1} - 3 d_{k-2} + d_{k-3} from
+    # iteration 3 on; every other variant passes no state, so its
+    # subproblems start at x_k and keep their iterates
     calls = []
 
-    def recording(problem, linear_term, x_init, tol_grad=1e-8, guess=None, chord=None):
-        calls.append((x_init, guess))
-        return minimize_subproblem(problem, linear_term, x_init, tol_grad, guess, chord)
+    def recording(problem, linear_term, x_init, tol_grad=1e-8, state=None):
+        calls.append((x_init, state, None if state is None else state.guess(x_init)))
+        return minimize_subproblem(problem, linear_term, x_init, tol_grad, state)
 
     monkeypatch.setattr(dcboost.solver, "minimize_subproblem", recording)
     problem, x0 = pinned_problem("network")
     solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=20))
-    assert len(calls) == 20 and calls[0][1] is None
-    xs = [x for x, _ in calls]
-    for k, (x, guess) in enumerate(calls[1:], start=1):
+    assert len(calls) == 20 and calls[0][2] is None
+    xs = [x for x, _, _ in calls]
+    for k, (x, state, guess) in enumerate(calls[1:], start=1):
         if variant != "dca":
-            assert guess is None
+            assert state is None
             continue
+        assert state is calls[0][1]
         d = [xs[j] - xs[j - 1] for j in range(k, max(k - 3, 0), -1)]  # newest first
         if len(d) == 1:
             step = d[0]
@@ -486,29 +488,20 @@ def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
         assert np.array_equal(guess, x + step), k
 
 
-def test_predicted_subproblem_solution_is_exact_on_a_cubic_path(monkeypatch):
+def test_predicted_subproblem_solution_is_exact_on_a_cubic_path():
     # iterates that are a cubic in k, with small integers for coordinates
-    # so that every difference is exact in floats: from iteration 3 on the
-    # guess is the next iterate itself, and before that it is not
+    # so that every difference is exact in floats: once the state holds
+    # three steps its guess is the next iterate itself, and before that it
+    # is not
     def path(k):
         k = float(k)
         return np.array([k ** 3 - 2.0 * k, 2.0 - k ** 2, 3.0 * k ** 3 + k ** 2 - 5.0])
 
-    guesses = []
-
-    def cubic_subproblem(problem, linear_term, x_init, tol_grad=1e-8, guess=None,
-                         chord=None):
-        guesses.append(guess)
-        return path(len(guesses)), 1
-
-    monkeypatch.setattr(dcboost.solver, "minimize_subproblem", cubic_subproblem)
-    problem = DcProblem(m=3, eval_f1=lambda x: (0.5 * (x @ x), x.copy(), np.eye(3)),
-                        eval_f2=lambda x: (0.0, np.zeros(3)), sigma_g=1.0)
-    solve(problem, path(0), SolverConfig(variant="dca", max_outer_iters=8))
-    assert len(guesses) == 8 and guesses[0] is None
-    assert not np.array_equal(guesses[2], path(3))
-    for k, guess in enumerate(guesses[3:], start=3):
-        assert np.array_equal(guess, path(k + 1)), k
+    state = PlainDcaState()
+    assert state.guess(path(0)) is None
+    for k in range(1, 8):
+        state.steps = (path(k) - path(k - 1), *state.steps[:2])
+        assert np.array_equal(state.guess(path(k)), path(k + 1)) == (k >= 3), k
 
 
 def test_c6_scale_matched_trial_pinned():
