@@ -9,6 +9,7 @@ that reproduces the run via --spec-file.
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 
@@ -26,8 +27,15 @@ from .solver import (SolverConfig, Variant, read_trace_csv, solve,
 __all__ = ("main",)
 
 
-def _echo(config):
-    print(json.dumps(config))
+def _print_json(obj):
+    """Print obj as one line of strict JSON, a non-finite number as null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(item) for item in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    print(json.dumps(finite(obj), allow_nan=False))
 
 
 def _given(args, *names):
@@ -81,8 +89,8 @@ def cmd_solve(args):
         start = {"x0_seed": args.x0_seed}
 
     cfg = _solver_config(args, **_given(args, "max_outer_iters"), tol=args.tol)
-    _echo({"command": "solve", "problem": source.to_json(), "m": problem.m,
-           "rho": problem.rho, **cfg.to_json(), **start})
+    _print_json({"command": "solve", "problem": source.to_json(), "m": problem.m,
+                 "rho": problem.rho, **cfg.to_json(), **start})
 
     result = solve(problem, x0, cfg)
 
@@ -136,7 +144,7 @@ def cmd_compare(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    _echo(spec.to_json())
+    _print_json(spec.to_json())
     try:
         result = run_experiment(spec, out_dir=args.out)
     except (DcError, OSError) as exc:
@@ -165,8 +173,8 @@ def cmd_compare(args):
 
 
 def cmd_generate(args):
-    _echo({"command": "generate", "m": args.m, "n": args.n, "seed": args.seed,
-           "out": args.out})
+    _print_json({"command": "generate", "m": args.m, "n": args.n, "seed": args.seed,
+                 "out": args.out})
     try:
         network = generate_network(args.m, args.n, args.seed)
     except (ValueError, GenerationError) as exc:
@@ -185,7 +193,7 @@ def cmd_generate(args):
 
 
 def cmd_validate(args):
-    _echo({"command": "validate", "model": args.model, "l_file": args.l_file})
+    _print_json({"command": "validate", "model": args.model, "l_file": args.l_file})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -223,8 +231,8 @@ def cmd_validate(args):
 
 
 def cmd_rate(args):
-    _echo({"command": "rate", "trace": args.trace, "column": args.column,
-           "subtract_final": args.subtract_final, "atol": args.atol})
+    _print_json({"command": "rate", "trace": args.trace, "column": args.column,
+                 "subtract_final": args.subtract_final, "atol": args.atol})
     if args.atol is not None and not args.atol >= 0:
         print(f"error: --atol must be nonnegative, got {args.atol}", file=sys.stderr)
         return 2
@@ -249,15 +257,15 @@ def cmd_rate(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report.to_json()))
+    _print_json(report.to_json())
     return 0
 
 
 def cmd_audit(args):
     cfg = SolverConfig(**_given(args, "variant", "alpha"))
-    _echo({"command": "audit", "trace": args.trace, "sigma_g": args.sigma_g,
-           "sigma_h": args.sigma_h, "rho": args.rho, "alpha": cfg.alpha,
-           "variant": cfg.variant.value, "tol_base": args.tol_base})
+    _print_json({"command": "audit", "trace": args.trace, "sigma_g": args.sigma_g,
+                 "sigma_h": args.sigma_h, "rho": args.rho, "alpha": cfg.alpha,
+                 "variant": cfg.variant.value, "tol_base": args.tol_base})
     try:
         trace = read_trace_csv(args.trace)
     except (OSError, ValueError) as exc:
@@ -265,7 +273,7 @@ def cmd_audit(args):
         return 1
     report = audit_trace(trace, (args.sigma_g, args.sigma_h, args.rho), cfg,
                          tol_base=args.tol_base)
-    print(json.dumps(report.to_json()))
+    _print_json(report.to_json())
     return 0 if report.passed else 1
 
 

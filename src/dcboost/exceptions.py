@@ -24,18 +24,18 @@ class LineSearchError(DcError):
     """A line search exhausted its backtracking budget without acceptance."""
 
 
-class EvaluationOverflow(DcError):
-    """An objective evaluation would overflow (exponent guard tripped).
+class EvaluationOverflow(NumericalError):
+    """An objective evaluation would overflow (its guard tripped).
 
-    Line searches treat this as a rejected trial point; it only escapes to
-    the caller when raised at an accepted iterate.
+    Line searches read it as a rejected trial point; at an accepted point
+    it ends a solve as NumericalFailure, as any NumericalError does.
     """
 
-    def __init__(self, max_exponent, limit):
+    def __init__(self, max_exponent, limit, quantity="exponent"):
         self.max_exponent = float(max_exponent)
         self.limit = float(limit)
         super().__init__(
-            f"exponent {self.max_exponent:.3g} exceeds overflow guard {self.limit:.3g}"
+            f"{quantity} {self.max_exponent:.3g} exceeds overflow guard {self.limit:.3g}"
         )
 
 

@@ -174,10 +174,10 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     chord steps taken (those of a failed run too); 0 when the start
     (x_init or the guess taken) already meets the gradient tolerance.
 
-    Raises NumericalError on a non-finite value or gradient at an accepted
-    point, on a non-finite Hessian where a step is needed, on exhausted
-    damping, or when the iteration or line-search budget runs out before
-    the tolerance is met.
+    Raises NumericalError (EvaluationOverflow past the problem's guard) on a
+    non-finite value or gradient at an accepted point, on a non-finite
+    Hessian where a step is needed, on exhausted damping, or when the
+    iteration or line-search budget runs out before the tolerance is met.
     """
     b = np.asarray(linear_term, dtype=float)
     x_init = np.asarray(x_init, dtype=float).copy()
@@ -217,10 +217,6 @@ def _newton(problem, b, start, tol, state=None):
     completed steps.
     """
     x, value, grad, grad_norm = start
-
-    def value_f(z):
-        return float(problem.g_value(z)) - ddot(b, z)
-
     iteration = 0
     try:
         for iteration in range(_MAX_NEWTON_STEPS + 1):
@@ -228,47 +224,20 @@ def _newton(problem, b, start, tol, state=None):
                 return x, iteration, None
             if iteration == _MAX_NEWTON_STEPS:
                 break
-            # a chord step solves with an earlier Hessian's cached factor; a
-            # chord direction failing a test gives way, factor and all, to Newton
+            # a chord step solves with an earlier Hessian's cached factor; one
+            # failing a test gives way, factor and all, to a Newton step from x
             chorded = state is not None and state.factor is not None
-            while True:
+            if chorded:
+                direction = _POTRS(state.factor, -grad, lower=False)[0]
                 try:
-                    if chorded:
-                        direction = _POTRS(state.factor, -grad, lower=False)[0]
-                        if not _all_finite(direction):
-                            raise NumericalError("chord direction is not finite")
-                    else:
-                        hess = _overflow_as_error(problem.g_hessian, x)
-                        direction, _ = spd_solve(hess, -grad, state)
-                    slope = ddot(grad, direction)
-                    if slope >= 0.0:
-                        # descent failed despite damping: direction numerically useless
-                        raise NumericalError("Newton direction is not a descent direction")
-
-                    noise = _NOISE_RTOL * (1.0 + abs(value))
-                    if -slope <= noise:
-                        # Predicted decrease sits below the value's rounding floor, so
-                        # the Armijo test cannot discriminate.  Take the full step as
-                        # long as the value does not rise beyond that floor; the
-                        # gradient keeps contracting through the quadratic phase.
-                        x_new = x + direction
-                        if value_or_inf(value_f, x_new) > value + noise:
-                            raise NumericalError(
-                                "inner step stalled at the value resolution floor")
-                    else:
-                        found = sufficient_decrease(value_f, x, direction, value, slope,
-                                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
-                        if found is None:
-                            raise NumericalError("inner line search exhausted its halvings")
-                        x_new = found[2]
-                    moved = x_new - x
-                    if not ddot(moved, moved) > 0.0 and (x_new == x).all():
-                        raise NumericalError("inner step vanished below machine resolution")
-                    break
+                    if not _all_finite(direction):
+                        raise NumericalError("chord direction is not finite")
+                    x_new = _step(problem, b, x, value, grad, direction)
                 except NumericalError:
-                    if not chorded:
-                        raise
                     chorded = state.factor = None
+            if not chorded:
+                direction, _ = spd_solve(problem.g_hessian(x), -grad, state)
+                x_new = _step(problem, b, x, value, grad, direction)
             x, last_norm = x_new, grad_norm
             value, grad, grad_norm = _evaluate(problem, b, x)
             if chorded and not grad_norm <= _CHORD_CONTRACTION * last_norm:
@@ -281,20 +250,46 @@ def _newton(problem, b, start, tol, state=None):
     )
 
 
+def _step(problem, b, x, value, grad, direction):
+    """The point a step along ``direction`` from x accepts, given F's value
+    and gradient at x; raises NumericalError when the direction is not a
+    descent direction, the search fails or the step vanishes."""
+    slope = ddot(grad, direction)
+    if slope >= 0.0:
+        # descent failed despite damping: direction numerically useless
+        raise NumericalError("Newton direction is not a descent direction")
+
+    def value_f(z):
+        return float(problem.g_value(z)) - ddot(b, z)
+
+    noise = _NOISE_RTOL * (1.0 + abs(value))
+    if -slope <= noise:
+        # Predicted decrease sits below the value's rounding floor, so the
+        # Armijo test cannot discriminate.  Take the full step as long as the
+        # value does not rise beyond that floor; the gradient keeps
+        # contracting through the quadratic phase.
+        x_new = x + direction
+        if value_or_inf(value_f, x_new) > value + noise:
+            raise NumericalError("inner step stalled at the value resolution floor")
+    else:
+        found = sufficient_decrease(value_f, x, direction, value, slope,
+                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+        if found is None:
+            raise NumericalError("inner line search exhausted its halvings")
+        x_new = found[2]
+    moved = x_new - x
+    if not ddot(moved, moved) > 0.0 and (x_new == x).all():
+        raise NumericalError("inner step vanished below machine resolution")
+    return x_new
+
+
 def _evaluate(problem, b, x):
     """F's value, gradient and gradient norm at an accepted point x."""
-    value, grad = _overflow_as_error(problem.g_value_grad, x)
+    value, grad = problem.g_value_grad(x)
     value, grad = float(value) - ddot(b, x), np.asarray(grad, dtype=float) - b
     if not (math.isfinite(value) and _all_finite(grad)):
         raise NumericalError("non-finite subproblem derivatives at an accepted point")
     return value, grad, _norm(grad)
-
-
-def _overflow_as_error(evaluate, x):
-    try:
-        return evaluate(x)
-    except EvaluationOverflow as exc:
-        raise NumericalError(f"objective overflow at an accepted point: {exc}") from exc
 
 
 def value_or_inf(value, x):

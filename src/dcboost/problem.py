@@ -162,14 +162,23 @@ def make_quartic_problem():
 
     Split as f1 = x^4/4, f2 = x^2/2 with no regularization.  Stationary
     points are -1, 0, 1; the minimizers are -1 and 1 with phi = -1/4.
+    Evaluations raise EvaluationOverflow from |x| = max float^(1/4) =
+    1.157920892373162e77 on, where x^4 overflows.
     """
+    guard = float(np.finfo(float).max) ** 0.25
+
+    def t_at(x):
+        t = float(np.asarray(x).reshape(()))
+        if abs(t) >= guard:
+            raise EvaluationOverflow(abs(t), guard, "|x|")
+        return t
 
     def eval_f1(x):
-        t = float(np.asarray(x).reshape(()))
+        t = t_at(x)
         return t ** 4 / 4.0, np.array([t ** 3]), np.array([[3.0 * t ** 2]])
 
     def eval_f2(x):
-        t = float(np.asarray(x).reshape(()))
+        t = t_at(x)
         return t ** 2 / 2.0, np.array([t])
 
     return DcProblem(m=1, eval_f1=eval_f1, eval_f2=eval_f2, sigma_h=1.0, name="quartic")

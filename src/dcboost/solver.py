@@ -25,8 +25,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from .exceptions import (EvaluationOverflow, LineSearchError, NumericalError,
-                         TheoryWarning)
+from .exceptions import LineSearchError, NumericalError, TheoryWarning
 from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, PlainDcaState, check_count,
                     minimize_subproblem, sufficient_decrease, value_or_inf)
 
@@ -337,42 +336,27 @@ def solve(problem, x0, config=None):
                     raise NumericalError("objective is not finite at the subproblem solution")
                 slope = descent_slope(problem, y, d)
 
-                if norm_d <= tol:
-                    trace.append(TraceRecord(
-                        k=k, phi_x=phi_x, phi_y=phi_y, norm_d=norm_d, lambda_k=0.0,
-                        backtracks=0, inner_iters=inner_iters,
-                        elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
-                    ))
-                    status = Status.STATIONARY_POINT
-                    break
-
-                if cfg.variant is Variant.DCA:
-                    lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
+                lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
+                stationary = norm_d <= tol
+                if stationary or cfg.variant is Variant.DCA:
+                    pass
                 elif cfg.variant is Variant.FM:
-                    x_next, level = fm_step(problem, x, y, cfg, phi_x=phi_x)
-                    lam = cfg.beta ** level - 1.0
-                    halvings = level
+                    x_next, halvings = fm_step(problem, x, y, cfg, phi_x=phi_x)
+                    lam = cfg.beta ** halvings - 1.0
                     phi_next = value_or_inf(problem.phi_value, x_next)
-                else:
-                    if slope >= 0.0:
-                        # the boost direction is numerically not a descent
-                        # direction; fall back to the plain update
-                        lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
-                    else:
-                        if cfg.variant is Variant.BDCA_QI:
-                            lam_init = bdca_qi_select(problem, y, d, cfg,
-                                                      phi_y=phi_y, slope=slope)
-                        else:
-                            lam_init = cfg.lambda_bar
-                        lam, halvings = backtrack(problem, y, d, lam_init, cfg,
-                                                  phi_y=phi_y)
-                        x_next = y + lam * d
-                        phi_next = value_or_inf(problem.phi_value, x_next)
+                elif not slope >= 0.0:
+                    # a boost direction that is numerically not a descent
+                    # direction (slope >= 0) keeps the plain update
+                    lam_init = (bdca_qi_select(problem, y, d, cfg, phi_y=phi_y, slope=slope)
+                                if cfg.variant is Variant.BDCA_QI else cfg.lambda_bar)
+                    lam, halvings = backtrack(problem, y, d, lam_init, cfg, phi_y=phi_y)
+                    x_next = y + lam * d
+                    phi_next = value_or_inf(problem.phi_value, x_next)
             except LineSearchError as exc:
                 status = Status.LINE_SEARCH_FAILURE
                 message = str(exc)
                 break
-            except (NumericalError, EvaluationOverflow) as exc:
+            except NumericalError as exc:
                 status = Status.NUMERICAL_FAILURE
                 message = str(exc)
                 break
@@ -382,6 +366,9 @@ def solve(problem, x0, config=None):
                 backtracks=halvings, inner_iters=inner_iters,
                 elapsed_ms=(time.perf_counter() - started) * 1e3, slope=slope,
             ))
+            if stationary:
+                status = Status.STATIONARY_POINT
+                break
             step = d if x_next is y else x_next - x
             step_norm = math.sqrt(ddot(step, step))
             x = np.asarray(x_next, dtype=float)

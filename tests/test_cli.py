@@ -14,9 +14,16 @@ from dcboost.solver import read_trace_csv
 pytestmark = pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
 
 
+def strict_json(line):
+    """json.loads refusing the NaN and Infinity tokens strict parsers refuse."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(line, parse_constant=refuse)
+
+
 def first_line_json(capsys):
     out = capsys.readouterr().out
-    return json.loads(out.splitlines()[0]), out
+    return strict_json(out.splitlines()[0]), out
 
 
 class TestSolve:
@@ -52,6 +59,22 @@ class TestSolve:
         code = main(["solve", "--builtin", "expsys", "--x0", "800"])
         assert code == 1
         assert "NumericalFailure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant", ["dca", "bdca-b", "bdca-qi", "fm"])
+    def test_quartic_overflow_exit_1(self, capsys, variant):
+        # the quartic's x^4 overflows from 1.158e77 on: a status, not a traceback
+        assert main(["solve", "--builtin", "quartic", "--variant", variant,
+                     "--x0", "1e100"]) == 1
+        config, out = first_line_json(capsys)
+        assert config["x0"] == [1e100]
+        assert "status: NumericalFailure" in out
+        assert "detail: |x| 1e+100 exceeds overflow guard 1.16e+77" in out
+
+    def test_nan_start_echoes_null(self, capsys):
+        assert main(["solve", "--builtin", "quartic", "--x0", "nan"]) == 1
+        config, out = first_line_json(capsys)
+        assert config["x0"] == [None]
+        assert "status: NumericalFailure" in out
 
     def test_usage_errors(self, capsys):
         assert main(["solve", "--builtin", "quartic", "--x0", "1,2"]) == 2
@@ -179,7 +202,11 @@ class TestRate:
         path = tmp_path / "series.csv"
         path.write_text("k,norm_d\n0,1\n1,0.5\n2,0.25\n3,0\n")
         assert main(["rate", str(path), f"--atol={atol}"]) == 2
-        assert "error: --atol must be nonnegative" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error: --atol must be nonnegative" in captured.err
+        # the echo is strict JSON: a NaN setting reads null
+        echoed = strict_json(captured.out.splitlines()[0])
+        assert echoed["atol"] == (None if atol == "nan" else -1.0)
 
     @pytest.mark.parametrize("subtract_final", [False, True])
     def test_empty_trace(self, capsys, tmp_path, subtract_final):
@@ -234,7 +261,10 @@ class TestAudit:
         trace = self.make_trace(tmp_path, capsys)
         self.rewrite(trace, {(3, 1): "nan", (5, 2): "nan"})  # phi_x at k=2, phi_y at k=4
         assert main(["audit", str(trace), "--sigma-h", "1", "--variant", "dca"]) == 1
-        assert json.loads(capsys.readouterr().out.splitlines()[-1])["passed"] is False
+        report = strict_json(capsys.readouterr().out.splitlines()[-1])
+        assert report["passed"] is False
+        # a violation's NaN side is printed as null, not as NaN
+        assert any(None in (v["lhs"], v["rhs"]) for v in report["violations"])
 
     @pytest.mark.parametrize("flag", ["--tol-base", "--rho", "--sigma-g", "--sigma-h"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -244,7 +274,11 @@ class TestAudit:
         trace = self.make_trace(tmp_path, capsys)
         self.rewrite(trace, {(3, 1): "1e9"})
         assert main(["audit", str(trace), f"{flag}={value}"]) == 2
-        assert "must be finite and nonnegative" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "must be finite and nonnegative" in captured.err
+        echoed = strict_json(captured.out.splitlines()[0])
+        key = flag[2:].replace("-", "_")
+        assert echoed[key] == {"nan": None, "inf": None, "-1": -1.0}[value]
 
 
 class TestCompare:

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every
 exported name exists and the package re-exports exactly its library
-modules' exports, and the package's only private SciPy dependency is the
-one its bit-for-bit tests guard.
+modules' exports, the package's only private SciPy dependency is the
+one its bit-for-bit tests guard, and the command line writes JSON only
+through its strict-JSON helper.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
 (its ``__init__``, which imports to re-export, excepted) and ``tests/``.
@@ -127,3 +128,37 @@ def test_export_detectors():
     assert exported_names(source) == ("f", "C", "pi", "gone")
     assert defined_names(source) == {"osp", "pi", "X", "Y", "Z", "T", "f", "C", "__all__"}
     assert exported_names("x = 1\n") is None
+
+
+def json_dumps_outside(source, helper):
+    """Line numbers of ``json.dump``/``json.dumps`` calls in ``source`` that
+    lie outside the top-level function named ``helper``, or None when no
+    such function is defined."""
+    tree = ast.parse(source)
+    helpers = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == helper]
+    if not helpers:
+        return None
+    inside = {id(node) for node in ast.walk(helpers[0])}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                  and id(node) not in inside)
+
+
+def test_cli_writes_json_only_through_its_strict_helper():
+    # the helper prints a non-finite number as null, which strict parsers
+    # accept, where json.dumps would print NaN or Infinity
+    source = (ROOT / "src" / "dcboost" / "cli.py").read_text()
+    assert json_dumps_outside(source, "_print_json") == []
+
+
+def test_json_dumps_detector():
+    source = ("import json\ndef _print_json(obj):\n    def inner(v):\n"
+              "        return json.dumps(v)\n    print(json.dumps(obj))\n"
+              "def cmd(report):\n    print(json.dumps(report))\n"
+              "    json.dump(report, handle)\n    report.dumps()\n"
+              "f = lambda v: json.dumps(v)\n")
+    assert json_dumps_outside(source, "_print_json") == [7, 8, 10]
+    assert json_dumps_outside(source, "_echo") is None

@@ -520,13 +520,15 @@ class TestLazyHessian:
 
     def test_bad_hessian_where_a_step_is_needed(self):
         # a NaN Hessian fails in spd_solve; an overflowing Hessian request
-        # fails as an overflowing value or gradient does
+        # fails as an overflowing value or gradient does, with its own
+        # EvaluationOverflow, which is a NumericalError
         def overflowing(x):
             raise EvaluationOverflow(400.0, 354.9)
 
+        assert issubclass(EvaluationOverflow, NumericalError)
         for eval_f1, message in ((lambda x: (0.0, np.ones(1), np.full((1, 1), np.nan)),
                                   "non-finite Hessian"),
-                                 (overflowing, "overflow at an accepted point")):
+                                 (overflowing, "exponent 400 exceeds overflow guard 355")):
             prob = DcProblem(m=1, eval_f1=eval_f1, eval_f2=zero_f2, f1_value=lambda x: 0.0,
                              f1_value_grad=lambda x: (0.0, np.ones(1)))
             with pytest.raises(NumericalError, match=message):

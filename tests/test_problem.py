@@ -5,6 +5,7 @@ arithmetic: phi(3/5) = (3/5)^4/4 - (3/5)^2/2 = -369/2500 and
 phi'(3/5) = (3/5)^3 - 3/5 = -48/125.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,20 @@ class TestQuartic:
         prob = make_quartic_problem()
         prob.rho = 1.0
         assert prob.subproblem_modulus() == 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_guard(self, sign):
+        # x^4 overflows from max float^(1/4) on, so every evaluation raises
+        # there and is finite just below it
+        guard = sign * 1.157920892373162e77
+        below = np.array([np.nextafter(guard, 0.0)])
+        assert math.isfinite(self.prob.phi_value(below))
+        assert np.isfinite(self.prob.eval_f1(below)[2]).all()
+        for x in (guard, 1e100 * sign, math.inf * sign):
+            for evaluate in (self.prob.eval_f1, self.prob.eval_f2, self.prob.phi_value,
+                             self.prob.phi_value_grad, self.prob.g_value):
+                with pytest.raises(EvaluationOverflow, match="exceeds overflow guard 1.16e"):
+                    evaluate(np.array([x]))
 
     def test_derivative_report(self):
         rng = np.random.default_rng(1)

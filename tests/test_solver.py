@@ -25,6 +25,7 @@ from dcboost import (
     LineSearchError,
     NetworkObjective,
     SolverConfig,
+    SolveResult,
     Status,
     TheoryWarning,
     TraceRecord,
@@ -285,6 +286,19 @@ class TestSolve:
                            lambda_max=8.0, max_outer_iters=3)
         with pytest.warns(TheoryWarning, match="sigma_h"):
             solve(self.prob, np.array([X0]), cfg)
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_quartic_overflow_is_a_status(self, variant):
+        # x^4 overflows from |x| = 1.158e77 on: the start ends the solve as
+        # NumericalFailure, while 1e77 still solves
+        for start in (1e78, -1e100, 1e300):
+            result = solve(self.prob, np.array([start]), SolverConfig(variant=variant))
+            assert result.status is Status.NUMERICAL_FAILURE
+            assert result.iterations == 0
+            assert "exceeds overflow guard" in result.message
+        result = solve(self.prob, np.array([1e77]), SolverConfig(variant=variant))
+        assert result.status is Status.STATIONARY_POINT
+        assert abs(abs(result.x_final[0]) - 1.0) <= 1e-7
 
     def test_x0_size_checked(self):
         with pytest.raises(ValueError):
@@ -608,3 +622,19 @@ def test_solves_inside_the_safe_domain_are_not_read_as_stationary(case):
         if result.status is Status.STATIONARY_POINT:
             first = result.trace[0]
             assert first.inner_iters > 0 or first.norm_d > 0.0, variant
+
+
+@pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["quartic", "expsys"]), st.floats())
+def test_any_start_ends_in_a_status_with_a_message(name, start):
+    # NaN and infinite starts included: no evaluation's overflow escapes
+    # solve, and a failure says why
+    problem = builtin_problem(name)
+    for variant in Variant:
+        result = solve(problem, np.array([start]),
+                       SolverConfig(variant=variant, max_outer_iters=20))
+        assert isinstance(result, SolveResult)
+        assert isinstance(result.status, Status)
+        if result.status.is_failure:
+            assert result.message, variant
