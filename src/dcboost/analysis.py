@@ -31,6 +31,16 @@ _REL_SLACK = 1e-12
 AUDIT_TOL_BASE = 1e-6
 
 
+def _finite_json(obj):
+    """obj with each non-finite float in it, through dicts, lists and
+    tuples, replaced by None, which strict JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _finite_json(item) for key, item in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(item) for item in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 class Regime(str, enum.Enum):
     FINITE = "Finite"
     LINEAR = "Linear"
@@ -55,13 +65,13 @@ class RateReport:
     samples_used: int
 
     def to_json(self):
-        return {
+        return _finite_json({
             "regime": self.regime.value,
             "rate": self.rate,
             "exponent": self.exponent,
-            "fit_residual": None if math.isinf(self.fit_residual) else self.fit_residual,
+            "fit_residual": self.fit_residual,
             "samples_used": self.samples_used,
-        }
+        })
 
 
 class Violation(NamedTuple):
@@ -78,15 +88,11 @@ class AuditReport:
     passed: bool
 
     def to_json(self):
-        return {
+        return _finite_json({
             "passed": self.passed,
             "audit_tol": self.audit_tol,
-            "violations": [
-                {"iteration": v.iteration, "inequality": v.inequality,
-                 "lhs": v.lhs, "rhs": v.rhs}
-                for v in self.violations
-            ],
-        }
+            "violations": [v._asdict() for v in self.violations],
+        })
 
 
 def verify_rate_inequality(s, alpha, beta, from_index=0):
@@ -141,7 +147,7 @@ def classify_rate(s, atol=None):
     """Label an error sequence Finite, Linear, Sublinear or Inconclusive.
 
     Finite: some term falls to atol (default 1e-14 * s_0; a given atol
-    must be nonnegative, else ValueError).  Linear: the
+    must be finite and nonnegative, else ValueError).  Linear: the
     last-third ratios have variance below 0.01 and a mean inside (0, 1),
     and a geometric model fits the tail at least as well as a power
     model.  Sublinear: the log-log regression over the last third has a
@@ -155,8 +161,8 @@ def classify_rate(s, atol=None):
         raise ValueError("sequence must be nonnegative and finite")
     if atol is None:
         atol = 1e-14 * s[0]
-    elif not atol >= 0:
-        raise ValueError(f"atol must be nonnegative, got {atol}")
+    elif not 0 <= atol < math.inf:
+        raise ValueError(f"atol must be nonnegative and finite, got {atol}")
 
     hits = np.flatnonzero(s <= atol)
     if hits.size:
@@ -226,7 +232,7 @@ def audit_trace(trace, problem_moduli, config, phi_final=None,
 
     * ``prop3_decrease``:   phi_y <= phi_x - rho_eff * nd^2 + tol_k
     * ``prop4_slope``:      slope <= -(sigma_h + rho) * nd^2
-                            + tol_base * (1 + nd^2)   (rows carrying a slope)
+                            + tol_base * (1 + nd^2)   (rows with nd > 0)
     * ``phi_decreasing``:   phi(x_{k+1}) <= phi_x - drop_k + tol_k
     * ``bound_sum``:        sum of the guaranteed drops up to k stays below
                             phi(x_0) - phi(x_{k+1}) plus accumulated slack
@@ -262,7 +268,7 @@ def audit_trace(trace, problem_moduli, config, phi_final=None,
         if not lhs <= rhs:
             violations.append(Violation(rec.k, "prop3_decrease", lhs, rhs))
 
-        if rec.slope is not None and rec.norm_d > 0.0:
+        if rec.norm_d > 0.0:
             rhs = -slope_modulus * nd2 + tol_base * (1.0 + nd2)
             if not rec.slope <= rhs:
                 violations.append(Violation(rec.k, "prop4_slope", rec.slope, rhs))

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .analysis import AUDIT_TOL_BASE, audit_trace, classify_rate
+from .analysis import AUDIT_TOL_BASE, _finite_json, audit_trace, classify_rate
 from .biochem import (check_mass_conservation, generate_network, load_network,
                       save_network)
 from .exceptions import DcError, GenerationError, SchemaError
@@ -29,13 +29,7 @@ __all__ = ("main",)
 
 def _print_json(obj):
     """Print obj as one line of strict JSON, a non-finite number as null."""
-    def finite(v):
-        if isinstance(v, dict):
-            return {key: finite(item) for key, item in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [finite(item) for item in v]
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-    print(json.dumps(finite(obj), allow_nan=False))
+    print(json.dumps(_finite_json(obj), allow_nan=False))
 
 
 def _given(args, *names):
@@ -233,8 +227,8 @@ def cmd_validate(args):
 def cmd_rate(args):
     _print_json({"command": "rate", "trace": args.trace, "column": args.column,
                  "subtract_final": args.subtract_final, "atol": args.atol})
-    if args.atol is not None and not args.atol >= 0:
-        print(f"error: --atol must be nonnegative, got {args.atol}", file=sys.stderr)
+    if args.atol is not None and not 0 <= args.atol < math.inf:
+        print(f"error: --atol must be nonnegative and finite, got {args.atol}", file=sys.stderr)
         return 2
     try:
         with open(args.trace, newline="") as handle:

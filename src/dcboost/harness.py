@@ -7,7 +7,6 @@ Rows aggregate iteration and time statistics per problem; ratios are
 computed from the averages.
 """
 
-import csv
 import dataclasses
 import json
 import math
@@ -22,7 +21,8 @@ import numpy as np
 from .biochem import NetworkObjective, generate_network, load_network
 from .inner import check_count, value_or_inf
 from .problem import BUILTIN_PROBLEMS, builtin_problem
-from .solver import SolverConfig, SolveResult, Variant, solve, write_trace_csv
+from .solver import (SolverConfig, SolveResult, Variant, _read_records, _write_records,
+                     solve, write_trace_csv)
 
 __all__ = (
     "ProblemSource",
@@ -83,8 +83,9 @@ class ProblemSource:
                              f"{self.m!r}, {self.n!r}, {self.seed!r}")
         if self.rho is not None and not (isinstance(self.rho, numbers.Real)
                                          and not isinstance(self.rho, bool)
-                                         and self.rho >= 0):
-            raise ValueError(f"source rho must be a nonnegative number, got {self.rho!r}")
+                                         and 0 <= self.rho < math.inf):
+            raise ValueError(f"source rho must be a nonnegative finite number, "
+                             f"got {self.rho!r}")
 
     @classmethod
     def from_json(cls, obj):
@@ -160,8 +161,8 @@ class ExperimentSpec:
         if not math.isfinite(self.x0_high - self.x0_low):
             raise ValueError(f"the start box [{self.x0_low}, {self.x0_high}] "
                              "must have a finite width")
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be nonnegative, got {self.rho}; it must also be finite")
         if self.solver.variant is Variant.DCA:
             raise ValueError("the boosted side of the comparison cannot be dca")
 
@@ -261,7 +262,6 @@ class ComparisonRow:
 
 
 ROW_COLUMNS = tuple(f.name for f in dataclasses.fields(ComparisonRow))
-_INT_COLUMNS = {f.name for f in dataclasses.fields(ComparisonRow) if f.type is int}
 
 
 @dataclass
@@ -381,38 +381,8 @@ def _write_outputs(result, out_dir):
 
 
 def export_table(rows, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ROW_COLUMNS)
-        for row in rows:
-            record = dataclasses.asdict(row)
-            out = []
-            for col in ROW_COLUMNS:
-                value = record[col]
-                if col == "name":
-                    out.append(value)
-                elif col in _INT_COLUMNS:
-                    out.append(int(value))
-                else:
-                    out.append(format(float(value), ".17g"))
-            writer.writerow(out)
+    _write_records(rows, path, ComparisonRow, ROW_COLUMNS)
 
 
 def read_table(path):
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(ROW_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"rows file {path} lacks columns: {sorted(missing)}")
-        for record in reader:
-            kwargs = {}
-            for col in ROW_COLUMNS:
-                if col == "name":
-                    kwargs[col] = record[col]
-                elif col in _INT_COLUMNS:
-                    kwargs[col] = int(record[col])
-                else:
-                    kwargs[col] = float(record[col])
-            rows.append(ComparisonRow(**kwargs))
-    return rows
+    return _read_records(path, ComparisonRow, ROW_COLUMNS)

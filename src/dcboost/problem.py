@@ -83,11 +83,11 @@ class DcProblem:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
-        # written so that a NaN fails each test
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if not (self.sigma_g >= 0 and self.sigma_h >= 0):
-            raise ValueError("strong-convexity moduli must be nonnegative, got "
+        # written so that a NaN or an infinity fails each test
+        if not 0 <= self.rho < np.inf:
+            raise ValueError(f"rho must be nonnegative and finite, got {self.rho}")
+        if not (0 <= self.sigma_g < np.inf and 0 <= self.sigma_h < np.inf):
+            raise ValueError("strong-convexity moduli must be nonnegative and finite, got "
                              f"{self.sigma_g} and {self.sigma_h}")
         # bind to this problem a fallback dataclasses.replace() carried over
         for field in ("f1_value", "f1_value_grad", "phi_value", "phi_value_grad"):

@@ -19,7 +19,8 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter, itemgetter
 from typing import List, Optional
 
 import numpy as np
@@ -98,22 +99,21 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
-        # each test is written so that a NaN fails it
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # each test is written so that a NaN or an infinity fails it
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.lambda_bar > 0:
-            raise ValueError(f"lambda_bar must be positive, got {self.lambda_bar}")
-        if not self.lambda_max > self.lambda_bar:
-            raise ValueError(
-                f"lambda_max ({self.lambda_max}) must exceed lambda_bar ({self.lambda_bar})"
-            )
+        if not 0 < self.lambda_bar < math.inf:
+            raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
+        if not self.lambda_bar < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max ({self.lambda_max}) must be finite and "
+                             f"exceed lambda_bar ({self.lambda_bar})")
         check_count("max_outer_iters", self.max_outer_iters)
-        if self.tol is not None and not self.tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
-        if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if self.tol is not None and not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.target_phi is not None and math.isnan(self.target_phi):
             raise ValueError("target_phi must not be NaN")
 
@@ -165,7 +165,7 @@ class TraceRecord:
     backtracks: int
     inner_iters: int
     elapsed_ms: float
-    slope: Optional[float] = None
+    slope: float
 
 
 @dataclass
@@ -386,51 +386,50 @@ def solve(problem, x0, config=None):
                        iterations=iterations, message=message)
 
 
-# -- trace serialization -------------------------------------------------
+# -- record files --------------------------------------------------------
 
 TRACE_COLUMNS = ("k", "phi_x", "phi_y", "norm_d", "lambda", "backtracks",
                  "inner_iters", "elapsed_ms", "slope")
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
+def _write_records(records, path, cls, columns):
+    """Write dataclass records as CSV under the header ``columns``, one per
+    field of ``cls`` in order.  A cell converts by its field's type: int and
+    str as such, anything else as a float written with 17 significant
+    digits, which read back with every bit."""
+    records = list(records)  # each column below iterates over them once
+    cells = [map(f.type if f.type in (int, str) else "%.17g".__mod__,
+                 map(attrgetter(f.name), records)) for f in fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+
+
+def _read_records(path, cls, columns):
+    """Records of ``cls`` from a file of _write_records.  Columns are found
+    by name; a file that lacks one, or has a row whose cells do not match
+    its header, is refused with ValueError."""
+    kinds = [f.type if f.type in (int, str) else float for f in fields(cls)]
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = sorted(set(columns) - set(header))
+        if missing:
+            raise ValueError(f"{path} lacks columns: {missing}")
+        rows = [row for row in reader if row]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path} has a row of another length than its header")
+    return list(map(cls, *(map(kind, map(itemgetter(header.index(col)), rows))
+                           for col, kind in zip(columns, kinds))))
 
 
 def write_trace_csv(trace, path):
     """Write trace rows with full float round-trip precision."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow([
-                rec.k, _fmt(rec.phi_x), _fmt(rec.phi_y), _fmt(rec.norm_d),
-                _fmt(rec.lambda_k), rec.backtracks, rec.inner_iters,
-                _fmt(rec.elapsed_ms), "" if rec.slope is None else _fmt(rec.slope),
-            ])
+    _write_records(trace, path, TraceRecord, TRACE_COLUMNS)
 
 
 def read_trace_csv(path):
-    """Read a trace written by write_trace_csv back into records.
-
-    ``slope`` is optional: files without the column (or with an empty
-    cell) read as slope = None.
-    """
-    records = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(TRACE_COLUMNS[:-1]) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"trace file {path} lacks columns: {sorted(missing)}")
-        for row in reader:
-            records.append(TraceRecord(
-                k=int(row["k"]),
-                phi_x=float(row["phi_x"]),
-                phi_y=float(row["phi_y"]),
-                norm_d=float(row["norm_d"]),
-                lambda_k=float(row["lambda"]),
-                backtracks=int(row["backtracks"]),
-                inner_iters=int(row["inner_iters"]),
-                elapsed_ms=float(row["elapsed_ms"]),
-                slope=float(row["slope"]) if row.get("slope") else None,
-            ))
-    return records
+    """Read a trace written by write_trace_csv back into records.  Every
+    column, ``slope`` included, is required."""
+    return _read_records(path, TraceRecord, TRACE_COLUMNS)

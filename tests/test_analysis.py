@@ -1,5 +1,6 @@
 """Rate inequality, rate classification, and trace audits."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,12 @@ class TestClassifyRate:
         with pytest.raises(ValueError, match="atol must be nonnegative"):
             classify_rate(np.array([1.0, 0.5, 0.25, 0.0]), atol=atol)
 
+    @pytest.mark.parametrize("atol", [np.inf, -np.inf])
+    def test_infinite_atol_raises(self, atol):
+        # an infinite atol matched every term, so any sequence read Finite
+        with pytest.raises(ValueError, match="atol must be nonnegative and finite"):
+            classify_rate(np.array([1.0, 0.5, 0.25, 0.125]), atol=atol)
+
     def test_to_json(self):
         report = classify_rate(0.5 ** np.arange(5))
         payload = report.to_json()
@@ -242,6 +249,16 @@ class TestAuditTrace:
         loaded = read_trace_csv(path)
         report = audit_trace(loaded, prob, cfg, phi_final=result.phi_final)
         assert report.passed
+
+    def test_report_json_is_strict_with_a_nan_cell(self):
+        # the NaN sides of the violations print as null
+        prob, cfg, result = self.run_quartic("dca")
+        trace = list(result.trace)
+        trace[2] = replace(trace[2], phi_x=float("nan"))
+        report = audit_trace(trace, prob, cfg, phi_final=result.phi_final)
+        payload = json.loads(json.dumps(report.to_json(), allow_nan=False))
+        assert not payload["passed"]
+        assert None in [side for v in payload["violations"] for side in (v["lhs"], v["rhs"])]
 
     def test_report_json(self):
         prob, cfg, result = self.run_quartic("bdca-b")

@@ -96,6 +96,17 @@ class TestSolve:
         assert captured.out == "" and captured.err.startswith("error:")
         assert field in captured.err and "must" in captured.err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--alpha", "alpha"), ("--lambda-max", "lambda_max"), ("--tol", "tol"),
+        ("--inner-tol", "inner_tol"), ("--rho", "rho"),
+    ])
+    def test_infinite_setting_exit_2(self, capsys, flag, field):
+        # `--tol inf` used to echo "tol": null, which reads as the default
+        assert main(["solve", "--builtin", "quartic", "--x0", "0.5", flag, "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert field in captured.err and "finite" in captured.err
+
     def test_negative_rho_exit_2(self, capsys):
         assert main(["solve", "--builtin", "quartic", "--rho", "-1",
                      "--x0", "0.5"]) == 2
@@ -197,6 +208,13 @@ class TestRate:
         assert main(["rate", str(tmp_path / "absent.csv")]) == 1
         capsys.readouterr()
 
+    def test_infinite_atol_exit_2(self, capsys, tmp_path):
+        # it used to echo "atol": null, which reads as the default atol
+        path = tmp_path / "series.csv"
+        path.write_text("k,norm_d\n0,1\n1,0.5\n")
+        assert main(["rate", str(path), "--atol=inf"]) == 2
+        assert "error: --atol must be nonnegative and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("atol", ["nan", "-1"])
     def test_nan_or_negative_atol_exit_2(self, capsys, tmp_path, atol):
         path = tmp_path / "series.csv"
@@ -248,6 +266,17 @@ class TestAudit:
     def test_unreadable_trace(self, capsys, tmp_path):
         assert main(["audit", str(tmp_path / "missing.csv")]) == 1
         capsys.readouterr()
+
+    def test_trace_without_slopes_is_refused(self, capsys, tmp_path):
+        # it used to pass the audit with prop4_slope silently skipped
+        trace = self.make_trace(tmp_path, capsys)
+        with open(trace, newline="") as handle:
+            rows = list(csv.reader(handle))
+        with open(trace, "w", newline="") as handle:
+            csv.writer(handle).writerows(row[:-1] for row in rows)
+        assert main(["audit", str(trace), "--sigma-h", "1", "--variant", "dca"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lacks columns: ['slope']" in err
 
     def rewrite(self, trace, cells):
         with open(trace, newline="") as handle:
@@ -422,6 +451,31 @@ class TestCompare:
                      "--bdca-iters", "5", "--rho", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "rho must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--builtin", "quartic", "--lambda-max", "inf"],
+        ["--generate", "6:9:5", "--rho", "inf"],
+    ])
+    def test_infinite_setting_exit_2(self, capsys, flags):
+        # both used to run: the first echoed "lambda_max": null, which the
+        # spec file could not replay, and the second failed every trial
+        assert main(["compare", "--trials", "1", "--bdca-iters", "5", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("fields", [
+        {"solver": {"lambda_max": float("inf")}},
+        {"rho": float("inf")},
+        {"problems": [{"builtin": "quartic", "rho": float("inf")}]},
+    ])
+    def test_infinite_setting_in_spec_file_exit_2(self, capsys, tmp_path, fields):
+        spec = {"problems": [{"builtin": "quartic"}], "trials": 1, "bdca_iters": 5, **fields}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))  # an infinity is written as Infinity
+        assert main(["compare", "--spec-file", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
     def test_no_problems_exit_2(self, capsys):
         assert main(["compare"]) == 2

@@ -150,6 +150,19 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="rho must be nonnegative, got nan"):
             ExperimentSpec(problems=[source], rho=float("nan"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_rho_raises(self, value):
+        source = ProblemSource(kind="builtin", name="quartic")
+        with pytest.raises(ValueError, match="rho must be nonnegative, got -?inf; "
+                                             "it must also be finite"):
+            ExperimentSpec(problems=[source], rho=value)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            ExperimentSpec.from_json({"problems": [source.to_json()], "rho": value})
+        with pytest.raises(ValueError, match="source rho must be a nonnegative finite number"):
+            ProblemSource(kind="builtin", name="quartic", rho=value)
+        with pytest.raises(ValueError, match="source rho"):
+            ProblemSource.from_json({"generate": {"m": 4, "n": 6, "seed": 1}, "rho": value})
+
     @pytest.mark.parametrize("field", ["trials", "seed", "bdca_iters", "dca_cap"])
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     def test_counts_must_be_integers(self, field, value):

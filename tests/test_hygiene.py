@@ -1,14 +1,19 @@
 """Source hygiene: no module imports a name it never uses, every
 exported name exists and the package re-exports exactly its library
 modules' exports, the package's only private SciPy dependency is the
-one its bit-for-bit tests guard, and the command line writes JSON only
-through its strict-JSON helper.
+one its bit-for-bit tests guard, the command line writes JSON only
+through its strict-JSON helper, and trace and table files are written and
+read only through one CSV codec pair.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
 (its ``__init__``, which imports to re-export, excepted) and ``tests/``.
+The last test runs pytest on a failing property test, to check that
+``tests/conftest.py`` lets it end in a plain failure report.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,21 +135,26 @@ def test_export_detectors():
     assert exported_names("x = 1\n") is None
 
 
-def json_dumps_outside(source, helper):
-    """Line numbers of ``json.dump``/``json.dumps`` calls in ``source`` that
-    lie outside the top-level function named ``helper``, or None when no
-    such function is defined."""
+def calls_outside(source, module, names, helpers):
+    """Line numbers of the ``module.<name>(...)`` calls in ``source``, for
+    each name in ``names``, that lie outside the top-level functions named
+    in ``helpers``, or None when one of those functions is not defined."""
     tree = ast.parse(source)
-    helpers = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == helper]
-    if not helpers:
+    defined = {node.name: node for node in reversed(tree.body)
+               if isinstance(node, ast.FunctionDef)}
+    if not set(helpers) <= set(defined):
         return None
-    inside = {id(node) for node in ast.walk(helpers[0])}
+    inside = {id(node) for helper in helpers for node in ast.walk(defined[helper])}
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("dump", "dumps")
-                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                  and node.func.attr in names
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == module
                   and id(node) not in inside)
+
+
+def json_dumps_outside(source, helper):
+    """``json.dump``/``json.dumps`` calls outside the function ``helper``."""
+    return calls_outside(source, "json", ("dump", "dumps"), (helper,))
 
 
 def test_cli_writes_json_only_through_its_strict_helper():
@@ -162,3 +172,42 @@ def test_json_dumps_detector():
               "f = lambda v: json.dumps(v)\n")
     assert json_dumps_outside(source, "_print_json") == [7, 8, 10]
     assert json_dumps_outside(source, "_echo") is None
+
+
+CODEC = ("_write_records", "_read_records")
+CSV_CALLS = ("writer", "reader", "DictReader", "DictWriter")
+
+
+@pytest.mark.parametrize("name, helpers", [("solver.py", CODEC), ("harness.py", ())])
+def test_record_files_go_through_one_codec(name, helpers):
+    # traces and comparison tables are written and read by solver's codec
+    # pair alone, so both kinds of file make the same choices
+    source = (ROOT / "src" / "dcboost" / name).read_text()
+    assert calls_outside(source, "csv", CSV_CALLS, helpers) == []
+
+
+def test_csv_call_detector():
+    source = ("import csv\ndef _write_records(rows, handle):\n"
+              "    csv.writer(handle).writerows(rows)\n"
+              "def _read_records(handle):\n    return list(csv.reader(handle))\n"
+              "def export_table(rows, handle):\n    csv.writer(handle)\n"
+              "def read_table(handle):\n    return csv.DictReader(handle)\n"
+              "csv.field_size_limit(10)\nwriter = handle.writer()\n")
+    assert calls_outside(source, "csv", CSV_CALLS, CODEC) == [7, 9]
+    assert calls_outside(source, "csv", CSV_CALLS, ()) == [3, 5, 7, 9]
+    assert calls_outside(source, "csv", CSV_CALLS, ("_write_records", "_gone")) is None
+
+
+def test_failing_property_test_reports_without_internal_error(tmp_path):
+    # tests/conftest.py imports the module hypothesis loads on a failure, so
+    # that its DeprecationWarning is not raised as an error during teardown
+    (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings = error\n")
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_small(x):\n    assert x < 10\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout

@@ -460,6 +460,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be nonnegative"):
             DcProblem(m=1, eval_f1=ev, eval_f2=ev, **{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["rho", "sigma_g", "sigma_h"])
+    def test_infinite_parameters_raise(self, field, value):
+        ev = lambda x: (0.0, np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
+            DcProblem(m=1, eval_f1=ev, eval_f2=ev, **{field: value})
+        if field == "rho":
+            with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+                builtin_problem("quartic", rho=value)
+
     def test_fd_jacobian(self):
         fun = lambda x: np.array([x[0] ** 2, x[0] * x[1], np.sin(x[1])])
         x = np.array([0.4, 1.1])

@@ -9,9 +9,15 @@ With alpha = 0.4, lambda_bar = 2 the first trial is rejected
 lambda = 1 accepted (phi(123/125) = -0.24974807961601536...).
 """
 
+import dataclasses
 import json
+import math
+import re
+import struct
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,8 @@ from hypothesis import strategies as st
 import dcboost.solver
 from dcboost import (
     EXP_GUARD,
+    TRACE_COLUMNS,
+    ComparisonRow,
     DcProblem,
     LineSearchError,
     NetworkObjective,
@@ -36,11 +44,13 @@ from dcboost import (
     builtin_problem,
     dca_step,
     descent_slope,
+    export_table,
     fm_step,
     generate_network,
     make_quartic_problem,
     minimize_subproblem,
     quad_interp_lambda,
+    read_table,
     read_trace_csv,
     run_matched_target,
     solve,
@@ -333,6 +343,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["alpha", "lambda_bar", "lambda_max", "tol", "inner_tol"])
+    def test_infinite_settings_raise(self, field, value):
+        # an infinite lambda_max or tol used to pass and echo as null, which
+        # reads back as a missing value
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SolverConfig.from_json({field: value})
+
     @pytest.mark.parametrize("target", [None, float("-inf"), -1e300, 0.0, 2.5, float("inf")])
     def test_target_phi_takes_none_or_any_number(self, target):
         assert SolverConfig(target_phi=target).target_phi == target
@@ -411,6 +431,15 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="lacks columns"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,1.5,1.25,0.5,2,1,3,0.25",
+                                     "1,1.5,1.25,0.5,2,1,3,0.25,-1,9"])
+    def test_row_of_another_length_rejected(self, tmp_path, row):
+        # a truncated last row used to escape as a TypeError
+        path = tmp_path / "cut.csv"
+        path.write_text("\n".join([",".join(TRACE_COLUMNS), "0,1.5,1.25,0.5,2,1,3,0.25,-1", row]))
+        with pytest.raises(ValueError, match="another length than its header"):
+            read_trace_csv(path)
+
     def test_header_written(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_trace_csv([], path)
@@ -419,17 +448,108 @@ class TestTraceCsv:
                           "elapsed_ms,slope")
 
     def test_eight_column_file_reads_without_slope(self, tmp_path):
+        # files written before the slope column are refused: every replayed
+        # row must carry the slope the audit checks against prop4
         path = tmp_path / "old.csv"
         path.write_text("k,phi_x,phi_y,norm_d,lambda,backtracks,inner_iters,elapsed_ms\n"
                         "0,1.5,1.25,0.5,2,1,3,0.25\n")
-        (rec,) = read_trace_csv(path)
-        assert (rec.k, rec.phi_x, rec.lambda_k, rec.backtracks) == (0, 1.5, 2.0, 1)
-        assert rec.slope is None
+        with pytest.raises(ValueError, match=re.escape("lacks columns: ['slope']")):
+            read_trace_csv(path)
 
     def test_record_fields(self):
-        rec = TraceRecord(k=0, phi_x=1.0, phi_y=0.5, norm_d=0.1, lambda_k=2.0,
-                          backtracks=1, inner_iters=3, elapsed_ms=0.7)
-        assert rec.slope is None
+        fields = dict(k=0, phi_x=1.0, phi_y=0.5, norm_d=0.1, lambda_k=2.0,
+                      backtracks=1, inner_iters=3, elapsed_ms=0.7)
+        with pytest.raises(TypeError, match="slope"):
+            TraceRecord(**fields)
+        assert TraceRecord(**fields, slope=-0.25).slope == -0.25
+
+
+def same_bits(a, b):
+    """Field by field: floats with identical bits (a NaN matching any NaN),
+    other values equal and of the same type."""
+    def same(x, y):
+        if type(x) is not type(y):
+            return False
+        if type(x) is float and math.isnan(x):
+            return math.isnan(y)
+        if type(x) is float:
+            return struct.pack("<d", x) == struct.pack("<d", y)
+        return x == y
+    return type(a) is type(b) and all(
+        same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.225073858507201e-308, 0.1])
+# names with the characters CSV must quote; NUL is left out, which some
+# Python versions' csv module refuses
+NAMES = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00")
+                | st.sampled_from(',"\n\r '))
+
+
+def record_lists(cls):
+    kinds = {int: st.integers(), float: FLOATS, str: NAMES}
+    return st.lists(st.builds(cls, **{f.name: kinds[f.type] for f in dataclasses.fields(cls)}),
+                    max_size=4)
+
+
+def old_trace():
+    return [TraceRecord(0, 2.5, 1.0000000000000002, 0.1, 0.0, 0, 3, 0.0123, -1e-300),
+            TraceRecord(1, -0.0, math.nan, 5e-324, math.inf, 12, 7, 1.5, -math.inf)]
+
+
+def old_table():
+    floats = [0.1, -0.0, math.nan, math.inf, 5e-324, 1 / 3, 2.0 ** 1000]
+    return [ComparisonRow(**{
+        f.name: 'net "a", b\nc' if f.type is str else i if f.type is int else floats[i % 7]
+        for i, f in enumerate(dataclasses.fields(ComparisonRow))})]
+
+
+# old_trace() and old_table() as write_trace_csv and export_table wrote
+# them before the two shared one codec
+OLD_TRACE = (b"k,phi_x,phi_y,norm_d,lambda,backtracks,inner_iters,elapsed_ms,slope\r\n"
+             b"0,2.5,1.0000000000000002,0.10000000000000001,0,0,3,0.0123,-1e-300\r\n"
+             b"1,-0,nan,4.9406564584124654e-324,inf,12,7,1.5,-inf\r\n")
+OLD_TABLE = (
+    b"name,m,n,trials,avg_phi0,avg_phi_end,bdca_iters_min,bdca_iters_max,bdca_iters_avg,"
+    b"bdca_time_min,bdca_time_max,bdca_time_avg,dca_iters_min,dca_iters_max,"
+    b"dca_iters_avg,dca_time_min,dca_time_max,dca_time_avg,ratio_iters,ratio_time,"
+    b"avg_phi_end_dca,dca_capped,failures\r\n"
+    b'"net ""a"", b\nc",1,2,3,4.9406564584124654e-324,0.33333333333333331,6,7,-0,nan,inf,'
+    b"4.9406564584124654e-324,12,13,0.10000000000000001,-0,nan,inf,"
+    b"4.9406564584124654e-324,0.33333333333333331,1.0715086071862673e+301,21,22\r\n")
+CODECS = {"trace": (TraceRecord, write_trace_csv, read_trace_csv),
+          "table": (ComparisonRow, export_table, read_table)}
+
+
+class TestRecordCodec:
+    """Traces and comparison tables through their public writer and reader."""
+
+    @pytest.mark.parametrize("kind", CODECS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_keeps_every_bit(self, kind, data):
+        cls, write, read = CODECS[kind]
+        rows = data.draw(record_lists(cls))
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "records.csv"
+            write(rows, path)
+            loaded = read(path)
+        assert len(loaded) == len(rows)
+        assert all(same_bits(a, b) for a, b in zip(rows, loaded))
+
+    @pytest.mark.parametrize("kind, text, expected", [
+        ("trace", OLD_TRACE, old_trace), ("table", OLD_TABLE, old_table)])
+    def test_files_of_the_earlier_writers_read_back_unchanged(self, tmp_path, kind, text,
+                                                               expected):
+        _, write, read = CODECS[kind]
+        rows = expected()
+        (tmp_path / "old.csv").write_bytes(text)
+        loaded = read(tmp_path / "old.csv")
+        assert len(loaded) == len(rows)
+        assert all(same_bits(a, b) for a, b in zip(rows, loaded))
+        write(rows, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == text
 
 
 # (problem, variant, iterations, status, phi_final.hex()): a change to the
