@@ -24,12 +24,11 @@ from .harness import (ComparisonRow, ExperimentResult, ExperimentSpec,
                       run_matched_target)
 from .inner import minimize_subproblem, spd_solve
 from .problem import (BUILTIN_PROBLEMS, EXP_GUARD, DcProblem, builtin_problem,
-                      derivative_report, finite_difference_jacobian,
                       make_expsys_problem, make_quartic_problem)
 from .solver import (TRACE_COLUMNS, SolveResult, SolverConfig, Status,
                      TraceRecord, Variant, backtrack, bdca_qi_select, dca_step,
-                     descent_slope, fm_step, quad_interp_lambda, read_trace_csv,
-                     solve, write_trace_csv)
+                     descent_slope, fm_step, quad_interp_lambda, read_column,
+                     read_trace_csv, solve, write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -46,10 +45,10 @@ __all__ = (
     "read_table", "run_experiment", "run_matched_target",
     "minimize_subproblem", "spd_solve",
     "BUILTIN_PROBLEMS", "EXP_GUARD", "DcProblem", "builtin_problem",
-    "derivative_report", "finite_difference_jacobian", "make_expsys_problem",
-    "make_quartic_problem",
+    "make_expsys_problem", "make_quartic_problem",
     "TRACE_COLUMNS", "SolveResult", "SolverConfig", "Status", "TraceRecord",
     "Variant", "backtrack", "bdca_qi_select", "dca_step", "descent_slope",
-    "fm_step", "quad_interp_lambda", "read_trace_csv", "solve", "write_trace_csv",
+    "fm_step", "quad_interp_lambda", "read_column", "read_trace_csv", "solve",
+    "write_trace_csv",
     "__version__",
 )

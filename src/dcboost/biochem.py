@@ -428,8 +428,8 @@ def check_mass_conservation(network, l=None):
     l = np.asarray(l, dtype=float).reshape(-1)
     if l.size != network.m:
         raise ValueError(f"l must have length m={network.m}, got {l.size}")
-    if np.any(l <= 0):
-        raise ValueError("mass vector entries must be positive")
+    if not np.all((l > 0) & (l < np.inf)):
+        raise ValueError("mass vector entries must be positive and finite")
     imbalance = (network.R - network.F).T @ l
     return float(np.abs(imbalance).max()), l
 
@@ -572,7 +572,7 @@ def load_network(path):
     with open(path) as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a UnicodeDecodeError too
             raise SchemaError("file", f"not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError("file", "top level must be an object")

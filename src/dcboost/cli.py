@@ -3,11 +3,11 @@
 Subcommands: solve, compare, generate, validate, rate, audit.  Every
 command echoes its resolved configuration as a single JSON line before
 doing any work; for ``compare`` that line is a complete experiment spec
-that reproduces the run via --spec-file.
+that reproduces the run via --spec-file.  Subcommands raise; ``main``
+alone turns an exception into an error line and an exit code.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,10 +18,10 @@ import numpy as np
 from .analysis import AUDIT_TOL_BASE, _finite_json, audit_trace, classify_rate
 from .biochem import (check_mass_conservation, generate_network, load_network,
                       save_network)
-from .exceptions import DcError, GenerationError, SchemaError
+from .exceptions import DcError, SchemaError
 from .harness import ExperimentSpec, ProblemSource, run_experiment
 from .problem import BUILTIN_PROBLEMS
-from .solver import (SolverConfig, Variant, read_trace_csv, solve,
+from .solver import (SolverConfig, Variant, read_column, read_trace_csv, solve,
                      write_trace_csv)
 
 __all__ = ("main",)
@@ -60,22 +60,15 @@ def cmd_solve(args):
     source = ProblemSource(kind="model" if args.builtin is None else "builtin",
                            name=args.builtin, path=args.model, rho=args.rho)
     spec = ExperimentSpec(problems=[source])
-    try:
-        _, problem, _ = source.resolve(spec.rho)
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _, problem, _ = source.resolve(spec.rho)
 
     if args.x0 is not None:
         try:
             x0 = np.array([float(v) for v in args.x0.split(",")])
         except ValueError:
-            print(f"error: cannot parse --x0 {args.x0!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot parse --x0 {args.x0!r}") from None
         if x0.size != problem.m:
-            print(f"error: --x0 has {x0.size} entries, problem needs {problem.m}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--x0 has {x0.size} entries, problem needs {problem.m}")
         start = {"x0": x0.tolist()}
     else:
         rng = np.random.default_rng(args.x0_seed)
@@ -89,11 +82,7 @@ def cmd_solve(args):
     result = solve(problem, x0, cfg)
 
     if args.trace_out:
-        try:
-            write_trace_csv(result.trace, args.trace_out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        write_trace_csv(result.trace, args.trace_out)
         print(f"trace: {args.trace_out} ({len(result.trace)} rows)")
     final_d = result.trace[-1].norm_d if result.trace else float("nan")
     print(f"status: {result.status.value}")
@@ -117,33 +106,24 @@ def _parse_generate(text):
 
 
 def cmd_compare(args):
-    try:
-        if args.spec_file is not None:
-            with open(args.spec_file) as handle:
-                spec = ExperimentSpec.from_json(json.load(handle))
-        else:
-            problems = [ProblemSource(kind="builtin", name=name)
-                        for name in args.builtin or ()]
-            problems += [ProblemSource(kind="model", path=path)
-                         for path in args.model or ()]
-            problems += [_parse_generate(text) for text in args.generate or ()]
-            if not problems:
-                print("error: no problems given (use --builtin/--model/--generate "
-                      "or --spec-file)", file=sys.stderr)
-                return 2
-            spec = ExperimentSpec(
-                problems=problems, solver=_solver_config(args),
-                **_given(args, "trials", "seed", "bdca_iters", "dca_cap", "rho"))
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.spec_file is not None:
+        with open(args.spec_file) as handle:
+            spec = ExperimentSpec.from_json(json.load(handle))
+    else:
+        problems = [ProblemSource(kind="builtin", name=name)
+                    for name in args.builtin or ()]
+        problems += [ProblemSource(kind="model", path=path)
+                     for path in args.model or ()]
+        problems += [_parse_generate(text) for text in args.generate or ()]
+        if not problems:
+            raise ValueError("no problems given (use --builtin/--model/--generate "
+                             "or --spec-file)")
+        spec = ExperimentSpec(
+            problems=problems, solver=_solver_config(args),
+            **_given(args, "trials", "seed", "bdca_iters", "dca_cap", "rho"))
 
     _print_json(spec.to_json())
-    try:
-        result = run_experiment(spec, out_dir=args.out)
-    except (DcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = run_experiment(spec, out_dir=args.out)
 
     header = (f"{'name':<24}{'m':>5}{'n':>5}{'phi0':>12}{'phi_end':>12}"
               f"{'b_it':>8}{'b_t(s)':>9}{'d_it':>9}{'d_t(s)':>9}"
@@ -169,16 +149,8 @@ def cmd_compare(args):
 def cmd_generate(args):
     _print_json({"command": "generate", "m": args.m, "n": args.n, "seed": args.seed,
                  "out": args.out})
-    try:
-        network = generate_network(args.m, args.n, args.seed)
-    except (ValueError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        save_network(network, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    network = generate_network(args.m, args.n, args.seed)
+    save_network(network, args.out)
     residual, _ = check_mass_conservation(network)
     print(f"name: {network.name}")
     print(f"species: {network.m}, reactions: {network.n}")
@@ -190,27 +162,20 @@ def cmd_validate(args):
     _print_json({"command": "validate", "model": args.model, "l_file": args.l_file})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            network = load_network(args.model)
-        except SchemaError as exc:
-            print(f"schema error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        network = load_network(args.model)
     for warning in caught:
         print(f"warning: {warning.message}")
 
-    if args.l_file is not None:
-        try:
+    masses = None
+    try:
+        if args.l_file is not None:
             with open(args.l_file) as handle:
-                masses = np.asarray(json.load(handle), dtype=float)
-            residual, _ = check_mass_conservation(network, masses)
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            print(f"schema error: l-file: {exc}", file=sys.stderr)
-            return 1
-    else:
-        residual, _ = check_mass_conservation(network)
+                masses = json.load(handle)
+            if not (isinstance(masses, list) and all(type(v) in (int, float) for v in masses)):
+                raise ValueError("must be a JSON list of numbers")
+        residual, _ = check_mass_conservation(network, masses)
+    except ValueError as exc:
+        raise SchemaError("l-file", str(exc)) from exc
 
     print(f"name: {network.name or '(unnamed)'}")
     print(f"species: {network.m}, reactions: {network.n}")
@@ -228,29 +193,14 @@ def cmd_rate(args):
     _print_json({"command": "rate", "trace": args.trace, "column": args.column,
                  "subtract_final": args.subtract_final, "atol": args.atol})
     if args.atol is not None and not 0 <= args.atol < math.inf:
-        print(f"error: --atol must be nonnegative and finite, got {args.atol}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.trace, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if args.column not in (reader.fieldnames or ()):
-                print(f"error: column {args.column!r} not in {args.trace}",
-                      file=sys.stderr)
-                return 1
-            values = [float(row[args.column]) for row in reader]
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    series = np.asarray(values, dtype=float)
+        raise ValueError(f"--atol must be nonnegative and finite, got {args.atol}")
+    series = np.asarray(read_column(args.trace, args.column), dtype=float)
     if args.subtract_final and series.size:
         series = series - series[-1]
-    series = np.abs(series)
     try:
-        report = classify_rate(series, atol=args.atol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        report = classify_rate(np.abs(series), atol=args.atol)
+    except ValueError as exc:  # the series is the file's content
+        raise SchemaError(args.trace, str(exc)) from exc
     _print_json(report.to_json())
     return 0
 
@@ -260,11 +210,7 @@ def cmd_audit(args):
     _print_json({"command": "audit", "trace": args.trace, "sigma_g": args.sigma_g,
                  "sigma_h": args.sigma_h, "rho": args.rho, "alpha": cfg.alpha,
                  "variant": cfg.variant.value, "tol_base": args.tol_base})
-    try:
-        trace = read_trace_csv(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace = read_trace_csv(args.trace)
     report = audit_trace(trace, (args.sigma_g, args.sigma_h, args.rho), cfg,
                          tol_base=args.tol_base)
     _print_json(report.to_json())
@@ -352,8 +298,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # the one place an exception becomes an exit code; a TypeError is a
+    # bug and is left to show its traceback
     try:
         return args.func(args)
+    except SchemaError as exc:  # a malformed input file
+        print(f"schema error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, DcError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,10 +43,12 @@ class GenerationError(DcError):
     """The network generator could not satisfy its structural constraints."""
 
 
-class SchemaError(DcError):
-    """A model file failed structural validation.
+class SchemaError(DcError, ValueError):
+    """An input file (a model, a trace or table, a series or a mass file)
+    failed structural validation.
 
-    Carries the offending field name so CLI output can point at it.
+    Carries the offending field, or the file's path, so CLI output can
+    point at it.  It is also a ValueError, the error of a bad value.
     """
 
     def __init__(self, field, message):

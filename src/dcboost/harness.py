@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .biochem import NetworkObjective, generate_network, load_network
-from .inner import check_count, value_or_inf
+from .inner import check_count, check_numbers, value_or_inf
 from .problem import BUILTIN_PROBLEMS, builtin_problem
-from .solver import (SolverConfig, SolveResult, Variant, _read_records, _write_records,
-                     solve, write_trace_csv)
+from .solver import (SolverConfig, SolveResult, Variant, _read_records, _reject_unknown,
+                     _write_records, solve, write_trace_csv)
 
 __all__ = (
     "ProblemSource",
@@ -45,12 +45,6 @@ REACH_RTOL = 1e-9
 def _plain_cap(bdca_iters, dca_cap):
     """The plain run's iteration cap: ``dca_cap``, else 100x the boosted budget."""
     return dca_cap if dca_cap is not None else 100 * bdca_iters
-
-
-def _reject_unknown(obj, known, what):
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 @dataclass
@@ -151,6 +145,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("experiment needs at least one problem source")
+        check_numbers(self)
         check_count("trials", self.trials)
         check_count("seed", self.seed, low=0)
         check_count("bdca_iters", self.bdca_iters)
@@ -191,7 +186,10 @@ class ExperimentSpec:
                  "bdca_iters", "dca_cap", "rho"}
         _reject_unknown(obj, known | {"solver"}, "experiment spec")
         kwargs = {k: obj[k] for k in known if k in obj and k != "problems"}
-        problems = [ProblemSource.from_json(p) for p in obj.get("problems", [])]
+        problems = obj.get("problems", [])
+        if not isinstance(problems, list):
+            raise ValueError(f"problems must be a list, got {problems!r}")
+        problems = [ProblemSource.from_json(p) for p in problems]
         return cls(problems=problems, solver=solver, **kwargs)
 
 

@@ -5,8 +5,10 @@ curvature, so a Cholesky-based Newton method with a small Armijo
 safeguard converges in a handful of steps from the warm start.
 """
 
+import dataclasses
 import math
 import numbers
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +38,16 @@ def check_count(name, value, low=1):
     """Raise ValueError unless value is an integer, not a bool, of at least low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def check_numbers(obj):
+    """Raise ValueError unless each float field of the dataclass ``obj``
+    holds a real number, not a bool; an Optional[float] field may be None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is float or (f.type == Optional[float] and value is not None):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
 class PlainDcaState:

@@ -26,9 +26,9 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from .exceptions import LineSearchError, NumericalError, TheoryWarning
+from .exceptions import LineSearchError, NumericalError, SchemaError, TheoryWarning
 from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, PlainDcaState, check_count,
-                    minimize_subproblem, sufficient_decrease, value_or_inf)
+                    check_numbers, minimize_subproblem, sufficient_decrease, value_or_inf)
 
 __all__ = (
     "Variant",
@@ -45,6 +45,7 @@ __all__ = (
     "solve",
     "write_trace_csv",
     "read_trace_csv",
+    "read_column",
     "TRACE_COLUMNS",
 )
 
@@ -55,6 +56,12 @@ _REMOVED_FIELDS = {"proximal_c": None, "max_backtracks": _MAX_BACKTRACKS,
                    "tol_d": None, "tol_x": None,
                    "inner.max_iters": _MAX_NEWTON_STEPS,
                    "inner.damping_floor": _DAMPING_FLOOR}
+
+
+def _reject_unknown(obj, known, what):
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 class Variant(str, enum.Enum):
@@ -99,6 +106,7 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
+        check_numbers(self)
         # each test is written so that a NaN or an infinity fails it
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
@@ -134,8 +142,13 @@ class SolverConfig:
         a removed field may hold only the value the solver now fixes, and
         the inner solver's ``tol_grad`` is read as ``inner_tol``.
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"solver must be an object, got {obj!r}")
         obj = dict(obj)
-        obj.update({f"inner.{k}": v for k, v in dict(obj.pop("inner", {})).items()})
+        inner = obj.pop("inner", {})
+        if not isinstance(inner, dict):
+            raise ValueError(f"solver.inner must be an object, got {inner!r}")
+        obj.update({f"inner.{k}": v for k, v in inner.items()})
         if "inner.tol_grad" in obj:
             obj["inner_tol"] = obj.pop("inner.tol_grad")
         for name, kept in _REMOVED_FIELDS.items():
@@ -144,6 +157,7 @@ class SolverConfig:
                 if type(value) is not type(kept) or value != kept:
                     raise ValueError(f"solver field {name} was removed; it may only "
                                      f"hold {json.dumps(kept)}, got {json.dumps(value)}")
+        _reject_unknown(obj, {f.name for f in fields(cls)}, "solver")
         return cls(**obj)
 
 
@@ -406,22 +420,32 @@ def _write_records(records, path, cls, columns):
         writer.writerows(zip(*cells))
 
 
-def _read_records(path, cls, columns):
-    """Records of ``cls`` from a file of _write_records.  Columns are found
-    by name; a file that lacks one, or has a row whose cells do not match
-    its header, is refused with ValueError."""
-    kinds = [f.type if f.type in (int, str) else float for f in fields(cls)]
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+def _read_columns(path, columns, kinds):
+    """Lists of the cells of the named columns of a CSV file with a header,
+    each converted by its kind.  Columns are found by name; a file that
+    lacks one, has a row whose cells do not match its header, or has a cell
+    that does not parse is refused with SchemaError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
         missing = sorted(set(columns) - set(header))
         if missing:
-            raise ValueError(f"{path} lacks columns: {missing}")
-        rows = [row for row in reader if row]
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path} has a row of another length than its header")
-    return list(map(cls, *(map(kind, map(itemgetter(header.index(col)), rows))
-                           for col, kind in zip(columns, kinds))))
+            raise ValueError(f"lacks columns: {missing}")
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("has a row of another length than its header")
+        return [list(map(kind, map(itemgetter(header.index(col)), rows)))
+                for col, kind in zip(columns, kinds)]
+    except (csv.Error, ValueError) as exc:
+        raise SchemaError(str(path), str(exc)) from exc
+
+
+def _read_records(path, cls, columns):
+    """Records of ``cls`` from a file of _write_records, as _read_columns
+    reads it."""
+    kinds = [f.type if f.type in (int, str) else float for f in fields(cls)]
+    return list(map(cls, *_read_columns(path, columns, kinds)))
 
 
 def write_trace_csv(trace, path):
@@ -433,3 +457,10 @@ def read_trace_csv(path):
     """Read a trace written by write_trace_csv back into records.  Every
     column, ``slope`` included, is required."""
     return _read_records(path, TraceRecord, TRACE_COLUMNS)
+
+
+def read_column(path, name):
+    """The column ``name`` of a trace, a table or any CSV file with a
+    header, as floats; a malformed file is refused as _read_columns does."""
+    [column] = _read_columns(path, (name,), (float,))
+    return column

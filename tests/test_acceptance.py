@@ -14,11 +14,12 @@ from numpy.random import default_rng
 
 from dcboost import (ExperimentSpec, NetworkObjective, ProblemSource, Regime,
                      SolverConfig, Variant, audit_trace, backtrack,
-                     classify_rate, dca_step, derivative_report, descent_slope,
+                     classify_rate, dca_step, descent_slope,
                      export_table, generate_network, load_network,
                      make_expsys_problem, make_quartic_problem,
                      quad_interp_lambda, read_table, run_experiment,
                      save_network, solve, verify_rate_inequality)
+from derivatives import derivative_report
 
 pytestmark = pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
 

@@ -25,7 +25,6 @@ from dcboost import (
     SchemaWarning,
     SolverConfig,
     check_mass_conservation,
-    derivative_report,
     generate_network,
     load_network,
     save_network,
@@ -33,6 +32,7 @@ from dcboost import (
 )
 from dcboost import biochem
 from dcboost.problem import EXP_GUARD
+from derivatives import derivative_report
 
 
 def dense_reference(network, x):
@@ -585,6 +585,15 @@ class TestConservation:
         with pytest.raises(ValueError):
             check_mass_conservation(net, -np.ones(net.m))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_raises(self, bad):
+        # a NaN mass made the residual NaN, which no "residual > 0" test sees
+        net = generate_network(8, 10, seed=9)
+        masses = np.ones(net.m)
+        masses[3] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_mass_conservation(net, masses)
+
     def test_net_rate_jacobian_left_kernel(self):
         # mass conservation makes the summed component gradients of the
         # net rate vanish identically
@@ -679,6 +688,14 @@ class TestSchema:
         with pytest.raises(SchemaError) as exc:
             load_network(path)
         assert exc.value.field == "w"
+
+    def test_file_that_is_not_text(self, tmp_path):
+        # a UnicodeDecodeError used to escape as a plain ValueError
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{")
+        with pytest.raises(SchemaError, match="not valid JSON") as exc:
+            load_network(path)
+        assert exc.value.field == "file"
 
     def test_bad_triplets(self, tmp_path):
         net = generate_network(6, 8, seed=33)

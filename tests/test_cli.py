@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from dcboost import ExperimentSpec, ProblemSource, SolverConfig
+from dcboost import (ExperimentSpec, ProblemSource, SolverConfig, builtin_problem,
+                     generate_network, save_network, solve, write_trace_csv)
 from dcboost.analysis import AUDIT_TOL_BASE
 from dcboost.cli import main
 from dcboost.solver import read_trace_csv
@@ -173,9 +174,10 @@ class TestGenerateValidate:
         assert "error:" in capsys.readouterr().err
 
     def test_generate_bad_sizes(self, capsys, tmp_path):
+        # sizes the generator refuses are a validation error, as the README says
         assert main(["generate", "--m", "1", "--n", "4", "--seed", "0",
-                     "--out", str(tmp_path / "x.json")]) == 1
-        capsys.readouterr()
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: need at least two species")
 
 
 class TestRate:
@@ -232,7 +234,8 @@ class TestRate:
         path.write_text("k,norm_d\n")
         flags = ["--subtract-final"] if subtract_final else []
         assert main(["rate", str(path), *flags]) == 1
-        assert "error: empty sequence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "empty sequence" in err
 
 
 class TestAudit:
@@ -276,7 +279,7 @@ class TestAudit:
             csv.writer(handle).writerows(row[:-1] for row in rows)
         assert main(["audit", str(trace), "--sigma-h", "1", "--variant", "dca"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "lacks columns: ['slope']" in err
+        assert err.startswith("schema error:") and "lacks columns: ['slope']" in err
 
     def rewrite(self, trace, cells):
         with open(trace, newline="") as handle:
@@ -477,6 +480,22 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("solver, named", [
+        ([["alpha", 0.3]], "solver must be an object"),
+        ({"inner": [["tol_grad", 1e-6]]}, "solver.inner must be an object"),
+        ({"alpha": "x"}, "alpha must be a number"),
+        ({"alhpa": 0.3}, "unknown solver fields: ['alhpa']"),
+    ])
+    def test_solver_of_another_json_type_exit_2(self, capsys, tmp_path, solver, named):
+        # a list of pairs used to run as the object it spells, with alpha 0.3
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"problems": [{"builtin": "quartic"}], "trials": 1,
+                                         "bdca_iters": 5, "solver": solver}))
+        assert main(["compare", "--spec-file", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {named}")
+        assert "Traceback" not in captured.err
+
     def test_no_problems_exit_2(self, capsys):
         assert main(["compare"]) == 2
         assert main(["compare", "--generate", "banana"]) == 2
@@ -525,3 +544,77 @@ class TestMisc:
                     if not line.startswith("trace:")]
 
         assert strip_timing(first) == strip_timing(second)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of good and malformed input files for every subcommand."""
+    d = tmp_path_factory.mktemp("inputs")
+    save_network(generate_network(6, 9, 5), d / "net.json")
+    model = json.loads((d / "net.json").read_text())
+    (d / "bad.json").write_text(json.dumps({k: v for k, v in model.items() if k != "F"}))
+    model["F"][0][2] += 1  # unbalance one coefficient
+    (d / "unbalanced.json").write_text(json.dumps(model))
+    (d / "masses.json").write_text(json.dumps([1.0] * 3))
+    (d / "list_solver.json").write_text(json.dumps({
+        "problems": [{"builtin": "quartic"}], "trials": 1, "bdca_iters": 5,
+        "solver": [["alpha", 0.3]]}))
+    result = solve(builtin_problem("quartic"), [2.0], SolverConfig(variant="dca"))
+    write_trace_csv(result.trace, d / "trace.csv")
+    rows = list(csv.reader((d / "trace.csv").read_text().splitlines()))
+    with open(d / "noslope.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows(row[:-1] for row in rows)
+    rows[4][1] = str(float(rows[4][1]) + 1.0)  # bump phi_x at k=3
+    with open(d / "corrupted.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    (d / "short.csv").write_text("k,norm_d\n0,1\n1\n2,0.25\n")
+    return d
+
+
+# The README's exit codes, one row per case: 0 success; 1 a runtime failure
+# (a failed solve or audit, a file that cannot be read or written, or a
+# malformed input file, printed as "schema error:"); 2 a usage or
+# validation error.  "{d}" is the inputs directory.  An empty prefix means
+# nothing on stderr, as this module filters out TheoryWarning.
+EXIT_CODES = [
+    ("solve --builtin quartic --x0 0.5", 0, ""),
+    ("solve --builtin expsys --x0 800", 1, ""),
+    ("solve --model {d}/missing.json", 1, "error:"),
+    ("solve --model {d}/bad.json", 1, "schema error: F: missing"),
+    ("solve --builtin quartic --x0 1,2", 2, "error: --x0 has 2 entries"),
+    ("compare --builtin quartic --trials 1 --bdca-iters 5", 0, ""),
+    ("compare --spec-file {d}/missing.json", 1, "error:"),
+    ("compare --model {d}/bad.json --trials 1 --bdca-iters 5", 1, "schema error: F: missing"),
+    ("compare --spec-file {d}/list_solver.json", 2, "error: solver must be an object"),
+    ("compare", 2, "error: no problems given"),
+    ("generate --m 6 --n 9 --seed 5 --out {d}/out.json", 0, ""),
+    ("generate --m 6 --n 9 --seed 5 --out {d}/absent/x.json", 1, "error:"),
+    ("generate --m 20 --n 2 --seed 0 --out {d}/x.json", 1, "error: could not cover"),
+    ("generate --m 1 --n 4 --seed 0 --out {d}/x.json", 2, "error: need at least two"),
+    ("validate {d}/net.json", 0, ""),
+    ("validate {d}/missing.json", 1, "error:"),
+    ("validate {d}/bad.json", 1, "schema error: F: missing"),
+    ("validate {d}/net.json --l-file {d}/masses.json", 1, "schema error: l-file: l must"),
+    ("validate {d}/unbalanced.json", 2, ""),
+    ("validate", 2, "usage:"),
+    ("rate {d}/trace.csv", 0, ""),
+    ("rate {d}/missing.csv", 1, "error:"),
+    ("rate {d}/short.csv", 1, "schema error:"),
+    ("rate {d}/trace.csv --column zzz", 1, "schema error:"),
+    ("rate {d}/trace.csv --atol=-1", 2, "error: --atol must be"),
+    ("audit {d}/trace.csv --sigma-h 1 --variant dca", 0, ""),
+    ("audit {d}/corrupted.csv --sigma-h 1 --variant dca", 1, ""),
+    ("audit {d}/missing.csv", 1, "error:"),
+    ("audit {d}/noslope.csv", 1, "schema error:"),
+    ("audit {d}/trace.csv --rho=-1", 2, "error: rho must be"),
+]
+
+
+@pytest.mark.parametrize("command, code, prefix", EXIT_CODES,
+                         ids=[f"{cmd.split()[0]}-{c}-{i}" for i, (cmd, c, _) in
+                              enumerate(EXIT_CODES)])
+def test_exit_code_table(capsys, inputs, command, code, prefix):
+    assert main([part.format(d=inputs) for part in command.split()]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) if prefix else err == ""
+    assert "Traceback" not in err

@@ -179,6 +179,53 @@ class TestExperimentSpec:
             ExperimentSpec(problems=[source], x0_low=low, x0_high=high)
         assert ExperimentSpec(problems=[source], x0_low=-1e307, x0_high=1e307)
 
+    @staticmethod
+    def paths(obj, prefix=()):
+        """The path to every value inside a JSON value, its own path first."""
+        yield prefix
+        if isinstance(obj, dict):
+            items = obj.items()
+        elif isinstance(obj, list):
+            items = enumerate(obj)
+        else:
+            return
+        for key, value in items:
+            yield from TestExperimentSpec.paths(value, prefix + (key,))
+
+    def test_a_value_of_another_json_type_is_a_value_error(self):
+        # a spec file is data: a value of the wrong JSON type anywhere in it is
+        # refused with ValueError, where a comparison in a check, or dict() on
+        # a list of pairs, used to raise TypeError or accept it
+        spec = ExperimentSpec(
+            problems=[ProblemSource(kind="builtin", name="quartic", rho=2.0),
+                      ProblemSource(kind="model", path="net.json"),
+                      ProblemSource(kind="generate", m=4, n=6, seed=1)],
+            dca_cap=50, solver=quartic_solver()).to_json()
+        spec["solver"]["inner"] = {"max_iters": 200}  # a removed field at its kept value
+        kind = {bool: "bool", int: "number", float: "number", str: "str",
+                list: "list", dict: "dict", type(None): "null"}
+        checked = 0
+        for path in self.paths(spec):
+            if not path:
+                continue
+            for value in ("x", [1.0], {"a": 1}, True, None):
+                edited = json.loads(json.dumps(spec))
+                *parents, last = path
+                node = edited
+                for key in parents:
+                    node = node[key]
+                if kind[type(value)] == kind[type(node[last])]:
+                    continue
+                node[last] = value
+                try:
+                    ExperimentSpec.from_json(edited)
+                except ValueError:
+                    checked += 1
+                else:
+                    # only an optional setting may be null
+                    assert value is None, (path, value)
+        assert checked > 100
+
     def test_seed_may_be_zero_but_not_negative(self):
         source = ProblemSource(kind="builtin", name="quartic")
         assert ExperimentSpec(problems=[source], seed=np.int64(0)).seed == 0

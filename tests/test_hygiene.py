@@ -2,8 +2,9 @@
 exported name exists and the package re-exports exactly its library
 modules' exports, the package's only private SciPy dependency is the
 one its bit-for-bit tests guard, the command line writes JSON only
-through its strict-JSON helper, and trace and table files are written and
-read only through one CSV codec pair.
+through its strict-JSON helper and turns an exception into an exit code
+only in ``main``, and record files are written and read only through one
+CSV codec pair.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
 (its ``__init__``, which imports to re-export, excepted) and ``tests/``.
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dcboost import exceptions
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dcboost").glob("*.py"))
@@ -174,14 +177,16 @@ def test_json_dumps_detector():
     assert json_dumps_outside(source, "_echo") is None
 
 
-CODEC = ("_write_records", "_read_records")
+CODEC = ("_write_records", "_read_columns")
 CSV_CALLS = ("writer", "reader", "DictReader", "DictWriter")
 
 
-@pytest.mark.parametrize("name, helpers", [("solver.py", CODEC), ("harness.py", ())])
+@pytest.mark.parametrize("name, helpers", [("solver.py", CODEC), ("harness.py", ()),
+                                           ("cli.py", ())])
 def test_record_files_go_through_one_codec(name, helpers):
-    # traces and comparison tables are written and read by solver's codec
-    # pair alone, so both kinds of file make the same choices
+    # traces, comparison tables and the series ``rate`` reads are written and
+    # read by solver's codec pair alone, so every kind of file makes the same
+    # choices and is refused with the same SchemaError
     source = (ROOT / "src" / "dcboost" / name).read_text()
     assert calls_outside(source, "csv", CSV_CALLS, helpers) == []
 
@@ -189,13 +194,48 @@ def test_record_files_go_through_one_codec(name, helpers):
 def test_csv_call_detector():
     source = ("import csv\ndef _write_records(rows, handle):\n"
               "    csv.writer(handle).writerows(rows)\n"
-              "def _read_records(handle):\n    return list(csv.reader(handle))\n"
+              "def _read_columns(handle):\n    return list(csv.reader(handle))\n"
               "def export_table(rows, handle):\n    csv.writer(handle)\n"
               "def read_table(handle):\n    return csv.DictReader(handle)\n"
               "csv.field_size_limit(10)\nwriter = handle.writer()\n")
     assert calls_outside(source, "csv", CSV_CALLS, CODEC) == [7, 9]
     assert calls_outside(source, "csv", CSV_CALLS, ()) == [3, 5, 7, 9]
     assert calls_outside(source, "csv", CSV_CALLS, ("_write_records", "_gone")) is None
+
+
+def handlers_outside(source, names, helper):
+    """Line numbers of the ``except`` clauses in ``source`` that name one of
+    ``names``, bare or as a module attribute, alone or in a tuple, outside
+    the top-level function ``helper``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+              and top.name == helper for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or id(node) in inside:
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(getattr(c, "id", getattr(c, "attr", None)) in names for c in caught):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_main_maps_exceptions_to_exit_codes():
+    # main holds the one policy: OSError and DcError exit 1, SchemaError
+    # exits 1 as "schema error:", ValueError exits 2
+    failures = {name for name, value in vars(exceptions).items()
+                if isinstance(value, type) and issubclass(value, exceptions.DcError)}
+    source = (ROOT / "src" / "dcboost" / "cli.py").read_text()
+    assert handlers_outside(source, failures | {"OSError"}, "main") == []
+
+
+def test_handler_detector():
+    source = ("def cmd(args):\n    try:\n        run()\n    except OSError:\n        pass\n"
+              "    except (ValueError, exceptions.SchemaError) as exc:\n        raise\n"
+              "    except ValueError:\n        pass\n    except:\n        pass\n"
+              "def main():\n    try:\n        cmd()\n    except DcError:\n        pass\n")
+    assert handlers_outside(source, {"OSError", "SchemaError", "DcError"}, "main") == [4, 6]
+    assert handlers_outside(source, {"DcError"}, "cmd") == [15]
 
 
 def test_failing_property_test_reports_without_internal_error(tmp_path):

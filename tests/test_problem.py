@@ -18,11 +18,10 @@ from dcboost import (
     EvaluationOverflow,
     TheoryWarning,
     builtin_problem,
-    derivative_report,
-    finite_difference_jacobian,
     make_expsys_problem,
     make_quartic_problem,
 )
+from derivatives import derivative_report, finite_difference_jacobian
 
 QUARTIC_PHI_AT_35 = -369.0 / 2500.0   # = -0.1476
 QUARTIC_GRAD_AT_35 = -48.0 / 125.0    # = -0.384

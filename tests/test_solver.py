@@ -32,6 +32,7 @@ from dcboost import (
     DcProblem,
     LineSearchError,
     NetworkObjective,
+    SchemaError,
     SolverConfig,
     SolveResult,
     Status,
@@ -50,6 +51,7 @@ from dcboost import (
     make_quartic_problem,
     minimize_subproblem,
     quad_interp_lambda,
+    read_column,
     read_table,
     read_trace_csv,
     run_matched_target,
@@ -381,6 +383,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"solver field {field} was removed"):
             SolverConfig.from_json(obj)
 
+    @pytest.mark.parametrize("obj", [[["alpha", 0.3]], {"inner": [["tol_grad", 1e-6]]}])
+    def test_solver_and_inner_must_be_objects(self, obj):
+        # dict() read a list of pairs as the object it spells
+        with pytest.raises(ValueError, match="must be an object"):
+            SolverConfig.from_json(obj)
+
+    def test_unknown_field_raises(self):
+        with pytest.raises(ValueError, match=re.escape("unknown solver fields: ['alhpa']")):
+            SolverConfig.from_json({"alhpa": 0.3})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "lambda_bar", "lambda_max", "tol",
+                                       "inner_tol", "target_phi"])
+    @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+    def test_settings_must_be_numbers(self, field, value):
+        # a string used to fail a comparison with TypeError, and True passed as 1
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            SolverConfig(**{field: value})
+
     def test_removed_fields_at_their_fixed_values_load(self):
         old = {"variant": "fm", "max_backtracks": 60, "tol_d": None, "tol_x": None,
                "proximal_c": None,
@@ -439,6 +459,34 @@ class TestTraceCsv:
         path.write_text("\n".join([",".join(TRACE_COLUMNS), "0,1.5,1.25,0.5,2,1,3,0.25,-1", row]))
         with pytest.raises(ValueError, match="another length than its header"):
             read_trace_csv(path)
+
+    def test_cell_that_does_not_parse_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(TRACE_COLUMNS), "0.5,1.5,1.25,0.5,2,1,3,0.25,-1"]))
+        with pytest.raises(SchemaError, match="invalid literal for int"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"k,norm_d\n0,1\n1\n2,0.25\n", "another length than its header"),
+        (b"k,norm_d\n0,1\n1,x\n", "could not convert string to float: 'x'"),
+        (b"k\n0\n", re.escape("lacks columns: ['norm_d']")),
+        (b"\xff\xfe", "codec can't decode"),
+    ])
+    def test_read_column_refuses_a_malformed_file_naming_it(self, tmp_path, text, message):
+        # a short row used to reach float(None) in the command line's own reader
+        path = tmp_path / "series.csv"
+        path.write_bytes(text)
+        with pytest.raises(SchemaError, match=message) as caught:
+            read_column(path, "norm_d")
+        assert caught.value.field == str(path)
+        assert isinstance(caught.value, ValueError)
+
+    def test_read_column(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("k,err\n0,1\n\n1,0.5e-3\n2,nan\n")
+        assert read_column(path, "err")[:2] == [1.0, 0.0005]
+        assert math.isnan(read_column(path, "err")[2])
+        assert read_column(path, "k") == [0.0, 1.0, 2.0]
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "empty.csv"
