@@ -141,7 +141,7 @@ class NetworkObjective:
         return self.w + self.B @ np.asarray(x, dtype=float)
 
     def _flux(self, x):
-        z = self.exponents(x)
+        z = self.w + self.B.apply(x)
         top = float(z.max())
         if top > EXP_GUARD:
             raise EvaluationOverflow(top, EXP_GUARD)
@@ -150,8 +150,12 @@ class NetworkObjective:
     def _at(self, x):
         """The record of x: the stored one when x has its bytes (a caller
         may write into x between calls; -0.0 against 0.0 only recomputes
-        the same bits), else a new one that replaces it."""
+        the same bits), else a new one that replaces it.  Every product
+        chain starts here, so x's shape is checked here once and the
+        products that follow are applied unchecked."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.m,):
+            raise ValueError(f"x has shape {x.shape}, the network expects ({self.m},)")
         key = x.tobytes()
         point = self._point
         if point is not None and point.key == key:
@@ -159,7 +163,7 @@ class NetworkObjective:
         # no NumPy warning can arise here: _flux raises before exp()
         # overflows, and csr_matvec is compiled code that sets none
         e = self._flux(x)
-        self._point = point = _Point(key, e, self.MN @ e)
+        self._point = point = _Point(key, e, self.MN.apply(e))
         return point
 
     def rates(self, x):
@@ -192,8 +196,8 @@ class NetworkObjective:
         # the gradient keeps f = A e, so the boost slopes keep their bits
         point = self._at(x)
         e = point.e
-        f = self.A @ e
-        return self._phi_value(point), 2.0 * (self.M @ (e * (self.AT @ f)))
+        f = self.A.apply(e)
+        return self._phi_value(point), 2.0 * self.M.apply(e * self.AT.apply(f))
 
     @cached_property
     def _hessian_op(self):
@@ -213,17 +217,17 @@ class NetworkObjective:
 
     def _f1(self, point):
         if point.f1_grad is None:
-            bt = self.BNT @ point.pc
+            bt = self.BNT.apply(point.pc)
             half = bt.size // 2
             point.et = point.e * (bt[:half] + bt[half:])
-            point.f1_grad = _frozen(4.0 * (self.M @ point.et))
+            point.f1_grad = _frozen(4.0 * self.M.apply(point.et))
         return self._f1_value(point), point.f1_grad
 
     def eval_f2(self, x):
         e = self._at(x).e
-        s = self.MpN @ e
-        et = e * (self.MpNT @ s)
-        return ddot(s, s), 2.0 * (self.M @ et)
+        s = self.MpN.apply(e)
+        et = e * self.MpNT.apply(s)
+        return ddot(s, s), 2.0 * self.M.apply(et)
 
     def safe_exponent(self):
         """The top exponent up to which every value, gradient and f1 Hessian
@@ -272,10 +276,21 @@ class _CsrOperator:
     row sums its products in storage order, starting from +0.0, so a
     product has the scipy matrix's bits."""
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "apply")
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        n_row, n_col = shape
+        zeros = np.zeros
+
+        def apply(v):
+            # self @ v for a v of shape (n_col,), unchecked: csr_matvec reads
+            # n_col entries of v whatever its length, so callers check v
+            out = zeros(n_row)
+            csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+            return out
+
+        self.apply = apply
 
     @classmethod
     def of(cls, mat):
@@ -320,12 +335,9 @@ class _CsrOperator:
                              shape=self.shape)
 
     def __matmul__(self, v):
-        n_row, n_col = self.shape
-        if v.shape != (n_col,):
+        if v.shape != (self.shape[1],):
             raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
-        out = np.zeros(n_row)
-        csr_matvec(n_row, n_col, self.indptr, self.indices, self.data, v, out)
-        return out
+        return self.apply(v)
 
 
 class _Point:
@@ -340,8 +352,8 @@ class _Point:
     __slots__ = ("key", "e", "pc", "p", "c", "f1", "phi", "et", "f1_grad", "hess")
 
     def __init__(self, key, e, pc):
-        self.key = key
-        self.e, self.pc = _frozen(e), _frozen(pc)
+        self.key, self.e, self.pc = key, e, pc
+        e.flags.writeable = pc.flags.writeable = False
         half = pc.size // 2
         self.p, self.c = pc[:half], pc[half:]
         self.f1 = self.phi = self.et = self.f1_grad = self.hess = None
@@ -408,7 +420,7 @@ class _HessianOperator:
         G = 4 G1 held as its values g on the pattern."""
         weights = self.g * (e[self.rows] * e[self.cols])
         weights[self.diag] += et
-        hess = (self.P @ weights).reshape(self.m, self.m)
+        hess = self.P.apply(weights).reshape(self.m, self.m)
         sym = hess + hess.T
         sym *= 0.5  # the bits of 0.5 * (hess + hess.T), in one buffer
         return sym

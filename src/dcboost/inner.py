@@ -99,9 +99,8 @@ def spd_solve(hess, rhs, state=None):
         return np.zeros_like(rhs), 0.0
 
     tol = _RESIDUAL_RTOL * rhs_norm
-    mu = 0.0
+    mu, shifted = 0.0, hess
     while True:
-        shifted = hess if mu == 0.0 else hess + mu * np.eye(hess.shape[0])
         factor, info = _POTRF(shifted, lower=False, overwrite_a=False, clean=False)
         if info == 0:
             d = _POTRS(factor, rhs, lower=False)[0]
@@ -131,12 +130,16 @@ def spd_solve(hess, rhs, state=None):
                     raise NumericalError(f"damping {mu:.3g} at the Hessian's scale "
                                          f"{scale:.3g} is not finite")
                 return d * (rhs_scale / scale), mu
+            # every rung is hess + mu I with its bits, written into one copy:
+            # off the diagonal hess + 0.0, which turns a -0.0 into +0.0
+            shifted = np.add(hess, 0.0, order="C")
         else:
             mu = 4.0 * mu
         if mu > mu_cap:
             raise NumericalError(
                 f"damping exceeded {mu_cap:.3g} without a reliable factorization"
             )
+        shifted.ravel()[:: hess.shape[0] + 1] = hess.diagonal() + mu
 
 
 def _all_finite(v):
@@ -296,9 +299,14 @@ def _step(problem, b, x, value, grad, direction):
 
 
 def _evaluate(problem, b, x):
-    """F's value, gradient and gradient norm at an accepted point x."""
+    """F's value, gradient and gradient norm at an accepted point x.  One
+    dot of the gradient gives its norm and its finiteness test where its
+    square is finite and normal; elsewhere _all_finite and _norm decide."""
     value, grad = problem.g_value_grad(x)
-    value, grad = float(value) - ddot(b, x), np.asarray(grad, dtype=float) - b
+    value, grad = float(value) - ddot(b, x), grad - b
+    square = ddot(grad, grad)
+    if math.isfinite(value) and _TINY <= square < math.inf:
+        return value, grad, math.sqrt(square)
     if not (math.isfinite(value) and _all_finite(grad)):
         raise NumericalError("non-finite subproblem derivatives at an accepted point")
     return value, grad, _norm(grad)

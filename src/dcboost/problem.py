@@ -126,8 +126,8 @@ class DcProblem:
         """Value and gradient of g, without a Hessian."""
         v, grad = self.f1_value_grad(x)
         x = np.asarray(x, dtype=float)
-        v = float(v) + 0.5 * self.rho * ddot(x, x)
-        return v, np.asarray(grad, dtype=float) + self.rho * x
+        # rho * x is a float array, so the sum is one whatever grad's type
+        return float(v) + 0.5 * self.rho * ddot(x, x), grad + self.rho * x
 
     def g_value(self, x):
         x = np.asarray(x, dtype=float)

@@ -558,6 +558,16 @@ class TestPointMemo:
         for method in MEMO_METHODS:
             assert bits(getattr(obj, method)(finite)) == FRESH[method, 2]
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_point_of_another_shape_is_refused(self, shape):
+        # the products after _at run unchecked, so x's shape is checked
+        # there, before any of them can read past a vector
+        obj = NetworkObjective(MEMO_NET)
+        for method in MEMO_METHODS:
+            with pytest.raises(ValueError, match="network expects"):
+                getattr(obj, method)(np.zeros(shape))
+        assert obj._point is None
+
 
 class TestConservation:
     def test_generated_networks_exact(self):
