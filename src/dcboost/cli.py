@@ -20,6 +20,7 @@ from .biochem import (check_mass_conservation, generate_network, load_network,
                       save_network)
 from .exceptions import DcError, SchemaError
 from .harness import ExperimentSpec, ProblemSource, run_experiment
+from .inner import check_count
 from .problem import BUILTIN_PROBLEMS
 from .solver import (SolverConfig, Variant, read_column, read_trace_csv, solve,
                      write_trace_csv)
@@ -56,6 +57,7 @@ def _solver_config(args, **fields):
 
 
 def cmd_solve(args):
+    check_count("--x0-seed", args.x0_seed, low=0)
     # a single solve is one problem source under the experiment defaults
     source = ProblemSource(kind="model" if args.builtin is None else "builtin",
                            name=args.builtin, path=args.model, rho=args.rho)
@@ -292,6 +294,11 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # a library warning is about the run, not about the line that raised it
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -301,7 +308,9 @@ def main(argv=None):
     # the one place an exception becomes an exit code; a TypeError is a
     # bug and is left to show its traceback
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except SchemaError as exc:  # a malformed input file
         print(f"schema error: {exc}", file=sys.stderr)
         return 1

@@ -75,6 +75,8 @@ class ProblemSource:
                 for v in (self.m, self.n, self.seed)):
             raise ValueError("generate source needs integer m, n and seed, got "
                              f"{self.m!r}, {self.n!r}, {self.seed!r}")
+        if self.kind == "generate":
+            check_count("generate source seed", self.seed, low=0)
         if self.rho is not None and not (isinstance(self.rho, numbers.Real)
                                          and not isinstance(self.rho, bool)
                                          and 0 <= self.rho < math.inf):
@@ -327,14 +329,20 @@ def run_experiment(spec, out_dir=None):
     by (spec.seed, problem index, trial index), so reruns of the same
     spec reproduce iteration counts exactly.  With ``out_dir`` set,
     writes rows.csv, spec.json and traces/<model>_<trial>_<alg>.csv.
+    The output directory is made and every source is loaded before the
+    first trial, so neither can fail after trials have run.
     """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "traces").mkdir(exist_ok=True)
+    resolved = [source.resolve(spec.rho) for source in spec.problems]
     dca_cap = spec.resolved_dca_cap()
     rows = []
     all_trials: Dict[str, List[TrialResult]] = {}
     used_labels = set()
 
-    for p_idx, source in enumerate(spec.problems):
-        label, problem, n_reactions = source.resolve(spec.rho)
+    for p_idx, (label, problem, n_reactions) in enumerate(resolved):
         label = _safe_label(label)
         if label in used_labels:
             label = f"{label}_{p_idx}"
@@ -354,18 +362,16 @@ def run_experiment(spec, out_dir=None):
 
     result = ExperimentResult(spec=spec, rows=rows, trials=all_trials)
     if out_dir is not None:
-        _write_outputs(result, Path(out_dir))
+        _write_outputs(result, out_dir)
     return result
 
 
 def _write_outputs(result, out_dir):
-    out_dir.mkdir(parents=True, exist_ok=True)
     export_table(result.rows, out_dir / "rows.csv")
     with open(out_dir / "spec.json", "w") as handle:
         json.dump(result.spec.to_json(), handle, indent=2)
         handle.write("\n")
     trace_dir = out_dir / "traces"
-    trace_dir.mkdir(exist_ok=True)
     alg = result.spec.solver.variant.value
     for label, trial_results in result.trials.items():
         for t in trial_results:

@@ -25,7 +25,7 @@ _MAX_NEWTON_STEPS = 200
 _DAMPING_FLOOR = 1e-10
 _RESIDUAL_RTOL = 1e-10
 _REFINEMENT_PASSES = 3
-# an accepted chord step keeps its factor only if ||grad F|| fell this much
+# a step keeps the factor that served it only if ||grad F|| fell this much
 _CHORD_CONTRACTION = 0.1
 # a value's rounding floor, relative to 1 + |value|
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
@@ -50,20 +50,23 @@ def check_numbers(obj):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
-class PlainDcaState:
-    """Plain DCA's per-solve state: its last three subproblem steps
-    y - x_init, newest first, and the undamped Cholesky factor its chord
-    steps reuse, or None."""
+class SubproblemState:
+    """What one solve's subproblems share: the undamped Cholesky factor
+    that chord steps reuse, or None, and, when the state ``predicts``, the
+    last three subproblem steps y - x_init, newest first, from which each
+    subproblem's start is guessed.  Only plain DCA predicts: after a boost
+    the last moves predict the next subproblem's solution badly."""
 
-    steps = ()
-    factor = None
+    def __init__(self, predicts=False):
+        self.predicts, self.steps, self.factor = predicts, (), None
 
     def guess(self, x):
         """The predicted solution of the subproblem at x, or None before a
-        step.  Plain DCA's iterates follow a smooth path, so this is x plus
-        the next step of the polynomial through the last len(steps) + 1
-        iterates: d_k for one step, the line's 2 d_k - d_{k-1} for two, the
-        cubic's 3 d_k - 3 d_{k-1} + d_{k-2} for three."""
+        step or when the state does not predict.  Plain DCA's iterates
+        follow a smooth path, so this is x plus the next step of the
+        polynomial through the last len(steps) + 1 iterates: d_k for one
+        step, the line's 2 d_k - d_{k-1} for two, the cubic's
+        3 d_k - 3 d_{k-1} + d_{k-2} for three."""
         steps = self.steps
         if len(steps) < 2:
             return x + steps[0] if steps else None
@@ -79,7 +82,7 @@ def spd_solve(hess, rhs, state=None):
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
     Returns ``(d, mu)``; with mu = 0 the Cholesky factor of hess is also
-    kept as ``state.factor`` when a PlainDcaState ``state`` is given.
+    kept as ``state.factor`` when a SubproblemState ``state`` is given.
 
     When the Hessian's infinity norm overflows although its entries are
     finite, the system is solved with hess and rhs each divided by its
@@ -173,13 +176,14 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     absolute 1e-8 is unreachable there, the gradient's own rounding floor
     is larger), near one it is the plain absolute tolerance.
 
-    With a ``state`` (PlainDcaState) the run starts at its guess if F's
-    value and gradient are finite there and the value is no higher than
-    at x_init (the tolerance stays the one taken at x_init), and takes chord
-    steps while it holds a factor (see ``_newton``).  Should that run
-    fail, the factor is dropped and one more run is made from x_init
-    without a factor, which is the run without a state, so a state adds
-    no failure.  On success ``y - x_init`` becomes its newest step.
+    With a ``state`` (SubproblemState) the run takes chord steps while the
+    state holds a factor (see ``_newton``), and, if the state predicts,
+    starts at its guess where F's value and gradient are finite and the
+    value is no higher than at x_init (the tolerance stays the one taken
+    at x_init).  Should that run fail, the factor is dropped and one more
+    run is made from x_init without a factor, which is the run without a
+    state, so a state adds no failure.  On success a predicting state
+    takes ``y - x_init`` as its newest step.
 
     Each accepted point costs one value and gradient; a Hessian is asked
     for only where a Newton direction is computed, and its finiteness is
@@ -205,7 +209,7 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
         steps += more
     if failure is not None:
         raise failure
-    if state is not None:
+    if state is not None and state.predicts:
         state.steps = (x - x_init, *state.steps[:2])
     return x, steps
 
@@ -227,6 +231,13 @@ def _start(problem, b, state, at_x_init):
 def _newton(problem, b, start, tol, state=None):
     """Damped Newton or chord steps from ``start`` until ||grad F|| <= tol.
 
+    With a ``state``, a step solves with its factor while it holds one,
+    and a Newton step's undamped factor is stored in it by ``spd_solve``.
+    After every step one rule decides: the factor that served the step,
+    or that the step made, is kept only if the step cut ||grad F|| at
+    least tenfold.  A chord step failing a test gives way, factor and all,
+    to a Newton step from the same x.
+
     Returns ``(x, steps, failure)``: failure is None once the tolerance is
     met, else the NumericalError that ended the run at x after ``steps``
     completed steps.
@@ -239,8 +250,6 @@ def _newton(problem, b, start, tol, state=None):
                 return x, iteration, None
             if iteration == _MAX_NEWTON_STEPS:
                 break
-            # a chord step solves with an earlier Hessian's cached factor; one
-            # failing a test gives way, factor and all, to a Newton step from x
             chorded = state is not None and state.factor is not None
             if chorded:
                 direction = _POTRS(state.factor, -grad, lower=False)[0]
@@ -255,7 +264,7 @@ def _newton(problem, b, start, tol, state=None):
                 x_new = _step(problem, b, x, value, grad, direction)
             x, last_norm = x_new, grad_norm
             value, grad, grad_norm = _evaluate(problem, b, x)
-            if chorded and not grad_norm <= _CHORD_CONTRACTION * last_norm:
+            if state is not None and not grad_norm <= _CHORD_CONTRACTION * last_norm:
                 state.factor = None
     except NumericalError as failure:
         return x, iteration, failure

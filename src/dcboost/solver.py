@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.blas import ddot
 
 from .exceptions import LineSearchError, NumericalError, SchemaError, TheoryWarning
-from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, PlainDcaState, check_count,
+from .inner import (_DAMPING_FLOOR, _MAX_NEWTON_STEPS, SubproblemState, check_count,
                     check_numbers, minimize_subproblem, sufficient_decrease, value_or_inf)
 
 __all__ = (
@@ -198,7 +198,7 @@ class SolveResult:
 def dca_step(problem, x, config=None, state=None):
     """Solve the convex subproblem at x; returns (y, inner_iterations).
 
-    ``state``, plain DCA's PlainDcaState, is passed on to
+    ``state``, the solve's SubproblemState, is passed on to
     ``minimize_subproblem``.
     """
     cfg = config if config is not None else SolverConfig()
@@ -324,9 +324,9 @@ def solve(problem, x0, config=None):
         )
 
     trace: List[TraceRecord] = []
-    # plain dca's subproblems start at a predicted y_k and reuse a factor; the
-    # others start at x_k, as after a boost the last moves predict badly
-    state = PlainDcaState() if cfg.variant is Variant.DCA else None
+    # every variant's subproblems reuse a factor; only plain dca's start at a
+    # predicted y_k, the others at x_k
+    state = SubproblemState(predicts=cfg.variant is Variant.DCA)
     iterations = 0
     status = Status.MAX_ITERS
     message = ""

@@ -317,3 +317,28 @@ def test_differing_lines_say_what_changed_per_solve_and_label(pairs, tmp_path, m
     assert out.endswith("trial lines differ on seeds [1, 2]\n"
                         "  differing trial solves, dca: 2 phi only\n"
                         "  differing trial solves, bdca-qi: 2 iterations or status\n")
+
+
+def test_failure_counts_per_label_and_capped_chases(pairs):
+    lines = pairs.outcome_lines(RUN_OUTPUT) + [
+        "trial 2: bdca-qi 3 it LineSearchFailure phi 2 | dca 300 it MaxIters phi 3 | "
+        "chase hit its cap",
+        "trial 3: bdca-qi 200 it MaxIters phi 9 | dca 9 it NumericalFailure phi 9 | "
+        "chase hit its cap",
+        "reference trial 3: drift: bdca-qi status MaxIters -> NumericalFailure"]
+    failing, capped = pairs.failure_counts(lines)
+    assert failing == {"bdca-qi": 2, "dca": 1} and capped == 2
+    assert pairs.failure_counts(pairs.outcome_lines(RUN_OUTPUT)) == ({"bdca-qi": 1}, 0)
+    assert pairs.failure_count_lines(pairs.outcome_lines(RUN_OUTPUT), lines) == [
+        "bdca-qi failing statuses: parent 1, change 2",
+        "dca failing statuses: parent 0, change 1",
+        "chases that hit their cap: parent 0, change 2"]
+
+
+def test_failure_counts_are_printed_summed_over_the_seeds(pairs, tmp_path, monkeypatch,
+                                                           capsys):
+    assert main_on_canned_runs(pairs, tmp_path, monkeypatch, RUN_OUTPUT, RUN_OUTPUT) == 0
+    out = capsys.readouterr().out
+    assert ("summed over the 2 seeds' trial lines:\n"
+            "  bdca-qi failing statuses: parent 2, change 2\n"
+            "  chases that hit their cap: parent 0, change 0\n") in out

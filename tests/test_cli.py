@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from dcboost import harness
 from dcboost import (ExperimentSpec, ProblemSource, SolverConfig, builtin_problem,
                      generate_network, save_network, solve, write_trace_csv)
 from dcboost.analysis import AUDIT_TOL_BASE
@@ -13,6 +18,7 @@ from dcboost.cli import main
 from dcboost.solver import read_trace_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def strict_json(line):
@@ -55,6 +61,22 @@ class TestSolve:
         config, _ = first_line_json(capsys)
         assert config["rho"] == 100.0
         assert config["m"] == 6
+
+    def test_library_warning_is_one_line_on_stderr(self):
+        # run as a program, so Python's own warning filters and output apply
+        done = subprocess.run(
+            [sys.executable, "-m", "dcboost", "solve", "--builtin", "quartic", "--x0", "0.5"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0
+        assert done.stderr == ("warning: problem 'quartic' has sigma_g + rho = 0; "
+                               "subproblems are strictly but not strongly convex\n")
+        assert done.stdout.splitlines()[1] == "status: StationaryPoint"
+
+    def test_negative_start_seed_is_refused(self, capsys):
+        assert main(["solve", "--builtin", "quartic", "--x0-seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --x0-seed must be an integer of at least 0, got -1\n"
 
     def test_failure_exit_code(self, capsys):
         code = main(["solve", "--builtin", "expsys", "--x0", "800"])
@@ -314,6 +336,46 @@ class TestAudit:
 
 
 class TestCompare:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The starts of the matched trials that compare runs."""
+        starts, run = [], harness.run_matched_target
+
+        def recorded(problem, x0, *args, **kwargs):
+            starts.append(x0)
+            return run(problem, x0, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_matched_target", recorded)
+        return starts
+
+    def test_unwritable_out_fails_before_any_solve(self, capsys, tmp_path, solves):
+        # --out below a regular file cannot be made; that is found before
+        # the first trial, not after the whole experiment has run
+        (tmp_path / "file").write_text("")
+        assert main(["compare", "--builtin", "quartic", "--trials", "1", "--bdca-iters",
+                     "3", "--out", str(tmp_path / "file" / "x")]) == 1
+        assert solves == []
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unloadable_source_fails_before_any_solve(self, capsys, tmp_path, solves):
+        assert main(["compare", "--builtin", "quartic", "--model",
+                     str(tmp_path / "missing.json"), "--trials", "1",
+                     "--bdca-iters", "3", "--out", str(tmp_path / "exp")]) == 1
+        assert solves == []
+        assert capsys.readouterr().err.startswith("error:")
+        assert (tmp_path / "exp" / "traces").is_dir()
+
+    def test_negative_generator_seed_is_refused_before_the_echo(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"problems": [{"generate": {"m": 4, "n": 6,
+                                                               "seed": -1}}]}))
+        for args in (["--generate", "4:6:-1"], ["--spec-file", str(spec)]):
+            assert main(["compare", *args, "--trials", "1", "--bdca-iters", "3"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: generate source seed must be an integer of at "
+                           "least 0, got -1\n")
+
     def test_flags_run_and_echo_reproduces(self, capsys, tmp_path):
         args = ["compare", "--builtin", "quartic", "--trials", "2",
                 "--bdca-iters", "30", "--variant", "bdca-b",
@@ -607,6 +669,9 @@ EXIT_CODES = [
     ("audit {d}/missing.csv", 1, "error:"),
     ("audit {d}/noslope.csv", 1, "schema error:"),
     ("audit {d}/trace.csv --rho=-1", 2, "error: rho must be"),
+    ("solve --builtin quartic --x0-seed -1", 2, "error: --x0-seed must be"),
+    ("compare --generate 4:6:-1 --trials 1 --bdca-iters 3", 2,
+     "error: generate source seed must be"),
 ]
 
 

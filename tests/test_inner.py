@@ -27,7 +27,7 @@ from dcboost import (
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
-from dcboost.inner import _POTRF, PlainDcaState, _all_finite, _norm
+from dcboost.inner import _POTRF, SubproblemState, _all_finite, _norm
 
 
 def zero_f2(x):
@@ -260,18 +260,39 @@ class TestChord:
     HESS, LINEAR = np.array([[2.0, 0.3], [0.3, 1.5]]), np.array([1.0, -1.0])
 
     @staticmethod
-    def cached(matrix):
-        state = PlainDcaState()
+    def cached(matrix, predicts=False):
+        state = SubproblemState(predicts)
         state.factor = _POTRF(np.asarray(matrix, dtype=float), lower=False)[0]
         return state
 
     def test_spd_solve_keeps_only_an_undamped_factor(self):
-        state = PlainDcaState()
+        state = SubproblemState()
         spd_solve(4.0 * np.eye(2), np.ones(2), state)
         assert np.array_equal(np.triu(state.factor), 2.0 * np.eye(2))
-        state = PlainDcaState()
+        state = SubproblemState()
         _, mu = spd_solve(np.diag([1.0, -1e-3]), np.ones(2), state)
         assert mu > 0.0 and state.factor is None
+
+    def test_newton_step_cutting_the_gradient_less_than_tenfold_keeps_no_factor(self):
+        # F = x^4 / 4: each Newton step takes x to 2x/3 and so cuts F' = x^3
+        # by 8/27 only, so no step keeps the factor spd_solve stored: every
+        # step asks for a Hessian, no chord step is taken, and the run is
+        # the run without a state, bit for bit
+        hessians = []
+
+        def eval_f1(x):
+            hessians.append(None)
+            return x[0] ** 4 / 4.0, x ** 3, np.array([[3.0 * x[0] ** 2]])
+
+        problem = DcProblem(m=1, eval_f1=eval_f1, eval_f2=zero_f2,
+                            f1_value=lambda x: x[0] ** 4 / 4.0,
+                            f1_value_grad=lambda x: (x[0] ** 4 / 4.0, x ** 3))
+        plain = minimize_subproblem(problem, np.zeros(1), np.ones(1))
+        del hessians[:]
+        state = SubproblemState()
+        x, steps = minimize_subproblem(problem, np.zeros(1), np.ones(1), state=state)
+        assert (x.tobytes(), steps) == (plain[0].tobytes(), plain[1])
+        assert len(hessians) == steps > 1 and state.factor is None
 
     def test_wrong_factor_gives_way_to_a_newton_step(self):
         # the factor of 1e6 I gives a descent direction a millionth of the
@@ -332,7 +353,7 @@ class TestChord:
             return runs[-1][2]
 
         monkeypatch.setattr(dcboost.inner, "_newton", counted)
-        state = self.cached([[1.5]])
+        state = self.cached([[1.5]], predicts=True)
         state.steps = (np.array([0.05]),)
         x, steps = minimize_subproblem(problem, linear, start, state=state)
         assert len(runs) == 2
@@ -364,7 +385,7 @@ class TestChord:
 
 def guessing(guess, start):
     """A state whose guess at ``start`` is ``guess``, up to rounding."""
-    state = PlainDcaState()
+    state = SubproblemState(predicts=True)
     state.steps = (np.asarray(guess, dtype=float) - start,)
     return state
 
@@ -375,7 +396,7 @@ class TestGuess:
     def test_higher_guess_changes_no_bit(self):
         prob, linear, start = make_quartic_problem(), np.array([0.3]), np.array([0.2])
         assert f_value(prob, linear, np.array([5.0])) > f_value(prob, linear, start)
-        x, iters = minimize_subproblem(prob, linear, start, state=PlainDcaState())
+        x, iters = minimize_subproblem(prob, linear, start, state=SubproblemState(predicts=True))
         x_guessed, iters_guessed = minimize_subproblem(prob, linear, start,
                                                        state=guessing([5.0], start))
         assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
@@ -383,7 +404,7 @@ class TestGuess:
     def test_guess_past_the_guard_is_ignored(self):
         prob, start = builtin_problem("expsys"), np.array([1.5])
         linear = prob.grad_h(start)
-        x, iters = minimize_subproblem(prob, linear, start, state=PlainDcaState())
+        x, iters = minimize_subproblem(prob, linear, start, state=SubproblemState(predicts=True))
         x_guessed, iters_guessed = minimize_subproblem(
             prob, linear, start, state=guessing([EXP_GUARD + 1.0], start))
         assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters > 0
@@ -407,10 +428,11 @@ class TestGuess:
         assert np.linalg.norm(prob.g_value_grad(x_at_guess)[1]) > tol
 
     def test_failed_run_from_the_guess_falls_back_to_x_init(self):
-        # F = x^4/4 - x; the second Hessian asked for is NaN, so the run from
-        # the guess 1.5 fails after a Newton step and a chord step, whose
-        # gradient fell less than tenfold, and the run from x_init that
-        # follows is the solve without a state, plus those two steps
+        # F = x^4/4 - x; the second Hessian asked for is NaN.  The run from
+        # the guess 1.5 takes one Newton step, which cuts F' from 2.375 to
+        # 0.51, less than tenfold, so it keeps no factor; its second step is
+        # a Newton step too, which fails, and the run from x_init that
+        # follows is the solve without a state, plus that one step
         def quartic(nan_call):
             calls = []
 
@@ -427,7 +449,7 @@ class TestGuess:
         x, iters = minimize_subproblem(quartic(None), linear, start)
         x_guessed, iters_guessed = minimize_subproblem(quartic(2), linear, start,
                                                        state=guessing([1.5], start))
-        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters + 2
+        assert x_guessed.tobytes() == x.tobytes() and iters_guessed == iters + 1
         with pytest.raises(NumericalError, match="non-finite Hessian"):
             minimize_subproblem(quartic(2), linear, start)
 
@@ -481,8 +503,8 @@ class TestLazyHessian:
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_one_hessian_per_newton_step(self, monkeypatch, variant):
         # no Hessian at a subproblem's final point: each one assembled
-        # serves one spd_solve; the boosted variants assemble one per step,
-        # while plain dca's chord steps reuse an earlier Hessian's factor
+        # serves one spd_solve, and every variant's chord steps reuse an
+        # earlier Hessian's factor, so each assembles fewer than it steps
         assembled, solved = [], []
         assemble, spd_solve = _HessianOperator.assemble, dcboost.inner.spd_solve
 
@@ -502,10 +524,7 @@ class TestLazyHessian:
         steps = sum(rec.inner_iters for rec in result.trace)
         assert not result.status.is_failure
         assert len(assembled) == len(solved) > 0
-        if variant == "dca":
-            assert len(assembled) < steps
-        else:
-            assert len(assembled) == steps
+        assert len(assembled) < steps
 
     def test_converged_start_asks_for_no_hessian(self):
         def no_hessian(x):

@@ -82,7 +82,8 @@ def test_traced_spans_count_the_calls(tracer):
     # chase's predicted starts took its Newton steps (eval_f1 = spd_solve)
     # from 317 to 297 and its Armijo trials (f1_value) from 317 to 298; its
     # chord steps then took the Hessians to 268 and, being more steps, the
-    # trials to 423
+    # trials to 423; chord steps in every variant, each factor kept only by
+    # a step that cuts ||grad F|| tenfold, took them to 138 and 462
     problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
     x0 = np.random.default_rng(26).uniform(-2.0, 2.0, size=problem.m)
     recorder = tracer.SpanRecorder()
@@ -94,7 +95,7 @@ def test_traced_spans_count_the_calls(tracer):
     for span in recorder.spans:
         counts[span[tracer.NAME]] = counts.get(span[tracer.NAME], 0) + 1
     assert counts == {
-        "biochem.eval_f1": 268, "inner.spd_solve": 268, "biochem.f1_value": 423,
+        "biochem.eval_f1": 138, "inner.spd_solve": 138, "biochem.f1_value": 462,
         "biochem.phi_value": 327,
         "biochem.eval_f2": 81, "problem.grad_h": 81, "inner.minimize_subproblem": 81,
         "solver.descent_slope": 81, "biochem.phi_value_grad": 81,

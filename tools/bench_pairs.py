@@ -19,7 +19,11 @@ status changed or only its printed phi (``trial 0 dca: iterations 712 ->
 711``, ``trial 1 dca: phi only``), prints per label each side's
 Newton-step drift against ``reference.json`` summed over the seed's
 ``reference trial`` lines, counts the differing trial-line solves per
-label over all seeds, and exits with status 1.
+label over all seeds, and exits with status 1.  Whether or not the lines
+agree, it prints per label each side's failing statuses
+(``NumericalFailure``, ``LineSearchFailure``) in the trial lines, summed
+over the seeds, and each side's chases that hit their cap, so a change
+that moves iterates on purpose can show that it fails no more solves.
 
 Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
@@ -60,6 +64,9 @@ _SOLVE = re.compile(r"\S+ (\d+) it (\S+) phi \S+")
 # what a differing trial-line solve changed; "other" is a part that is no
 # solve on one side (an audit problem, a chase's cap)
 PHI_ONLY, ITERATIONS_OR_STATUS, OTHER = "phi only", "iterations or status", "other"
+FAILING_STATUSES = ("NumericalFailure", "LineSearchFailure")
+# the part of a trial line whose chase stopped at its cap
+CAPPED = "chase hit its cap"
 
 
 def parse_seeds(text):
@@ -171,6 +178,33 @@ def change_count_lines(changes):
                                      (ITERATIONS_OR_STATUS, PHI_ONLY, OTHER)
                                      if per_label[kind])
             for label, per_label in counts.items()]
+
+
+def failure_counts(lines):
+    """(per label, the solves of the trial lines that end in a failing
+    status; the chases that hit their cap), reference lines skipped."""
+    failing, capped = Counter(), 0
+    for line in lines:
+        if not line.startswith("trial "):
+            continue
+        for label, items in solve_parts(line)[1].items():
+            for item in items:
+                match = _SOLVE.fullmatch(item)
+                if match and match.group(2) in FAILING_STATUSES:
+                    failing[label] += 1
+                capped += item == CAPPED
+    return failing, capped
+
+
+def failure_count_lines(parent_lines, change_lines):
+    """"bdca-qi failing statuses: parent 17, change 15", one line per label
+    that fails on either side, then the chases that hit their cap."""
+    (parent, parent_capped), (change, change_capped) = (
+        failure_counts(parent_lines), failure_counts(change_lines))
+    labels = list(parent) + [label for label in change if label not in parent]
+    return ([f"{label} failing statuses: parent {parent[label]}, change {change[label]}"
+             for label in labels]
+            + [f"chases that hit their cap: parent {parent_capped}, change {change_capped}"])
 
 
 def newton_step_drift(lines):
@@ -299,6 +333,7 @@ def main(argv=None):
     samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     runs = {side: [] for side in ("parent", "change")}
     mismatched, changes = [], []
+    every_line = {side: [] for side in ("parent", "change")}
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         outputs = {side: run(getattr(args, side), args.workload, seed) for side in order}
@@ -308,6 +343,8 @@ def main(argv=None):
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
         lines = {side: outcome_lines(out) for side, out in outputs.items()}
+        for side in order:
+            every_line[side] += lines[side]
         differing = differing_solves(lines["parent"], lines["change"])
         if differing:
             mismatched.append(seed)
@@ -340,6 +377,9 @@ def main(argv=None):
     faults = fault_lines(runs)
     for line in faults:
         print(line)
+    print(f"summed over the {len(args.seeds)} seeds' trial lines:")
+    for line in failure_count_lines(every_line["parent"], every_line["change"]):
+        print("  " + line)
     if mismatched:
         print(f"trial lines differ on seeds {mismatched}")
         for line in change_count_lines(changes):
