@@ -264,7 +264,7 @@ class NetworkObjective:
 
 
 def _frozen(array):
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -353,7 +353,8 @@ class _Point:
 
     def __init__(self, key, e, pc):
         self.key, self.e, self.pc = key, e, pc
-        e.flags.writeable = pc.flags.writeable = False
+        e.setflags(write=False)
+        pc.setflags(write=False)
         half = pc.size // 2
         self.p, self.c = pc[:half], pc[half:]
         self.f1 = self.phi = self.et = self.f1_grad = self.hess = None

@@ -30,7 +30,10 @@ _CHORD_CONTRACTION = 0.1
 # a value's rounding floor, relative to 1 + |value|
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# the LAPACK calls cho_factor/cho_solve make, without their checks
+# the LAPACK calls cho_factor/cho_solve make, without their checks; called
+# positionally, as f2py's keyword parsing costs about a microsecond a call:
+# _POTRF(a, 0, 0) is the upper factor with a's lower triangle left in place
+# (lower=0, clean=0), and _POTRS(c, b) solves with an upper factor
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
@@ -104,15 +107,15 @@ def spd_solve(hess, rhs, state=None):
     tol = _RESIDUAL_RTOL * rhs_norm
     mu, shifted = 0.0, hess
     while True:
-        factor, info = _POTRF(shifted, lower=False, overwrite_a=False, clean=False)
+        factor, info = _POTRF(shifted, 0, 0)
         if info == 0:
-            d = _POTRS(factor, rhs, lower=False)[0]
+            d = _POTRS(factor, rhs)[0]
             for passes in range(_REFINEMENT_PASSES + 1):
                 resid = rhs - shifted @ d
                 accepted = _norm(resid) <= tol
                 if accepted or passes == _REFINEMENT_PASSES:
                     break
-                d = d + _POTRS(factor, resid, lower=False)[0]
+                d = d + _POTRS(factor, resid)[0]
             if accepted and _all_finite(d):
                 if state is not None and mu == 0.0:
                     state.factor = factor
@@ -252,7 +255,7 @@ def _newton(problem, b, start, tol, state=None):
                 break
             chorded = state is not None and state.factor is not None
             if chorded:
-                direction = _POTRS(state.factor, -grad, lower=False)[0]
+                direction = _POTRS(state.factor, -grad)[0]
                 try:
                     if not _all_finite(direction):
                         raise NumericalError("chord direction is not finite")
