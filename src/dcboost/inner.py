@@ -55,13 +55,14 @@ def check_numbers(obj):
 
 class SubproblemState:
     """What one solve's subproblems share: the undamped Cholesky factor
-    that chord steps reuse, or None, and, when the state ``predicts``, the
+    that chord steps reuse, or None; F's gradient at the last subproblem's
+    solution, or None before one; and, when the state ``predicts``, the
     last three subproblem steps y - x_init, newest first, from which each
     subproblem's start is guessed.  Only plain DCA predicts: after a boost
     the last moves predict the next subproblem's solution badly."""
 
     def __init__(self, predicts=False):
-        self.predicts, self.steps, self.factor = predicts, (), None
+        self.predicts, self.steps, self.factor, self.grad = predicts, (), None, None
 
     def guess(self, x):
         """The predicted solution of the subproblem at x, or None before a
@@ -171,8 +172,9 @@ def _norm(v):
 def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None):
     """Minimize F(x) = g(x) - <linear_term, x> by damped Newton steps.
 
-    F's pieces come from ``problem``'s ``g_value`` (line-search trials),
-    ``g_value_grad`` (accepted points) and ``g_hessian`` (Newton steps).
+    F's pieces come from ``problem``'s ``g_value_grad`` (each step's full
+    trial and the other accepted points), ``g_value`` (halved trials) and
+    ``g_hessian`` (Newton steps).
 
     Stops when ||grad F|| <= tol_grad * max(1, ||grad F(x_init)||): far
     from a solution the test is relative to the warm start's residual (an
@@ -185,12 +187,16 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     value is no higher than at x_init (the tolerance stays the one taken
     at x_init).  Should that run fail, the factor is dropped and one more
     run is made from x_init without a factor, which is the run without a
-    state, so a state adds no failure.  On success a predicting state
-    takes ``y - x_init`` as its newest step.
+    state, so a state adds no failure.  On success the state keeps F's
+    gradient at y as ``grad``, and a predicting state takes ``y - x_init``
+    as its newest step.
 
-    Each accepted point costs one value and gradient; a Hessian is asked
-    for only where a Newton direction is computed, and its finiteness is
-    checked by ``spd_solve``.
+    Each accepted point costs one value and gradient, which for a full
+    step is its trial's; a Hessian is asked for only where a Newton
+    direction is computed, and its finiteness is checked by ``spd_solve``.
+    NumPy's floating-point warnings are silenced: a trial's gradient may
+    overflow where the step is then rejected, and a non-finite value or
+    gradient at an accepted point raises.
 
     Returns ``(x, iterations)`` where ``iterations`` counts the Newton and
     chord steps taken (those of a failed run too); 0 when the start
@@ -203,17 +209,21 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     """
     b = np.asarray(linear_term, dtype=float)
     x_init = np.asarray(x_init, dtype=float).copy()
-    at_x_init = (x_init, *_evaluate(problem, b, x_init))
-    tol = tol_grad * max(1.0, at_x_init[3])
-    x, steps, failure = _newton(problem, b, _start(problem, b, state, at_x_init), tol, state)
-    if failure is not None and state is not None:
-        state.factor = None
-        x, more, failure = _newton(problem, b, at_x_init, tol)
-        steps += more
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_x_init = (x_init, *_evaluate(problem, b, x_init))
+        tol = tol_grad * max(1.0, at_x_init[3])
+        x, steps, failure, grad = _newton(problem, b, _start(problem, b, state, at_x_init),
+                                          tol, state)
+        if failure is not None and state is not None:
+            state.factor = None
+            x, more, failure, grad = _newton(problem, b, at_x_init, tol)
+            steps += more
     if failure is not None:
         raise failure
-    if state is not None and state.predicts:
-        state.steps = (x - x_init, *state.steps[:2])
+    if state is not None:
+        state.grad = grad
+        if state.predicts:
+            state.steps = (x - x_init, *state.steps[:2])
     return x, steps
 
 
@@ -241,16 +251,16 @@ def _newton(problem, b, start, tol, state=None):
     least tenfold.  A chord step failing a test gives way, factor and all,
     to a Newton step from the same x.
 
-    Returns ``(x, steps, failure)``: failure is None once the tolerance is
-    met, else the NumericalError that ended the run at x after ``steps``
-    completed steps.
+    Returns ``(x, steps, failure, grad)``: failure is None once the
+    tolerance is met, else the NumericalError that ended the run at x
+    after ``steps`` completed steps; grad is F's gradient at x.
     """
     x, value, grad, grad_norm = start
     iteration = 0
     try:
         for iteration in range(_MAX_NEWTON_STEPS + 1):
             if grad_norm <= tol:
-                return x, iteration, None
+                return x, iteration, None, grad
             if iteration == _MAX_NEWTON_STEPS:
                 break
             chorded = state is not None and state.factor is not None
@@ -259,63 +269,83 @@ def _newton(problem, b, start, tol, state=None):
                 try:
                     if not _all_finite(direction):
                         raise NumericalError("chord direction is not finite")
-                    x_new = _step(problem, b, x, value, grad, direction)
+                    x_new, trial = _step(problem, b, x, value, grad, direction)
                 except NumericalError:
                     chorded = state.factor = None
             if not chorded:
                 direction, _ = spd_solve(problem.g_hessian(x), -grad, state)
-                x_new = _step(problem, b, x, value, grad, direction)
+                x_new, trial = _step(problem, b, x, value, grad, direction)
             x, last_norm = x_new, grad_norm
-            value, grad, grad_norm = _evaluate(problem, b, x)
+            value, grad, grad_norm = _evaluate(problem, b, x, trial)
             if state is not None and not grad_norm <= _CHORD_CONTRACTION * last_norm:
                 state.factor = None
     except NumericalError as failure:
-        return x, iteration, failure
+        return x, iteration, failure, grad
     return x, iteration, NumericalError(
         f"inner solver did not reach its gradient tolerance {tol:g} "
         f"in {_MAX_NEWTON_STEPS} iterations"
-    )
+    ), grad
 
 
 def _step(problem, b, x, value, grad, direction):
     """The point a step along ``direction`` from x accepts, given F's value
-    and gradient at x; raises NumericalError when the direction is not a
-    descent direction, the search fails or the step vanishes."""
+    and gradient at x, as ``(x_new, trial)``: trial is F's value and g's
+    gradient at x_new when x_new is the full step x + direction, whose one
+    evaluation gives both, and None for a halved step.  Raises
+    NumericalError when the direction is not a descent direction, the
+    search fails or the step vanishes."""
     slope = ddot(grad, direction)
     if slope >= 0.0:
         # descent failed despite damping: direction numerically useless
         raise NumericalError("Newton direction is not a descent direction")
-
-    def value_f(z):
-        return float(problem.g_value(z)) - ddot(b, z)
-
+    x_new = x + direction
+    trial = _full_trial(problem, b, x_new)
     noise = _NOISE_RTOL * (1.0 + abs(value))
     if -slope <= noise:
         # Predicted decrease sits below the value's rounding floor, so the
         # Armijo test cannot discriminate.  Take the full step as long as the
         # value does not rise beyond that floor; the gradient keeps
         # contracting through the quadratic phase.
-        x_new = x + direction
-        if value_or_inf(value_f, x_new) > value + noise:
+        if trial[0] > value + noise:
             raise NumericalError("inner step stalled at the value resolution floor")
-    else:
-        found = sufficient_decrease(value_f, x, direction, value, slope,
-                                    _ARMIJO_C1, 1.0, 0.5, _MAX_HALVINGS)
+    elif not trial[0] <= value + _ARMIJO_C1 * slope:
+        # the full step was the Armijo search's first try; its halvings
+        # take the value-only path
+        found = sufficient_decrease(lambda z: float(problem.g_value(z)) - ddot(b, z),
+                                    x, direction, value, slope,
+                                    _ARMIJO_C1, 0.5, 0.5, _MAX_HALVINGS - 1)
         if found is None:
             raise NumericalError("inner line search exhausted its halvings")
-        x_new = found[2]
+        x_new, trial = found[2], None
     moved = x_new - x
     if not ddot(moved, moved) > 0.0 and (x_new == x).all():
         raise NumericalError("inner step vanished below machine resolution")
-    return x_new
+    return x_new, trial
 
 
-def _evaluate(problem, b, x):
-    """F's value, gradient and gradient norm at an accepted point x.  One
-    dot of the gradient gives its norm and its finiteness test where its
-    square is finite and normal; elsewhere _all_finite and _norm decide."""
-    value, grad = problem.g_value_grad(x)
-    value, grad = float(value) - ddot(b, x), grad - b
+def _full_trial(problem, b, z):
+    """F's value and g's gradient at a full step's point z from one
+    evaluation, with an overflow or a non-finite value read as +inf as
+    value_or_inf reads it; the gradient is checked only if z is accepted."""
+    try:
+        value, grad = problem.g_value_grad(z)
+    except (EvaluationOverflow, FloatingPointError, OverflowError):
+        return math.inf, None
+    value = float(value) - ddot(b, z)
+    return (value if math.isfinite(value) else math.inf), grad
+
+
+def _evaluate(problem, b, x, trial=None):
+    """F's value, gradient and gradient norm at an accepted point x, from
+    its full step's ``trial`` (see _step) when it has one.  One dot of the
+    gradient gives its norm and its finiteness test where its square is
+    finite and normal; elsewhere _all_finite and _norm decide."""
+    if trial is None:
+        value, grad = problem.g_value_grad(x)
+        value = float(value) - ddot(b, x)
+    else:
+        value, grad = trial
+    grad = grad - b
     square = ddot(grad, grad)
     if math.isfinite(value) and _TINY <= square < math.inf:
         return value, grad, math.sqrt(square)
@@ -333,7 +363,8 @@ def value_or_inf(value, x):
     return v if math.isfinite(v) else np.inf
 
 
-def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, tries):
+def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, tries,
+                        stop_at_base=False):
     """Armijo search shared by the inner Newton loop and the outer steps.
 
     Tries t = step, step*shrink, ... (at most ``tries`` values) and returns
@@ -342,10 +373,16 @@ def sufficient_decrease(value, base, direction, f0, slope, c, step, shrink, trie
         value(base + t * direction) <= f0 + c * t * slope,
 
     or None when every try fails.  Overflowing or non-finite trial values
-    fail the test.
+    fail the test.  With ``stop_at_base`` the search ends at the first
+    halving (i >= 1) whose trial point is base bit for bit, returning
+    ``(0.0, i, base)``: no shorter step moves, and the test there holds
+    only by rounding.  The first try is not compared, so a search that
+    takes no halving pays nothing for the check.
     """
     for i in range(tries):
         trial = base + step * direction
+        if i and stop_at_base and (trial == base).all():
+            return 0.0, i, base
         if value_or_inf(value, trial) <= f0 + c * step * slope:
             return step, i, trial
         step *= shrink

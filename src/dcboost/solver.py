@@ -205,11 +205,13 @@ def dca_step(problem, x, config=None, state=None):
     return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, state)
 
 
-def descent_slope(problem, y, d):
-    """Directional derivative <grad_phi(y), d> of the boost search."""
+def descent_slope(problem, y, d, grad_phi=None):
+    """Directional derivative <grad_phi(y), d> of the boost search; a given
+    ``grad_phi``, phi's gradient at y, saves evaluating it."""
     d = np.asarray(d, dtype=float)
-    _, grad = problem.phi_value_grad(y)
-    return ddot(grad, d)
+    if grad_phi is None:
+        _, grad_phi = problem.phi_value_grad(y)
+    return ddot(grad_phi, d)
 
 
 def backtrack(problem, y, d, lambda_init, config=None, *, phi_y):
@@ -217,7 +219,8 @@ def backtrack(problem, y, d, lambda_init, config=None, *, phi_y):
 
         phi(y + lambda d) <= phi(y) - alpha * lambda * ||d||^2
 
-    holds, with ``phi_y`` = phi(y).  Returns (lambda, halvings); raises
+    holds, with ``phi_y`` = phi(y).  Returns (lambda, halvings); lambda is
+    0, the plain step, once a trial point is y bit for bit.  Raises
     LineSearchError after 60 halvings.
     """
     cfg = config if config is not None else SolverConfig()
@@ -227,7 +230,7 @@ def backtrack(problem, y, d, lambda_init, config=None, *, phi_y):
     if lam <= 0:
         raise ValueError(f"lambda_init must be positive, got {lambda_init}")
     found = sufficient_decrease(problem.phi_value, y, d, phi_y, -ddot(d, d), cfg.alpha,
-                                lam, cfg.beta, _MAX_BACKTRACKS + 1)
+                                lam, cfg.beta, _MAX_BACKTRACKS + 1, stop_at_base=True)
     if found is None:
         raise LineSearchError(
             f"no acceptable step after {_MAX_BACKTRACKS} halvings from {lambda_init:g}"
@@ -324,9 +327,12 @@ def solve(problem, x0, config=None):
         )
 
     trace: List[TraceRecord] = []
+    plain = cfg.variant is Variant.DCA
     # every variant's subproblems reuse a factor; only plain dca's start at a
     # predicted y_k, the others at x_k
-    state = SubproblemState(predicts=cfg.variant is Variant.DCA)
+    state = SubproblemState(predicts=plain)
+    # plain dca's grad h(y_k), the next iteration's linear term
+    linear = None
     iterations = 0
     status = Status.MAX_ITERS
     message = ""
@@ -342,13 +348,19 @@ def solve(problem, x0, config=None):
                 break
             started = time.perf_counter()
             try:
-                y, inner_iters = dca_step(problem, x, cfg, state)
+                b = problem.grad_h(x) if linear is None else linear
+                y, inner_iters = minimize_subproblem(problem, b, x, cfg.inner_tol, state)
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
                 phi_y = value_or_inf(problem.phi_value, y)
                 if not np.isfinite(phi_y):
                     raise NumericalError("objective is not finite at the subproblem solution")
-                slope = descent_slope(problem, y, d)
+                grad_phi = None
+                if plain:
+                    # grad phi(y) = grad g(y) - grad h(y) = (grad F(y) + b) - grad h(y)
+                    linear = problem.grad_h(y)
+                    grad_phi = (state.grad + b) - linear
+                slope = descent_slope(problem, y, d, grad_phi)
 
                 lam, halvings, x_next, phi_next = 0.0, 0, y, phi_y
                 stationary = norm_d <= tol

@@ -342,3 +342,25 @@ def test_failure_counts_are_printed_summed_over_the_seeds(pairs, tmp_path, monke
     assert ("summed over the 2 seeds' trial lines:\n"
             "  bdca-qi failing statuses: parent 2, change 2\n"
             "  chases that hit their cap: parent 0, change 0\n") in out
+
+
+def test_report_only_medians_are_printed_without_a_verdict(pairs, tmp_path, monkeypatch,
+                                                            capsys):
+    def reporting(wall, failed):
+        return RUN_OUTPUT.replace(
+            "metric step_ms_p50", f"metric wall_s = {wall!r} s (lower is better)\n"
+            f"metric failed_frac = {failed!r} ratio (lower is better)\n"
+            "metric boosted_s_p50 = 9.5 s (lower is better)\nmetric step_ms_p50")
+
+    parent, change = reporting(9.21, 0.5), reporting(8.75, 0.0)
+    assert pairs.report_only_values(parent) == {"wall_s": (9.21, "s"),
+                                                "failed_frac": (0.5, "ratio")}
+    assert pairs.report_only_values(RUN_OUTPUT) == {}
+    assert main_on_canned_runs(pairs, tmp_path, monkeypatch, parent, change) == 0
+    out = capsys.readouterr().out
+    assert ("report only, no verdict (medians over the seeds):\n"
+            "  wall_s (s): parent 9.21, change 8.75\n"
+            "  failed_frac (ratio): parent 0.5, change 0\n") in out
+    assert pairs.report_only_lines({"parent": [{"wall_s": (1.0, "s")}, {"wall_s": (3.0, "s")}],
+                                    "change": [{"wall_s": (2.0, "s")}, {}]}) == [
+        "wall_s (s): parent 2, change 2"]

@@ -223,8 +223,13 @@ class TestMinimize:
 
     def test_stalled_at_value_floor(self):
         # a predicted decrease of 1 sits below the rounding floor of 1e20,
-        # and the full step doubles the value
-        prob = constant_problem(1e20, lambda x: 2e20)
+        # and the full step doubles the value; the full step's value comes
+        # with its gradient, so that path reads the doubled value there
+        def f1_value_grad(x):
+            return (1e20 if x[0] == 0.0 else 2e20), np.ones(1)
+
+        prob = DcProblem(m=1, eval_f2=zero_f2, f1_value_grad=f1_value_grad,
+                         eval_f1=lambda x: (*f1_value_grad(x), np.eye(1)))
         with pytest.raises(NumericalError, match="stalled at the value resolution floor"):
             minimize_subproblem(prob, np.zeros(1), np.zeros(1))
 
@@ -252,6 +257,84 @@ class TestMinimize:
         x, iters = minimize_subproblem(prob, np.zeros(2), np.full(2, 1e145))
         assert iters == 1
         assert np.abs(x).max() <= 1e-10 * 1e145
+
+
+class TestOneEvaluationPerPoint:
+    """A step's full trial is evaluated once, with its gradient."""
+
+    def test_value_only_calls_are_the_halved_trials(self, monkeypatch):
+        # every step's first evaluation is g_value_grad at x + d, which an
+        # accepted full step keeps; g_value is asked only for the halved
+        # trials x + d/2, x + d/4, ..., and a halved point that is accepted
+        # costs one g_value_grad more, at that point, right after them
+        problem = NetworkObjective(generate_network(8, 12, 5)).as_dc_problem(rho=100.0)
+        calls = []   # ("step", x, d), ("subproblem", x_init), or an evaluation
+        g_value, g_value_grad = problem.g_value, problem.g_value_grad
+        step, subproblem = dcboost.inner._step, dcboost.solver.minimize_subproblem
+
+        def recording(kind, evaluate):
+            return lambda x: calls.append((kind, x.copy())) or evaluate(x)
+
+        def marked(problem, b, x, value, grad, direction):
+            calls.append(("step", x.copy(), direction.copy()))
+            return step(problem, b, x, value, grad, direction)
+
+        def started(problem, b, x_init, *args):
+            calls.append(("subproblem", x_init))
+            return subproblem(problem, b, x_init, *args)
+
+        monkeypatch.setattr(problem, "g_value", recording("value", g_value))
+        monkeypatch.setattr(problem, "g_value_grad", recording("value_grad", g_value_grad))
+        monkeypatch.setattr(dcboost.inner, "_step", marked)
+        monkeypatch.setattr(dcboost.solver, "minimize_subproblem", started)
+        x0 = np.random.default_rng(5).uniform(-8.0, 8.0, 8)
+        solve(problem, x0, SolverConfig(variant="bdca-qi", max_outer_iters=30))
+        halvings = []
+        for i, (kind, *point) in enumerate(calls):
+            if kind == "subproblem":
+                # the start's own evaluation
+                assert calls[i + 1][0] == "value_grad"
+                assert np.array_equal(calls[i + 1][1], point[0])
+            if kind != "step":
+                continue
+            x, d = point
+            # this step's calls: those before the next step or subproblem
+            end = next((j for j in range(i + 1, len(calls))
+                        if calls[j][0] in ("step", "subproblem")), len(calls))
+            (kind, z), *rest = calls[i + 1:end]
+            assert kind == "value_grad" and np.array_equal(z, x + d)
+            trials = [z for kind, z in rest if kind == "value"]
+            assert [kind for kind, _ in rest[:len(trials)]] == ["value"] * len(trials)
+            for t, z in enumerate(trials, start=1):
+                assert np.array_equal(z, x + 0.5 ** t * d)
+            # nothing after a full step; one evaluation of the accepted
+            # halved point, if one was accepted, after halvings
+            accepted = rest[len(trials):]
+            assert not accepted if not trials else (
+                len(accepted) <= 1
+                and all(kind == "value_grad" and np.array_equal(z, trials[-1])
+                        for kind, z in accepted))
+            halvings.append(len(trials))
+        assert sum(kind == "value" for kind, *_ in calls) == sum(halvings)
+        assert 0 in halvings and max(halvings) > 0
+
+    def test_a_rejected_trial_whose_gradient_overflows_warns_nothing(self):
+        # F = x^4/4 - x from 3: the first Newton step lands on 2.04, inside
+        # a band where g reads 1e300, so it is rejected and its first
+        # halving, 2.52, accepted; the run then converges to 1.  The
+        # gradient taken with the band's value overflows in NumPy, whose
+        # warning this suite turns into an error; the rejected step needs
+        # no gradient, so none may escape
+        def f1_value_grad(x):
+            if 2.0 < x[0] < 2.1:
+                return 1e300, np.full(1, 1e300) * 1e10
+            return x[0] ** 4 / 4.0, x ** 3
+
+        prob = DcProblem(m=1, eval_f2=zero_f2, f1_value_grad=f1_value_grad,
+                         f1_value=lambda x: f1_value_grad(x)[0],
+                         eval_f1=lambda x: (*f1_value_grad(x), 3.0 * np.diag(x ** 2)))
+        x, _ = minimize_subproblem(prob, np.ones(1), np.array([3.0]))
+        assert x[0] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestChord:

@@ -83,7 +83,12 @@ def test_traced_spans_count_the_calls(tracer):
     # from 317 to 297 and its Armijo trials (f1_value) from 317 to 298; its
     # chord steps then took the Hessians to 268 and, being more steps, the
     # trials to 423; chord steps in every variant, each factor kept only by
-    # a step that cuts ||grad F|| tenfold, took them to 138 and 462
+    # a step that cuts ||grad F|| tenfold, took them to 138 and 462.  Full
+    # steps then kept their trial's value and gradient, one g_value_grad
+    # call, which leaves f1_value the 14 halved trials; and the chase took
+    # its slopes from grad F(y) and grad h(y), the next linear term, which
+    # took phi_value_grad from 81 to 60 (the boosted runs' 20 + 20 + 20) and
+    # grad_h, one per iteration and one at x0, from 81 to 82
     problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
     x0 = np.random.default_rng(26).uniform(-2.0, 2.0, size=problem.m)
     recorder = tracer.SpanRecorder()
@@ -95,10 +100,10 @@ def test_traced_spans_count_the_calls(tracer):
     for span in recorder.spans:
         counts[span[tracer.NAME]] = counts.get(span[tracer.NAME], 0) + 1
     assert counts == {
-        "biochem.eval_f1": 138, "inner.spd_solve": 138, "biochem.f1_value": 462,
+        "biochem.eval_f1": 138, "inner.spd_solve": 138, "biochem.f1_value": 14,
         "biochem.phi_value": 327,
-        "biochem.eval_f2": 81, "problem.grad_h": 81, "inner.minimize_subproblem": 81,
-        "solver.descent_slope": 81, "biochem.phi_value_grad": 81,
+        "biochem.eval_f2": 82, "problem.grad_h": 82, "inner.minimize_subproblem": 81,
+        "solver.descent_slope": 81, "biochem.phi_value_grad": 60,
         "solver.backtrack": 40, "solver.bdca_qi_select": 20, "solver.fm_step": 20,
         "solver.solve": 4, "harness.run_matched_target": 1,
     }

@@ -18,6 +18,7 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,12 +130,33 @@ class TestSteps:
         assert phi_trial > threshold
 
     def test_backtrack_exhausts(self, monkeypatch):
-        # at 60 halvings the step is so short that phi's rounding accepts it
+        # with alpha = 50 no halving up to the tenth meets the test
         monkeypatch.setattr(dcboost.solver, "_MAX_BACKTRACKS", 10)
         cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
         with pytest.raises(LineSearchError, match="after 10 halvings"):
             backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg,
                       phi_y=self.phi_y0)
+
+    def test_backtrack_stops_where_the_trial_is_y(self):
+        # from halving 54 on, 2^-53 d0 = 4.3e-17 is below half a unit in
+        # the last place of y0 = 0.6, so the trial is y0 itself; the search
+        # ends there with the plain step, where it used to halve on until
+        # phi's rounding met the test, at lambda = 2^-59 after 60 halvings
+        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
+        assert backtrack(self.prob, np.array([Y0]), np.array([D0]), 2.0, cfg,
+                         phi_y=self.phi_y0) == (0.0, 54)
+
+    @pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+    def test_boosts_that_cannot_move_record_the_plain_step(self):
+        # the first four boost searches reach y bit for bit; each records
+        # lambda = 0 at that halving, and the iterates, y each time, keep
+        # their bits
+        cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
+        result = solve(self.prob, np.array([X0]), cfg)
+        assert [(rec.lambda_k, rec.backtracks) for rec in result.trace[:5]] == [
+            (0.0, 54), (0.0, 53), (0.0, 52), (0.0, 51), (0.0, 49)]
+        assert (result.iterations, result.status.value, result.phi_final.hex()) == (
+            17, "StationaryPoint", "-0x1.ffffffffffffdp-3")
 
     def test_backtrack_rejects_bad_init(self):
         with pytest.raises(ValueError):
@@ -631,7 +653,8 @@ def pinned_problem(name):
 
 
 @pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
-@pytest.mark.parametrize("name,variant,iterations,status,phi_hex", PINNED_OUTCOMES)
+@pytest.mark.parametrize("name,variant,iterations,status,phi_hex", PINNED_OUTCOMES,
+                         ids=[f"{name}-{variant}" for name, variant, *_ in PINNED_OUTCOMES])
 def test_iterates_pinned(name, variant, iterations, status, phi_hex):
     problem, x0 = pinned_problem(name)
     result = solve(problem, x0, SolverConfig(variant=variant, max_outer_iters=100))
@@ -739,6 +762,41 @@ def test_network_solves_hold_their_guarantees(tmp_path_factory, case):
             assert after <= before + 1e-6 * (1.0 + abs(before)), variant
         p, c, f = obj.rates(result.x_final)
         assert abs(float(np.sum(f))) <= 1e-14 * float(np.sum(p + c)), variant
+
+
+@settings(max_examples=40, deadline=None)
+@given(network_starts())
+def test_plain_dca_slopes_come_from_gradients_it_holds(case):
+    # plain dca records <grad phi(y), d> as <(grad F(y) + b) - grad h(y), d>,
+    # b = grad h(x): grad F(y) ends its subproblem and grad h(y) is its next
+    # linear term.  Every operation on the way, and each gradient's own
+    # sums of terms no larger than |grad g(y)| or |grad h(y)|, is exact to
+    # a few eps of those magnitudes, so the slope is within
+    # 16 eps <|grad g(y)| + |grad h(y)|, |d|> of phi_value_grad's (at most
+    # 2.6 eps of it over 300 generated networks' solves)
+    net, x0 = case
+    problem = NetworkObjective(net).as_dc_problem(rho=100.0)
+    phi_value_grad, asked = problem.phi_value_grad, []
+    problem.phi_value_grad = lambda x: asked.append(x) or phi_value_grad(x)
+    slopes, descent_slope = [], dcboost.solver.descent_slope
+
+    def recording(problem, y, d, *grad_phi):
+        slopes.append((y.copy(), d.copy(), descent_slope(problem, y, d, *grad_phi)))
+        return slopes[-1][2]
+
+    config = SolverConfig(variant="dca", max_outer_iters=60)
+    with mock.patch.object(dcboost.solver, "descent_slope", recording):
+        result = solve(problem, x0, config)
+    assert asked == []
+    assert len(slopes) - len(result.trace) in ((0, 1) if result.status.is_failure else (0,))
+    eps = np.finfo(float).eps
+    for rec, (y, d, slope) in zip(result.trace, slopes):
+        assert rec.slope == slope
+        reference = float(phi_value_grad(y)[1] @ d)
+        scale = (np.abs(problem.g_value_grad(y)[1]) + np.abs(problem.grad_h(y))) @ np.abs(d)
+        assert abs(slope - reference) <= 16.0 * eps * scale, (rec.k, slope, reference)
+    report = audit_trace(result.trace, problem, config, phi_final=result.phi_final)
+    assert report.passed, report.violations
 
 
 @st.composite

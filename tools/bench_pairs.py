@@ -38,6 +38,11 @@ Which direction is better, and each bound, come from the parent's
 ``BENCHMARK.json``.  A metric that reads "worse" also makes the exit
 status 1.
 
+It also prints each side's median of the report-only ``wall_s`` and
+``failed_frac`` lines (``metric wall_s = ...``), with no verdict: their
+spread across seeds is wider than any bound, but a change that moves time
+out of the timed iterations, or fails more solves, shows there.
+
 Two faults make the exit status 1 whatever the timings say, and each is
 printed when it fires: a run whose last line has ``"correct": false``,
 and a change whose failed trials, summed over the seeds, are a larger
@@ -67,6 +72,10 @@ PHI_ONLY, ITERATIONS_OR_STATUS, OTHER = "phi only", "iterations or status", "oth
 FAILING_STATUSES = ("NumericalFailure", "LineSearchFailure")
 # the part of a trial line whose chase stopped at its cap
 CAPPED = "chase hit its cap"
+# report-only metrics whose medians are printed without a verdict, and
+# their lines: "metric wall_s = 3.25 s (lower is better)"
+REPORT_ONLY = ("wall_s", "failed_frac")
+_METRIC = re.compile(r"metric (\S+) = (\S+) (\S+) \(")
 
 
 def parse_seeds(text):
@@ -230,6 +239,33 @@ def step_drift_lines(parent_lines, change_lines):
             f"change {change.get(label, 0):+d}" for label in labels]
 
 
+def report_only_values(output):
+    """{name: (value, unit)} of a run's REPORT_ONLY metric lines."""
+    values = {}
+    for line in output.splitlines():
+        match = _METRIC.match(line)
+        if match and match.group(1) in REPORT_ONLY:
+            values[match.group(1)] = (float(match.group(2)), match.group(3))
+    return values
+
+
+def report_only_lines(reported):
+    """"wall_s (s): parent 4.21, change 4.05", each side's median over its
+    runs, one line per REPORT_ONLY metric that both sides printed.
+    ``reported`` maps "parent" and "change" to their report_only_values."""
+    lines = []
+    for name in REPORT_ONLY:
+        values = {side: [runs[name] for runs in reported[side] if name in runs]
+                  for side in ("parent", "change")}
+        if values["parent"] and values["change"]:
+            unit = values["parent"][0][1]
+            medians = {side: statistics.median(value for value, _ in found)
+                       for side, found in values.items()}
+            lines.append(f"{name} ({unit}): parent {medians['parent']:.4g}, "
+                         f"change {medians['change']:.4g}")
+    return lines
+
+
 def last_json(output):
     return json.loads(output.strip().splitlines()[-1])
 
@@ -332,6 +368,7 @@ def main(argv=None):
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     runs = {side: [] for side in ("parent", "change")}
+    reported = {side: [] for side in ("parent", "change")}
     mismatched, changes = [], []
     every_line = {side: [] for side in ("parent", "change")}
     for seed in args.seeds:
@@ -340,6 +377,7 @@ def main(argv=None):
         parsed = {side: last_json(out) for side, out in outputs.items()}
         for side in order:
             runs[side].append((seed, parsed[side]))
+            reported[side].append(report_only_values(outputs[side]))
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
         lines = {side: outcome_lines(out) for side, out in outputs.items()}
@@ -374,6 +412,9 @@ def main(argv=None):
             worse.append(name)
     if worse:
         print(f"worse: {', '.join(worse)}")
+    print("report only, no verdict (medians over the seeds):")
+    for line in report_only_lines(reported):
+        print("  " + line)
     faults = fault_lines(runs)
     for line in faults:
         print(line)
