@@ -30,6 +30,8 @@ _CHORD_CONTRACTION = 0.1
 # a value's rounding floor, relative to 1 + |value|
 _NOISE_RTOL = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# what a trial's evaluation may raise, which reads as a value of +inf
+_OVERFLOWS = (EvaluationOverflow, FloatingPointError, OverflowError)
 # the LAPACK calls cho_factor/cho_solve make, without their checks; called
 # positionally, as f2py's keyword parsing costs about a microsecond a call:
 # _POTRF(a, 0, 0) is the upper factor with a's lower triangle left in place
@@ -329,7 +331,7 @@ def _full_trial(problem, b, z):
     value_or_inf reads it; the gradient is checked only if z is accepted."""
     try:
         value, grad = problem.g_value_grad(z)
-    except (EvaluationOverflow, FloatingPointError, OverflowError):
+    except _OVERFLOWS:
         return math.inf, None
     value = float(value) - ddot(b, z)
     return (value if math.isfinite(value) else math.inf), grad
@@ -358,7 +360,7 @@ def value_or_inf(value, x):
     """value(x), with an overflow or a non-finite result read as +inf."""
     try:
         v = value(x)
-    except (EvaluationOverflow, FloatingPointError, OverflowError):
+    except _OVERFLOWS:
         return np.inf
     return v if math.isfinite(v) else np.inf
 
