@@ -8,6 +8,7 @@ safeguard converges in a handful of steps from the warm start.
 import dataclasses
 import math
 import numbers
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -196,9 +197,11 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     Each accepted point costs one value and gradient, which for a full
     step is its trial's; a Hessian is asked for only where a Newton
     direction is computed, and its finiteness is checked by ``spd_solve``.
-    NumPy's floating-point warnings are silenced: a trial's gradient may
-    overflow where the step is then rejected, and a non-finite value or
-    gradient at an accepted point raises.
+    A call without a state runs under ``np.errstate(over="ignore",
+    invalid="ignore")``: a full trial's gradient may overflow where the
+    step is then rejected, and a non-finite value or gradient at an
+    accepted point raises.  A state belongs to one solve, whose loop
+    already runs under that errstate, so a call with one enters none.
 
     Returns ``(x, iterations)`` where ``iterations`` counts the Newton and
     chord steps taken (those of a failed run too); 0 when the start
@@ -211,7 +214,10 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     """
     b = np.asarray(linear_term, dtype=float)
     x_init = np.asarray(x_init, dtype=float).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one errstate per subproblem of a solve cost 1.4 % of matched_m20's
+    # boosted time and 4.8 % of its chase (2-core x86 box)
+    quiet = np.errstate(over="ignore", invalid="ignore") if state is None else nullcontext()
+    with quiet:
         at_x_init = (x_init, *_evaluate(problem, b, x_init))
         tol = tol_grad * max(1.0, at_x_init[3])
         x, steps, failure, grad = _newton(problem, b, _start(problem, b, state, at_x_init),
