@@ -325,9 +325,11 @@ def _step(problem, b, x, value, grad, direction):
         if found is None:
             raise NumericalError("inner line search exhausted its halvings")
         x_new, trial = found[2], None
-    moved = x_new - x
-    if not ddot(moved, moved) > 0.0 and (x_new == x).all():
-        raise NumericalError("inner step vanished below machine resolution")
+    # a full step whose value is not F(x) has moved; otherwise look
+    if trial is None or trial[0] == value:
+        moved = x_new - x
+        if not ddot(moved, moved) > 0.0 and (x_new == x).all():
+            raise NumericalError("inner step vanished below machine resolution")
     return x_new, trial
 
 
