@@ -26,7 +26,7 @@ from .inner import minimize_subproblem, spd_solve
 from .problem import (BUILTIN_PROBLEMS, EXP_GUARD, DcProblem, builtin_problem,
                       make_expsys_problem, make_quartic_problem)
 from .solver import (TRACE_COLUMNS, SolveResult, SolverConfig, Status,
-                     TraceRecord, Variant, backtrack, bdca_qi_select, dca_step,
+                     TraceRecord, Variant, backtrack, bdca_qi_select,
                      descent_slope, fm_step, quad_interp_lambda, read_column,
                      read_trace_csv, solve, write_trace_csv)
 
@@ -47,7 +47,7 @@ __all__ = (
     "BUILTIN_PROBLEMS", "EXP_GUARD", "DcProblem", "builtin_problem",
     "make_expsys_problem", "make_quartic_problem",
     "TRACE_COLUMNS", "SolveResult", "SolverConfig", "Status", "TraceRecord",
-    "Variant", "backtrack", "bdca_qi_select", "dca_step", "descent_slope",
+    "Variant", "backtrack", "bdca_qi_select", "descent_slope",
     "fm_step", "quad_interp_lambda", "read_column", "read_trace_csv", "solve",
     "write_trace_csv",
     "__version__",

@@ -173,16 +173,13 @@ class NetworkObjective:
         return point.p, point.c, point.p - point.c
 
     # -- DC pieces -------------------------------------------------------
-    # Each value is computed once per point and shared by every path that
-    # returns it, so a value path and a gradient path agree bit for bit.
+    # f1's record and phi's value are computed once per point and shared by
+    # every path, so a value path and a gradient path agree bit for bit.
 
     def f1_value(self, x):
-        return self._f1_value(self._at(x))
-
-    def _f1_value(self, point):
-        if point.f1 is None:
-            point.f1 = _f1_value_at(point)
-        return point.f1
+        point = self._at(x)
+        # a halved inner trial asks for the value alone
+        return _f1_value_at(point) if point.f1 is None else point.f1[0]
 
     def phi_value(self, x):
         return self._phi_value(self._at(x))
@@ -206,22 +203,22 @@ class NetworkObjective:
 
     def f1_value_grad(self, x):
         """f1's value and gradient, without its Hessian."""
-        return self._f1(self._at(x))
+        return self._f1(self._at(x))[:2]
 
     def eval_f1(self, x):
         point = self._at(x)
-        value, grad = self._f1(point)
-        if point.hess is None:
-            point.hess = _frozen(self._hessian_op.assemble(point.e, 4.0 * point.et))
-        return value, grad, point.hess
+        value, grad, et = self._f1(point)
+        return value, grad, self._hessian_op.assemble(point.e, 4.0 * et)
 
     def _f1(self, point):
-        if point.f1_grad is None:
+        if point.f1 is None:
             bt = self.BNT.apply(point.pc)
             half = bt.size // 2
-            point.et = point.e * (bt[:half] + bt[half:])
-            point.f1_grad = _frozen(4.0 * self.M.apply(point.et))
-        return self._f1_value(point), point.f1_grad
+            et = point.e * (bt[:half] + bt[half:])
+            grad = 4.0 * self.M.apply(et)
+            grad.setflags(write=False)
+            point.f1 = (_f1_value_at(point), grad, et)
+        return point.f1
 
     def eval_f2(self, x):
         e = self._at(x).e
@@ -245,7 +242,7 @@ class NetworkObjective:
                 8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
         return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
 
-    def as_dc_problem(self, rho=0.0, name=None):
+    def as_dc_problem(self, rho=0.0):
         """Package the evaluators as a DcProblem (neither piece is
         strongly convex on its own, so sigma_g = sigma_h = 0)."""
         return DcProblem(
@@ -259,13 +256,8 @@ class NetworkObjective:
             f1_value_grad=self.f1_value_grad,
             phi_value=self.phi_value,
             phi_value_grad=self.phi_value_grad,
-            name=name or self.network.name or "network",
+            name=self.network.name or "network",
         )
-
-
-def _frozen(array):
-    array.setflags(write=False)
-    return array
 
 
 class _CsrOperator:
@@ -343,13 +335,13 @@ class _CsrOperator:
 class _Point:
     """The last point evaluated: x's bytes as its key, the flux e, the
     bundles p and c as the halves of pc = [p; c], and, once asked for,
-    f1's value, phi's value, f1's gradient with the weights et it shares
-    with the Hessian, and f1's Hessian.  A Newton step's accepted trial and the outer loop's phi,
-    grad phi and grad h calls land on the same point, so each costs one
-    flux, and each value is computed once.  The arrays are read-only: a
-    caller writing into one fails, not the next call."""
+    phi's value and f1's record (value, gradient, Hessian weights et).  A
+    Newton step's accepted trial and the outer loop's phi, grad phi and
+    grad h calls land on the same point, so each costs one flux, and each
+    record is computed once.  The shared arrays are read-only: a caller
+    writing into one fails, not the next call."""
 
-    __slots__ = ("key", "e", "pc", "p", "c", "f1", "phi", "et", "f1_grad", "hess")
+    __slots__ = ("key", "e", "pc", "p", "c", "phi", "f1")
 
     def __init__(self, key, e, pc):
         self.key, self.e, self.pc = key, e, pc
@@ -357,7 +349,7 @@ class _Point:
         pc.setflags(write=False)
         half = pc.size // 2
         self.p, self.c = pc[:half], pc[half:]
-        self.f1 = self.phi = self.et = self.f1_grad = self.hess = None
+        self.phi = self.f1 = None
 
 
 # Values saturate quietly to +inf: line searches reject non-finite trial

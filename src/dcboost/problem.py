@@ -6,14 +6,13 @@ h = f2 + (rho/2)||x||^2, which leaves phi unchanged while making both
 pieces strongly convex whenever rho > 0.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import ddot
 
-from .exceptions import EvaluationOverflow, TheoryWarning
+from .exceptions import EvaluationOverflow
 
 __all__ = (
     "DcProblem",
@@ -138,18 +137,6 @@ class DcProblem:
         x = np.asarray(x, dtype=float)
         _, grad = self.eval_f2(x)
         return np.asarray(grad, dtype=float) + self.rho * x
-
-    def subproblem_modulus(self):
-        """Strong-convexity modulus available to the inner solver."""
-        mod = self.sigma_g + self.rho
-        if mod <= 0:
-            warnings.warn(
-                f"problem '{self.name}' has sigma_g + rho = 0; subproblems are "
-                "strictly but not strongly convex",
-                TheoryWarning,
-                stacklevel=3,
-            )
-        return mod
 
 
 # -- built-in problems ---------------------------------------------------

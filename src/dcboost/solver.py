@@ -36,7 +36,6 @@ __all__ = (
     "SolverConfig",
     "TraceRecord",
     "SolveResult",
-    "dca_step",
     "descent_slope",
     "backtrack",
     "quad_interp_lambda",
@@ -51,7 +50,7 @@ __all__ = (
 
 # halvings (backward reductions for fm) a line search may take
 _MAX_BACKTRACKS = 60
-# fields of older spec files, each with the one value it may still hold
+# fields of older spec files (inner.X: X in the inner object), each with the one value it may hold
 _REMOVED_FIELDS = {"proximal_c": None, "max_backtracks": _MAX_BACKTRACKS,
                    "tol_d": None, "tol_x": None,
                    "inner.max_iters": _MAX_NEWTON_STEPS,
@@ -140,7 +139,7 @@ class SolverConfig:
 
         Spec files written before a setting became a constant still load:
         a removed field may hold only the value the solver now fixes, and
-        the inner solver's ``tol_grad`` is read as ``inner_tol``.
+        ``inner.tol_grad`` stands for ``inner_tol``; a file may not give both.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"solver must be an object, got {obj!r}")
@@ -148,16 +147,22 @@ class SolverConfig:
         inner = obj.pop("inner", {})
         if not isinstance(inner, dict):
             raise ValueError(f"solver.inner must be an object, got {inner!r}")
-        obj.update({f"inner.{k}": v for k, v in inner.items()})
-        if "inner.tol_grad" in obj:
-            obj["inner_tol"] = obj.pop("inner.tol_grad")
+        inner = dict(inner)
+        if "tol_grad" in inner:
+            if "inner_tol" in obj:
+                raise ValueError("solver fields inner_tol and inner.tol_grad both "
+                                 "give the inner tolerance; keep one")
+            obj["inner_tol"] = inner.pop("tol_grad")
         for name, kept in _REMOVED_FIELDS.items():
-            if name in obj:
-                value = obj.pop(name)
+            *outer, own = name.split(".")
+            given = inner if outer else obj
+            if own in given:
+                value = given.pop(own)
                 if type(value) is not type(kept) or value != kept:
                     raise ValueError(f"solver field {name} was removed; it may only "
                                      f"hold {json.dumps(kept)}, got {json.dumps(value)}")
-        _reject_unknown(obj, {f.name for f in fields(cls)}, "solver")
+        _reject_unknown({*obj, *(f"inner.{own}" for own in inner)},
+                        {f.name for f in fields(cls)}, "solver")
         return cls(**obj)
 
 
@@ -193,16 +198,6 @@ class SolveResult:
 
 
 # -- individual steps ----------------------------------------------------
-
-
-def dca_step(problem, x, config=None, state=None):
-    """Solve the convex subproblem at x; returns (y, inner_iterations).
-
-    ``state``, the solve's SubproblemState, is passed on to
-    ``minimize_subproblem``.
-    """
-    cfg = config if config is not None else SolverConfig()
-    return minimize_subproblem(problem, problem.grad_h(x), x, cfg.inner_tol, state)
 
 
 def descent_slope(problem, y, d, grad_phi=None):
@@ -314,10 +309,10 @@ def solve(problem, x0, config=None):
     if x.size != problem.m:
         raise ValueError(f"x0 has size {x.size}, problem expects {problem.m}")
     tol = cfg.resolved_tol(problem.m)
-    problem.subproblem_modulus()  # warns once when subproblems are not strongly convex
-
-    boosted = cfg.variant in (Variant.BDCA_B, Variant.BDCA_QI, Variant.FM)
-    if boosted and cfg.alpha >= problem.sigma_h + problem.rho:
+    if problem.sigma_g + problem.rho <= 0:
+        warnings.warn(f"problem '{problem.name}' has sigma_g + rho = 0; subproblems are "
+                      "strictly but not strongly convex", TheoryWarning, stacklevel=2)
+    if cfg.variant is not Variant.DCA and cfg.alpha >= problem.sigma_h + problem.rho:
         warnings.warn(
             f"alpha={cfg.alpha:g} is not below sigma_h + rho = "
             f"{problem.sigma_h + problem.rho:g}; line-search acceptance is no "

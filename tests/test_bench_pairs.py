@@ -364,3 +364,18 @@ def test_report_only_medians_are_printed_without_a_verdict(pairs, tmp_path, monk
     assert pairs.report_only_lines({"parent": [{"wall_s": (1.0, "s")}, {"wall_s": (3.0, "s")}],
                                     "change": [{"wall_s": (2.0, "s")}, {}]}) == [
         "wall_s (s): parent 2, change 2"]
+
+
+def test_src_lines_are_printed_once_per_side(pairs, tmp_path, monkeypatch, capsys):
+    def counted(lines):
+        return RUN_OUTPUT.replace(
+            "trial 0 ", f"env src_lines {lines} (informational; not a benchmark metric)\n"
+            "trial 0 ", 1)
+
+    parent, change = counted(2906), counted(2880)
+    assert pairs.src_lines(parent) == 2906 and pairs.src_lines(RUN_OUTPUT) is None
+    assert main_on_canned_runs(pairs, tmp_path, monkeypatch, parent, change) == 0
+    out = capsys.readouterr().out
+    assert out.count("env src_lines") == 1
+    assert ("report only, no verdict (medians over the seeds):\n"
+            "  env src_lines: parent 2906, change 2880\n") in out

@@ -506,40 +506,43 @@ class TestPointMemo:
             assert np.array_equal(x, MEMO_POOL[index])
 
     def test_returned_arrays_are_read_only(self):
+        # the arrays the point shares; f1's Hessian is assembled per call
         obj = NetworkObjective(MEMO_NET)
         x = MEMO_POOL[1].copy()
-        _, grad, hess = obj.eval_f1(x)
+        _, grad, _ = obj.eval_f1(x)
         with pytest.raises(ValueError):
             grad[0] = 0.0
-        with pytest.raises(ValueError):
-            hess += 1.0
         p, c, _ = obj.rates(x)
         with pytest.raises(ValueError):
             p[0] = 0.0
+        with pytest.raises(ValueError):
+            c[0] = 0.0
         assert bits(obj.eval_f1(x)) == FRESH["eval_f1", 1]
 
     def test_each_value_computed_once_per_flux(self, monkeypatch):
-        # a Newton step's line-search trial and its accepted point share
-        # f1's value; y's phi and its slope, and a line search's accepted
-        # trial and the next iterate, share phi's
+        # f1's record and phi's value are each computed at most once per
+        # flux: a Newton step's full trial and its accepted point share f1's
+        # record; y's phi and its slope, and a line search's accepted trial
+        # and the next iterate, share phi's value
         fluxes, computed = Counter(), {"f1": Counter(), "phi": Counter()}
-        flux = NetworkObjective._flux
+        flux, f1_record = NetworkObjective._flux, NetworkObjective._f1
+        phi_value_at = biochem._phi_value_at
 
         def counted_flux(self, x):
             fluxes[x.tobytes()] += 1
             return flux(self, x)
 
-        def counted(value_at, counts):
-            def wrapper(point):
-                counts[point.key] += 1
-                return value_at(point)
-            return wrapper
+        def counted_f1_record(self, point):
+            computed["f1"][point.key] += point.f1 is None
+            return f1_record(self, point)
+
+        def counted_phi(point):
+            computed["phi"][point.key] += 1
+            return phi_value_at(point)
 
         monkeypatch.setattr(NetworkObjective, "_flux", counted_flux)
-        monkeypatch.setattr(biochem, "_f1_value_at",
-                            counted(biochem._f1_value_at, computed["f1"]))
-        monkeypatch.setattr(biochem, "_phi_value_at",
-                            counted(biochem._phi_value_at, computed["phi"]))
+        monkeypatch.setattr(NetworkObjective, "_f1", counted_f1_record)
+        monkeypatch.setattr(biochem, "_phi_value_at", counted_phi)
         problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
         x0 = np.random.default_rng(24).uniform(-2.0, 2.0, size=problem.m)
         result = solve(problem, x0, SolverConfig(variant="bdca-qi", max_outer_iters=40))
@@ -547,6 +550,16 @@ class TestPointMemo:
         for name, counts in computed.items():
             assert counts, name
             assert all(counts[key] <= fluxes[key] for key in counts), name
+
+    def test_value_only_ask_computes_only_the_value(self):
+        # a halved inner trial asks for f1's value alone: it gets the bits
+        # the record would hold, and no record is built for it
+        obj = NetworkObjective(MEMO_NET)
+        x = MEMO_POOL[1].copy()
+        assert bits(obj.f1_value(x)) == FRESH["f1_value", 1]
+        assert obj._point.f1 is None
+        assert bits(obj.f1_value(x)) == bits(obj.eval_f1(x)[0]) == FRESH["f1_value", 1]
+        assert obj._point.f1 is not None
 
     def test_overflow_keeps_last_point(self):
         obj = NetworkObjective(MEMO_NET)

@@ -16,7 +16,6 @@ from dcboost import (
     EXP_GUARD,
     DcProblem,
     EvaluationOverflow,
-    TheoryWarning,
     builtin_problem,
     make_expsys_problem,
     make_quartic_problem,
@@ -69,13 +68,6 @@ class TestQuartic:
         assert h[0, 0] == pytest.approx(0.75 + 2.0, abs=1e-15)
         assert prob.grad_h(x)[0] == pytest.approx(0.5 + 1.0, abs=1e-15)
         assert prob.g_value(x) == pytest.approx(v, abs=1e-15)
-
-    def test_modulus_warns_when_zero(self):
-        with pytest.warns(TheoryWarning):
-            assert self.prob.subproblem_modulus() == 0.0
-        prob = make_quartic_problem()
-        prob.rho = 1.0
-        assert prob.subproblem_modulus() == 1.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_guard(self, sign):

@@ -44,7 +44,6 @@ from dcboost import (
     backtrack,
     bdca_qi_select,
     builtin_problem,
-    dca_step,
     descent_slope,
     export_table,
     fm_step,
@@ -92,7 +91,8 @@ class TestSteps:
         self.phi_y0 = self.prob.phi_value(np.array([Y0]))
 
     def test_dca_step_cube_root(self):
-        y, inner_iters = dca_step(self.prob, np.array([X0]))
+        x = np.array([X0])
+        y, inner_iters = minimize_subproblem(self.prob, self.prob.grad_h(x), x)
         assert abs(y[0] - Y0) <= 1e-8
         assert inner_iters >= 1
 
@@ -218,7 +218,7 @@ class TestSteps:
     def test_fm_never_passes_y(self):
         cfg = SolverConfig(variant="fm", alpha=0.5, beta=0.5, lambda_bar=2.0)
         x = np.array([1.8])
-        y, _ = dca_step(self.prob, x)
+        y, _ = minimize_subproblem(self.prob, self.prob.grad_h(x), x)
         x_next, level = fm_step(self.prob, x, y, cfg, phi_x=self.prob.phi_value(x))
         lo, hi = sorted((x[0], y[0]))
         assert lo - 1e-12 <= x_next[0] <= hi + 1e-12
@@ -320,6 +320,18 @@ class TestSolve:
                            lambda_max=8.0, max_outer_iters=3)
         with pytest.warns(TheoryWarning, match="sigma_h"):
             solve(self.prob, np.array([X0]), cfg)
+
+    def test_warns_if_and_only_if_sigma_g_plus_rho_is_zero(self):
+        # the quartic's subproblems are strictly, not strongly, convex; the
+        # warning points at solve's caller
+        cfg = SolverConfig(variant="dca", max_outer_iters=3)
+        with pytest.warns(TheoryWarning, match=r"'quartic' has sigma_g \+ rho = 0") as caught:
+            solve(self.prob, np.array([X0]), cfg)
+        assert [w.filename for w in caught] == [__file__]
+        for moduli in ({"rho": 1.0}, {"sigma_g": 0.5}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TheoryWarning)
+                solve(dataclasses.replace(self.prob, **moduli), np.array([X0]), cfg)
 
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_quartic_overflow_is_a_status(self, variant):
@@ -428,6 +440,23 @@ class TestConfig:
                "proximal_c": None,
                "inner": {"tol_grad": 1e-6, "max_iters": 200, "damping_floor": 1e-10}}
         assert SolverConfig.from_json(old) == SolverConfig(variant="fm", inner_tol=1e-6)
+
+    def test_inner_tol_given_both_ways_raises(self):
+        # the legacy inner.tol_grad used to replace inner_tol silently
+        with pytest.raises(ValueError, match="inner_tol and inner.tol_grad both"):
+            SolverConfig.from_json({"inner": {"tol_grad": 1e-6}, "inner_tol": 1e-7})
+
+    @pytest.mark.parametrize("obj, name", [
+        ({"inner.max_iters": 200}, "inner.max_iters"),
+        ({"inner": {"max_iters": 200}, "inner.max_iters": 5}, "inner.max_iters"),
+        ({"inner.tol_grad": 1e-6}, "inner.tol_grad"),
+        ({"inner": {"tol": 1e-6}}, "inner.tol"),
+    ])
+    def test_inner_fields_come_only_from_the_inner_object(self, obj, name):
+        # no writer produced a dotted top-level key; one used to load, and
+        # to collide with the nested field of the same name
+        with pytest.raises(ValueError, match=re.escape(f"unknown solver fields: ['{name}']")):
+            SolverConfig.from_json(obj)
 
     def test_json_round_trip(self):
         cfg = SolverConfig(variant="bdca-b", tol=1e-7, inner_tol=1e-9, target_phi=2.0)
@@ -696,6 +725,50 @@ def test_only_plain_dca_predicts_its_subproblem_solution(monkeypatch, variant):
         else:
             step = 3.0 * (d[0] - d[1]) + d[2]
         assert np.array_equal(guess, x + step), k
+
+
+def step_identity_case(variant):
+    """A solve in which the variant moves off y_k in every iteration: the
+    boosted variants boost on this network, and fm on the quartic with
+    alpha = 10 reduces its step in all 14 iterations."""
+    if variant == "fm":
+        return make_quartic_problem(), np.array([-3.0]), SolverConfig(variant="fm", alpha=10.0)
+    problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+    x0 = np.random.default_rng(26).uniform(-2.0, 2.0, 20)
+    return problem, x0, SolverConfig(variant=variant, max_outer_iters=30)
+
+
+@pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_each_trace_row_records_the_step_taken(monkeypatch, variant):
+    # the trace's lambda_k is the step the solve took: subproblem k + 1
+    # starts at y_k + lambda_k (y_k - x_k).  dca and the forward searches
+    # form x_{k+1} so, bit for bit; fm forms x_k + beta^l d_k with
+    # lambda_k = beta^l - 1, so the two sums differ by the rounding of
+    # y_k - x_k, of both products and of both additions, at most
+    # 5/2 eps (|x_k| + |y_k|) per entry, here bounded by 3 eps (|x_k| + |y_k|)
+    calls = []
+
+    def recording(problem, linear_term, x_init, tol_grad=1e-8, state=None):
+        y, inner_iters = minimize_subproblem(problem, linear_term, x_init, tol_grad, state)
+        calls.append((x_init.copy(), y.copy()))
+        return y, inner_iters
+
+    monkeypatch.setattr(dcboost.solver, "minimize_subproblem", recording)
+    result = solve(*step_identity_case(variant))
+    assert not result.status.is_failure and len(calls) == len(result.trace) >= 14
+    lambdas = [row.lambda_k for row in result.trace]
+    if variant == "fm":
+        assert all(lam < 0.0 for lam in lambdas)
+    elif variant != "dca":
+        assert all(lam > 0.0 for lam in lambdas)
+    for (x, y), (x_next, _), lam in zip(calls, calls[1:], lambdas):
+        taken = y + lam * (y - x)
+        if variant == "fm":
+            bound = 3.0 * np.finfo(float).eps * (np.abs(x) + np.abs(y))
+            assert np.all(np.abs(x_next - taken) <= bound)
+        else:
+            assert np.array_equal(x_next, taken)
 
 
 def test_predicted_subproblem_solution_is_exact_on_a_cubic_path():

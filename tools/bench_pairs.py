@@ -41,7 +41,9 @@ status 1.
 It also prints each side's median of the report-only ``wall_s`` and
 ``failed_frac`` lines (``metric wall_s = ...``), with no verdict: their
 spread across seeds is wider than any bound, but a change that moves time
-out of the timed iterations, or fails more solves, shows there.
+out of the timed iterations, or fails more solves, shows there.  Next to
+them it prints each side's ``env src_lines``, the line count of its
+``src/dcboost``, once per side, so a change's size sits by its timings.
 
 Two faults make the exit status 1 whatever the timings say, and each is
 printed when it fires: a run whose last line has ``"correct": false``,
@@ -76,6 +78,8 @@ CAPPED = "chase hit its cap"
 # their lines: "metric wall_s = 3.25 s (lower is better)"
 REPORT_ONLY = ("wall_s", "failed_frac")
 _METRIC = re.compile(r"metric (\S+) = (\S+) (\S+) \(")
+# "env src_lines 2906 (informational; not a benchmark metric)"
+_SRC_LINES = re.compile(r"^env src_lines (\d+) ", re.MULTILINE)
 
 
 def parse_seeds(text):
@@ -266,6 +270,12 @@ def report_only_lines(reported):
     return lines
 
 
+def src_lines(output):
+    """The ``env src_lines`` count a run printed, or None."""
+    match = _SRC_LINES.search(output)
+    return int(match.group(1)) if match else None
+
+
 def last_json(output):
     return json.loads(output.strip().splitlines()[-1])
 
@@ -369,6 +379,7 @@ def main(argv=None):
     samples = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     runs = {side: [] for side in ("parent", "change")}
     reported = {side: [] for side in ("parent", "change")}
+    lines_of_src = {}
     mismatched, changes = [], []
     every_line = {side: [] for side in ("parent", "change")}
     for seed in args.seeds:
@@ -378,6 +389,7 @@ def main(argv=None):
         for side in order:
             runs[side].append((seed, parsed[side]))
             reported[side].append(report_only_values(outputs[side]))
+            lines_of_src.setdefault(side, src_lines(outputs[side]))
             for name in metrics:
                 samples[side][name].append(parsed[side]["metrics"][name]["value"])
         lines = {side: outcome_lines(out) for side, out in outputs.items()}
@@ -415,6 +427,7 @@ def main(argv=None):
     print("report only, no verdict (medians over the seeds):")
     for line in report_only_lines(reported):
         print("  " + line)
+    print(f"  env src_lines: parent {lines_of_src['parent']}, change {lines_of_src['change']}")
     faults = fault_lines(runs)
     for line in faults:
         print(line)
