@@ -6,14 +6,16 @@ shape (m species, n reactions).  With directed flux rates
     e(x) = exp(w + B x),   B = [F, R]^T  (2n x m),
 
 production and consumption bundles are p = M e and c = N e for
-M = [F, R], N = [R, F], and the net rate is f = (M - N) e.  Steady
-states are zeros of f, found by minimizing
+M = [F, R], N = [R, F], and the net rate is f = A e for A = M - N.
+Steady states are zeros of f, found by minimizing
 
     phi(x) = ||f(x)||^2 = f1(x) - f2(x),
-    f1 = 2(||p||^2 + ||c||^2),   f2 = ||p + c||^2,
+    f1 = 2(||p||^2 + ||c||^2) = 2<e, G1 e>,   f2 = ||p + c||^2,
 
-where both pieces are convex because every component of p and c is a
-positive combination of exponentials of affine maps.
+with the fixed Gram operator G1 = M^T M + N^T N, where both pieces are
+convex because every component of p and c is a positive combination of
+exponentials of affine maps.  f1 is evaluated through G1 and phi through
+A e, so neither forms p or c; only rates() does.
 """
 
 import json
@@ -125,13 +127,12 @@ class NetworkObjective:
         self.A = _CsrOperator.of((M - N).tocsr())
         self.MpN = _CsrOperator.of((M + N).tocsr())
         self.B = self.M.transpose()
-        self.NT = self.N.transpose()
         self.AT = self.A.transpose()
         self.MpNT = self.MpN.transpose()
-        # paired products in one call each: [M; N] e is [p; c], and
-        # diag(B, N^T) [p; c] is [B p; N^T c], whose halves f1 adds
-        self.MN = _CsrOperator.stacked((self.M, self.N))
-        self.BNT = _CsrOperator.stacked((self.B, self.NT), diagonal=True)
+        # f1's one product: G1 = [M; N]^T [M; N] has integer entries, built
+        # here so that its cost shows in set-up
+        MN = sp.vstack([M, N], format="csr")
+        self.G1 = _CsrOperator.of((MN.T @ MN).tocsr())
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
@@ -162,39 +163,47 @@ class NetworkObjective:
             return point
         # no NumPy warning can arise here: _flux raises before exp()
         # overflows, and csr_matvec is compiled code that sets none
-        e = self._flux(x)
-        self._point = point = _Point(key, e, self.MN.apply(e))
+        self._point = point = _Point(key, self._flux(x))
         return point
 
     def rates(self, x):
-        """Production, consumption and net rates (p, c, f) at x."""
-        point = self._at(x)
+        """Production, consumption and net rates (p, c, f) at x, as new
+        arrays."""
+        e = self._at(x).e
+        p, c = self.M.apply(e), self.N.apply(e)
         # p and c are finite and nonnegative, so p - c cannot overflow
-        return point.p, point.c, point.p - point.c
+        return p, c, p - c
 
     # -- DC pieces -------------------------------------------------------
     # f1's record and phi's value are computed once per point and shared by
     # every path, so a value path and a gradient path agree bit for bit.
+    # Values saturate quietly to +inf: line searches reject non-finite trial
+    # values, so an overflowing norm is an answer, not an anomaly.  BLAS's
+    # ddot sets no NumPy warning, and Python floats overflow to inf silently.
 
     def f1_value(self, x):
         point = self._at(x)
-        # a halved inner trial asks for the value alone
-        return _f1_value_at(point) if point.f1 is None else point.f1[0]
+        if point.f1 is not None:
+            return point.f1[0]
+        # a halved inner trial asks for the value alone: the record's bits
+        e = point.e
+        return 2.0 * ddot(e, self.G1.apply(e))
 
     def phi_value(self, x):
         return self._phi_value(self._at(x))
 
     def _phi_value(self, point):
+        # ||A e||^2 never forms the large near-equal pieces f1 and f2, so
+        # values near a steady state keep their accuracy
         if point.phi is None:
-            point.phi = _phi_value_at(point)
+            point.f = f = self.A.apply(point.e)
+            point.phi = ddot(f, f)
         return point.phi
 
     def phi_value_grad(self, x):
-        # the gradient keeps f = A e, so the boost slopes keep their bits
         point = self._at(x)
-        e = point.e
-        f = self.A.apply(e)
-        return self._phi_value(point), 2.0 * self.M.apply(e * self.AT.apply(f))
+        value = self._phi_value(point)
+        return value, 2.0 * self.M.apply(point.e * self.AT.apply(point.f))
 
     @cached_property
     def _hessian_op(self):
@@ -212,12 +221,12 @@ class NetworkObjective:
 
     def _f1(self, point):
         if point.f1 is None:
-            bt = self.BNT.apply(point.pc)
-            half = bt.size // 2
-            et = point.e * (bt[:half] + bt[half:])
+            e = point.e
+            t = self.G1.apply(e)
+            et = e * t
             grad = 4.0 * self.M.apply(et)
             grad.setflags(write=False)
-            point.f1 = (_f1_value_at(point), grad, et)
+            point.f1 = (2.0 * ddot(e, t), grad, et)
         return point.f1
 
     def eval_f2(self, x):
@@ -230,15 +239,18 @@ class NetworkObjective:
         """The top exponent up to which every value, gradient and f1 Hessian
         is finite, EXP_GUARD - ln(2K)/2: with every e_j <= E, each of them
         and each partial sum on the way is at most K E^2 for this K, taken
-        from the stoichiometry alone; the factor 2 absorbs rounding."""
-        M, N = self.M.tocsr(), self.N.tocsr()
+        from the stoichiometry alone; the factor 2 absorbs rounding.  At
+        e = E u, f1's weights G1 e are E t for the t below, and its value
+        2<e, G1 e> = 2(||M e||^2 + ||N e||^2) is 2<u, t> E^2."""
+        M, MpN, G1 = self.M.tocsr(), self.MpN.tocsr(), self.G1.tocsr()
         u = np.ones(M.shape[1])
-        p, c, s = M @ u, N @ u, (M + N) @ u
-        t, q = M.T @ p + N.T @ c, (M + N).T @ s
-        W = M.T @ M + N.T @ N + sp.diags(t)
-        # f1's value (over f2's and phi's), Hessian weights, gradient and Hessian
-        # (doubled by symmetrizing); f2's and phi's weights and gradients (|M - N| <= M + N)
-        K = max(2.0 * (p @ p + c @ c), 4.0 * W.max(), 4.0 * (M @ t).max(),
+        s = MpN @ u
+        t, q = G1 @ u, MpN.T @ s
+        W = G1 + sp.diags(t)
+        # f1's value (over f2's and phi's: ||M e + N e||^2 and ||A e||^2 are at
+        # most twice ||M e||^2 + ||N e||^2), Hessian weights, gradient and Hessian
+        # (doubled by symmetrizing); f2's and phi's weights and gradients (|A| <= M + N)
+        K = max(2.0 * (u @ t), 4.0 * W.max(), 4.0 * (M @ t).max(),
                 8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
         return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
 
@@ -289,23 +301,6 @@ class _CsrOperator:
         """The operator of a scipy CSR matrix, in its storage order."""
         return cls(mat.indptr, mat.indices, mat.data, mat.shape)
 
-    @classmethod
-    def stacked(cls, operators, diagonal=False):
-        """The operators' rows one under another, each in its storage
-        order, so each row sums as in its own operator: [A; B] on one
-        input, or with ``diagonal`` diag(A, B) on the inputs stacked."""
-        indptr, indices, nnz, width = [operators[0].indptr[:1]], [], 0, 0
-        for op in operators:
-            indptr.append(op.indptr[1:] + nnz)
-            indices.append(op.indices + width)
-            nnz += op.nnz
-            if diagonal:
-                width += op.shape[1]
-        rows = sum(op.shape[0] for op in operators)
-        return cls(np.concatenate(indptr), np.concatenate(indices),
-                   np.concatenate([op.data for op in operators]),
-                   (rows, width if diagonal else operators[0].shape[1]))
-
     @property
     def nnz(self):
         return self.data.size
@@ -333,40 +328,20 @@ class _CsrOperator:
 
 
 class _Point:
-    """The last point evaluated: x's bytes as its key, the flux e, the
-    bundles p and c as the halves of pc = [p; c], and, once asked for,
-    phi's value and f1's record (value, gradient, Hessian weights et).  A
-    Newton step's accepted trial and the outer loop's phi, grad phi and
-    grad h calls land on the same point, so each costs one flux, and each
-    record is computed once.  The shared arrays are read-only: a caller
-    writing into one fails, not the next call."""
+    """The last point evaluated: x's bytes as its key, the flux e and, once
+    asked for, the net rate f = A e with phi's value and f1's record (value,
+    gradient, Hessian weights et).  A Newton step's accepted trial and the
+    outer loop's phi, grad phi and grad h calls land on the same point, so
+    each costs one flux, and each record is computed once.  The shared
+    arrays are read-only: a caller writing into one fails, not the next
+    call."""
 
-    __slots__ = ("key", "e", "pc", "p", "c", "phi", "f1")
+    __slots__ = ("key", "e", "f", "phi", "f1")
 
-    def __init__(self, key, e, pc):
-        self.key, self.e, self.pc = key, e, pc
+    def __init__(self, key, e):
+        self.key, self.e = key, e
         e.setflags(write=False)
-        pc.setflags(write=False)
-        half = pc.size // 2
-        self.p, self.c = pc[:half], pc[half:]
-        self.phi = self.f1 = None
-
-
-# Values saturate quietly to +inf: line searches reject non-finite trial
-# values, so an overflowing norm is an answer, not an anomaly.  BLAS's
-# ddot sets no NumPy warning, and Python floats overflow to inf silently.
-
-def _f1_value_at(point):
-    """f1 = 2(||p||^2 + ||c||^2) at a point."""
-    p, c = point.p, point.c
-    return 2.0 * (ddot(p, p) + ddot(c, c))
-
-
-def _phi_value_at(point):
-    """phi = ||p - c||^2 at a point, without forming the large near-equal
-    pieces f1 and f2, so values near a steady state keep their accuracy."""
-    f = point.p - point.c
-    return ddot(f, f)
+        self.f = self.phi = self.f1 = None
 
 
 class _HessianOperator:
@@ -376,21 +351,19 @@ class _HessianOperator:
 
         W = diag(e) G1 diag(e) + diag(e * t),   G1 = M^T M + N^T N,
 
-    for t = B p + N^T c.  W's pattern is G1's nonzeros plus the diagonal.
+    for t = G1 e.  W's pattern is G1's nonzeros plus the diagonal.
     Column q of P is the column of kron(B^T, B^T) for the pattern's q-th
     entry (k, l), which holds B[k, a] * B[l, b] in row a*m + b, so the
     flattened Hessian is P @ w for W's values w on the pattern.
     """
 
     def __init__(self, objective):
-        M, N, MpN = (op.tocsr() for op in (objective.M, objective.N, objective.MpN))
-        B, NT, MpNT = (mat.T.tocsr() for mat in (M, N, MpN))
-        G1 = (B @ M + NT @ N).tocsr()
+        M, MpN, G1 = (op.tocsr() for op in (objective.M, objective.MpN, objective.G1))
         # W's values are listed in the order of G2 = (M + N)^T (M + N)'s
         # pattern, which holds G1's, plus the diagonal: that order fixes the
         # summation order of P @ w, and G1's own order would move the
         # Hessians, and the iterates, in the last bits.
-        G2 = (MpNT @ MpN).tocsr()
+        G2 = (MpN.T.tocsr() @ MpN).tocsr()
         pattern = (G2 + sp.identity(G2.shape[0], format="csr")).tocoo()
         # intp indices make the per-call gathers about 2.5x faster
         rows = pattern.row.astype(np.intp)
@@ -501,14 +474,14 @@ def _generate_once(m, n, rng):
 
 def _pick(rng, preferred, fallback, count):
     # up to `count` items, favouring `preferred`; deterministic given rng
+    # drawing positions, not items, takes the same draws from rng
     preferred = sorted(preferred)
-    chosen = list(rng.choice(preferred, size=min(count, len(preferred)),
-                             replace=False)) if preferred else []
+    chosen = [preferred[i] for i in rng.choice(len(preferred), min(count, len(preferred)),
+                                               replace=False)] if preferred else []
     if len(chosen) < count:
         rest = sorted(set(fallback) - set(chosen))
-        extra = rng.choice(rest, size=count - len(chosen), replace=False)
-        chosen.extend(int(i) for i in extra)
-    return [int(i) for i in chosen]
+        chosen += [rest[i] for i in rng.choice(len(rest), count - len(chosen), replace=False)]
+    return chosen
 
 
 def _draw_reaction(m, rng, need_f, need_r):
@@ -524,7 +497,7 @@ def _draw_reaction(m, rng, need_f, need_r):
 
     # sum of forward coefficients fixes the feasible reverse arity
     for _ in range(8):
-        f_coeffs = rng.choice(GENERATOR_COEFFS, size=kf)
+        f_coeffs = GENERATOR_COEFFS[rng.integers(0, GENERATOR_COEFFS.size, size=kf)]
         total = int(f_coeffs.sum())
         lo = -(-total // top)  # ceil
         hi = min(kr_max, total)

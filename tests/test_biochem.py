@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from dcboost import (
     save_network,
     solve,
 )
-from dcboost import biochem
 from dcboost.problem import EXP_GUARD
 from derivatives import derivative_report
 
@@ -133,6 +133,29 @@ class TestEvaluation:
             assert split == pytest.approx(phi, rel=1e-10, abs=1e-10)
             _, _, f = NetworkObjective(net).rates(x)
             assert phi == pytest.approx(float(f @ f), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(20, 30, 101), (40, 60, 103), (80, 120, 105)])
+    def test_phi_keeps_its_accuracy_at_a_steady_state(self, shape):
+        # a planted steady state: J in the null space of S = F - R gives
+        # fluxes v_fwd - v_rev = J, so the net rate S J vanishes at the x*
+        # with e(x*) = v.  phi is ||f||^2 read without forming f1 - f2,
+        # whose cancellation would leave an error of order eps f1
+        net = generate_network(*shape)
+        S = (net.F - net.R).toarray().astype(float)
+        rng = np.random.default_rng(27)
+        kernel = scipy.linalg.null_space(S)  # n - m columns or more
+        J = kernel @ rng.standard_normal(kernel.shape[1])
+        v = np.concatenate([1.0 + np.maximum(J, 0.0), 1.0 + np.maximum(-J, 0.0)])
+        x_star = rng.uniform(-1.0, 1.0, size=net.m)
+        B = sp.vstack([net.F.T, net.R.T]).toarray().astype(float)
+        planted = ReactionNetwork(m=net.m, n=net.n, F=net.F, R=net.R,
+                                  w=np.log(v) - B @ x_star)
+        obj = NetworkObjective(planted)
+        p, c, f = obj.rates(x_star)
+        scale = np.linalg.norm(p + c)
+        assert np.linalg.norm(f) < 1e-14 * scale
+        assert obj.phi_value(x_star) <= (1e-14 * scale) ** 2
+        assert NetworkObjective(planted).phi_value_grad(x_star)[0] <= (1e-14 * scale) ** 2
 
     def test_gradients_and_hessians(self):
         net = generate_network(6, 8, seed=5)
@@ -314,29 +337,25 @@ class TestSafeExponent:
 
 
 def scipy_operators(net):
-    """The ten matrices a NetworkObjective applies, as scipy CSR
-    matrices built the way the objective used to build them; the last
-    two stack pairs of the first eight."""
+    """The eight matrices a NetworkObjective applies, as scipy CSR
+    matrices built the way the objective builds them."""
     F, R = net.F.astype(float), net.R.astype(float)
     M = sp.hstack([F, R]).tocsr()
     N = sp.hstack([R, F]).tocsr()
     A = (M - N).tocsr()
     MpN = (M + N).tocsr()
-    B, NT = M.T.tocsr(), N.T.tocsr()
-    return dict(M=M, N=N, A=A, MpN=MpN, B=B, NT=NT, AT=A.T.tocsr(), MpNT=MpN.T.tocsr(),
-                MN=sp.vstack([M, N], format="csr"),
-                BNT=sp.block_diag([B, NT], format="csr"))
+    MN = sp.vstack([M, N], format="csr")
+    return dict(M=M, N=N, A=A, MpN=MpN, B=M.T.tocsr(), AT=A.T.tocsr(), MpNT=MpN.T.tocsr(),
+                G1=(MN.T @ MN).tocsr())
 
 
 def full_pattern_hessian(net, x):
     """f1's Hessian assembled on W's unmasked pattern, G2's plus the
     diagonal in CSR order, and the nonzero count of that pattern's P."""
     ops = scipy_operators(net)
-    M, N, MpN, B, NT, MpNT = (ops[k] for k in ("M", "N", "MpN", "B", "NT", "MpNT"))
+    M, MpN, B, MpNT, G1 = (ops[k] for k in ("M", "MpN", "B", "MpNT", "G1"))
     e = np.exp(net.w + B @ x)
-    p, c = M @ e, N @ e
-    et = 4.0 * (e * (B @ p + NT @ c))
-    G1 = (B @ M + NT @ N).tocsr()
+    et = 4.0 * (e * (G1 @ e))
     G2 = (MpNT @ MpN).tocsr()
     size = G2.shape[0]  # W is indexed by the 2n directed reactions
     pattern = (G2 + sp.identity(size, format="csr")).tocoo()
@@ -506,18 +525,19 @@ class TestPointMemo:
             assert np.array_equal(x, MEMO_POOL[index])
 
     def test_returned_arrays_are_read_only(self):
-        # the arrays the point shares; f1's Hessian is assembled per call
+        # f1's gradient is shared by the point, so it is read-only; rates()
+        # forms p and c anew per call, so writing into them changes no
+        # later result
         obj = NetworkObjective(MEMO_NET)
         x = MEMO_POOL[1].copy()
         _, grad, _ = obj.eval_f1(x)
         with pytest.raises(ValueError):
             grad[0] = 0.0
-        p, c, _ = obj.rates(x)
-        with pytest.raises(ValueError):
-            p[0] = 0.0
-        with pytest.raises(ValueError):
-            c[0] = 0.0
-        assert bits(obj.eval_f1(x)) == FRESH["eval_f1", 1]
+        for part in obj.rates(x):
+            part[:] = -1.0
+        assert bits(obj.rates(x)) == FRESH["rates", 1]
+        for method in MEMO_METHODS:
+            assert bits(getattr(obj, method)(x)) == FRESH[method, 1], method
 
     def test_each_value_computed_once_per_flux(self, monkeypatch):
         # f1's record and phi's value are each computed at most once per
@@ -525,8 +545,8 @@ class TestPointMemo:
         # record; y's phi and its slope, and a line search's accepted trial
         # and the next iterate, share phi's value
         fluxes, computed = Counter(), {"f1": Counter(), "phi": Counter()}
-        flux, f1_record = NetworkObjective._flux, NetworkObjective._f1
-        phi_value_at = biochem._phi_value_at
+        flux = NetworkObjective._flux
+        f1_record, phi_value = NetworkObjective._f1, NetworkObjective._phi_value
 
         def counted_flux(self, x):
             fluxes[x.tobytes()] += 1
@@ -536,13 +556,13 @@ class TestPointMemo:
             computed["f1"][point.key] += point.f1 is None
             return f1_record(self, point)
 
-        def counted_phi(point):
-            computed["phi"][point.key] += 1
-            return phi_value_at(point)
+        def counted_phi(self, point):
+            computed["phi"][point.key] += point.phi is None
+            return phi_value(self, point)
 
         monkeypatch.setattr(NetworkObjective, "_flux", counted_flux)
         monkeypatch.setattr(NetworkObjective, "_f1", counted_f1_record)
-        monkeypatch.setattr(biochem, "_phi_value_at", counted_phi)
+        monkeypatch.setattr(NetworkObjective, "_phi_value", counted_phi)
         problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
         x0 = np.random.default_rng(24).uniform(-2.0, 2.0, size=problem.m)
         result = solve(problem, x0, SolverConfig(variant="bdca-qi", max_outer_iters=40))
@@ -683,6 +703,20 @@ class TestGenerator:
                 digest.update(np.ascontiguousarray(part).tobytes())
         assert digest.hexdigest() == (
             "c4410a67af18eb5d44190f7d3f2c80742959a4543f30fec47d2cd84d1135c4e5")
+
+    def test_pinned_digest_of_small_networks(self):
+        # small sizes, down to pools of one species: 526 of the 804 _pick
+        # calls made here take its fallback branch
+        digest = hashlib.sha256()
+        for m in range(3, 9):
+            for n in (m, 2 * m):
+                for seed in range(4):
+                    net = generate_network(m, n, seed)
+                    for part in (net.F.toarray().astype(np.int64),
+                                 net.R.toarray().astype(np.int64), net.w):
+                        digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == (
+            "5eea459ba49665a6d40bf0a32af9e89e1eb3683546c683338c343026e108fc91")
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):

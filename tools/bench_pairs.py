@@ -22,8 +22,10 @@ Newton-step drift against ``reference.json`` summed over the seed's
 label over all seeds, and exits with status 1.  Whether or not the lines
 agree, it prints per label each side's failing statuses
 (``NumericalFailure``, ``LineSearchFailure``) in the trial lines, summed
-over the seeds, and each side's chases that hit their cap, so a change
-that moves iterates on purpose can show that it fails no more solves.
+over the seeds, each side's chases that hit their cap (the line's ``dca``
+solve ended at ``MaxIters``) and each side's chases that stopped short of
+the target otherwise, so a change that moves iterates on purpose can show
+that it fails no more solves.
 
 Per metric it prints each side's median [lower quartile, upper quartile],
 the pairs the change won (ties count for neither side), and whether a gain
@@ -72,8 +74,9 @@ _SOLVE = re.compile(r"\S+ (\d+) it (\S+) phi \S+")
 # solve on one side (an audit problem, a chase's cap)
 PHI_ONLY, ITERATIONS_OR_STATUS, OTHER = "phi only", "iterations or status", "other"
 FAILING_STATUSES = ("NumericalFailure", "LineSearchFailure")
-# the part of a trial line whose chase stopped at its cap
-CAPPED = "chase hit its cap"
+# the part of a trial line whose chase missed its target: it hit its cap
+# only when the line's dca solve ended at MaxIters, and else stopped short
+UNREACHED = "chase hit its cap"
 # report-only metrics whose medians are printed without a verdict, and
 # their lines: "metric wall_s = 3.25 s (lower is better)"
 REPORT_ONLY = ("wall_s", "failed_frac")
@@ -195,29 +198,40 @@ def change_count_lines(changes):
 
 def failure_counts(lines):
     """(per label, the solves of the trial lines that end in a failing
-    status; the chases that hit their cap), reference lines skipped."""
-    failing, capped = Counter(), 0
+    status; the chases that hit their cap; the chases that stopped short
+    of the target), reference lines skipped."""
+    failing, capped, short = Counter(), 0, 0
     for line in lines:
         if not line.startswith("trial "):
             continue
-        for label, items in solve_parts(line)[1].items():
+        parts = solve_parts(line)[1]
+        statuses = {}
+        for label, items in parts.items():
             for item in items:
                 match = _SOLVE.fullmatch(item)
-                if match and match.group(2) in FAILING_STATUSES:
-                    failing[label] += 1
-                capped += item == CAPPED
-    return failing, capped
+                if match:
+                    statuses[label] = match.group(2)
+                    if match.group(2) in FAILING_STATUSES:
+                        failing[label] += 1
+        if UNREACHED in parts.get("chase", []):
+            at_cap = statuses.get("dca") == "MaxIters"
+            capped += at_cap
+            short += not at_cap
+    return failing, capped, short
 
 
 def failure_count_lines(parent_lines, change_lines):
     """"bdca-qi failing statuses: parent 17, change 15", one line per label
-    that fails on either side, then the chases that hit their cap."""
-    (parent, parent_capped), (change, change_capped) = (
+    that fails on either side, then the chases that hit their cap and
+    those that stopped short of the target."""
+    (parent, parent_capped, parent_short), (change, change_capped, change_short) = (
         failure_counts(parent_lines), failure_counts(change_lines))
     labels = list(parent) + [label for label in change if label not in parent]
     return ([f"{label} failing statuses: parent {parent[label]}, change {change[label]}"
              for label in labels]
-            + [f"chases that hit their cap: parent {parent_capped}, change {change_capped}"])
+            + [f"chases that hit their cap: parent {parent_capped}, change {change_capped}",
+               f"chases that stopped short of the target: parent {parent_short}, "
+               f"change {change_short}"])
 
 
 def newton_step_drift(lines):
