@@ -19,6 +19,7 @@ A e, so neither forms p or c; only rates() does.
 """
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,8 +88,8 @@ class ReactionNetwork:
         return mat
 
     def _warn_cardinality(self):
-        f_rows = np.diff(self.F.tocsr().indptr)
-        r_rows = np.diff(self.R.tocsr().indptr)
+        f_rows = np.diff(self.F.indptr)
+        r_rows = np.diff(self.R.indptr)
         silent = np.flatnonzero((f_rows == 0) | (r_rows == 0))
         if silent.size:
             warnings.warn(
@@ -175,18 +176,15 @@ class NetworkObjective:
         return p, c, p - c
 
     # -- DC pieces -------------------------------------------------------
-    # f1's record and phi's value are computed once per point and shared by
-    # every path, so a value path and a gradient path agree bit for bit.
+    # f1's record and phi's value are computed once per point, and f1_value
+    # repeats the record's arithmetic, so every path agrees bit for bit.
     # Values saturate quietly to +inf: line searches reject non-finite trial
     # values, so an overflowing norm is an answer, not an anomaly.  BLAS's
     # ddot sets no NumPy warning, and Python floats overflow to inf silently.
 
     def f1_value(self, x):
-        point = self._at(x)
-        if point.f1 is not None:
-            return point.f1[0]
-        # a halved inner trial asks for the value alone: the record's bits
-        e = point.e
+        # a halved inner trial (a new point) asks for the value alone: _f1's bits
+        e = self._at(x).e
         return 2.0 * ddot(e, self.G1.apply(e))
 
     def phi_value(self, x):
@@ -262,8 +260,6 @@ class NetworkObjective:
             eval_f1=self.eval_f1,
             eval_f2=self.eval_f2,
             rho=rho,
-            sigma_g=0.0,
-            sigma_h=0.0,
             f1_value=self.f1_value,
             f1_value_grad=self.f1_value_grad,
             phi_value=self.phi_value,
@@ -300,10 +296,6 @@ class _CsrOperator:
     def of(cls, mat):
         """The operator of a scipy CSR matrix, in its storage order."""
         return cls(mat.indptr, mat.indices, mat.data, mat.shape)
-
-    @property
-    def nnz(self):
-        return self.data.size
 
     def transpose(self):
         # a stable sort on the column keeps each new row's entries in the
@@ -399,8 +391,6 @@ def check_mass_conservation(network, l=None):
     its Jacobian J orthogonal to l at every x (l^T f = 0, l^T J = 0);
     the gradient 2 J^T f of phi is in general not.
     """
-    if isinstance(network, NetworkObjective):
-        network = network.network
     if l is None:
         l = np.ones(network.m)
     l = np.asarray(l, dtype=float).reshape(-1)
@@ -574,12 +564,11 @@ def load_network(path):
     if not isinstance(w, list) or len(w) != 2 * n:
         got = len(w) if isinstance(w, list) else type(w).__name__
         raise SchemaError("w", f"must be a list of length 2n={2 * n}, got {got}")
-    try:
-        w = np.asarray(w, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("w", f"entries must be numbers ({exc})") from exc
-    if not np.all(np.isfinite(w)):
-        raise SchemaError("w", "entries must be finite")
+    for idx, v in enumerate(w):
+        if type(v) not in (int, float):  # JSON's true and "1.5" are no numbers
+            raise SchemaError("w", f"entries must be numbers, got {v!r} at {idx}")
+        if not abs(v) <= sys.float_info.max:  # NaN, infinities, integers past floats
+            raise SchemaError("w", "entries must be finite")
 
     return ReactionNetwork(m=m, n=n, F=F, R=R, w=w, name=name)
 

@@ -197,8 +197,8 @@ def cmd_rate(args):
     if args.atol is not None and not 0 <= args.atol < math.inf:
         raise ValueError(f"--atol must be nonnegative and finite, got {args.atol}")
     series = np.asarray(read_column(args.trace, args.column), dtype=float)
-    if args.subtract_final and series.size:
-        series = series - series[-1]
+    if args.subtract_final:  # the last row's own gap, 0, would read Finite
+        series = series[:-1] - series[-1:]
     try:
         report = classify_rate(np.abs(series), atol=args.atol)
     except ValueError as exc:  # the series is the file's content
@@ -277,7 +277,7 @@ def build_parser():
     p.add_argument("trace")
     p.add_argument("--column", default="norm_d")
     p.add_argument("--subtract-final", action="store_true",
-                   help="classify |s_k - s_last| instead of s_k")
+                   help="classify |s_k - s_last| over the rows before the last")
     p.add_argument("--atol", type=float, default=None)
     p.set_defaults(func=cmd_rate)
 

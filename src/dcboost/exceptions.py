@@ -32,11 +32,7 @@ class EvaluationOverflow(NumericalError):
     """
 
     def __init__(self, max_exponent, limit, quantity="exponent"):
-        self.max_exponent = float(max_exponent)
-        self.limit = float(limit)
-        super().__init__(
-            f"{quantity} {self.max_exponent:.3g} exceeds overflow guard {self.limit:.3g}"
-        )
+        super().__init__(f"{quantity} {max_exponent:.3g} exceeds overflow guard {limit:.3g}")
 
 
 class GenerationError(DcError):

@@ -264,7 +264,6 @@ def _newton(problem, b, start, tol, state=None):
     after ``steps`` completed steps; grad is F's gradient at x.
     """
     x, value, grad, grad_norm = start
-    iteration = 0
     try:
         for iteration in range(_MAX_NEWTON_STEPS + 1):
             if grad_norm <= tol:

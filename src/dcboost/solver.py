@@ -392,7 +392,7 @@ def solve(problem, x0, config=None):
                 break
             step = d if x_next is y else x_next - x
             step_norm = math.sqrt(ddot(step, step))
-            x = np.asarray(x_next, dtype=float)
+            x = x_next
             phi_x = phi_next
             iterations += 1
             if step_norm <= tol:

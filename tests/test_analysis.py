@@ -115,6 +115,13 @@ class TestClassifyRate:
         assert report.regime is Regime.INCONCLUSIVE
         assert report.samples_used == 9
 
+    def test_growing_tail_inconclusive(self):
+        # neither a geometric nor a power decay fits a tail that grows
+        report = classify_rate(np.arange(1.0, 13.0))
+        assert report.regime is Regime.INCONCLUSIVE
+        assert report.samples_used == 12
+        assert report.rate is None and report.exponent is None
+
     def test_scale_invariance(self):
         s = 0.9 ** np.arange(50)
         a = classify_rate(s)

@@ -441,9 +441,9 @@ class TestOperators:
             for x in rng.uniform(-box, box, size=(20, net.m)):
                 reference, full_nnz = full_pattern_hessian(net, x)
                 assert obj.eval_f1(x)[2].tobytes() == reference.tobytes()
-        assert obj._hessian_op.P.nnz <= full_nnz
+        assert obj._hessian_op.P.data.size <= full_nnz
         if nnz is not None:
-            assert obj._hessian_op.P.nnz == nnz < full_nnz
+            assert obj._hessian_op.P.data.size == nnz < full_nnz
 
     def test_no_product_goes_through_scipy(self, monkeypatch):
         # scipy's dispatch costs more than a network product's arithmetic:
@@ -773,6 +773,36 @@ class TestSchema:
         corrupt(lambda d: d["F"].__setitem__(0, [d["F"][0][0], d["F"][0][1], 0]))
         corrupt(lambda d: d.__setitem__("w", d["w"][:-1]))  # wrong length
         corrupt(lambda d: d.__setitem__("m", -2))
+
+    @pytest.mark.parametrize("field,value,message", [
+        (None, [1, 2], "top level must be an object"),
+        ("name", 7, "must be a string"),
+        ("w", "a", "entries must be numbers"),
+        ("w", float("nan"), "entries must be finite"),
+        ("F", {"0": 1}, "must be a list of"),
+        # true and "1.5" loaded as numbers, null as NaN, and an integer
+        # past the largest float escaped as OverflowError
+        ("w", True, "entries must be numbers"),
+        ("w", "1.5", "entries must be numbers"),
+        ("w", None, "entries must be numbers"),
+        ("w", 10 ** 400, "entries must be finite"),
+    ], ids=["top", "name", "w-string", "w-nan", "F", "w-true", "w-numeric-string", "w-null",
+            "w-huge-int"])
+    def test_malformed_fields(self, tmp_path, field, value, message):
+        net = generate_network(6, 8, seed=33)
+        path = tmp_path / "model.json"
+        save_network(net, path)
+        data = json.loads(path.read_text())
+        if field is None:
+            data = value
+        elif field == "w":
+            data["w"][0] = value
+        else:
+            data[field] = value
+        path.write_text(json.dumps(data))  # a NaN as the token json.load accepts
+        with pytest.raises(SchemaError, match=message) as exc:
+            load_network(path)
+        assert exc.value.field == (field or "file")
 
     def test_cardinality_warnings(self):
         # species 0 never appears reversed, species 1 never forward

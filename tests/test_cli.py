@@ -186,6 +186,14 @@ class TestGenerateValidate:
         assert main(["validate", str(model), "--l-file", str(masses)]) == 1
         capsys.readouterr()
 
+    def test_mass_file_of_non_numbers_exit_1(self, capsys, tmp_path):
+        model, masses = tmp_path / "net.json", tmp_path / "l.json"
+        assert main(["generate", "--m", "6", "--n", "9", "--seed", "10",
+                     "--out", str(model)]) == 0
+        masses.write_text('[1, "a"]')
+        assert main(["validate", str(model), "--l-file", str(masses)]) == 1
+        assert "must be a JSON list of numbers" in capsys.readouterr().err
+
     def test_validate_unreadable_exit_1(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -249,6 +257,26 @@ class TestRate:
         # the echo is strict JSON: a NaN setting reads null
         echoed = strict_json(captured.out.splitlines()[0])
         assert echoed["atol"] == (None if atol == "nan" else -1.0)
+
+    def test_subtract_final_leaves_out_the_last_row(self, capsys, tmp_path):
+        # the last row's own gap, 0, is at most any atol, so every series
+        # read Finite
+        model, trace = tmp_path / "net.json", tmp_path / "trace.csv"
+        assert main(["generate", "--m", "8", "--n", "12", "--seed", "3",
+                     "--out", str(model)]) == 0
+        assert main(["solve", "--model", str(model), "--variant", "dca",
+                     "--max-iters", "60", "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["rate", str(trace), "--column", "phi_x", "--subtract-final"]) == 0
+        report = strict_json(capsys.readouterr().out.splitlines()[-1])
+        assert report["regime"] == "Sublinear"
+
+    def test_subtract_final_on_one_row(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("k,norm_d\n0,0.5\n")
+        assert main(["rate", str(path), "--subtract-final"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "empty sequence" in err
 
     @pytest.mark.parametrize("subtract_final", [False, True])
     def test_empty_trace(self, capsys, tmp_path, subtract_final):

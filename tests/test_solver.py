@@ -294,6 +294,21 @@ class TestSolve:
         assert result.phi_final <= -0.2
         assert result.iterations < 100
 
+    def test_target_reached_on_the_budget_last_iterate(self):
+        # the loop ends on its budget before it checks the last iterate;
+        # the check after the loop gives that iterate's TargetReached
+        prob, x0 = builtin_problem("expsys"), np.array([1.5])
+        free = solve(prob, x0, SolverConfig(variant="dca", max_outer_iters=5))
+        assert free.status is Status.MAX_ITERS
+        assert free.phi_final == pytest.approx(0.53299, abs=1e-5)
+        for budget in (5, 6):
+            cfg = SolverConfig(variant="dca", max_outer_iters=budget,
+                               target_phi=free.phi_final)
+            result = solve(prob, x0, cfg)
+            assert result.status is Status.TARGET_REACHED
+            assert result.iterations == 5
+            assert result.phi_final == free.phi_final
+
     def test_line_search_failure_surfaces(self, monkeypatch):
         monkeypatch.setattr(dcboost.solver, "_MAX_BACKTRACKS", 8)
         cfg = SolverConfig(variant="bdca-b", alpha=50.0, lambda_bar=2.0, lambda_max=8.0)
