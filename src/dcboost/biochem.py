@@ -19,6 +19,7 @@ A e, so neither forms p or c; only rates() does.
 """
 
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import ddot
+from scipy.linalg.blas import ddot, idamax
 from scipy.sparse._sparsetools import csr_matvec
 
 from .exceptions import EvaluationOverflow, GenerationError, SchemaError, SchemaWarning
@@ -44,6 +45,8 @@ __all__ = (
 
 # How far a float coefficient may lie from the integer it is stored as.
 STOICHIOMETRY_ATOL = 1e-6
+# The largest count or coefficient a model file may give: matrices hold int64.
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -125,6 +128,10 @@ class NetworkObjective:
         M = sp.hstack([F, R]).tocsr()
         N = sp.hstack([R, F]).tocsr()
         self.M, self.N = _CsrOperator.of(M), _CsrOperator.of(N)
+        # f1's and f2's gradients 4 M(e t), 2 M(e q): on nonnegative inputs a power
+        # of two in M's entries rounds as on the product, bar subnormal terms
+        self.M4, self.M2 = (_CsrOperator(M.indptr, M.indices, k * M.data, M.shape)
+                            for k in (4.0, 2.0))
         self.A = _CsrOperator.of((M - N).tocsr())
         self.MpN = _CsrOperator.of((M + N).tocsr())
         self.B = self.M.transpose()
@@ -144,9 +151,12 @@ class NetworkObjective:
 
     def _flux(self, x):
         z = self.w + self.B.apply(x)
-        top = float(z.max())
-        if top > EXP_GUARD:
-            raise EvaluationOverflow(top, EXP_GUARD)
+        # the largest |z_j| under the guard clears every entry; past it, or
+        # at a NaN, z.max() decides as it always did
+        if not abs(z[idamax(z)]) <= EXP_GUARD:
+            top = float(z.max())
+            if top > EXP_GUARD:
+                raise EvaluationOverflow(top, EXP_GUARD)
         return np.exp(z)
 
     def _at(self, x):
@@ -222,7 +232,7 @@ class NetworkObjective:
             e = point.e
             t = self.G1.apply(e)
             et = e * t
-            grad = 4.0 * self.M.apply(et)
+            grad = self.M4.apply(et)
             grad.setflags(write=False)
             point.f1 = (2.0 * ddot(e, t), grad, et)
         return point.f1
@@ -231,7 +241,7 @@ class NetworkObjective:
         e = self._at(x).e
         s = self.MpN.apply(e)
         et = e * self.MpNT.apply(s)
-        return ddot(s, s), 2.0 * self.M.apply(et)
+        return ddot(s, s), self.M2.apply(et)
 
     def safe_exponent(self):
         """The top exponent up to which every value, gradient and f1 Hessian
@@ -389,16 +399,28 @@ def check_mass_conservation(network, l=None):
 
     Defaults to unit masses.  A zero residual makes the net rate f and
     its Jacobian J orthogonal to l at every x (l^T f = 0, l^T J = 0);
-    the gradient 2 J^T f of phi is in general not.
+    the gradient 2 J^T f of phi is in general not.  An imbalance past the
+    largest float is inf, never NaN.
     """
     if l is None:
         l = np.ones(network.m)
-    l = np.asarray(l, dtype=float).reshape(-1)
+    try:
+        l = np.asarray(l, dtype=float).reshape(-1)
+    except OverflowError as exc:  # a Python integer past the largest float
+        raise ValueError("mass vector entries must be positive and finite") from exc
     if l.size != network.m:
         raise ValueError(f"l must have length m={network.m}, got {l.size}")
     if not np.all((l > 0) & (l < np.inf)):
         raise ValueError("mass vector entries must be positive and finite")
-    imbalance = (network.R - network.F).T @ l
+    D = (network.R - network.F).T
+    imbalance = D @ l
+    if not np.isfinite(imbalance).all():
+        # a column's terms overflowed, maybe on their way to cancelling: sum
+        # them again on masses scaled by a power of two under which no partial
+        # sum can pass the largest float, and scale the sums back
+        shift = math.frexp(float(abs(D).astype(float).sum(axis=1).max()))[1] + 1
+        with np.errstate(over="ignore"):
+            imbalance = np.ldexp(D @ np.ldexp(l, -shift), shift)
     return float(np.abs(imbalance).max()), l
 
 
@@ -550,8 +572,9 @@ def load_network(path):
             raise SchemaError(key, "missing")
     m, n = payload["m"], payload["n"]
     for key, value in (("m", m), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise SchemaError(key, f"must be a positive integer, got {value!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= INT64_MAX:
+            raise SchemaError(key, f"must be a positive integer up to {INT64_MAX}, "
+                                   f"got {value!r}")
 
     name = payload.get("name", "")
     if not isinstance(name, str):
@@ -587,8 +610,9 @@ def _parse_triplets(entries, label, m, n):
             raise SchemaError(label, f"entry {idx} species index {i} outside [0, {m})")
         if not 0 <= j < n:
             raise SchemaError(label, f"entry {idx} reaction index {j} outside [0, {n})")
-        if v < 1:
-            raise SchemaError(label, f"entry {idx} coefficient {v} must be positive")
+        if not 1 <= v <= INT64_MAX:
+            raise SchemaError(label, f"entry {idx} coefficient {v} must be positive "
+                                     f"and at most {INT64_MAX}")
         if (i, j) in seen:
             raise SchemaError(label, f"duplicate entry for species {i}, reaction {j}")
         seen.add((i, j))

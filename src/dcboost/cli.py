@@ -182,7 +182,7 @@ def cmd_validate(args):
     print(f"name: {network.name or '(unnamed)'}")
     print(f"species: {network.m}, reactions: {network.n}")
     print(f"conservation residual: {residual:g}")
-    if residual > 0:
+    if residual != 0:  # a NaN residual is no balance either
         print("conservation warning: columns are not mass balanced")
         return 2
     return 0

@@ -245,7 +245,7 @@ def quad_interp_lambda(phi0, dphi0, phi_at_lambda_bar, lambda_bar):
     if lambda_bar <= 0:
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
     gap = phi_at_lambda_bar - phi0 - dphi0 * lambda_bar
-    if not np.isfinite(gap) or gap <= 0.0:
+    if not math.isfinite(gap) or gap <= 0.0:
         return None
     return float(-dphi0 * lambda_bar ** 2 / (2.0 * gap))
 
@@ -348,7 +348,7 @@ def solve(problem, x0, config=None):
                 d = y - x
                 norm_d = math.sqrt(ddot(d, d))
                 phi_y = value_or_inf(problem.phi_value, y)
-                if not np.isfinite(phi_y):
+                if not math.isfinite(phi_y):
                     raise NumericalError("objective is not finite at the subproblem solution")
                 grad_phi = None
                 if plain:
@@ -391,7 +391,7 @@ def solve(problem, x0, config=None):
                 status = Status.STATIONARY_POINT
                 break
             step = d if x_next is y else x_next - x
-            step_norm = math.sqrt(ddot(step, step))
+            step_norm = norm_d if step is d else math.sqrt(ddot(step, step))
             x = x_next
             phi_x = phi_next
             iterations += 1

@@ -9,6 +9,7 @@ matrix stacks the transposed stoichiometries, production collects
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dcboost import (
     save_network,
     solve,
 )
+from dcboost.biochem import INT64_MAX, _CsrOperator
 from dcboost.problem import EXP_GUARD
 from derivatives import derivative_report
 
@@ -275,6 +277,85 @@ class TestEvaluation:
             obj.phi_value(x)
 
 
+def guarded_flux(z):
+    """The exponent guard and flux as z.max() decided them: raise past the
+    guard, else exp(z).  A z holding a NaN has a NaN maximum and never
+    raises."""
+    top = float(z.max())
+    if top > EXP_GUARD:
+        raise EvaluationOverflow(top, EXP_GUARD)
+    return np.exp(z)
+
+
+def flux_outcome(flux, z):
+    try:
+        # a NaN beside an exponent past the guard reaches exp(), which overflows
+        with np.errstate(over="ignore"):
+            return flux(z).tobytes()
+    except EvaluationOverflow as exc:
+        return str(exc)
+
+
+def identity_flux(z):
+    """NetworkObjective._flux on a stand-in exponent map w + B x with w = 0
+    and B = I, so that its exponents are z's entries (a -0.0 as +0.0)."""
+    obj = NetworkObjective(generate_network(3, 4, seed=1))
+    obj.w = np.zeros(z.size)
+    obj.B = _CsrOperator.of(sp.identity(z.size, format="csr"))
+    return obj._flux(z)
+
+
+GUARD_UP, GUARD_DOWN = np.nextafter(EXP_GUARD, np.inf), np.nextafter(EXP_GUARD, -np.inf)
+# the guard, one ulp either side of it and of its negative, NaN, infinities,
+# exponents whose flux underflows to 0, and ordinary ones
+EXPONENTS = (EXP_GUARD, GUARD_UP, GUARD_DOWN, -EXP_GUARD, -GUARD_UP, np.nan, np.inf, -np.inf,
+             -1e300, -800.0, -0.0, 0.0, 1.5, 400.0)
+
+
+class TestFluxGuard:
+    """The guard is decided by one idamax; z.max() runs only where the
+    largest |z_j| is past the guard, and decides as it always did."""
+
+    @pytest.mark.parametrize("z,raises", [
+        ([EXP_GUARD], False),
+        ([GUARD_UP], True),
+        ([GUARD_DOWN, -1.0], False),
+        # the largest |z_j| is past the guard but z's maximum is not
+        ([-2.0 * EXP_GUARD, EXP_GUARD], False),
+        ([-GUARD_UP, 0.0], False),
+        ([-2.0 * EXP_GUARD, GUARD_UP], True),
+        # a NaN never raised, wherever it sits
+        ([np.nan, 400.0], False),
+        ([400.0, np.nan], False),
+        ([1.0, np.nan, -1.0], False),
+        ([np.inf], True),
+        ([-np.inf, 1.0], False),
+        ([-1e300, -800.0], False),
+    ])
+    def test_raises_exactly_past_the_guard(self, z, raises):
+        z = np.array(z)
+        expected = flux_outcome(guarded_flux, z)
+        assert flux_outcome(identity_flux, z) == expected
+        assert isinstance(expected, str) == raises
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(EXPONENTS) | st.floats(), min_size=1, max_size=9))
+    def test_matches_the_maximum_test(self, entries):
+        z = np.array(entries)
+        assert flux_outcome(identity_flux, z) == flux_outcome(guarded_flux, z)
+
+    def test_network_flux_at_the_guard(self):
+        # B = [1, 2]^T: x = EXP_GUARD / 2 puts the top exponent 2 x at the
+        # guard exactly; one ulp of x more puts it two ulps past
+        obj = NetworkObjective(tiny_network())
+        x = np.array([EXP_GUARD / 2.0])
+        assert obj.phi_value(x) > 0.0
+        with pytest.raises(EvaluationOverflow) as exc:
+            obj.phi_value(np.nextafter(x, np.inf))
+        assert str(exc.value) == str(EvaluationOverflow(2.0 * np.nextafter(x[0], np.inf),
+                                                        EXP_GUARD))
+
+
 def along(obj, d, level):
     """t d for the smallest t > 0 at which an exponent rising along d
     reaches ``level``: no other exponent then lies above it."""
@@ -337,7 +418,7 @@ class TestSafeExponent:
 
 
 def scipy_operators(net):
-    """The eight matrices a NetworkObjective applies, as scipy CSR
+    """The ten matrices a NetworkObjective applies, as scipy CSR
     matrices built the way the objective builds them."""
     F, R = net.F.astype(float), net.R.astype(float)
     M = sp.hstack([F, R]).tocsr()
@@ -346,7 +427,7 @@ def scipy_operators(net):
     MpN = (M + N).tocsr()
     MN = sp.vstack([M, N], format="csr")
     return dict(M=M, N=N, A=A, MpN=MpN, B=M.T.tocsr(), AT=A.T.tocsr(), MpNT=MpN.T.tocsr(),
-                G1=(MN.T @ MN).tocsr())
+                G1=(MN.T @ MN).tocsr(), M4=4.0 * M, M2=2.0 * M)
 
 
 def full_pattern_hessian(net, x):
@@ -428,6 +509,22 @@ class TestOperators:
         for wrong in (width - 1, width + 1):
             with pytest.raises(ValueError):
                 P @ np.ones(wrong)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(m, 2 * m), st.integers(0, 10 ** 6))), st.integers(0, 2 ** 32 - 1))
+    def test_folded_gradients_keep_their_bits(self, shape, seed):
+        # f1's and f2's gradients apply 4M and 2M: the bits of scaling M's
+        # product by the power of two
+        net = generate_network(*shape)
+        ops = scipy_operators(net)
+        obj = NetworkObjective(net)
+        for x in np.random.default_rng(seed).uniform(-8.0, 8.0, size=(4, net.m)):
+            e = np.exp(net.w + ops["B"] @ x)
+            t = ops["G1"] @ e
+            q = ops["MpNT"] @ (ops["MpN"] @ e)
+            assert obj.f1_value_grad(x)[1].tobytes() == (4.0 * (ops["M"] @ (e * t))).tobytes()
+            assert obj.eval_f2(x)[1].tobytes() == (2.0 * (ops["M"] @ (e * q))).tobytes()
 
     @pytest.mark.parametrize("shape,nnz", [(None, None), ((6, 9, 5), None),
                                            ((20, 30, 101), 2707), ((80, 120, 105), 12558)])
@@ -602,6 +699,22 @@ class TestPointMemo:
         assert obj._point is None
 
 
+# 4 species, 2 reactions; with masses l, reaction 0's imbalance is
+# -2 l0 + 2 l1 - l2 + l3 and reaction 1's l0 - l1 + l2 - l3
+HEAVY_MODEL = {
+    "name": "heavy", "m": 4, "n": 2,
+    "F": [[0, 0, 2], [2, 0, 1], [1, 1, 1], [3, 1, 1]],
+    "R": [[1, 0, 2], [3, 0, 1], [0, 1, 1], [2, 1, 1]],
+    "w": [0.0, 0.0, 0.0, 0.0],
+}
+
+
+def heavy_network(tmp_path):
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(HEAVY_MODEL))
+    return load_network(path)
+
+
 class TestConservation:
     def test_generated_networks_exact(self):
         for seed in range(5):
@@ -636,6 +749,33 @@ class TestConservation:
         masses[3] = bad
         with pytest.raises(ValueError, match="positive and finite"):
             check_mass_conservation(net, masses)
+
+    @pytest.mark.parametrize("masses,residual", [
+        # each column's terms overflow on their way to cancelling: the
+        # residual was NaN, which no "residual > 0" test sees
+        ([1e308, 1e308, 1.0, 1.0], 0.0),
+        ([1e308, 0.95e308, 1.0, 1.0],
+         pytest.approx(float(2 * (Fraction(1e308) - Fraction(0.95e308))), rel=1e-15)),
+        # an imbalance past the largest float
+        ([1.7e308, 1.0, 1.0, 1.0], np.inf),
+    ])
+    def test_overflowing_terms_still_sum(self, tmp_path, masses, residual):
+        net = heavy_network(tmp_path)
+        assert check_mass_conservation(net, masses)[0] == residual
+
+    @pytest.mark.parametrize("masses", [[1.0, 0.95, 1.0, 1.0], [1e307, 0.95e307, 1.0, 1.0],
+                                        [3.0, 1e-300, 2.0, 5.0]])
+    def test_finite_residuals_keep_their_bits(self, tmp_path, masses):
+        net = heavy_network(tmp_path)
+        plain = float(np.abs((net.R - net.F).T @ np.array(masses)).max())
+        assert np.isfinite(plain)
+        assert check_mass_conservation(net, masses)[0] == plain
+
+    def test_mass_past_the_largest_float_raises(self):
+        # an integer past the largest float escaped as OverflowError
+        net = generate_network(3, 4, seed=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_mass_conservation(net, [10 ** 400, 1, 1])
 
     def test_net_rate_jacobian_left_kernel(self):
         # mass conservation makes the summed component gradients of the
@@ -803,6 +943,33 @@ class TestSchema:
         with pytest.raises(SchemaError, match=message) as exc:
             load_network(path)
         assert exc.value.field == (field or "file")
+
+    @pytest.mark.parametrize("field,mutate,message", [
+        ("F", lambda d: d["F"][0].__setitem__(2, 10 ** 30), "at most 9223372036854775807"),
+        ("R", lambda d: d["R"][0].__setitem__(2, INT64_MAX + 1), "at most"),
+        ("m", lambda d: d.__setitem__("m", 10 ** 30), "positive integer up to"),
+        ("n", lambda d: d.__setitem__("n", INT64_MAX + 1), "positive integer up to"),
+    ], ids=["F-huge", "R-past-int64", "m-huge", "n-past-int64"])
+    def test_integers_past_int64_are_refused(self, tmp_path, field, mutate, message):
+        # each escaped as OverflowError from the int64 conversion
+        net = generate_network(6, 8, seed=33)
+        path = tmp_path / "model.json"
+        save_network(net, path)
+        data = json.loads(path.read_text())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=message) as exc:
+            load_network(path)
+        assert exc.value.field == field
+
+    def test_largest_int64_coefficient_loads(self, tmp_path):
+        net = generate_network(6, 8, seed=33)
+        path = tmp_path / "model.json"
+        save_network(net, path)
+        data = json.loads(path.read_text())
+        data["F"][0][2] = INT64_MAX
+        path.write_text(json.dumps(data))
+        assert load_network(path).F.max() == INT64_MAX
 
     def test_cardinality_warnings(self):
         # species 0 never appears reversed, species 1 never forward

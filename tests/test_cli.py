@@ -145,6 +145,16 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
 
+# 4 species, 2 reactions; with masses l, reaction 0's imbalance is
+# -2 l0 + 2 l1 - l2 + l3 and reaction 1's l0 - l1 + l2 - l3
+HEAVY_MODEL = {
+    "name": "heavy", "m": 4, "n": 2,
+    "F": [[0, 0, 2], [2, 0, 1], [1, 1, 1], [3, 1, 1]],
+    "R": [[1, 0, 2], [3, 0, 1], [0, 1, 1], [2, 1, 1]],
+    "w": [0.0, 0.0, 0.0, 0.0],
+}
+
+
 class TestGenerateValidate:
     def test_generate_then_validate(self, capsys, tmp_path):
         model = tmp_path / "net.json"
@@ -193,6 +203,39 @@ class TestGenerateValidate:
         masses.write_text('[1, "a"]')
         assert main(["validate", str(model), "--l-file", str(masses)]) == 1
         assert "must be a JSON list of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("masses,residual,code", [
+        ([1e308, 0.95e308, 1, 1], "1e+307", 2),
+        ([1e308, 1e308, 1, 1], "0", 0),
+        ([1, 0.95, 1, 1], "0.1", 2),
+    ])
+    def test_masses_whose_terms_overflow(self, capsys, tmp_path, masses, residual, code):
+        # a column summed -inf and +inf: "residual: nan" and exit 0
+        model, l_file = tmp_path / "heavy.json", tmp_path / "l.json"
+        model.write_text(json.dumps(HEAVY_MODEL))
+        l_file.write_text(json.dumps(masses))
+        assert main(["validate", str(model), "--l-file", str(l_file)]) == code
+        assert f"conservation residual: {residual}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target,field", [("F", "F"), ("m", "m"), ("l", "l-file")])
+    def test_integers_past_their_type_exit_1(self, capsys, tmp_path, target, field):
+        # each escaped as an OverflowError traceback
+        model, l_file = tmp_path / "net.json", tmp_path / "l.json"
+        assert main(["generate", "--m", "6", "--n", "9", "--seed", "10",
+                     "--out", str(model)]) == 0
+        data = json.loads(model.read_text())
+        masses = [1] * 6
+        if target == "F":
+            data["F"][0][2] = 10 ** 30
+        elif target == "m":
+            data["m"] = 10 ** 30
+        else:
+            masses[0] = 10 ** 400
+        model.write_text(json.dumps(data))
+        l_file.write_text(json.dumps(masses))
+        capsys.readouterr()
+        assert main(["validate", str(model), "--l-file", str(l_file)]) == 1
+        assert f"schema error: {field}: " in capsys.readouterr().err
 
     def test_validate_unreadable_exit_1(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "missing.json")]) == 1

@@ -1,0 +1,39 @@
+"""``tools/kernels.py`` with one call per loop: every kernel is timed at
+every size, and the script stays apart from the benchmark."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "kernels.py"
+KERNELS = ("g_value_grad", "g_value", "phi_value", "grad_h", "g_hessian", "spd_solve")
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          cwd=ROOT, timeout=120)
+
+
+def test_every_kernel_at_every_size():
+    done = run_tool("--calls", "2", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header == "best of 1 loops of 2 calls, µs per call, one BLAS thread"
+    assert [row.split(":")[0] for row in rows] == [
+        "synthetic_m20_n30_s101", "synthetic_m40_n60_s103", "synthetic_m80_n120_s105"]
+    for row in rows:
+        timed = re.findall(r"(\w+) ([0-9.]+)", row.split(":", 1)[1])
+        assert tuple(name for name, _ in timed) == KERNELS
+        assert all(float(us) > 0.0 for _, us in timed)
+
+
+def test_counts_must_be_positive():
+    done = run_tool("--calls", "0")
+    assert done.returncode == 2
+    assert "must be positive" in done.stderr
+
+
+def test_benchmark_untouched():
+    assert "perfbench" not in TOOL.read_text(encoding="utf-8")
