@@ -47,6 +47,9 @@ __all__ = (
 STOICHIOMETRY_ATOL = 1e-6
 # The largest count or coefficient a model file may give: matrices hold int64.
 INT64_MAX = int(np.iinfo(np.int64).max)
+# The exponent guard's square: one ulp past EXP_GUARD squares to a float
+# above it, so a sum of squares within it has every |z_j| within the guard.
+GUARD_SQUARED = EXP_GUARD * EXP_GUARD
 
 
 @dataclass(eq=False)
@@ -73,7 +76,10 @@ class ReactionNetwork:
         self._warn_cardinality()
 
     def _coerce_matrix(self, mat, label):
-        mat = sp.csr_matrix(mat)
+        # canonical from here on: the checks judge the entries the matrix
+        # holds, and NetworkObjective builds its operators on sorted rows
+        mat = sp.csr_matrix(mat, copy=True)
+        mat.sum_duplicates()
         if mat.shape != (self.m, self.n):
             raise ValueError(f"{label} must have shape ({self.m}, {self.n}), got {mat.shape}")
         if mat.nnz and mat.data.min() < 0:
@@ -122,25 +128,44 @@ class NetworkObjective:
 
     def __init__(self, network):
         self.network = network
-        self.m = network.m
-        F = network.F.astype(float)
-        R = network.R.astype(float)
-        M = sp.hstack([F, R]).tocsr()
-        N = sp.hstack([R, F]).tocsr()
-        self.M, self.N = _CsrOperator.of(M), _CsrOperator.of(N)
+        self.m = m = network.m
+        n = network.n
+        # Every operator is built from F's and R's canonical CSR arrays
+        # (_coerce_matrix sums duplicates, sorts each row and drops zeros)
+        # into the arrays, dtypes and entry order scipy's sparse algebra gives.
+        F, R = ((mat.indptr, mat.indices, mat.data.astype(float))
+                for mat in (network.F, network.R))
+        self.M = M = _CsrOperator(*_hstack(F, R, n), (m, 2 * n))
+        self.N = N = _CsrOperator(*_hstack(R, F, n), (m, 2 * n))
         # f1's and f2's gradients 4 M(e t), 2 M(e q): on nonnegative inputs a power
         # of two in M's entries rounds as on the product, bar subnormal terms
         self.M4, self.M2 = (_CsrOperator(M.indptr, M.indices, k * M.data, M.shape)
                             for k in (4.0, 2.0))
-        self.A = _CsrOperator.of((M - N).tocsr())
-        self.MpN = _CsrOperator.of((M + N).tocsr())
+        # F + R's pattern, row by row in column order, holding each position's
+        # entry of F and of R (0.0 where it has none): M - N is F - R beside
+        # R - F, without the entries that cancel, which scipy drops, and
+        # M + N is F + R twice
+        keys = np.concatenate([_row_ids(mat.indptr) * n + mat.indices
+                               for mat in (network.F, network.R)])
+        union, at = np.unique(keys, return_inverse=True)
+        f, r = np.zeros(union.size), np.zeros(union.size)
+        f[at[:network.F.nnz]], r[at[network.F.nnz:]] = F[2], R[2]
+        itype, keep = M.indptr.dtype, f != r
+        cut = _csr_pattern(union[keep], (m, n), itype)
+        self.A = _CsrOperator(*_hstack((*cut, (f - r)[keep]), (*cut, (r - f)[keep]), n),
+                              (m, 2 * n))
+        both = (*_csr_pattern(union, (m, n), itype), f + r)
+        self.MpN = _CsrOperator(*_hstack(both, both, n), (m, 2 * n))
         self.B = self.M.transpose()
         self.AT = self.A.transpose()
         self.MpNT = self.MpN.transpose()
         # f1's one product: G1 = [M; N]^T [M; N] has integer entries, built
-        # here so that its cost shows in set-up
-        MN = sp.vstack([M, N], format="csr")
-        self.G1 = _CsrOperator.of((MN.T @ MN).tocsr())
+        # here so that its cost shows in set-up; each sums its products over
+        # the rows of [M; N] in order, as scipy's product does
+        keys, products = (np.concatenate(pair) for pair in zip(_row_pairs(M), _row_pairs(N)))
+        keys, at = np.unique(keys, return_inverse=True)
+        self.G1 = _CsrOperator(*_csr_pattern(keys, (2 * n, 2 * n), itype),
+                               np.bincount(at, weights=products), (2 * n, 2 * n))
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
@@ -151,10 +176,16 @@ class NetworkObjective:
 
     def _flux(self, x):
         z = self.w + self.B.apply(x)
-        # the largest |z_j| under the guard clears every entry; past it, or
-        # at a NaN, z.max() decides as it always did
-        if not abs(z[idamax(z)]) <= EXP_GUARD:
-            top = float(z.max())
+        # z's sum of squares is at least each z_j's rounded square, which
+        # passes the guard's once |z_j| does, and NaN at a NaN: within it
+        # every entry is clear.  Past it but finite, z holds no NaN (which
+        # makes idamax's pick arbitrary), and the largest |z_j| under the
+        # guard clears every entry.  Past that, or at a NaN, the largest
+        # entry that is not NaN decides.
+        squares = ddot(z, z)
+        if not (squares <= GUARD_SQUARED
+                or squares < math.inf and abs(z[idamax(z)]) <= EXP_GUARD):
+            top = float(np.fmax.reduce(z))
             if top > EXP_GUARD:
                 raise EvaluationOverflow(top, EXP_GUARD)
         return np.exp(z)
@@ -312,10 +343,9 @@ class _CsrOperator:
         # old row order, the order scipy's .T.tocsr() gives
         n_row, n_col = self.shape
         order = self.indices.argsort(kind="stable")
-        rows = np.arange(n_row).repeat(self.indptr[1:] - self.indptr[:-1])
-        indptr = np.zeros(n_col + 1, dtype=rows.dtype)
-        indptr[1:] = np.bincount(self.indices, minlength=n_col).cumsum()
-        return _CsrOperator(indptr, rows[order], self.data[order], (n_col, n_row))
+        rows = _row_ids(self.indptr)
+        return _CsrOperator(_indptr(self.indices, n_col, rows.dtype), rows[order],
+                            self.data[order], (n_col, n_row))
 
     def tocsr(self):
         """The scipy CSR matrix with the same entries in the same order,
@@ -327,6 +357,66 @@ class _CsrOperator:
         if v.shape != (self.shape[1],):
             raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
         return self.apply(v)
+
+
+def _row_ids(indptr):
+    """The row of each entry of a CSR matrix, as intp."""
+    return np.arange(indptr.size - 1).repeat(indptr[1:] - indptr[:-1])
+
+
+def _indptr(rows, n_row, dtype):
+    """The CSR indptr of entries in the rows ``rows``, listed row by row."""
+    indptr = np.zeros(n_row + 1, dtype=dtype)
+    indptr[1:] = np.bincount(rows, minlength=n_row).cumsum()
+    return indptr
+
+
+def _csr_pattern(keys, shape, dtype):
+    """The CSR indptr and indices of the sorted flat positions
+    ``row * width + column`` in a matrix of the given shape."""
+    n_row, width = shape
+    return _indptr(keys // width, n_row, dtype), (keys % width).astype(dtype)
+
+
+def _ranges(starts, counts):
+    """range(starts[t], starts[t] + counts[t]) for each t, concatenated."""
+    return np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
+
+
+def _entry_pairs(indptr, first, second):
+    """Each entry of row first[t] of a CSR matrix paired with each entry of
+    its row second[t], in the order t, then the first row's storage order,
+    then the second's: each pair's t and the two entries' positions."""
+    counts = indptr[first + 1] - indptr[first]
+    t = np.arange(first.size).repeat(counts)
+    at_first = _ranges(indptr[first], counts)
+    counts = (indptr[second + 1] - indptr[second])[t]
+    return t.repeat(counts), at_first.repeat(counts), _ranges(indptr[second][t], counts)
+
+
+def _row_pairs(op):
+    """Each ordered pair of entries X[r, k], X[r, l] that share a row of
+    the operator X, in the order r, then k's and l's storage order: the
+    flat position k * width + l in X^T X and the product X[r, k] X[r, l]."""
+    every = np.arange(op.shape[0])
+    _, at_k, at_l = _entry_pairs(op.indptr, every, every)
+    cols = op.indices.astype(np.intp)
+    return cols[at_k] * op.shape[1] + cols[at_l], op.data[at_k] * op.data[at_l]
+
+
+def _hstack(left, right, width):
+    """The CSR arrays (indptr, indices, data) of [left, right] from those
+    of two matrices with the same rows, left being ``width`` wide: each row
+    lists left's entries, then right's, their columns shifted by width."""
+    (lptr, lidx, ldata), (rptr, ridx, rdata) = left, right
+    indptr = lptr + rptr
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    data = np.empty(indptr[-1])
+    at = np.arange(lidx.size) + rptr[:-1].repeat(lptr[1:] - lptr[:-1])
+    indices[at], data[at] = lidx, ldata
+    at = np.arange(ridx.size) + lptr[1:].repeat(rptr[1:] - rptr[:-1])
+    indices[at], data[at] = ridx + width, rdata
+    return indptr, indices, data
 
 
 class _Point:
@@ -360,28 +450,40 @@ class _HessianOperator:
     """
 
     def __init__(self, objective):
-        M, MpN, G1 = (op.tocsr() for op in (objective.M, objective.MpN, objective.G1))
-        # W's values are listed in the order of G2 = (M + N)^T (M + N)'s
-        # pattern, which holds G1's, plus the diagonal: that order fixes the
-        # summation order of P @ w, and G1's own order would move the
-        # Hessians, and the iterates, in the last bits.
-        G2 = (MpN.T.tocsr() @ MpN).tocsr()
-        pattern = (G2 + sp.identity(G2.shape[0], format="csr")).tocoo()
-        # intp indices make the per-call gathers about 2.5x faster
-        rows = pattern.row.astype(np.intp)
-        cols = pattern.col.astype(np.intp)
-        # f1's factor 4 is a power of two, so folding it into the
-        # weights rounds exactly like scaling the Hessian
-        g = 4.0 * np.asarray(G1[rows, cols]).ravel()
+        G1, B = objective.G1, objective.B
+        size = G1.shape[0]  # W is indexed by the 2n directed reactions
+        # W's values are listed in the order in which scipy lists the pattern
+        # of G2 = (M + N)^T (M + N), which holds G1's, plus the diagonal: that
+        # order fixes the summation order of P @ w, and G1's own order would
+        # move the Hessians, and the iterates, in the last bits.  Row k lists
+        # its columns as the row product over (M + N)^T's row k, in ascending
+        # species order, first meets them.  The pairs of entries sharing a
+        # row of M + N come in that species order, so row k is ordered by
+        # each column's first pair; a diagonal that no pair meets (a reaction
+        # with no species) is its row's one entry.
+        keys, _ = _row_pairs(objective.MpN)
+        pattern, first = np.unique(np.concatenate([keys, np.arange(size) * (size + 1)]),
+                                   return_index=True)
         # off the diagonal, an entry outside G1's pattern has weight +0.0,
-        # and dropping a +0.0 term leaves every sum of P @ w unchanged
-        keep = (g != 0.0) | (rows == cols)
-        self.rows, self.cols, self.g = rows[keep], cols[keep], g[keep]
-        # COO from CSR lists rows in order: diag[k] is W's entry (k, k)
+        # and dropping a +0.0 term leaves every sum of P @ w unchanged; f1's
+        # factor 4 is a power of two, so folding it into the weights rounds
+        # exactly like scaling the Hessian
+        g = np.zeros(pattern.size)
+        g[np.searchsorted(pattern, _row_ids(G1.indptr) * size + G1.indices)] = 4.0 * G1.data
+        rows, cols = pattern // size, pattern % size  # intp: faster per-call gathers
+        order = np.lexsort((first, rows))
+        order = order[(g[order] != 0.0) | (rows[order] == cols[order])]
+        self.rows, self.cols, self.g = rows[order], cols[order], g[order]
+        # the pattern lists rows in order: diag[k] is W's entry (k, k)
         self.diag = np.flatnonzero(self.rows == self.cols)
-        kron = sp.kron(M, M, format="csc")  # M = B^T
-        self.P = _CsrOperator.of(kron[:, self.rows * G2.shape[0] + self.cols].tocsr())
-        self.m = objective.m
+        # column q of P: B's rows k and l's outer product, the term
+        # B[k, a] * B[l, b] in row a*m + b, stored by rows, q ascending in each
+        self.m = m = objective.m
+        q, at_a, at_b = _entry_pairs(B.indptr, self.rows, self.cols)
+        row = B.indices[at_a] * m + B.indices[at_b]
+        order = (row * self.rows.size + q).argsort()  # (row, q) pairs are distinct
+        self.P = _CsrOperator(_indptr(row, m * m, np.int32), q[order].astype(np.int32),
+                              (B.data[at_a] * B.data[at_b])[order], (m * m, self.rows.size))
 
     def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with

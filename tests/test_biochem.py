@@ -261,6 +261,14 @@ class TestEvaluation:
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(np.full(6, 1e308))
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_coordinate_does_not_hide_an_overflow(self):
+        # exponents up to about 2,000 beside NaN ones must raise before
+        # np.exp, which would overflow with a RuntimeWarning
+        obj = NetworkObjective(generate_network(6, 9, seed=8))
+        with pytest.raises(EvaluationOverflow):
+            obj.phi_value([np.nan, 500.0, 500.0, 500.0, 500.0, 500.0])
+
     def test_overflow_guard_at_squared_limit(self):
         # phi is quadratic in e = exp(z), so it overflows from z of about
         # 355; a top exponent near 400 must raise, not saturate to inf
@@ -278,10 +286,10 @@ class TestEvaluation:
 
 
 def guarded_flux(z):
-    """The exponent guard and flux as z.max() decided them: raise past the
-    guard, else exp(z).  A z holding a NaN has a NaN maximum and never
-    raises."""
-    top = float(z.max())
+    """The exponent guard and flux as the largest entry that is not NaN
+    decides them: raise past the guard, else exp(z).  A z of NaNs alone
+    never raises."""
+    top = float(np.fmax.reduce(z))
     if top > EXP_GUARD:
         raise EvaluationOverflow(top, EXP_GUARD)
     return np.exp(z)
@@ -289,9 +297,7 @@ def guarded_flux(z):
 
 def flux_outcome(flux, z):
     try:
-        # a NaN beside an exponent past the guard reaches exp(), which overflows
-        with np.errstate(over="ignore"):
-            return flux(z).tobytes()
+        return flux(z).tobytes()
     except EvaluationOverflow as exc:
         return str(exc)
 
@@ -313,8 +319,10 @@ EXPONENTS = (EXP_GUARD, GUARD_UP, GUARD_DOWN, -EXP_GUARD, -GUARD_UP, np.nan, np.
 
 
 class TestFluxGuard:
-    """The guard is decided by one idamax; z.max() runs only where the
-    largest |z_j| is past the guard, and decides as it always did."""
+    """The guard is decided by one ddot, and by one idamax where the sum of
+    squares passes the guard's square; the largest entry that is not NaN
+    is taken only where the largest |z_j| is past the guard or z holds a
+    NaN."""
 
     @pytest.mark.parametrize("z,raises", [
         ([EXP_GUARD], False),
@@ -324,13 +332,14 @@ class TestFluxGuard:
         ([-2.0 * EXP_GUARD, EXP_GUARD], False),
         ([-GUARD_UP, 0.0], False),
         ([-2.0 * EXP_GUARD, GUARD_UP], True),
-        # a NaN never raised, wherever it sits
-        ([np.nan, 400.0], False),
-        ([400.0, np.nan], False),
+        # a NaN hides no exponent past the guard, wherever it sits
+        ([np.nan, 400.0], True),
+        ([400.0, np.nan], True),
         ([1.0, np.nan, -1.0], False),
         ([np.inf], True),
         ([-np.inf, 1.0], False),
         ([-1e300, -800.0], False),
+        ([np.nan, np.nan], False),
     ])
     def test_raises_exactly_past_the_guard(self, z, raises):
         z = np.array(z)
@@ -430,22 +439,74 @@ def scipy_operators(net):
                 G1=(MN.T @ MN).tocsr(), M4=4.0 * M, M2=2.0 * M)
 
 
-def full_pattern_hessian(net, x):
-    """f1's Hessian assembled on W's unmasked pattern, G2's plus the
-    diagonal in CSR order, and the nonzero count of that pattern's P."""
+def kron_pattern(net):
+    """W's unmasked pattern, G2 = (M + N)^T (M + N)'s plus the diagonal in
+    the order scipy's product and sum list it, with G1's values on it and
+    the pattern's columns of kron(B^T, B^T) = kron(M, M), which hold
+    B[k, a] * B[l, b] in row a*m + b for the entry (k, l)."""
     ops = scipy_operators(net)
-    M, MpN, B, MpNT, G1 = (ops[k] for k in ("M", "MpN", "B", "MpNT", "G1"))
-    e = np.exp(net.w + B @ x)
-    et = 4.0 * (e * (G1 @ e))
-    G2 = (MpNT @ MpN).tocsr()
+    G2 = (ops["MpNT"] @ ops["MpN"]).tocsr()
     size = G2.shape[0]  # W is indexed by the 2n directed reactions
     pattern = (G2 + sp.identity(size, format="csr")).tocoo()
     rows, cols = pattern.row.astype(np.intp), pattern.col.astype(np.intp)
-    weights = 4.0 * np.asarray(G1[rows, cols]).ravel() * (e[rows] * e[cols])
+    g = 4.0 * np.asarray(ops["G1"][rows, cols]).ravel()
+    P = sp.kron(ops["M"], ops["M"], format="csc")[:, rows * size + cols].tocsr()
+    return ops, rows, cols, g, P
+
+
+def kron_hessian_operator(net):
+    """f1's Hessian operator as it was once built, by selecting the columns
+    of kron(M, M) for W's pattern masked to G1's nonzeros and the diagonal:
+    the reference for the direct build, array for array."""
+    _, rows, cols, g, P = kron_pattern(net)
+    keep = (g != 0.0) | (rows == cols)
+    rows, cols = rows[keep], cols[keep]
+    return dict(rows=rows, cols=cols, g=g[keep], diag=np.flatnonzero(rows == cols),
+                P=P[:, np.flatnonzero(keep)])
+
+
+def full_pattern_hessian(net, x):
+    """f1's Hessian assembled on W's unmasked pattern, and the nonzero
+    count of that pattern's P."""
+    ops, rows, cols, g, P = kron_pattern(net)
+    e = np.exp(net.w + ops["B"] @ x)
+    et = 4.0 * (e * (ops["G1"] @ e))
+    weights = g * (e[rows] * e[cols])
     weights[rows == cols] += et
-    P = sp.kron(M, M, format="csc")[:, rows * size + cols].tocsr()
     hess = (P @ weights).reshape(net.m, net.m)
     return 0.5 * (hess + hess.T), P.nnz
+
+
+def csr_arrays(op):
+    """An operator's or a scipy CSR matrix's arrays as (dtype, bytes)
+    pairs, with its shape: equal only when every array is."""
+    return [op.shape] + [(a.dtype, a.tobytes()) for a in (op.indptr, op.indices, op.data)]
+
+
+def scipy_arrays(net):
+    """csr_arrays of each of scipy_operators(net), by name.  The three
+    transposes come from _CsrOperator.transpose, which indexes with intp
+    where scipy's .T.tocsr() takes int32: their index arrays are cast."""
+    arrays = {}
+    for name, mat in scipy_operators(net).items():
+        if name in ("B", "AT", "MpNT"):
+            mat = sp.csr_matrix(mat)
+            mat.indptr, mat.indices = mat.indptr.astype(np.intp), mat.indices.astype(np.intp)
+        arrays[name] = csr_arrays(mat)
+    return arrays
+
+
+# the canonical twins of non_canonical_network()'s F and R
+CANONICAL_F = [[2, 0], [0, 1], [2, 0]]
+CANONICAL_R = [[0, 1], [2, 1], [0, 1]]
+
+
+def non_canonical_network():
+    """F stores entry (0, 0) twice; R's row 0 holds an explicit zero and
+    its row 1 lists column 1 before column 0."""
+    F = sp.csr_matrix(([1, 1, 1, 2], [0, 0, 1, 0], [0, 2, 3, 4]), shape=(3, 2))
+    R = sp.csr_matrix(([1, 0, 1, 2, 1], [1, 0, 1, 0, 1], [0, 2, 4, 5]), shape=(3, 2))
+    return ReactionNetwork(m=3, n=2, F=F, R=R, w=np.zeros(4))
 
 
 # reaction 0 holds species 0 on both sides with coefficient 1, so its
@@ -509,6 +570,38 @@ class TestOperators:
         for wrong in (width - 1, width + 1):
             with pytest.raises(ValueError):
                 P @ np.ones(wrong)
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_cases())
+    def test_arrays_match_scipy(self, cancelling_network, case):
+        # each operator is built straight from F's and R's arrays into the
+        # arrays, dtypes and entry order that scipy's sparse algebra gives
+        shape = case[0]
+        net = cancelling_network if shape is None else generate_network(*shape)
+        obj = NetworkObjective(net)
+        for name, arrays in scipy_arrays(net).items():
+            assert csr_arrays(getattr(obj, name)) == arrays, name
+
+    def test_non_canonical_input_builds_its_twins_operators(self):
+        net = non_canonical_network()
+        twin = ReactionNetwork(m=3, n=2, F=sp.csr_matrix(CANONICAL_F),
+                               R=sp.csr_matrix(CANONICAL_R), w=np.zeros(4))
+        obj, twin_obj = NetworkObjective(net), NetworkObjective(twin)
+        for name, arrays in scipy_arrays(net).items():
+            assert csr_arrays(getattr(obj, name)) == arrays, name
+            assert csr_arrays(getattr(twin_obj, name)) == arrays, name
+        assert csr_arrays(obj._hessian_op.P) == csr_arrays(twin_obj._hessian_op.P)
+
+    @pytest.mark.parametrize("shape", [(6, 9, 5), (20, 30, 101), (80, 120, 105), None,
+                                       (200, 300, 107)])
+    def test_hessian_operator_matches_kron_build(self, cancelling_network, shape):
+        net = cancelling_network if shape is None else generate_network(*shape)
+        op = NetworkObjective(net)._hessian_op
+        reference = kron_hessian_operator(net)
+        for name in ("rows", "cols", "g", "diag"):
+            got, want = getattr(op, name), reference[name]
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        assert csr_arrays(op.P) == csr_arrays(reference["P"])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda m: st.tuples(
@@ -874,6 +967,19 @@ class TestSchema:
         assert loaded == net
         assert np.array_equal(loaded.w, net.w)
         assert loaded.name == net.name
+
+    def test_non_canonical_input_round_trips(self, tmp_path):
+        # a duplicate kept in F would be saved as two triplets, which
+        # load_network refuses as a duplicate entry
+        net = non_canonical_network()
+        assert net.F.has_canonical_format and net.R.has_canonical_format
+        path = tmp_path / "model.json"
+        save_network(net, path)
+        assert json.loads(path.read_text())["F"] == [[0, 0, 2], [1, 1, 1], [2, 0, 2]]
+        loaded = load_network(path)
+        assert loaded == net
+        assert loaded.F.toarray().tolist() == CANONICAL_F
+        assert loaded.R.toarray().tolist() == CANONICAL_R
 
     def test_missing_field(self, tmp_path):
         net = generate_network(6, 8, seed=32)

@@ -1,5 +1,6 @@
 """``tools/kernels.py`` with one call per loop: every kernel is timed at
-every size, and the script stays apart from the benchmark."""
+every size, each build at its five, and the script stays apart from the
+benchmark."""
 
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "kernels.py"
 KERNELS = ("g_value_grad", "g_value", "phi_value", "grad_h", "g_hessian", "spd_solve")
+SIZES = ["synthetic_m20_n30_s101", "synthetic_m40_n60_s103", "synthetic_m80_n120_s105"]
 
 
 def run_tool(*args):
@@ -19,14 +21,18 @@ def run_tool(*args):
 def test_every_kernel_at_every_size():
     done = run_tool("--calls", "2", "--repeats", "1")
     assert done.returncode == 0, done.stderr
-    header, *rows = done.stdout.splitlines()
-    assert header == "best of 1 loops of 2 calls, µs per call, one BLAS thread"
-    assert [row.split(":")[0] for row in rows] == [
-        "synthetic_m20_n30_s101", "synthetic_m40_n60_s103", "synthetic_m80_n120_s105"]
-    for row in rows:
-        timed = re.findall(r"(\w+) ([0-9.]+)", row.split(":", 1)[1])
-        assert tuple(name for name, _ in timed) == KERNELS
-        assert all(float(us) > 0.0 for _, us in timed)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "best of 1 loops of 2 calls, µs per call, one BLAS thread"
+    assert lines[4] == "best of 1 builds, ms per build, one BLAS thread"
+    for rows, names, timings in ((lines[1:4], SIZES, KERNELS),
+                                 (lines[5:], SIZES + ["synthetic_m200_n300_s107",
+                                                      "synthetic_m400_n600_s109"],
+                                  ("objective", "hessian_op"))):
+        assert [row.split(":")[0] for row in rows] == names
+        for row in rows:
+            timed = re.findall(r"(\w+) ([0-9.]+)", row.split(":", 1)[1])
+            assert tuple(name for name, _ in timed) == timings
+            assert all(float(value) > 0.0 for _, value in timed)
 
 
 def test_counts_must_be_positive():

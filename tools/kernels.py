@@ -1,4 +1,5 @@
-"""Time per call of the network evaluation kernels, at three network sizes.
+"""Time per call of the network evaluation kernels, at three network sizes,
+and the one-off cost of building a network's operators, at five.
 
 Usage (from anywhere)::
 
@@ -17,6 +18,12 @@ microseconds per call of:
 * ``g_hessian`` at the memo's point, once f1's record is stored there;
 * ``spd_solve`` on that Hessian with g's gradient as the right-hand
   side, a solve that needs no damping.
+
+Then, for each of those networks and ``synthetic_m200_n300_s107`` and
+``synthetic_m400_n600_s109``, it prints the best, over ``--repeats``
+builds, of the milliseconds that ``NetworkObjective(net)`` takes
+(``objective``, the set-up every solve pays) and that the first Hessian
+request takes to build f1's Hessian operator (``hessian_op``).
 
 BLAS is pinned to one thread before NumPy is imported, so the figures
 are one core's.  Only the library is imported; the benchmark is not.
@@ -42,6 +49,7 @@ from dcboost import NetworkObjective, generate_network  # noqa: E402
 from dcboost.inner import spd_solve  # noqa: E402
 
 NETWORKS = ((20, 30, 101), (40, 60, 103), (80, 120, 105))
+BUILD_NETWORKS = NETWORKS + ((200, 300, 107), (400, 600, 109))
 RHO = 100.0
 POINTS = 16
 
@@ -77,10 +85,25 @@ def kernel_times(shape, calls, repeats):
     return net.name, times
 
 
+def build_times(shape, repeats):
+    """(network name, best ms of NetworkObjective(net), best ms of the
+    first Hessian request's operator build) over ``repeats`` builds."""
+    net = generate_network(*shape)
+    objective = hessian_op = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        obj = NetworkObjective(net)
+        built = time.perf_counter()
+        obj._hessian_op  # built on first access, as by the first Hessian request
+        done = time.perf_counter()
+        objective, hessian_op = min(objective, built - started), min(hessian_op, done - built)
+    return net.name, objective * 1e3, hessian_op * 1e3
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--calls", type=int, default=4000, help="calls per timing loop")
-    parser.add_argument("--repeats", type=int, default=7, help="loops; the fastest counts")
+    parser.add_argument("--repeats", type=int, default=7, help="loops and builds; the fastest counts")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeats < 1:
         parser.error("--calls and --repeats must be positive")
@@ -88,6 +111,10 @@ def main(argv=None):
     for shape in NETWORKS:
         name, times = kernel_times(shape, args.calls, args.repeats)
         print(f"{name}: " + "  ".join(f"{kernel} {us:.2f}" for kernel, us in times))
+    print(f"best of {args.repeats} builds, ms per build, one BLAS thread")
+    for shape in BUILD_NETWORKS:
+        name, objective, hessian_op = build_times(shape, args.repeats)
+        print(f"{name}: objective {objective:.3f}  hessian_op {hessian_op:.3f}")
     return 0
 
 
