@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,30 +85,45 @@ class ReactionNetwork:
             raise ValueError(f"{label} must have shape ({self.m}, {self.n}), got {mat.shape}")
         if mat.nnz and mat.data.min() < 0:
             raise ValueError(f"{label} must have nonnegative entries")
-        if not np.issubdtype(mat.dtype, np.integer):
+        if np.issubdtype(mat.dtype, np.integer):
+            # exact: a uint64 past INT64_MAX would wrap to a negative int64
+            too_large = mat.nnz and int(mat.data.max()) > INT64_MAX
+        else:
             # round, not truncate: the cast would store 2.9999999 as 2; the
             # tolerance is absolute, so it does not grow with the coefficient
             whole = np.rint(mat.data)
             if not (np.isfinite(mat.data).all()
                     and (np.abs(mat.data - whole) <= STOICHIOMETRY_ATOL).all()):
                 raise ValueError(f"{label} must have integer stoichiometry")
-            mat = sp.csr_matrix((whole, mat.indices, mat.indptr), shape=mat.shape)
-        mat = mat.astype(np.int64)
+            # INT64_MAX rounds up to 2**63 as a float, the first one past it
+            too_large = mat.nnz and whole.max() >= 2.0 ** 63
+            mat.data = whole
+        if too_large:
+            raise ValueError(f"{label} must have entries of at most {INT64_MAX}")
+        mat = mat.astype(np.int64, copy=False)
         mat.eliminate_zeros()
         return mat
 
     def _warn_cardinality(self):
-        f_rows = np.diff(self.F.indptr)
-        r_rows = np.diff(self.R.indptr)
-        silent = np.flatnonzero((f_rows == 0) | (r_rows == 0))
+        F, R = self.F, self.R
+        silent = np.flatnonzero((np.diff(F.indptr) == 0) | (np.diff(R.indptr) == 0))
         if silent.size:
             warnings.warn(
                 f"species {silent.tolist()} lack a forward or reverse role",
                 SchemaWarning, stacklevel=3,
             )
-        net = (self.R - self.F).tocsc()
-        net.eliminate_zeros()
-        thin = np.flatnonzero(np.diff(net.indptr) < 2)
+        # reaction j moves the species with a nonzero in column j of R - F:
+        # those in one side only, and those in both with unequal coefficients
+        shape = (self.m, self.n)
+        _, in_f, in_r = np.intersect1d(
+            np.ravel_multi_index((_row_ids(F.indptr), F.indices), shape),
+            np.ravel_multi_index((_row_ids(R.indptr), R.indices), shape),
+            assume_unique=True, return_indices=True)
+        both = F.indices[in_f]
+        moved = (np.bincount(F.indices, minlength=self.n) + np.bincount(R.indices, minlength=self.n)
+                 - np.bincount(both, minlength=self.n)
+                 - np.bincount(both[F.data[in_f] == R.data[in_r]], minlength=self.n))
+        thin = np.flatnonzero(moved < 2)
         if thin.size:
             warnings.warn(
                 f"reactions {thin.tolist()} move fewer than two species",
@@ -532,7 +548,8 @@ def check_mass_conservation(network, l=None):
 # Each reaction takes 1..2 species per side with coefficients from
 # GENERATOR_COEFFS, equal coefficient sums on both sides (so unit masses
 # are conserved exactly), and disjoint sides; w is uniform in [-1, 1].
-GENERATOR_COEFFS = np.array((1, 2, 3), dtype=np.int64)
+GENERATOR_COEFFS = (1, 2, 3)
+GENERATOR_TOP = max(GENERATOR_COEFFS)
 GENERATOR_W_RANGE = (-1.0, 1.0)
 GENERATOR_ATTEMPTS = 50
 
@@ -565,74 +582,107 @@ def generate_network(m, n, seed):
 
 
 def _generate_once(m, n, rng):
-    rows_f, cols_f, vals_f = [], [], []
-    rows_r, cols_r, vals_r = [], [], []
-    need_f = set(range(m))
-    need_r = set(range(m))
+    # the species each side still needs, kept ascending: the draws are
+    # positions in these lists, and each (m, n, seed) keeps its network
+    need_f = list(range(m))
+    need_r = list(range(m))
+    f_entries = ([], [], [])  # rows, columns, coefficients
+    r_entries = ([], [], [])
 
     for j in range(n):
-        f_side, r_side = _draw_reaction(m, rng, need_f, need_r)
-        for i, v in f_side:
-            rows_f.append(i); cols_f.append(j); vals_f.append(v)
-            need_f.discard(i)
-        for i, v in r_side:
-            rows_r.append(i); cols_r.append(j); vals_r.append(v)
-            need_r.discard(i)
+        sides = _draw_reaction(m, rng, need_f, need_r)
+        for need, entries, (species, coeffs) in zip((need_f, need_r), (f_entries, r_entries),
+                                                    sides):
+            entries[0].extend(species)
+            entries[1].extend([j] * len(species))
+            entries[2].extend(coeffs)
+            for k in reversed(_positions(need, species)):
+                del need[k]
 
     if need_f or need_r:
         return None
-    F = sp.coo_matrix((vals_f, (rows_f, cols_f)), shape=(m, n), dtype=np.int64).tocsr()
-    R = sp.coo_matrix((vals_r, (rows_r, cols_r)), shape=(m, n), dtype=np.int64).tocsr()
-    return F, R
+    return _entries_csr(f_entries, m, n), _entries_csr(r_entries, m, n)
 
 
-def _pick(rng, preferred, fallback, count):
-    # up to `count` items, favouring `preferred`; deterministic given rng
-    # drawing positions, not items, takes the same draws from rng
-    preferred = sorted(preferred)
-    chosen = [preferred[i] for i in rng.choice(len(preferred), min(count, len(preferred)),
-                                               replace=False)] if preferred else []
+def _entries_csr(entries, m, n):
+    # columns ascend within each row already, and no entry repeats, so one
+    # stable sort by row gives canonical arrays
+    rows, cols, vals = entries
+    order = np.argsort(np.array(rows, dtype=np.int32), kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return sp.csr_matrix((np.array(vals, dtype=np.int64)[order],
+                          np.array(cols, dtype=np.int32)[order], indptr), shape=(m, n))
+
+
+def _positions(need, species):
+    # ascending positions in the sorted list `need` of the species it holds
+    found = []
+    for i in species:
+        k = bisect_left(need, i)
+        if k < len(need) and need[k] == i:
+            found.append(k)
+    return sorted(found)
+
+
+def _nth(p, skipped):
+    # the p-th integer from 0 up that is not in the sorted list `skipped`
+    for s in skipped:
+        if s > p:
+            break
+        p += 1
+    return p
+
+
+def _pick(rng, need, skip, excluded, count, m):
+    # up to `count` species from `need` bar its positions `skip`, the rest
+    # from all m species bar `excluded` and those chosen; each draw is a
+    # position in the ascending list it picks from
+    preferred = len(need) - len(skip)
+    chosen = [need[_nth(p, skip)] for p in
+              rng.choice(preferred, min(count, preferred), replace=False).tolist()
+              ] if preferred else []
     if len(chosen) < count:
-        rest = sorted(set(fallback) - set(chosen))
-        chosen += [rest[i] for i in rng.choice(len(rest), count - len(chosen), replace=False)]
+        out = sorted(excluded + chosen)
+        chosen += [_nth(p, out) for p in
+                   rng.choice(m - len(out), count - len(chosen), replace=False).tolist()]
     return chosen
 
 
 def _draw_reaction(m, rng, need_f, need_r):
-    top = int(GENERATOR_COEFFS.max())
     kf_max = min(2, m - 1)
     kf = int(rng.integers(1, kf_max + 1))
     if len(need_f) >= 2:
         kf = kf_max
-    f_species = _pick(rng, need_f, range(m), kf)
-
-    pool = sorted(set(range(m)) - set(f_species))
-    kr_max = min(2, len(pool))
+    f_species = _pick(rng, need_f, [], [], kf, m)
+    kr_max = min(2, m - kf)
 
     # sum of forward coefficients fixes the feasible reverse arity
     for _ in range(8):
-        f_coeffs = GENERATOR_COEFFS[rng.integers(0, GENERATOR_COEFFS.size, size=kf)]
-        total = int(f_coeffs.sum())
-        lo = -(-total // top)  # ceil
+        f_coeffs = [GENERATOR_COEFFS[k] for k in
+                    rng.integers(0, len(GENERATOR_COEFFS), size=kf).tolist()]
+        total = sum(f_coeffs)
+        lo = -(-total // GENERATOR_TOP)  # ceil
         hi = min(kr_max, total)
         if lo <= hi:
             break
     else:
-        f_coeffs = np.ones(kf, dtype=np.int64)
+        f_coeffs = [1] * kf
         total = kf
         lo, hi = 1, min(kr_max, total)
 
-    want_two = len(need_r - set(f_species)) >= 2 and lo <= 2 <= hi
+    # the reverse side prefers the species it still needs, bar the forward ones
+    skip = _positions(need_r, f_species)
+    want_two = len(need_r) - len(skip) >= 2 and lo <= 2 <= hi
     kr = 2 if want_two else int(rng.integers(lo, hi + 1))
-    r_species = _pick(rng, need_r - set(f_species), pool, kr)
+    r_species = _pick(rng, need_r, skip, f_species, kr, m)
 
     if kr == 1:
         r_coeffs = [total]
     else:
-        first = int(rng.integers(max(1, total - top), min(top, total - 1) + 1))
+        first = int(rng.integers(max(1, total - GENERATOR_TOP), min(GENERATOR_TOP, total - 1) + 1))
         r_coeffs = [first, total - first]
-    return (list(zip(f_species, (int(v) for v in f_coeffs))),
-            list(zip(r_species, (int(v) for v in r_coeffs))))
+    return (f_species, f_coeffs), (r_species, r_coeffs)
 
 
 # -- model files ---------------------------------------------------------

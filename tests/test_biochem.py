@@ -8,6 +8,7 @@ matrix stacks the transposed stoichiometries, production collects
 
 import hashlib
 import json
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcboost import (
@@ -887,6 +888,111 @@ class TestConservation:
             assert np.linalg.norm(kernel) <= 1e-8 * np.linalg.norm(jac)
 
 
+# -- the generator as it was, with a set and a sort per reaction, kept as
+# the reference that generate_network must match bit for bit
+
+REFERENCE_COEFFS = np.array((1, 2, 3), dtype=np.int64)
+
+
+def reference_generate(m, n, seed):
+    if m < 2:
+        raise ValueError("need at least two species")
+    if n < 1:
+        raise ValueError("need at least one reaction")
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        built = reference_generate_once(m, n, rng)
+        if built is None:
+            continue
+        F, R = built
+        w = rng.uniform(-1.0, 1.0, size=2 * n)
+        return ReactionNetwork(m=m, n=n, F=F, R=R, w=w, name=f"synthetic_m{m}_n{n}_s{seed}")
+    raise GenerationError(
+        f"could not cover all {m} species on both sides with {n} reactions in 50 attempts")
+
+
+def reference_generate_once(m, n, rng):
+    rows_f, cols_f, vals_f = [], [], []
+    rows_r, cols_r, vals_r = [], [], []
+    need_f = set(range(m))
+    need_r = set(range(m))
+    for j in range(n):
+        f_side, r_side = reference_draw_reaction(m, rng, need_f, need_r)
+        for i, v in f_side:
+            rows_f.append(i); cols_f.append(j); vals_f.append(v)
+            need_f.discard(i)
+        for i, v in r_side:
+            rows_r.append(i); cols_r.append(j); vals_r.append(v)
+            need_r.discard(i)
+    if need_f or need_r:
+        return None
+    F = sp.coo_matrix((vals_f, (rows_f, cols_f)), shape=(m, n), dtype=np.int64).tocsr()
+    R = sp.coo_matrix((vals_r, (rows_r, cols_r)), shape=(m, n), dtype=np.int64).tocsr()
+    return F, R
+
+
+def reference_pick(rng, preferred, fallback, count):
+    preferred = sorted(preferred)
+    chosen = [preferred[i] for i in rng.choice(len(preferred), min(count, len(preferred)),
+                                               replace=False)] if preferred else []
+    if len(chosen) < count:
+        rest = sorted(set(fallback) - set(chosen))
+        chosen += [rest[i] for i in rng.choice(len(rest), count - len(chosen), replace=False)]
+    return chosen
+
+
+def reference_draw_reaction(m, rng, need_f, need_r):
+    top = int(REFERENCE_COEFFS.max())
+    kf_max = min(2, m - 1)
+    kf = int(rng.integers(1, kf_max + 1))
+    if len(need_f) >= 2:
+        kf = kf_max
+    f_species = reference_pick(rng, need_f, range(m), kf)
+    pool = sorted(set(range(m)) - set(f_species))
+    kr_max = min(2, len(pool))
+    for _ in range(8):
+        f_coeffs = REFERENCE_COEFFS[rng.integers(0, REFERENCE_COEFFS.size, size=kf)]
+        total = int(f_coeffs.sum())
+        lo = -(-total // top)
+        hi = min(kr_max, total)
+        if lo <= hi:
+            break
+    else:
+        f_coeffs = np.ones(kf, dtype=np.int64)
+        total = kf
+        lo, hi = 1, min(kr_max, total)
+    want_two = len(need_r - set(f_species)) >= 2 and lo <= 2 <= hi
+    kr = 2 if want_two else int(rng.integers(lo, hi + 1))
+    r_species = reference_pick(rng, need_r - set(f_species), pool, kr)
+    if kr == 1:
+        r_coeffs = [total]
+    else:
+        first = int(rng.integers(max(1, total - top), min(top, total - 1) + 1))
+        r_coeffs = [first, total - first]
+    return (list(zip(f_species, (int(v) for v in f_coeffs))),
+            list(zip(r_species, (int(v) for v in r_coeffs))))
+
+
+def generated(generate, m, n, seed):
+    """Every array of the network, with its dtype, and its name; or the
+    type and message of what generation raised."""
+    try:
+        net = generate(m, n, seed)
+    except (GenerationError, ValueError) as exc:
+        return type(exc), str(exc)
+    arrays = [(a.dtype.str, a.tobytes()) for mat in (net.F, net.R)
+              for a in (mat.indptr, mat.indices, mat.data)]
+    return arrays, net.w.dtype.str, net.w.tobytes(), net.name
+
+
+def digest_of(networks):
+    digest = hashlib.sha256()
+    for net in networks:
+        for part in (net.F.toarray().astype(np.int64), net.R.toarray().astype(np.int64), net.w):
+            digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
 class TestGenerator:
     def test_deterministic(self):
         a = generate_network(12, 18, seed=21)
@@ -951,11 +1057,71 @@ class TestGenerator:
         assert digest.hexdigest() == (
             "5eea459ba49665a6d40bf0a32af9e89e1eb3683546c683338c343026e108fc91")
 
+    @pytest.mark.parametrize("generate", [generate_network, reference_generate],
+                             ids=["generator", "reference"])
+    def test_pinned_digest_of_large_networks(self, generate):
+        # recorded with the set-and-sort generator that reference_generate
+        # keeps, so the reference cannot drift unseen either
+        assert digest_of(generate(m, n, seed) for m, n, seed in
+                         ((200, 300, 107), (400, 600, 109))) == (
+            "9e6333ea55ff36ce5d98925e2a793c3713d1ed7f809a83ccb334a2bf66c24df9")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 60).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, 3 * m), st.integers(min_value=0))))
+    @example((2, 1, 0))  # two species never cover both sides of one reaction
+    @example((1, 4, 0))
+    @example((5, 0, 0))
+    def test_matches_the_reference(self, case):
+        assert generated(generate_network, *case) == generated(reference_generate, *case)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             generate_network(1, 4, seed=0)
         with pytest.raises(ValueError):
             generate_network(5, 0, seed=0)
+
+
+def canonical(mat):
+    """ReactionNetwork's coercion as it was, with a copy per step."""
+    mat = sp.csr_matrix(mat, copy=True)
+    mat.sum_duplicates()
+    mat = mat.astype(np.int64)
+    mat.eliminate_zeros()
+    return mat
+
+
+def reference_cardinality_warnings(F, R):
+    """The warnings that the net matrix R - F gives on canonical F and R."""
+    messages = []
+    silent = np.flatnonzero((np.diff(F.indptr) == 0) | (np.diff(R.indptr) == 0))
+    if silent.size:
+        messages.append(f"species {silent.tolist()} lack a forward or reverse role")
+    net = (R - F).tocsc()
+    net.eliminate_zeros()
+    thin = np.flatnonzero(np.diff(net.indptr) < 2)
+    if thin.size:
+        messages.append(f"reactions {thin.tolist()} move fewer than two species")
+    return messages
+
+
+@st.composite
+def non_canonical_csr(draw, m, n):
+    """A CSR matrix whose rows keep duplicates, explicit zeros and columns
+    out of order; coefficients 0..2 make entries equal in F and R often."""
+    entries = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                                      st.integers(0, 2)), max_size=3 * m))
+    entries.sort(key=lambda entry: entry[0])  # by row only: stable within a row
+    rows = [i for i, _, _ in entries]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]).astype(np.int32)
+    return sp.csr_matrix(([v for _, _, v in entries], [j for _, j, _ in entries], indptr),
+                         shape=(m, n))
+
+
+@st.composite
+def cardinality_cases(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return m, n, draw(non_canonical_csr(m, n)), draw(non_canonical_csr(m, n))
 
 
 class TestSchema:
@@ -1083,6 +1249,39 @@ class TestSchema:
         R = sp.csr_matrix(np.array([[0], [2]]))
         with pytest.warns(SchemaWarning):
             ReactionNetwork(m=2, n=1, F=F, R=R, w=np.zeros(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cardinality_cases())
+    def test_cardinality_warnings_match_the_net_matrix_count(self, case):
+        m, n, F, R = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            net = ReactionNetwork(m=m, n=n, F=F, R=R, w=np.zeros(2 * n))
+        assert all(issubclass(w.category, SchemaWarning) for w in caught)
+        canonical_F, canonical_R = canonical(F), canonical(R)
+        assert [str(w.message) for w in caught] == reference_cardinality_warnings(
+            canonical_F, canonical_R)
+        assert csr_arrays(net.F) == csr_arrays(canonical_F)
+        assert csr_arrays(net.R) == csr_arrays(canonical_R)
+
+    @pytest.mark.parametrize("F", [
+        sp.csr_matrix(np.array([[2 ** 64 - 1, 0], [0, 1]], dtype=np.uint64)),
+        sp.csr_matrix([[1e20, 0.0], [0.0, 1.0]]),
+        sp.csr_matrix([[2.0 ** 63, 0.0], [0.0, 1.0]]),
+    ], ids=["uint64", "float", "float-2**63"])
+    def test_coefficients_past_int64_are_refused(self, F):
+        # each was cast to a negative int64 and evaluated
+        R = sp.csr_matrix([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match=f"F must have entries of at most {INT64_MAX}"):
+            ReactionNetwork(m=2, n=2, F=F, R=R, w=np.zeros(4))
+
+    def test_largest_float_coefficient_below_int64_loads(self):
+        # 2**63 - 1024 is the largest float below 2**63, and INT64_MAX
+        # rounds to 2**63 as a float
+        F = sp.csr_matrix([[2.0 ** 63 - 1024, 0.0], [0.0, 1.0]])
+        net = ReactionNetwork(m=2, n=2, F=F, R=sp.csr_matrix([[0, 1], [1, 0]]), w=np.zeros(4))
+        assert net.F.data.tolist() == [2 ** 63 - 1024, 1]
+        assert net.F.dtype == np.int64
 
     def test_rejects_negative_or_fractional(self):
         with pytest.raises(ValueError):

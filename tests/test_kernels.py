@@ -27,7 +27,7 @@ def test_every_kernel_at_every_size():
     for rows, names, timings in ((lines[1:4], SIZES, KERNELS),
                                  (lines[5:], SIZES + ["synthetic_m200_n300_s107",
                                                       "synthetic_m400_n600_s109"],
-                                  ("objective", "hessian_op"))):
+                                  ("generate", "objective", "hessian_op"))):
         assert [row.split(":")[0] for row in rows] == names
         for row in rows:
             timed = re.findall(r"(\w+) ([0-9.]+)", row.split(":", 1)[1])

@@ -21,9 +21,11 @@ microseconds per call of:
 
 Then, for each of those networks and ``synthetic_m200_n300_s107`` and
 ``synthetic_m400_n600_s109``, it prints the best, over ``--repeats``
-builds, of the milliseconds that ``NetworkObjective(net)`` takes
-(``objective``, the set-up every solve pays) and that the first Hessian
-request takes to build f1's Hessian operator (``hessian_op``).
+builds, of the milliseconds that ``generate_network`` takes to draw the
+network (``generate``), that ``NetworkObjective(net)`` takes
+(``objective``; the two are the set-up every benchmark solve pays) and
+that the first Hessian request takes to build f1's Hessian operator
+(``hessian_op``).
 
 BLAS is pinned to one thread before NumPy is imported, so the figures
 are one core's.  Only the library is imported; the benchmark is not.
@@ -86,18 +88,20 @@ def kernel_times(shape, calls, repeats):
 
 
 def build_times(shape, repeats):
-    """(network name, best ms of NetworkObjective(net), best ms of the
-    first Hessian request's operator build) over ``repeats`` builds."""
-    net = generate_network(*shape)
-    objective = hessian_op = float("inf")
+    """(network name, best ms of generate_network(*shape), of
+    NetworkObjective(net) and of the first Hessian request's operator
+    build) over ``repeats`` builds."""
+    best = [float("inf")] * 3
     for _ in range(repeats):
         started = time.perf_counter()
+        net = generate_network(*shape)
+        drawn = time.perf_counter()
         obj = NetworkObjective(net)
         built = time.perf_counter()
         obj._hessian_op  # built on first access, as by the first Hessian request
         done = time.perf_counter()
-        objective, hessian_op = min(objective, built - started), min(hessian_op, done - built)
-    return net.name, objective * 1e3, hessian_op * 1e3
+        best = [min(b, t) for b, t in zip(best, (drawn - started, built - drawn, done - built))]
+    return net.name, *(t * 1e3 for t in best)
 
 
 def main(argv=None):
@@ -113,8 +117,9 @@ def main(argv=None):
         print(f"{name}: " + "  ".join(f"{kernel} {us:.2f}" for kernel, us in times))
     print(f"best of {args.repeats} builds, ms per build, one BLAS thread")
     for shape in BUILD_NETWORKS:
-        name, objective, hessian_op = build_times(shape, args.repeats)
-        print(f"{name}: objective {objective:.3f}  hessian_op {hessian_op:.3f}")
+        name, generate, objective, hessian_op = build_times(shape, args.repeats)
+        print(f"{name}: generate {generate:.3f}  objective {objective:.3f}  "
+              f"hessian_op {hessian_op:.3f}")
     return 0
 
 
