@@ -108,26 +108,19 @@ class ReactionNetwork:
         F, R = self.F, self.R
         silent = np.flatnonzero((np.diff(F.indptr) == 0) | (np.diff(R.indptr) == 0))
         if silent.size:
+            # 4: past __post_init__ and the dataclass's __init__, to its caller
             warnings.warn(
                 f"species {silent.tolist()} lack a forward or reverse role",
-                SchemaWarning, stacklevel=3,
+                SchemaWarning, stacklevel=4,
             )
         # reaction j moves the species with a nonzero in column j of R - F:
         # those in one side only, and those in both with unequal coefficients
-        shape = (self.m, self.n)
-        _, in_f, in_r = np.intersect1d(
-            np.ravel_multi_index((_row_ids(F.indptr), F.indices), shape),
-            np.ravel_multi_index((_row_ids(R.indptr), R.indices), shape),
-            assume_unique=True, return_indices=True)
-        both = F.indices[in_f]
-        moved = (np.bincount(F.indices, minlength=self.n) + np.bincount(R.indices, minlength=self.n)
-                 - np.bincount(both, minlength=self.n)
-                 - np.bincount(both[F.data[in_f] == R.data[in_r]], minlength=self.n))
-        thin = np.flatnonzero(moved < 2)
+        _, cols, f, r = _union(F, R, self.n)
+        thin = np.flatnonzero(np.bincount(cols[f != r], minlength=self.n) < 2)
         if thin.size:
             warnings.warn(
                 f"reactions {thin.tolist()} move fewer than two species",
-                SchemaWarning, stacklevel=3,
+                SchemaWarning, stacklevel=4,
             )
 
     def __eq__(self, other):
@@ -149,29 +142,22 @@ class NetworkObjective:
         # Every operator is built from F's and R's canonical CSR arrays
         # (_coerce_matrix sums duplicates, sorts each row and drops zeros)
         # into the arrays, dtypes and entry order scipy's sparse algebra gives.
-        F, R = ((mat.indptr, mat.indices, mat.data.astype(float))
-                for mat in (network.F, network.R))
-        self.M = M = _CsrOperator(*_hstack(F, R, n), (m, 2 * n))
-        self.N = N = _CsrOperator(*_hstack(R, F, n), (m, 2 * n))
+        # On F + R's pattern beside its copy shifted by n, M = [F, R],
+        # N = [R, F], A = M - N = [F - R, R - F] and M + N = [F + R, F + R]
+        # keep the positions where they are not zero: A drops the entries
+        # that cancel, as scipy does.
+        rows, cols, f, r = _union(network.F, network.R, n)
+        f, r = f.astype(float), r.astype(float)
+        rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, cols + n])
+        itype = np.result_type(network.F.indptr, network.R.indptr)
+        self.M, self.N, self.A, self.MpN = (
+            _nonzeros(rows, cols, np.concatenate(pair), (m, 2 * n), itype)
+            for pair in ((f, r), (r, f), (f - r, r - f), (f + r, f + r)))
+        M, N = self.M, self.N
         # f1's and f2's gradients 4 M(e t), 2 M(e q): on nonnegative inputs a power
         # of two in M's entries rounds as on the product, bar subnormal terms
         self.M4, self.M2 = (_CsrOperator(M.indptr, M.indices, k * M.data, M.shape)
                             for k in (4.0, 2.0))
-        # F + R's pattern, row by row in column order, holding each position's
-        # entry of F and of R (0.0 where it has none): M - N is F - R beside
-        # R - F, without the entries that cancel, which scipy drops, and
-        # M + N is F + R twice
-        keys = np.concatenate([_row_ids(mat.indptr) * n + mat.indices
-                               for mat in (network.F, network.R)])
-        union, at = np.unique(keys, return_inverse=True)
-        f, r = np.zeros(union.size), np.zeros(union.size)
-        f[at[:network.F.nnz]], r[at[network.F.nnz:]] = F[2], R[2]
-        itype, keep = M.indptr.dtype, f != r
-        cut = _csr_pattern(union[keep], (m, n), itype)
-        self.A = _CsrOperator(*_hstack((*cut, (f - r)[keep]), (*cut, (r - f)[keep]), n),
-                              (m, 2 * n))
-        both = (*_csr_pattern(union, (m, n), itype), f + r)
-        self.MpN = _CsrOperator(*_hstack(both, both, n), (m, 2 * n))
         self.B = self.M.transpose()
         self.AT = self.A.transpose()
         self.MpNT = self.MpN.transpose()
@@ -180,8 +166,9 @@ class NetworkObjective:
         # the rows of [M; N] in order, as scipy's product does
         keys, products = (np.concatenate(pair) for pair in zip(_row_pairs(M), _row_pairs(N)))
         keys, at = np.unique(keys, return_inverse=True)
-        self.G1 = _CsrOperator(*_csr_pattern(keys, (2 * n, 2 * n), itype),
-                               np.bincount(at, weights=products), (2 * n, 2 * n))
+        size = 2 * n
+        self.G1 = _operator(keys // size, keys % size, np.bincount(at, weights=products),
+                            (size, size), itype)
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
@@ -355,13 +342,10 @@ class _CsrOperator:
         return cls(mat.indptr, mat.indices, mat.data, mat.shape)
 
     def transpose(self):
-        # a stable sort on the column keeps each new row's entries in the
-        # old row order, the order scipy's .T.tocsr() gives
-        n_row, n_col = self.shape
-        order = self.indices.argsort(kind="stable")
-        rows = _row_ids(self.indptr)
-        return _CsrOperator(_indptr(self.indices, n_col, rows.dtype), rows[order],
-                            self.data[order], (n_col, n_row))
+        # each column's entries in row order, the order scipy's .T.tocsr()
+        # gives, indexed with intp
+        return _operator(self.indices, _row_ids(self.indptr), self.data, self.shape[::-1],
+                         np.intp)
 
     def tocsr(self):
         """The scipy CSR matrix with the same entries in the same order,
@@ -387,11 +371,30 @@ def _indptr(rows, n_row, dtype):
     return indptr
 
 
-def _csr_pattern(keys, shape, dtype):
-    """The CSR indptr and indices of the sorted flat positions
-    ``row * width + column`` in a matrix of the given shape."""
-    n_row, width = shape
-    return _indptr(keys // width, n_row, dtype), (keys % width).astype(dtype)
+def _operator(rows, cols, data, shape, dtype):
+    """The canonical CSR operator of the distinct entries (rows[t], cols[t])
+    holding data[t], listed in any order, with dtype index arrays."""
+    rows = rows.astype(np.intp, copy=False)  # flat keys can pass 2**31
+    order = (rows * shape[1] + cols).argsort()
+    return _CsrOperator(_indptr(rows, shape[0], dtype), cols[order].astype(dtype, copy=False),
+                        data[order], shape)
+
+
+def _union(F, R, n):
+    """The positions that F or R holds, row by row in column order, as
+    (rows, cols, f, r): each one's row and column and its entry of F and
+    of R, 0 where that matrix has none."""
+    keys = np.concatenate([_row_ids(mat.indptr) * n + mat.indices for mat in (F, R)])
+    union, at = np.unique(keys, return_inverse=True)
+    f, r = np.zeros(union.size, F.dtype), np.zeros(union.size, R.dtype)
+    f[at[:F.nnz]], r[at[F.nnz:]] = F.data, R.data
+    return union // n, union % n, f, r
+
+
+def _nonzeros(rows, cols, data, shape, dtype):
+    """The operator of the entries (rows[t], cols[t]) whose data[t] is not 0."""
+    held = data != 0
+    return _operator(rows[held], cols[held], data[held], shape, dtype)
 
 
 def _ranges(starts, counts):
@@ -418,21 +421,6 @@ def _row_pairs(op):
     _, at_k, at_l = _entry_pairs(op.indptr, every, every)
     cols = op.indices.astype(np.intp)
     return cols[at_k] * op.shape[1] + cols[at_l], op.data[at_k] * op.data[at_l]
-
-
-def _hstack(left, right, width):
-    """The CSR arrays (indptr, indices, data) of [left, right] from those
-    of two matrices with the same rows, left being ``width`` wide: each row
-    lists left's entries, then right's, their columns shifted by width."""
-    (lptr, lidx, ldata), (rptr, ridx, rdata) = left, right
-    indptr = lptr + rptr
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    data = np.empty(indptr[-1])
-    at = np.arange(lidx.size) + rptr[:-1].repeat(lptr[1:] - lptr[:-1])
-    indices[at], data[at] = lidx, ldata
-    at = np.arange(ridx.size) + lptr[1:].repeat(rptr[1:] - rptr[:-1])
-    indices[at], data[at] = ridx + width, rdata
-    return indptr, indices, data
 
 
 class _Point:
@@ -496,10 +484,8 @@ class _HessianOperator:
         # B[k, a] * B[l, b] in row a*m + b, stored by rows, q ascending in each
         self.m = m = objective.m
         q, at_a, at_b = _entry_pairs(B.indptr, self.rows, self.cols)
-        row = B.indices[at_a] * m + B.indices[at_b]
-        order = (row * self.rows.size + q).argsort()  # (row, q) pairs are distinct
-        self.P = _CsrOperator(_indptr(row, m * m, np.int32), q[order].astype(np.int32),
-                              (B.data[at_a] * B.data[at_b])[order], (m * m, self.rows.size))
+        self.P = _operator(B.indices[at_a] * m + B.indices[at_b], q,
+                           B.data[at_a] * B.data[at_b], (m * m, self.rows.size), np.int32)
 
     def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with
@@ -609,10 +595,9 @@ def _entries_csr(entries, m, n):
     # stable sort by row gives canonical arrays
     rows, cols, vals = entries
     order = np.argsort(np.array(rows, dtype=np.int32), kind="stable")
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
     return sp.csr_matrix((np.array(vals, dtype=np.int64)[order],
-                          np.array(cols, dtype=np.int32)[order], indptr), shape=(m, n))
+                          np.array(cols, dtype=np.int32)[order], _indptr(rows, m, np.int32)),
+                         shape=(m, n))
 
 
 def _positions(need, species):
@@ -719,6 +704,9 @@ def load_network(path):
     if not isinstance(payload, dict):
         raise SchemaError("file", "top level must be an object")
 
+    unknown = sorted(set(payload) - {"name", "m", "n", "F", "R", "w"})
+    if unknown:  # a misspelt "name" would otherwise read as the default
+        raise SchemaError(unknown[0], "unknown field")
     for key in ("m", "n", "F", "R", "w"):
         if key not in payload:
             raise SchemaError(key, "missing")

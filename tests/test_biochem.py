@@ -33,7 +33,7 @@ from dcboost import (
     save_network,
     solve,
 )
-from dcboost.biochem import INT64_MAX, _CsrOperator
+from dcboost.biochem import INT64_MAX, _CsrOperator, _operator
 from dcboost.problem import EXP_GUARD
 from derivatives import derivative_report
 
@@ -636,6 +636,33 @@ class TestOperators:
         if nnz is not None:
             assert obj._hessian_op.P.data.size == nnz < full_nnz
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(lambda shape: st.tuples(
+        st.just(shape), st.lists(st.integers(0, shape[0] * shape[1] - 1), unique=True),
+        st.sampled_from([np.int32, np.int64]))), st.integers(0, 2 ** 32 - 1))
+    def test_operator_is_scipys_canonical_csr(self, case, seed):
+        # distinct positions in any order give scipy's COO-to-CSR arrays
+        shape, keys, dtype = case
+        rows, cols = np.divmod(np.array(keys, dtype=np.intp), shape[1])
+        data = np.random.default_rng(seed).standard_normal(rows.size)
+        want = sp.coo_matrix((data, (rows, cols)), shape).tocsr()
+        op = _operator(rows.astype(np.int32), cols, data, shape, dtype)
+        assert op.shape == want.shape
+        assert op.indptr.dtype == op.indices.dtype == dtype
+        assert op.indptr.tolist() == want.indptr.tolist()
+        assert op.indices.tolist() == want.indices.tolist()
+        assert op.data.tobytes() == want.data.tobytes()
+
+    def test_operator_keys_pass_int32(self):
+        # row 2**20's flat keys pass 2**31: int32 rows would wrap and sort
+        # that row's entries first
+        shape = (2 ** 20 + 1, 2 ** 12)
+        op = _operator(np.array([2 ** 20, 0], dtype=np.int32), np.array([5, 7]),
+                       np.array([1.0, 2.0]), shape, np.int64)
+        assert op.indptr[[0, 1, -2, -1]].tolist() == [0, 1, 1, 2]
+        assert op.indices.tolist() == [7, 5]
+        assert op.data.tolist() == [2.0, 1.0]
+
     def test_no_product_goes_through_scipy(self, monkeypatch):
         # scipy's dispatch costs more than a network product's arithmetic:
         # once P is built, no evaluator calls a scipy matrix's @
@@ -1158,6 +1185,17 @@ class TestSchema:
             load_network(path)
         assert exc.value.field == "w"
 
+    def test_unknown_field_is_refused(self, tmp_path):
+        # a misspelt "name" used to load as the default name, silently
+        path = tmp_path / "model.json"
+        save_network(generate_network(6, 9, 5), path)
+        data = json.loads(path.read_text())
+        data.update(nmae="typo", rho=5)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="nmae: unknown field") as exc:
+            load_network(path)
+        assert exc.value.field == "nmae"
+
     def test_file_that_is_not_text(self, tmp_path):
         # a UnicodeDecodeError used to escape as a plain ValueError
         path = tmp_path / "model.json"
@@ -1249,6 +1287,13 @@ class TestSchema:
         R = sp.csr_matrix(np.array([[0], [2]]))
         with pytest.warns(SchemaWarning):
             ReactionNetwork(m=2, n=1, F=F, R=R, w=np.zeros(2))
+
+    def test_cardinality_warnings_point_at_the_caller(self):
+        # both used to point at the __init__ the dataclass generates
+        with pytest.warns(SchemaWarning) as rec:
+            ReactionNetwork(m=2, n=1, F=[[1], [0]], R=[[0], [0]], w=np.zeros(2))
+        assert len(rec) == 2
+        assert [w.filename for w in rec] == [__file__, __file__]
 
     @settings(max_examples=300, deadline=None)
     @given(cardinality_cases())

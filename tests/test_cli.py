@@ -686,6 +686,7 @@ def inputs(tmp_path_factory):
     save_network(generate_network(6, 9, 5), d / "net.json")
     model = json.loads((d / "net.json").read_text())
     (d / "bad.json").write_text(json.dumps({k: v for k, v in model.items() if k != "F"}))
+    (d / "misspelt.json").write_text(json.dumps({**model, "nmae": "typo"}))
     model["F"][0][2] += 1  # unbalance one coefficient
     (d / "unbalanced.json").write_text(json.dumps(model))
     (d / "masses.json").write_text(json.dumps([1.0] * 3))
@@ -743,6 +744,7 @@ EXIT_CODES = [
     ("solve --builtin quartic --x0-seed -1", 2, "error: --x0-seed must be"),
     ("compare --generate 4:6:-1 --trials 1 --bdca-iters 3", 2,
      "error: generate source seed must be"),
+    ("validate {d}/misspelt.json", 1, "schema error: nmae: unknown field"),
 ]
 
 

@@ -1,10 +1,10 @@
-"""Source hygiene: no module imports a name it never uses, every
-exported name exists and the package re-exports exactly its library
-modules' exports, the package's only private SciPy dependency is the
-one its bit-for-bit tests guard, the command line writes JSON only
-through its strict-JSON helper and turns an exception into an exit code
-only in ``main``, and record files are written and read only through one
-CSV codec pair.
+"""Source hygiene: no module imports a name it never uses, no private
+module-level name goes unused, every exported name exists and the
+package re-exports exactly its library modules' exports, the package's
+only private SciPy dependency is the one its bit-for-bit tests guard,
+the command line writes JSON only through its strict-JSON helper and
+turns an exception into an exit code only in ``main``, and record files
+are written and read only through one CSV codec pair.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
 (its ``__init__``, which imports to re-export, excepted) and ``tests/``.
@@ -54,6 +54,50 @@ def test_detector_flags_unused_names():
     assert unused_imports(source) == [(1, "os"), (4, "pi")]
 
 
+def unreferenced_private_names(sources):
+    """The private module-level names (``_name``, not dunders: functions,
+    classes and constants) defined in ``sources``, a mapping of module
+    name to source, that no source loads, reads as an attribute or
+    imports outside the statement that defines them, as (module, name)."""
+    defined, referenced = set(), set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            # an import binds a name another module defines
+            own = set() if isinstance(top, (ast.Import, ast.ImportFrom)) else {
+                name for name in defined_names_of(top)
+                if name.startswith("_") and not name.endswith("__")}
+            defined.update((module, name) for name in own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                referenced.update(name for name in names if name not in own)
+    return sorted((module, name) for module, name in defined if name not in referenced)
+
+
+def test_no_unused_private_names():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_detector_flags_unused_private_names():
+    sources = {
+        "a": ("import os\n_LIMIT = 3\n_SEEN, _UNSEEN = 1, 2\n__all__ = ('f',)\n"
+              "def _helper():\n    return _helper()\n"
+              "def _used():\n    return _LIMIT\nclass _Gone:\n    _inner = 1\n"
+              "def f():\n    return _used() + _SEEN\n"),
+        "b": "from .a import _imported\nimport a\nprint(a._read)\n",
+        "c": "def _imported():\n    pass\ndef _read():\n    pass\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", "_Gone"), ("a", "_UNSEEN"), ("a", "_helper")]
+
+
 def private_scipy_imports(source):
     """Dotted names imported in ``source`` from SciPy through a path with a
     ``_``-prefixed component."""
@@ -101,16 +145,19 @@ def exported_names(source):
 def defined_names(source):
     """Names bound at a module's top level: defs, classes, assignments
     and imports."""
-    names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-    return names
+    return set().union(*(defined_names_of(node) for node in ast.parse(source).body))
+
+
+def defined_names_of(node):
+    """The names one top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
