@@ -74,6 +74,9 @@ class ReactionNetwork:
             raise ValueError(f"w must have length 2n={2 * self.n}, got {self.w.size}")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("w must be finite")
+        # F and R are validated here only, so their union is listed here once:
+        # the cardinality check and NetworkObjective read what this recorded
+        self._held = _union(self.F, self.R, self.n)
         self._warn_cardinality()
 
     def _coerce_matrix(self, mat, label):
@@ -115,7 +118,7 @@ class ReactionNetwork:
             )
         # reaction j moves the species with a nonzero in column j of R - F:
         # those in one side only, and those in both with unequal coefficients
-        _, cols, f, r = _union(F, R, self.n)
+        _, cols, f, r = self._held
         thin = np.flatnonzero(np.bincount(cols[f != r], minlength=self.n) < 2)
         if thin.size:
             warnings.warn(
@@ -146,21 +149,21 @@ class NetworkObjective:
         # N = [R, F], A = M - N = [F - R, R - F] and M + N = [F + R, F + R]
         # keep the positions where they are not zero: A drops the entries
         # that cancel, as scipy does.
-        rows, cols, f, r = _union(network.F, network.R, n)
+        rows, cols, f, r = network._held
         f, r = f.astype(float), r.astype(float)
         rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, cols + n])
         itype = np.result_type(network.F.indptr, network.R.indptr)
-        self.M, self.N, self.A, self.MpN = (
-            _nonzeros(rows, cols, np.concatenate(pair), (m, 2 * n), itype)
-            for pair in ((f, r), (r, f), (f - r, r - f), (f + r, f + r)))
+        values = [np.concatenate(p) for p in ((f, r), (r, f), (f - r, r - f), (f + r, f + r))]
+        self.M, self.N, self.A, self.MpN = (_nonzeros(rows, cols, v, (m, 2 * n), itype)
+                                            for v in values)
+        # B = M^T, A^T and (M + N)^T: the same triples transposed, indexed with intp
+        self.B, self.AT, self.MpNT = (_nonzeros(cols, rows, values[k], (2 * n, m), np.intp)
+                                      for k in (0, 2, 3))
         M, N = self.M, self.N
         # f1's and f2's gradients 4 M(e t), 2 M(e q): on nonnegative inputs a power
         # of two in M's entries rounds as on the product, bar subnormal terms
         self.M4, self.M2 = (_CsrOperator(M.indptr, M.indices, k * M.data, M.shape)
                             for k in (4.0, 2.0))
-        self.B = self.M.transpose()
-        self.AT = self.A.transpose()
-        self.MpNT = self.MpN.transpose()
         # f1's one product: G1 = [M; N]^T [M; N] has integer entries, built
         # here so that its cost shows in set-up; each sums its products over
         # the rows of [M; N] in order, as scipy's product does
@@ -335,17 +338,6 @@ class _CsrOperator:
             return out
 
         self.apply = apply
-
-    @classmethod
-    def of(cls, mat):
-        """The operator of a scipy CSR matrix, in its storage order."""
-        return cls(mat.indptr, mat.indices, mat.data, mat.shape)
-
-    def transpose(self):
-        # each column's entries in row order, the order scipy's .T.tocsr()
-        # gives, indexed with intp
-        return _operator(self.indices, _row_ids(self.indptr), self.data, self.shape[::-1],
-                         np.intp)
 
     def tocsr(self):
         """The scipy CSR matrix with the same entries in the same order,
@@ -543,14 +535,19 @@ GENERATOR_ATTEMPTS = 50
 def generate_network(m, n, seed):
     """Random network with full row coverage and exact unit-mass balance.
 
-    Deterministic in (m, n, seed).  Needs n >= m/2 in practice so that
-    every species can appear on both sides; raises GenerationError when
-    the constraints cannot be met within the attempt budget.
+    Deterministic in (m, n, seed).  A reaction takes at most min(2, m - 1)
+    species per side, so covering every species on both sides needs
+    n * min(2, m - 1) >= m: GenerationError is raised before any draw
+    otherwise, and when the attempt budget runs out.
     """
     if m < 2:
         raise ValueError("need at least two species")
     if n < 1:
         raise ValueError("need at least one reaction")
+    per_side = min(2, m - 1)  # _draw_reaction's most species on a side
+    if n * per_side < m:
+        raise GenerationError(f"could not cover all {m} species on both sides with {n} "
+                              f"reactions: needs n * {per_side} >= {m}")
     rng = np.random.default_rng(seed)
 
     for _ in range(GENERATOR_ATTEMPTS):

@@ -33,6 +33,7 @@ from dcboost import (
     save_network,
     solve,
 )
+from dcboost import biochem
 from dcboost.biochem import INT64_MAX, _CsrOperator, _operator
 from dcboost.problem import EXP_GUARD
 from derivatives import derivative_report
@@ -308,7 +309,8 @@ def identity_flux(z):
     and B = I, so that its exponents are z's entries (a -0.0 as +0.0)."""
     obj = NetworkObjective(generate_network(3, 4, seed=1))
     obj.w = np.zeros(z.size)
-    obj.B = _CsrOperator.of(sp.identity(z.size, format="csr"))
+    eye = sp.identity(z.size, format="csr")
+    obj.B = _CsrOperator(eye.indptr, eye.indices, eye.data, eye.shape)
     return obj._flux(z)
 
 
@@ -486,8 +488,8 @@ def csr_arrays(op):
 
 def scipy_arrays(net):
     """csr_arrays of each of scipy_operators(net), by name.  The three
-    transposes come from _CsrOperator.transpose, which indexes with intp
-    where scipy's .T.tocsr() takes int32: their index arrays are cast."""
+    transposes are built with intp index arrays where scipy's .T.tocsr()
+    takes int32: their index arrays are cast."""
     arrays = {}
     for name, mat in scipy_operators(net).items():
         if name in ("B", "AT", "MpNT"):
@@ -592,6 +594,20 @@ class TestOperators:
             assert csr_arrays(getattr(obj, name)) == arrays, name
             assert csr_arrays(getattr(twin_obj, name)) == arrays, name
         assert csr_arrays(obj._hessian_op.P) == csr_arrays(twin_obj._hessian_op.P)
+
+    def test_one_union_per_network(self, monkeypatch):
+        # the network lists F's and R's positions once, for its cardinality
+        # check, and the objective reads that list
+        calls = []
+        union = biochem._union
+
+        def counted(*args):
+            calls.append(args)
+            return union(*args)
+
+        monkeypatch.setattr(biochem, "_union", counted)
+        NetworkObjective(generate_network(20, 30, 101))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("shape", [(6, 9, 5), (20, 30, 101), (80, 120, 105), None,
                                        (200, 300, 107)])
@@ -1100,7 +1116,22 @@ class TestGenerator:
     @example((1, 4, 0))
     @example((5, 0, 0))
     def test_matches_the_reference(self, case):
-        assert generated(generate_network, *case) == generated(reference_generate, *case)
+        ours, reference = generated(generate_network, *case), generated(reference_generate, *case)
+        m, n, _ = case
+        if m >= 2 and n >= 1 and n * min(2, m - 1) < m:
+            # refused before any draw, with a message of its own
+            assert ours[0] is reference[0] is GenerationError
+        else:
+            assert ours == reference
+
+    def test_infeasible_shape_raises_before_any_draw(self, monkeypatch):
+        # three reactions of at most two species per side cannot cover seven
+        def attempt(*args):
+            raise AssertionError("an infeasible shape was drawn")
+
+        monkeypatch.setattr(biochem, "_generate_once", attempt)
+        with pytest.raises(GenerationError, match=r"needs n \* 2 >= 7"):
+            generate_network(7, 3, seed=0)
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """Source hygiene: no module imports a name it never uses, no private
-module-level name goes unused, every exported name exists and the
-package re-exports exactly its library modules' exports, the package's
-only private SciPy dependency is the one its bit-for-bit tests guard,
-the command line writes JSON only through its strict-JSON helper and
-turns an exception into an exit code only in ``main``, and record files
-are written and read only through one CSV codec pair.
+module-level name and no member of a private class goes unused, every
+exported name exists and the package re-exports exactly its library
+modules' exports, the package's only private SciPy dependency is the one
+its bit-for-bit tests guard, the command line writes JSON only through
+its strict-JSON helper and turns an exception into an exit code only in
+``main``, and record files are written and read only through one CSV
+codec pair.
 
 Checked with the standard library's ``ast`` only, over ``src/dcboost``
-(its ``__init__``, which imports to re-export, excepted) and ``tests/``.
-The last test runs pytest on a failing property test, to check that
-``tests/conftest.py`` lets it end in a plain failure report.
+(its ``__init__``, which imports to re-export, excepted) and ``tests/``;
+the package's export list, which joins its modules' at import, is read
+from the imported package.  The last test runs pytest on a failing
+property test, to check that ``tests/conftest.py`` lets it end in a
+plain failure report.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import dcboost
 from dcboost import exceptions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +102,53 @@ def test_detector_flags_unused_private_names():
         ("a", "_Gone"), ("a", "_UNSEEN"), ("a", "_helper")]
 
 
+def unread_private_members(sources):
+    """The members of the private classes (``_Name``) defined in
+    ``sources``, a mapping of module name to source: their methods,
+    class-level names and ``self.`` attributes, dunders excepted, that no
+    source reads as an attribute outside the statements that define them,
+    as (module, class, member)."""
+    definitions, reads = {}, []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reads += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+                continue
+            members = [(name, top) for top in cls.body for name in defined_names_of(top)]
+            members += [(target.attr, node) for top in cls.body for node in ast.walk(top)
+                        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                        for target in ast.walk(node)
+                        if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                        and isinstance(target.value, ast.Name) and target.value.id == "self"]
+            for name, node in members:
+                if not (name.startswith("__") and name.endswith("__")):
+                    inside = definitions.setdefault((module, cls.name, name), set())
+                    inside.update(id(part) for part in ast.walk(node))
+    return sorted(key for key, inside in definitions.items()
+                  if not any(read.attr == key[2] and id(read) not in inside for read in reads))
+
+
+def test_no_unread_private_members():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unread_private_members(sources) == []
+
+
+def test_detector_flags_unread_private_members():
+    sources = {
+        "a": ("class _Box:\n    LIMIT = 3\n    __slots__ = ('x', 'unread', 'count')\n"
+              "    def __init__(self):\n        self.x, self.unread = 1, 2\n"
+              "        self.count = 0\n"
+              "    def used(self):\n        self.count += 1\n        return self.x + self.LIMIT\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "class Public:\n    def unused(self):\n        pass\n"),
+        "b": "from .a import _Box\nprint(_Box().used())\n",
+    }
+    assert unread_private_members(sources) == [
+        ("a", "_Box", "count"), ("a", "_Box", "recursive"), ("a", "_Box", "unread")]
+
+
 def private_scipy_imports(source):
     """Dotted names imported in ``source`` from SciPy through a path with a
     ``_``-prefixed component."""
@@ -162,18 +213,24 @@ def defined_names_of(node):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_exported_name_is_defined(path):
-    source = path.read_text()
-    exported = exported_names(source) or ()
+    if path.name == "__init__.py":
+        # the package's list joins its modules' lists at import
+        exported, defined = dcboost.__all__, set(vars(dcboost))
+    else:
+        source = path.read_text()
+        exported, defined = exported_names(source) or (), defined_names(source)
     assert len(set(exported)) == len(exported)
-    assert sorted(set(exported) - defined_names(source)) == []
+    assert sorted(set(exported) - defined) == []
 
 
 def test_package_reexports_exactly_its_modules_exports():
     # cli's ``main`` is the command-line entry point, not library API
     library = [p for p in SOURCES if p.name not in ("__init__.py", "__main__.py", "cli.py")]
     union = set().union(*(exported_names(p.read_text()) or () for p in library))
-    package = set(exported_names((ROOT / "src" / "dcboost" / "__init__.py").read_text()))
-    assert sorted(package - {"__version__"}) == sorted(union)
+    package = dcboost.__all__
+    assert len(set(package)) == len(package)
+    assert [name for name in package if not hasattr(dcboost, name)] == []
+    assert sorted(package) == sorted(union | {"__version__"})
 
 
 def test_export_detectors():
