@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import ddot, idamax
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .exceptions import EvaluationOverflow, GenerationError, SchemaError, SchemaWarning
 from .problem import DcProblem, EXP_GUARD
@@ -153,16 +153,15 @@ class NetworkObjective:
         f, r = f.astype(float), r.astype(float)
         rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, cols + n])
         itype = np.result_type(network.F.indptr, network.R.indptr)
-        values = [np.concatenate(p) for p in ((f, r), (r, f), (f - r, r - f), (f + r, f + r))]
-        self.M, self.N, self.A, self.MpN = (_nonzeros(rows, cols, v, (m, 2 * n), itype)
-                                            for v in values)
-        # B = M^T, A^T and (M + N)^T: the same triples transposed, indexed with intp
-        self.B, self.AT, self.MpNT = (_nonzeros(cols, rows, values[k], (2 * n, m), np.intp)
-                                      for k in (0, 2, 3))
+        self.M, self.N, self.A, self.MpN = (
+            _nonzeros(rows, cols, np.concatenate(v), (m, 2 * n), itype)
+            for v in ((f, r), (r, f), (f - r, r - f), (f + r, f + r)))
+        # B = M^T, A^T and (M + N)^T: their source's arrays, read by columns
+        self.B, self.AT, self.MpNT = self.M.T, self.A.T, self.MpN.T
         M, N = self.M, self.N
         # f1's and f2's gradients 4 M(e t), 2 M(e q): on nonnegative inputs a power
         # of two in M's entries rounds as on the product, bar subnormal terms
-        self.M4, self.M2 = (_CsrOperator(M.indptr, M.indices, k * M.data, M.shape)
+        self.M4, self.M2 = (_Operator(M.indptr, M.indices, k * M.data, M.shape)
                             for k in (4.0, 2.0))
         # f1's one product: G1 = [M; N]^T [M; N] has integer entries, built
         # here so that its cost shows in set-up; each sums its products over
@@ -210,7 +209,7 @@ class NetworkObjective:
         if point is not None and point.key == key:
             return point
         # no NumPy warning can arise here: _flux raises before exp()
-        # overflows, and csr_matvec is compiled code that sets none
+        # overflows, and the matvec kernels are compiled code that set none
         self._point = point = _Point(key, self._flux(x))
         return point
 
@@ -315,35 +314,47 @@ class NetworkObjective:
         )
 
 
-class _CsrOperator:
-    """A fixed sparse matrix kept as its CSR arrays and applied to a
-    vector by scipy's compiled csr_matvec, the kernel a scipy CSR
+class _Operator:
+    """A fixed sparse matrix kept as canonical compressed arrays (indptr,
+    indices, data) and applied by scipy's compiled kernel, the one a scipy
     matrix's own @ runs, without the per-call dispatch around it, which
-    costs more than the arithmetic on a network's small matrices.  Each
-    row sums its products in storage order, starting from +0.0, so a
-    product has the scipy matrix's bits."""
+    costs more than the arithmetic on a network's small matrices.
+    csr_matvec reads the arrays as rows and sums each row in ascending
+    column order from +0.0; csc_matvec reads them as columns and adds each
+    into its rows, columns ascending.  Each output entry meets the same
+    additions in the same order (no row repeats within a column), so a
+    product has the scipy CSR matrix's bits, bar a NaN's sign bit."""
 
-    __slots__ = ("indptr", "indices", "data", "shape", "apply")
+    __slots__ = ("indptr", "indices", "data", "shape", "kernel", "apply")
 
-    def __init__(self, indptr, indices, data, shape):
+    def __init__(self, indptr, indices, data, shape, kernel=csr_matvec):
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+        self.kernel = kernel
         n_row, n_col = shape
         zeros = np.zeros
 
         def apply(v):
-            # self @ v for a v of shape (n_col,), unchecked: csr_matvec reads
+            # self @ v for a v of shape (n_col,), unchecked: the kernel reads
             # n_col entries of v whatever its length, so callers check v
             out = zeros(n_row)
-            csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+            kernel(n_row, n_col, indptr, indices, data, v, out)
             return out
 
         self.apply = apply
 
+    @property
+    def T(self):
+        """The transpose: the same arrays, read the other way, no copy."""
+        return _Operator(self.indptr, self.indices, self.data, self.shape[::-1],
+                         csc_matvec if self.kernel is csr_matvec else csr_matvec)
+
     def tocsr(self):
-        """The scipy CSR matrix with the same entries in the same order,
-        on copies, so no scipy call can re-sort this operator's arrays."""
-        return sp.csr_matrix((self.data.copy(), self.indices.copy(), self.indptr.copy()),
-                             shape=self.shape)
+        """The scipy CSR matrix with the same entries, on copies, so no
+        scipy call can re-sort this operator's arrays."""
+        arrays = (self.data.copy(), self.indices.copy(), self.indptr.copy())
+        if self.kernel is csr_matvec:
+            return sp.csr_matrix(arrays, shape=self.shape)
+        return sp.csc_matrix(arrays, shape=self.shape).tocsr()
 
     def __matmul__(self, v):
         if v.shape != (self.shape[1],):
@@ -368,8 +379,8 @@ def _operator(rows, cols, data, shape, dtype):
     holding data[t], listed in any order, with dtype index arrays."""
     rows = rows.astype(np.intp, copy=False)  # flat keys can pass 2**31
     order = (rows * shape[1] + cols).argsort()
-    return _CsrOperator(_indptr(rows, shape[0], dtype), cols[order].astype(dtype, copy=False),
-                        data[order], shape)
+    return _Operator(_indptr(rows, shape[0], dtype), cols[order].astype(dtype, copy=False),
+                     data[order], shape)
 
 
 def _union(F, R, n):
@@ -446,7 +457,7 @@ class _HessianOperator:
     """
 
     def __init__(self, objective):
-        G1, B = objective.G1, objective.B
+        G1, M = objective.G1, objective.M
         size = G1.shape[0]  # W is indexed by the 2n directed reactions
         # W's values are listed in the order in which scipy lists the pattern
         # of G2 = (M + N)^T (M + N), which holds G1's, plus the diagonal: that
@@ -473,11 +484,14 @@ class _HessianOperator:
         # the pattern lists rows in order: diag[k] is W's entry (k, k)
         self.diag = np.flatnonzero(self.rows == self.cols)
         # column q of P: B's rows k and l's outer product, the term
-        # B[k, a] * B[l, b] in row a*m + b, stored by rows, q ascending in each
+        # B[k, a] * B[l, b] in row a*m + b, stored by columns; on B's rows'
+        # canonical arrays the pairs come q, a, then b ascending: no sort
         self.m = m = objective.m
+        B = _operator(M.indices, _row_ids(M.indptr), M.data, (size, m), np.intp)
         q, at_a, at_b = _entry_pairs(B.indptr, self.rows, self.cols)
-        self.P = _operator(B.indices[at_a] * m + B.indices[at_b], q,
-                           B.data[at_a] * B.data[at_b], (m * m, self.rows.size), np.int32)
+        self.P = _Operator(_indptr(q, self.rows.size, np.int32),
+                           (B.indices[at_a] * m + B.indices[at_b]).astype(np.int32),
+                           B.data[at_a] * B.data[at_b], (m * m, self.rows.size), csc_matvec)
 
     def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with

@@ -314,7 +314,7 @@ def main(argv=None):
     except SchemaError as exc:  # a malformed input file
         print(f"schema error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, DcError) as exc:
+    except (OSError, DcError, MemoryError) as exc:  # MemoryError: an input too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

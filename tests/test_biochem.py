@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from dcboost import (
     solve,
 )
 from dcboost import biochem
-from dcboost.biochem import INT64_MAX, _CsrOperator, _operator
+from dcboost.biochem import INT64_MAX, _Operator, _operator
 from dcboost.problem import EXP_GUARD
 from derivatives import derivative_report
 
@@ -310,7 +311,7 @@ def identity_flux(z):
     obj = NetworkObjective(generate_network(3, 4, seed=1))
     obj.w = np.zeros(z.size)
     eye = sp.identity(z.size, format="csr")
-    obj.B = _CsrOperator(eye.indptr, eye.indices, eye.data, eye.shape)
+    obj.B = _Operator(eye.indptr, eye.indices, eye.data, eye.shape)
     return obj._flux(z)
 
 
@@ -460,12 +461,13 @@ def kron_pattern(net):
 def kron_hessian_operator(net):
     """f1's Hessian operator as it was once built, by selecting the columns
     of kron(M, M) for W's pattern masked to G1's nonzeros and the diagonal:
-    the reference for the direct build, array for array."""
+    the reference for the direct build, array for array, with P in CSC
+    form, as the operator stores it."""
     _, rows, cols, g, P = kron_pattern(net)
     keep = (g != 0.0) | (rows == cols)
     rows, cols = rows[keep], cols[keep]
     return dict(rows=rows, cols=cols, g=g[keep], diag=np.flatnonzero(rows == cols),
-                P=P[:, np.flatnonzero(keep)])
+                P=P[:, np.flatnonzero(keep)].tocsc())
 
 
 def full_pattern_hessian(net, x):
@@ -487,16 +489,28 @@ def csr_arrays(op):
 
 
 def scipy_arrays(net):
-    """csr_arrays of each of scipy_operators(net), by name.  The three
-    transposes are built with intp index arrays where scipy's .T.tocsr()
-    takes int32: their index arrays are cast."""
-    arrays = {}
-    for name, mat in scipy_operators(net).items():
-        if name in ("B", "AT", "MpNT"):
-            mat = sp.csr_matrix(mat)
-            mat.indptr, mat.indices = mat.indptr.astype(np.intp), mat.indices.astype(np.intp)
-        arrays[name] = csr_arrays(mat)
-    return arrays
+    """csr_arrays of each of scipy_operators(net), by name."""
+    return {name: csr_arrays(mat) for name, mat in scipy_operators(net).items()}
+
+
+# each transpose and the operator whose arrays it reads by columns
+TRANSPOSES = {"B": "M", "AT": "A", "MpNT": "MpN"}
+
+
+def assert_scipy_layout(obj, arrays):
+    """Every operator of obj holds scipy's CSR arrays ``arrays`` and applies
+    csr_matvec, bar the transposes: each holds its source's very arrays,
+    its shape swapped, and applies csc_matvec, and its tocsr() gives
+    scipy's .T.tocsr()."""
+    for name, want in arrays.items():
+        op = getattr(obj, name)
+        if name not in TRANSPOSES:
+            assert op.kernel is csr_matvec and csr_arrays(op) == want, name
+            continue
+        source = getattr(obj, TRANSPOSES[name])
+        assert op.kernel is csc_matvec and op.shape == source.shape[::-1], name
+        assert all(getattr(op, a) is getattr(source, a) for a in ("indptr", "indices", "data"))
+        assert csr_arrays(op.tocsr()) == want, name
 
 
 # the canonical twins of non_canonical_network()'s F and R
@@ -575,24 +589,47 @@ class TestOperators:
                 P @ np.ones(wrong)
 
     @settings(max_examples=60, deadline=None)
+    @given(operator_cases(), st.floats(0.05, 0.5))
+    def test_products_with_nan_match_scipy_bar_its_sign(self, cancelling_network, case, share):
+        """With NaN entries in the input, every product, P's included, has
+        NaN exactly where scipy's CSR product has one, and the same bytes
+        everywhere else.  A NaN's sign bit may differ: where an addition
+        meets two NaNs, an input's (positive) and one that inf - inf or
+        0 * inf made (negative on x86), which it returns depends on the
+        compiled kernel's operand order, and csc_matvec's is not
+        csr_matvec's."""
+        shape, pool, seed = case
+        net = cancelling_network if shape is None else generate_network(*shape)
+        obj = NetworkObjective(net)
+        rng = np.random.default_rng(seed)
+        P = obj._hessian_op.P
+        pairs = [(getattr(obj, name), mat) for name, mat in scipy_operators(net).items()]
+        for op, mat in pairs + [(P, P.tocsr())]:
+            v = pool[rng.integers(pool.size, size=mat.shape[1])]
+            v[rng.random(v.size) < share] = np.nan
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = op @ v, mat @ v
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(operator_cases())
     def test_arrays_match_scipy(self, cancelling_network, case):
         # each operator is built straight from F's and R's arrays into the
         # arrays, dtypes and entry order that scipy's sparse algebra gives
         shape = case[0]
         net = cancelling_network if shape is None else generate_network(*shape)
-        obj = NetworkObjective(net)
-        for name, arrays in scipy_arrays(net).items():
-            assert csr_arrays(getattr(obj, name)) == arrays, name
+        assert_scipy_layout(NetworkObjective(net), scipy_arrays(net))
 
     def test_non_canonical_input_builds_its_twins_operators(self):
         net = non_canonical_network()
         twin = ReactionNetwork(m=3, n=2, F=sp.csr_matrix(CANONICAL_F),
                                R=sp.csr_matrix(CANONICAL_R), w=np.zeros(4))
         obj, twin_obj = NetworkObjective(net), NetworkObjective(twin)
-        for name, arrays in scipy_arrays(net).items():
-            assert csr_arrays(getattr(obj, name)) == arrays, name
-            assert csr_arrays(getattr(twin_obj, name)) == arrays, name
+        arrays = scipy_arrays(net)
+        assert_scipy_layout(obj, arrays)
+        assert_scipy_layout(twin_obj, arrays)
         assert csr_arrays(obj._hessian_op.P) == csr_arrays(twin_obj._hessian_op.P)
 
     def test_one_union_per_network(self, monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dcboost import harness
+from dcboost import cli, harness
 from dcboost import (ExperimentSpec, ProblemSource, SolverConfig, builtin_problem,
                      generate_network, save_network, solve, write_trace_csv)
 from dcboost.analysis import AUDIT_TOL_BASE
@@ -240,6 +241,33 @@ class TestGenerateValidate:
     def test_validate_unreadable_exit_1(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_1(self, capsys, monkeypatch, tmp_path):
+        def exhausted(path):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "load_network", exhausted)
+        assert main(["validate", str(tmp_path / "net.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 745. GiB\n"
+
+    def test_huge_species_count_exit_1(self, tmp_path):
+        # F's indptr would take 745 GiB; the address space is capped at
+        # 4 GiB, so the allocation fails whatever the host's memory
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"m": 100000000000, "n": 1, "F": [], "R": [],
+                                     "w": [0.0, 0.0]}))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "dcboost", "validate", str(model)], preexec_fn=cap,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "allocate" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_generate_unwritable_exit_1(self, capsys, tmp_path):
         assert main(["generate", "--m", "6", "--n", "9", "--seed", "5",

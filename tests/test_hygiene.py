@@ -167,11 +167,12 @@ def private_scipy_imports(source):
     return found
 
 
-def test_only_private_scipy_import_is_csr_matvec():
-    # _CsrOperator's products rely on csr_matvec; its bits are checked in
-    # tests/test_biochem.py, and any other private import must be seen
+def test_only_private_scipy_imports_are_the_matvec_kernels():
+    # _Operator's products rely on csr_matvec and csc_matvec; their bits are
+    # checked in tests/test_biochem.py, and any other private import must be seen
     found = set().union(*(private_scipy_imports(p.read_text()) for p in SOURCES))
-    assert found == {"scipy.sparse._sparsetools.csr_matvec"}
+    assert found == {"scipy.sparse._sparsetools.csr_matvec",
+                     "scipy.sparse._sparsetools.csc_matvec"}
 
 
 def test_private_import_detector():
