@@ -293,7 +293,8 @@ class NetworkObjective:
         W = G1 + sp.diags(t)
         # f1's value (over f2's and phi's: ||M e + N e||^2 and ||A e||^2 are at
         # most twice ||M e||^2 + ||N e||^2), Hessian weights, gradient and Hessian
-        # (doubled by symmetrizing); f2's and phi's weights and gradients (|A| <= M + N)
+        # (whose partial sums stay within 4 M W M^T: the factor 2 is only
+        # conservative); f2's and phi's weights and gradients (|A| <= M + N)
         K = max(2.0 * (u @ t), 4.0 * W.max(), 4.0 * (M @ t).max(),
                 8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
         return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
@@ -450,48 +451,47 @@ class _HessianOperator:
 
         W = diag(e) G1 diag(e) + diag(e * t),   G1 = M^T M + N^T N,
 
-    for t = G1 e.  W's pattern is G1's nonzeros plus the diagonal.
-    Column q of P is the column of kron(B^T, B^T) for the pattern's q-th
-    entry (k, l), which holds B[k, a] * B[l, b] in row a*m + b, so the
-    flattened Hessian is P @ w for W's values w on the pattern.
+    for t = G1 e.  W is symmetric: its pattern is G1's entries (k, l) with
+    k <= l, in G1's canonical order, and the whole diagonal.  Column q of
+    P holds, in row a*m + b for a <= b, B[k, a] B[l, b] + B[l, a] B[k, b]
+    for k < l and B[k, a] B[k, b] for k = l, so P @ w for W's values w on
+    the pattern is the Hessian's upper triangle, flattened.
     """
 
     def __init__(self, objective):
         G1, M = objective.G1, objective.M
         size = G1.shape[0]  # W is indexed by the 2n directed reactions
-        # W's values are listed in the order in which scipy lists the pattern
-        # of G2 = (M + N)^T (M + N), which holds G1's, plus the diagonal: that
-        # order fixes the summation order of P @ w, and G1's own order would
-        # move the Hessians, and the iterates, in the last bits.  Row k lists
-        # its columns as the row product over (M + N)^T's row k, in ascending
-        # species order, first meets them.  The pairs of entries sharing a
-        # row of M + N come in that species order, so row k is ordered by
-        # each column's first pair; a diagonal that no pair meets (a reaction
-        # with no species) is its row's one entry.
-        keys, _ = _row_pairs(objective.MpN)
-        pattern, first = np.unique(np.concatenate([keys, np.arange(size) * (size + 1)]),
-                                   return_index=True)
-        # off the diagonal, an entry outside G1's pattern has weight +0.0,
-        # and dropping a +0.0 term leaves every sum of P @ w unchanged; f1's
-        # factor 4 is a power of two, so folding it into the weights rounds
-        # exactly like scaling the Hessian
-        g = np.zeros(pattern.size)
-        g[np.searchsorted(pattern, _row_ids(G1.indptr) * size + G1.indices)] = 4.0 * G1.data
-        rows, cols = pattern // size, pattern % size  # intp: faster per-call gathers
-        order = np.lexsort((first, rows))
-        order = order[(g[order] != 0.0) | (rows[order] == cols[order])]
-        self.rows, self.cols, self.g = rows[order], cols[order], g[order]
-        # the pattern lists rows in order: diag[k] is W's entry (k, k)
+        rows, cols = _row_ids(G1.indptr), G1.indices.astype(np.intp)
+        upper = rows <= cols
+        keys = rows[upper] * size + cols[upper]
+        # a reaction with no species has no diagonal in G1; its B row and
+        # its e * t are 0, but et fills every diagonal weight
+        pattern = np.union1d(keys, np.arange(size) * (size + 1))
+        # f1's factor 4 is a power of two: folded into the weights, it
+        # rounds exactly like scaling the Hessian
+        self.g = np.zeros(pattern.size)
+        self.g[np.searchsorted(pattern, keys)] = 4.0 * G1.data[upper]
+        self.rows, self.cols = pattern // size, pattern % size  # intp: faster gathers
         self.diag = np.flatnonzero(self.rows == self.cols)
-        # column q of P: B's rows k and l's outer product, the term
-        # B[k, a] * B[l, b] in row a*m + b, stored by columns; on B's rows'
-        # canonical arrays the pairs come q, a, then b ascending: no sort
+        # each pair of entries B[k, a], B[l, b] lands in row min(a, b) * m +
+        # max(a, b) of column q; for k < l a pair with a = b is both of the
+        # column's products, and for k = l the pairs with a > b are the
+        # mirrors of those with a < b.  The two products that share a row
+        # are summed once here, in either order: the same bits.
         self.m = m = objective.m
+        self.lower = np.tri(m, k=-1, dtype=bool)
         B = _operator(M.indices, _row_ids(M.indptr), M.data, (size, m), np.intp)
         q, at_a, at_b = _entry_pairs(B.indptr, self.rows, self.cols)
-        self.P = _Operator(_indptr(q, self.rows.size, np.int32),
-                           (B.indices[at_a] * m + B.indices[at_b]).astype(np.int32),
-                           B.data[at_a] * B.data[at_b], (m * m, self.rows.size), csc_matvec)
+        a, b = B.indices[at_a], B.indices[at_b]
+        cross = self.rows[q] != self.cols[q]
+        keep = cross | (a <= b)
+        products = np.where(cross & (a == b), 2.0, 1.0) * (B.data[at_a] * B.data[at_b])
+        slots = q * (m * m) + np.minimum(a, b) * m + np.maximum(a, b)
+        slots, at = np.unique(slots[keep], return_inverse=True)
+        self.P = _Operator(_indptr(slots // (m * m), pattern.size, np.int32),
+                           (slots % (m * m)).astype(np.int32),
+                           np.bincount(at, weights=products[keep]),
+                           (m * m, pattern.size), csc_matvec)
 
     def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with
@@ -499,13 +499,13 @@ class _HessianOperator:
         weights = self.g * (e[self.rows] * e[self.cols])
         weights[self.diag] += et
         hess = self.P.apply(weights).reshape(self.m, self.m)
-        sym = hess + hess.T
-        sym *= 0.5  # the bits of 0.5 * (hess + hess.T), in one buffer
-        return sym
+        np.copyto(hess, hess.T, where=self.lower)  # the mirror, copied exactly
+        return hess
 
 
 def check_mass_conservation(network, l=None):
-    """Max column imbalance |(R - F)^T l| for a positive mass vector l.
+    """(imbalance, l): the max column imbalance |(R - F)^T l| for a
+    positive mass vector l, and l as the float vector it was checked as.
 
     Defaults to unit masses.  A zero residual makes the net rate f and
     its Jacobian J orthogonal to l at every x (l^T f = 0, l^T J = 0);

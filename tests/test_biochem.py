@@ -421,9 +421,11 @@ class TestSafeExponent:
         obj = NetworkObjective(net)
         problem = obj.as_dc_problem(rho=100.0)
         d = np.ones(net.m)
-        # 4 below the guard, 1.4 above the bound, f1's Hessian overflows
+        # 3.5 below the guard, 1.9 above the bound, f1's Hessian overflows
+        # (at 4 below, its largest entry, about 1.09e308, is finite: only
+        # a symmetrizing sum h + h^T would overflow there)
         with np.errstate(over="ignore", invalid="ignore"):
-            below_guard = evaluations(problem, along(obj, d, EXP_GUARD - 4.0))
+            below_guard = evaluations(problem, along(obj, d, EXP_GUARD - 3.5))
         assert not all(np.isfinite(value).all() for value in below_guard)
         assert all(np.isfinite(value).all()
                    for value in evaluations(problem, along(obj, d, obj.safe_exponent())))
@@ -443,43 +445,41 @@ def scipy_operators(net):
                 G1=(MN.T @ MN).tocsr(), M4=4.0 * M, M2=2.0 * M)
 
 
-def kron_pattern(net):
-    """W's unmasked pattern, G2 = (M + N)^T (M + N)'s plus the diagonal in
-    the order scipy's product and sum list it, with G1's values on it and
-    the pattern's columns of kron(B^T, B^T) = kron(M, M), which hold
-    B[k, a] * B[l, b] in row a*m + b for the entry (k, l)."""
-    ops = scipy_operators(net)
-    G2 = (ops["MpNT"] @ ops["MpN"]).tocsr()
-    size = G2.shape[0]  # W is indexed by the 2n directed reactions
-    pattern = (G2 + sp.identity(size, format="csr")).tocoo()
-    rows, cols = pattern.row.astype(np.intp), pattern.col.astype(np.intp)
-    g = 4.0 * np.asarray(ops["G1"][rows, cols]).ravel()
-    P = sp.kron(ops["M"], ops["M"], format="csc")[:, rows * size + cols].tocsr()
-    return ops, rows, cols, g, P
-
-
 def kron_hessian_operator(net):
-    """f1's Hessian operator as it was once built, by selecting the columns
-    of kron(M, M) for W's pattern masked to G1's nonzeros and the diagonal:
-    the reference for the direct build, array for array, with P in CSC
-    form, as the operator stores it."""
-    _, rows, cols, g, P = kron_pattern(net)
-    keep = (g != 0.0) | (rows == cols)
-    rows, cols = rows[keep], cols[keep]
-    return dict(rows=rows, cols=cols, g=g[keep], diag=np.flatnonzero(rows == cols),
-                P=P[:, np.flatnonzero(keep)].tocsc())
+    """f1's Hessian operator built independently, from scipy's kron, as the
+    reference for the direct build, array for array.  W's pattern is G1's
+    upper triangle plus the diagonal in CSR order, with 4 G1's values on
+    it.  kron(M, M) = kron(B^T, B^T) holds B[k, a] * B[l, b] in row a*m + b
+    of its column k*size + l, so P's column for (k, l) is the sum of kron's
+    columns (k, l) and (l, k) for k < l and kron's column (k, k) alone, on
+    the rows a*m + b with a <= b; P in CSC form, as the operator stores it."""
+    ops = scipy_operators(net)
+    G1, m = ops["G1"], net.m
+    size = G1.shape[0]  # W is indexed by the 2n directed reactions
+    pattern = (sp.triu(G1) + sp.identity(size)).tocsr().tocoo()
+    rows, cols = pattern.row.astype(np.intp), pattern.col.astype(np.intp)
+    kron = sp.kron(ops["M"], ops["M"], format="csc")
+    cross = sp.diags((rows != cols).astype(float))
+    P = kron[:, rows * size + cols] + kron[:, cols * size + rows] @ cross
+    a, b = np.divmod(np.arange(m * m), m)
+    P = (sp.diags((a <= b).astype(float)) @ P).tocsc()
+    P.eliminate_zeros()
+    P.sort_indices()
+    return dict(rows=rows, cols=cols, g=4.0 * np.asarray(G1[rows, cols]).ravel(),
+                diag=np.flatnonzero(rows == cols), P=P)
 
 
-def full_pattern_hessian(net, x):
-    """f1's Hessian assembled on W's unmasked pattern, and the nonzero
-    count of that pattern's P."""
-    ops, rows, cols, g, P = kron_pattern(net)
+def long_double_hessian(net, x):
+    """f1's Hessian at x from dense M and W, summed in np.longdouble, on the
+    e and 4 e t that the objective forms at x (scipy's products have the
+    objective's bits)."""
+    ops = scipy_operators(net)
     e = np.exp(net.w + ops["B"] @ x)
     et = 4.0 * (e * (ops["G1"] @ e))
-    weights = g * (e[rows] * e[cols])
-    weights[rows == cols] += et
-    hess = (P @ weights).reshape(net.m, net.m)
-    return 0.5 * (hess + hess.T), P.nnz
+    M, E = ops["M"].toarray().astype(np.longdouble), e.astype(np.longdouble)
+    W = 4.0 * ops["G1"].toarray().astype(np.longdouble) * E[:, None] * E[None, :]
+    W[np.diag_indices_from(W)] += et
+    return M @ W @ M.T
 
 
 def csr_arrays(op):
@@ -673,21 +673,42 @@ class TestOperators:
             assert obj.f1_value_grad(x)[1].tobytes() == (4.0 * (ops["M"] @ (e * t))).tobytes()
             assert obj.eval_f2(x)[1].tobytes() == (2.0 * (ops["M"] @ (e * q))).tobytes()
 
-    @pytest.mark.parametrize("shape,nnz", [(None, None), ((6, 9, 5), None),
-                                           ((20, 30, 101), 2707), ((80, 120, 105), 12558)])
-    def test_masked_hessian_matches_full_pattern(self, shape, nnz):
-        # W's pattern keeps only G1's nonzeros and the diagonal, in G2's
-        # order: every Hessian keeps the full pattern's bits
+    @pytest.mark.parametrize("shape,nnz", [(None, 3), ((6, 9, 5), 320),
+                                           ((20, 30, 101), 1400), ((80, 120, 105), 6478)],
+                             ids=["m1", "m6", "m20", "m80"])
+    def test_hessian_is_symmetric_and_within_its_rounding_bound(self, shape, nnz):
+        # Every term of an entry (a, b) is positive.  The objective's entry
+        # sums N products P[ab, q] w_q, N the stored entries of P's row for
+        # (min(a, b), max(a, b)).  P's entries are exact integers, and each
+        # w_q meets at most 3 roundings (e_k e_l, the times g, the + et on
+        # the diagonal), its product a 4th: c = 4 before the sum, whose N - 1
+        # additions of positive terms make its relative error at most
+        # gamma(N + 3), gamma(k) = k u / (1 - k u) and u = eps / 2, against
+        # the exact sum S on the same e and et.  The reference's terms meet
+        # at most 3 roundings in W, 2 in the products and 2 size - 2 in its
+        # two dense sums, all in long double: at most gamma_L(2 size + 3),
+        # u_L = eps_L / 2.  So |h - r| is at most (N + 3) u + (2 size + 3) u_L
+        # times S, to first order; the bound below, (N + 4) eps + (2 size + 4)
+        # eps_L times r, is more than twice that, which covers the
+        # second-order terms and S against r.  The mirror copies, so the
+        # Hessian is symmetric bit for bit.
         net = tiny_network(w=[0.3, -0.2]) if shape is None else generate_network(*shape)
         obj = NetworkObjective(net)
+        counts = np.bincount(kron_hessian_operator(net)["P"].indices, minlength=net.m ** 2)
+        counts = counts.reshape(net.m, net.m)
+        N = np.maximum(counts, counts.T)
+        size = 2 * net.n
+        rtol = (N + 4) * np.finfo(float).eps + (2 * size + 4) * np.finfo(np.longdouble).eps
         rng = np.random.default_rng(21)
         for box in (2.0, 8.0):
             for x in rng.uniform(-box, box, size=(20, net.m)):
-                reference, full_nnz = full_pattern_hessian(net, x)
-                assert obj.eval_f1(x)[2].tobytes() == reference.tobytes()
-        assert obj._hessian_op.P.data.size <= full_nnz
-        if nnz is not None:
-            assert obj._hessian_op.P.data.size == nnz < full_nnz
+                hess = obj.eval_f1(x)[2]
+                assert hess.flags.c_contiguous
+                assert hess.tobytes() == np.ascontiguousarray(hess.T).tobytes()
+                reference = long_double_hessian(net, x)
+                error = np.abs(hess.astype(np.longdouble) - reference)
+                assert np.all(error <= rtol * reference)
+        assert obj._hessian_op.P.data.size == nnz
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(lambda shape: st.tuples(

@@ -27,7 +27,7 @@ from dcboost import (
     spd_solve,
 )
 from dcboost.biochem import _HessianOperator
-from dcboost.inner import _POTRF, SubproblemState, _all_finite, _norm
+from dcboost.inner import _POTRF, _POTRS, SubproblemState, _all_finite, _norm
 
 
 def zero_f2(x):
@@ -345,16 +345,54 @@ class TestChord:
     @staticmethod
     def cached(matrix, predicts=False):
         state = SubproblemState(predicts)
-        state.factor = _POTRF(np.asarray(matrix, dtype=float), lower=False)[0]
+        state.factor = _POTRF(np.asarray(matrix, dtype=float), lower=True)[0]
         return state
 
     def test_spd_solve_keeps_only_an_undamped_factor(self):
         state = SubproblemState()
         spd_solve(4.0 * np.eye(2), np.ones(2), state)
-        assert np.array_equal(np.triu(state.factor), 2.0 * np.eye(2))
+        assert np.array_equal(np.tril(state.factor), 2.0 * np.eye(2))
         state = SubproblemState()
         _, mu = spd_solve(np.diag([1.0, -1e-3]), np.ones(2), state)
         assert mu > 0.0 and state.factor is None
+
+    @pytest.mark.parametrize("system", ["network", "2x2"])
+    def test_stored_factor_solves_as_spd_solve_did(self, system):
+        # spd_solve factors and solves with the lower triangle, and chord
+        # steps solve with the factor it stores: an undamped solve accepted
+        # at its first residual check returns that factor's one solve bit
+        # for bit, so a triangle flag flipped in one of the calls fails here
+        # rather than hiding behind a refinement pass or the Armijo test
+        if system == "network":
+            problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
+            x = np.random.default_rng(27).uniform(-2.0, 2.0, 20)
+            hess, rhs = problem.g_hessian(x), problem.g_value_grad(x)[1]
+        else:
+            hess, rhs = self.HESS, self.LINEAR
+        state = SubproblemState()
+        d, mu = spd_solve(hess, rhs, state)
+        assert mu == 0.0 and state.factor is not None
+        assert np.linalg.norm(rhs - hess @ d) <= 1e-10 * np.linalg.norm(rhs)
+        assert _POTRS(state.factor, rhs, 1)[0].tobytes() == d.tobytes()
+
+    def test_refinement_pass_solves_with_the_same_factor(self, monkeypatch):
+        # the first solve is nudged off by a relative 1e-6, so the residual
+        # check fails once; a refinement pass that solves with the factor's
+        # triangle recovers it undamped, where one that read the other
+        # triangle would leave the system to the damping ladder
+        calls = []
+
+        def nudged(*args):
+            solved = _POTRS(*args)
+            if not calls:
+                solved[0][0] *= 1.0 + 1e-6
+            calls.append(None)
+            return solved
+
+        monkeypatch.setattr(dcboost.inner, "_POTRS", nudged)
+        d, mu = spd_solve(self.HESS, self.LINEAR)
+        assert mu == 0.0 and len(calls) == 2
+        assert np.linalg.norm(self.LINEAR - self.HESS @ d) <= 1e-10 * np.linalg.norm(self.LINEAR)
 
     def test_newton_step_cutting_the_gradient_less_than_tenfold_keeps_no_factor(self):
         # F = x^4 / 4: each Newton step takes x to 2x/3 and so cuts F' = x^3
@@ -387,7 +425,7 @@ class TestChord:
         x, steps = minimize_subproblem(problem, self.LINEAR, np.zeros(2), state=state)
         np.testing.assert_allclose(x, np.linalg.solve(self.HESS, self.LINEAR), atol=1e-10)
         assert steps == 2
-        assert np.allclose(np.triu(state.factor), np.linalg.cholesky(self.HESS).T)
+        assert np.allclose(np.tril(state.factor), np.linalg.cholesky(self.HESS))
 
     def test_failing_chord_direction_is_replaced_from_the_same_point(self):
         # from (1, 1) the factor of 1e200 I gives a step of about 1e-200,
@@ -399,7 +437,7 @@ class TestChord:
         state = self.cached(1e200 * np.eye(2))
         x, steps = minimize_subproblem(problem, self.LINEAR, np.ones(2), state=state)
         assert (x.tolist(), steps) == (plain[0].tolist(), plain[1]) == (plain[0].tolist(), 1)
-        assert np.allclose(np.triu(state.factor), np.linalg.cholesky(self.HESS).T)
+        assert np.allclose(np.tril(state.factor), np.linalg.cholesky(self.HESS))
 
     @staticmethod
     def nan_past_the_chord_step():

@@ -673,7 +673,9 @@ class TestRecordCodec:
 # moved all but the quartic's dca and bdca-qi rows (quartic fm 16 -> 17
 # iterations; every other status and count kept).  f1 read through its
 # Gram operator G1 and phi through A e moved the network rows' phi in the
-# last bits, with every iteration count and status kept.
+# last bits, with every iteration count and status kept.  f1's Hessian on
+# G1's upper triangle, mirrored by copy, and the lower Cholesky factor
+# moved them in the last bits again, with every count and status kept.
 PINNED_OUTCOMES = (
     ("quartic", "dca", 17, "StationaryPoint", "-0x1.ffffffffffffep-3"),
     ("quartic", "bdca-b", 7, "StationaryPoint", "-0x1.0000000000000p-2"),
@@ -683,10 +685,10 @@ PINNED_OUTCOMES = (
     ("expsys", "bdca-b", 100, "MaxIters", "0x1.fffa265bbe3a9p-1"),
     ("expsys", "bdca-qi", 28, "StationaryPoint", "0x1.d554e40000000p-84"),
     ("expsys", "fm", 71, "StationaryPoint", "0x1.a405ad0e2f4c4p-50"),
-    ("network", "dca", 100, "MaxIters", "0x1.0da5413d1924ap+8"),
-    ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d4ba12623p+3"),
-    ("network", "bdca-qi", 100, "MaxIters", "0x1.6919875f8fc9dp-8"),
-    ("network", "fm", 100, "MaxIters", "0x1.0da540ad25e66p+8"),
+    ("network", "dca", 100, "MaxIters", "0x1.0da5413d1928fp+8"),
+    ("network", "bdca-b", 100, "MaxIters", "0x1.60c4d4ba121cbp+3"),
+    ("network", "bdca-qi", 100, "MaxIters", "0x1.6919875ce7fe5p-8"),
+    ("network", "fm", 100, "MaxIters", "0x1.0da540ad25e30p+8"),
 )
 
 
@@ -812,15 +814,16 @@ def test_c6_scale_matched_trial_pinned():
     # chord steps in every variant, each factor kept only by a step that
     # cuts ||grad F|| tenfold, make the boosted run's 464 steps 1,118 and
     # the chase's 1,410; f1 through G1 and phi through A e moved both
-    # values in the last bits and kept every count)
+    # values in the last bits and kept every count, and so did f1's
+    # Hessian on G1's upper triangle with the lower Cholesky factor)
     problem = NetworkObjective(generate_network(20, 30, 101)).as_dc_problem(rho=100.0)
     x0 = np.random.default_rng([0, 0, 0]).uniform(-2.0, 2.0, 20)
     result = run_matched_target(problem, x0, SolverConfig(variant="bdca-qi"), bdca_iters=200)
     assert [(run.iterations, run.status.value, run.phi_final.hex(),
              sum(rec.inner_iters for rec in run.trace))
             for run in (result.bdca, result.dca)] == [
-        (200, "MaxIters", "0x1.5c4eb62a87c17p+6", 1118),
-        (861, "TargetReached", "0x1.5c46e0f94c3cap+6", 1410),
+        (200, "MaxIters", "0x1.5c4eb62a87cf4p+6", 1118),
+        (861, "TargetReached", "0x1.5c46e0f9409e0p+6", 1410),
     ]
 
 
