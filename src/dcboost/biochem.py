@@ -154,7 +154,7 @@ class NetworkObjective:
         rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, cols + n])
         itype = np.result_type(network.F.indptr, network.R.indptr)
         self.M, self.N, self.A, self.MpN = (
-            _nonzeros(rows, cols, np.concatenate(v), (m, 2 * n), itype)
+            _operator(rows, cols, np.concatenate(v), (m, 2 * n), itype)
             for v in ((f, r), (r, f), (f - r, r - f), (f + r, f + r)))
         # B = M^T, A^T and (M + N)^T: their source's arrays, read by columns
         self.B, self.AT, self.MpNT = self.M.T, self.A.T, self.MpN.T
@@ -167,17 +167,11 @@ class NetworkObjective:
         # here so that its cost shows in set-up; each sums its products over
         # the rows of [M; N] in order, as scipy's product does
         keys, products = (np.concatenate(pair) for pair in zip(_row_pairs(M), _row_pairs(N)))
-        keys, at = np.unique(keys, return_inverse=True)
-        size = 2 * n
-        self.G1 = _operator(keys // size, keys % size, np.bincount(at, weights=products),
-                            (size, size), itype)
+        self.G1 = _summed(keys, products, (2 * n, 2 * n), itype)
         self.w = np.asarray(network.w, dtype=float)
         self._point = None
 
     # -- state ----------------------------------------------------------
-
-    def exponents(self, x):
-        return self.w + self.B @ np.asarray(x, dtype=float)
 
     def _flux(self, x):
         z = self.w + self.B.apply(x)
@@ -285,18 +279,21 @@ class NetworkObjective:
         and each partial sum on the way is at most K E^2 for this K, taken
         from the stoichiometry alone; the factor 2 absorbs rounding.  At
         e = E u, f1's weights G1 e are E t for the t below, and its value
-        2<e, G1 e> = 2(||M e||^2 + ||N e||^2) is 2<u, t> E^2."""
-        M, MpN, G1 = self.M.tocsr(), self.MpN.tocsr(), self.G1.tocsr()
-        u = np.ones(M.shape[1])
-        s = MpN @ u
-        t, q = G1 @ u, MpN.T @ s
-        W = G1 + sp.diags(t)
+        2<e, G1 e> = 2(||M e||^2 + ||N e||^2) is 2<u, t> E^2.  K comes from
+        the held operators at e = u (integer sums, exact below 2^53), so a
+        first call builds f1's Hessian operator; later Hessians reuse it."""
+        hessian = self._hessian_op
+        u = np.ones(self.M.shape[1])
+        t, q = self.G1.apply(u), self.MpNT.apply(self.MpN.apply(u))
+        # 4 W = 4 (G1 + diag(t)) on W's pattern, one triangle of it
+        weights = hessian.g.copy()
+        weights[hessian.diag] += 4.0 * t
         # f1's value (over f2's and phi's: ||M e + N e||^2 and ||A e||^2 are at
         # most twice ||M e||^2 + ||N e||^2), Hessian weights, gradient and Hessian
-        # (whose partial sums stay within 4 M W M^T: the factor 2 is only
+        # 4 M W M^T (whose partial sums stay within it: the factor 2 is only
         # conservative); f2's and phi's weights and gradients (|A| <= M + N)
-        K = max(2.0 * (u @ t), 4.0 * W.max(), 4.0 * (M @ t).max(),
-                8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
+        K = max(2.0 * (u @ t), weights.max(), 4.0 * self.M.apply(t).max(),
+                2.0 * hessian.assemble(u, 4.0 * t).max(), q.max(), 2.0 * self.M.apply(q).max())
         return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
 
     def as_dc_problem(self, rho=0.0):
@@ -349,19 +346,6 @@ class _Operator:
         return _Operator(self.indptr, self.indices, self.data, self.shape[::-1],
                          csc_matvec if self.kernel is csr_matvec else csr_matvec)
 
-    def tocsr(self):
-        """The scipy CSR matrix with the same entries, on copies, so no
-        scipy call can re-sort this operator's arrays."""
-        arrays = (self.data.copy(), self.indices.copy(), self.indptr.copy())
-        if self.kernel is csr_matvec:
-            return sp.csr_matrix(arrays, shape=self.shape)
-        return sp.csc_matrix(arrays, shape=self.shape).tocsr()
-
-    def __matmul__(self, v):
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"dimension mismatch: {self.shape} @ {v.shape}")
-        return self.apply(v)
-
 
 def _row_ids(indptr):
     """The row of each entry of a CSR matrix, as intp."""
@@ -377,9 +361,10 @@ def _indptr(rows, n_row, dtype):
 
 def _operator(rows, cols, data, shape, dtype):
     """The canonical CSR operator of the distinct entries (rows[t], cols[t])
-    holding data[t], listed in any order, with dtype index arrays."""
-    rows = rows.astype(np.intp, copy=False)  # flat keys can pass 2**31
-    order = (rows * shape[1] + cols).argsort()
+    holding data[t] != 0, listed in any order, with dtype index arrays."""
+    held = np.flatnonzero(data)
+    rows = rows[held].astype(np.intp)  # flat keys can pass 2**31
+    order = held[(rows * shape[1] + cols[held]).argsort()]
     return _Operator(_indptr(rows, shape[0], dtype), cols[order].astype(dtype, copy=False),
                      data[order], shape)
 
@@ -395,10 +380,14 @@ def _union(F, R, n):
     return union // n, union % n, f, r
 
 
-def _nonzeros(rows, cols, data, shape, dtype):
-    """The operator of the entries (rows[t], cols[t]) whose data[t] is not 0."""
-    held = data != 0
-    return _operator(rows[held], cols[held], data[held], shape, dtype)
+def _summed(keys, values, shape, dtype, kernel=csr_matvec):
+    """The canonical operator holding at each flat key the sum, in listing
+    order, of the values listed at it, with dtype index arrays: a key is
+    row * n_col + col for csr_matvec, col * n_row + row for csc_matvec."""
+    keys, at = np.unique(keys, return_inverse=True)
+    n_major, width = shape if kernel is csr_matvec else shape[::-1]
+    return _Operator(_indptr(keys // width, n_major, dtype), (keys % width).astype(dtype),
+                     np.bincount(at, weights=values), shape, kernel)
 
 
 def _ranges(starts, counts):
@@ -487,11 +476,8 @@ class _HessianOperator:
         keep = cross | (a <= b)
         products = np.where(cross & (a == b), 2.0, 1.0) * (B.data[at_a] * B.data[at_b])
         slots = q * (m * m) + np.minimum(a, b) * m + np.maximum(a, b)
-        slots, at = np.unique(slots[keep], return_inverse=True)
-        self.P = _Operator(_indptr(slots // (m * m), pattern.size, np.int32),
-                           (slots % (m * m)).astype(np.int32),
-                           np.bincount(at, weights=products[keep]),
-                           (m * m, pattern.size), csc_matvec)
+        self.P = _summed(slots[keep], products[keep], (m * m, pattern.size), np.int32,
+                         csc_matvec)
 
     def assemble(self, e, et):
         """Symmetric B^T W B for W = diag(e) G diag(e) + diag(et), with

@@ -282,7 +282,7 @@ class TestEvaluation:
         row_sums = np.concatenate([np.asarray(net.F.sum(axis=0)).ravel(),
                                    np.asarray(net.R.sum(axis=0)).ravel()])
         x = np.full(net.m, 400.0 / float(row_sums.max()))
-        top = float(obj.exponents(x).max())
+        top = float((obj.w + obj.B.apply(x)).max())
         assert 399.0 < top < 401.0
         with pytest.raises(EvaluationOverflow):
             obj.phi_value(x)
@@ -372,7 +372,7 @@ class TestFluxGuard:
 def along(obj, d, level):
     """t d for the smallest t > 0 at which an exponent rising along d
     reaches ``level``: no other exponent then lies above it."""
-    slopes = obj.B @ d
+    slopes = obj.B.apply(d)
     rising = slopes > 0.0
     return float(np.min((level - obj.w[rising]) / slopes[rising])) * d
 
@@ -390,7 +390,7 @@ def safe_edge_points(draw):
     m = draw(st.integers(2, 12))
     net = generate_network(m, draw(st.integers(m, 2 * m)), seed=draw(st.integers(0, 10 ** 6)))
     d = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))) / 1000.0
-    slopes = NetworkObjective(net).B @ d
+    slopes = NetworkObjective(net).B.apply(d)
     if slopes.max() <= 0.0:
         d = -d
     assume(np.abs(slopes).max() > 0.0)
@@ -411,7 +411,7 @@ class TestSafeExponent:
         bound = obj.safe_exponent()
         assert bound < EXP_GUARD
         x = along(obj, d, bound - gap)
-        top = float(obj.exponents(x).max())
+        top = float((obj.w + obj.B.apply(x)).max())
         assert top == pytest.approx(bound - gap, abs=1e-9)
         for value in evaluations(obj.as_dc_problem(rho=100.0), x):
             assert np.isfinite(value).all()
@@ -430,6 +430,40 @@ class TestSafeExponent:
         assert all(np.isfinite(value).all()
                    for value in evaluations(problem, along(obj, d, obj.safe_exponent())))
         assert EXP_GUARD - obj.safe_exponent() == pytest.approx(5.36, abs=0.01)
+
+    @pytest.mark.parametrize("factor", [1, 2 ** 40, 2 ** 52 + 1, 2 ** 60],
+                             ids=["unscaled", "2^40", "2^52+1", "2^60"])
+    def test_matches_scipys_algebra(self, tmp_path, factor):
+        # the objective takes K from its own operators; scipy's sparse
+        # products on matrices built from F and R give the same bits, on
+        # coefficients whose products and sums are exact and on ones scaled
+        # past 2^53, where rounding could tell two summation orders apart
+        path = tmp_path / "cancelling.json"
+        path.write_text(json.dumps(CANCELLING_MODEL))
+        networks = [generate_network(m, n, seed) for m in range(2, 31)
+                    for n, seed in ((m, 0), (2 * m, 1), (m + m // 2 + 1, 2))]
+        networks += [generate_network(80, 120, 105), generate_network(200, 300, 107),
+                     load_network(path)]
+        for net in networks:
+            net = ReactionNetwork(m=net.m, n=net.n, F=net.F * factor, R=net.R * factor,
+                                  w=net.w, name=net.name)
+            got = NetworkObjective(net).safe_exponent()
+            assert got.hex() == scipy_safe_exponent(net).hex(), net.name
+
+
+def scipy_safe_exponent(net):
+    """safe_exponent() by scipy's sparse algebra on scipy_operators(net), an
+    independent reference: K is the largest of f1's value 2<u, t>, the
+    weights 4 W for W = G1 + diag(t), the gradient 4 M t, the Hessian
+    (doubled) 8 M W M^T, and f2's q and 2 M q, at e = u = 1."""
+    ops = scipy_operators(net)
+    M, MpN, G1 = ops["M"], ops["MpN"], ops["G1"]
+    u = np.ones(M.shape[1])
+    t, q = G1 @ u, MpN.T @ (MpN @ u)
+    W = G1 + sp.diags(t)
+    K = max(2.0 * (u @ t), 4.0 * W.max(), 4.0 * (M @ t).max(),
+            8.0 * (M @ W @ M.T).max(), q.max(), 2.0 * (M @ q).max())
+    return EXP_GUARD - 0.5 * float(np.log(2.0 * K))
 
 
 def scipy_operators(net):
@@ -482,6 +516,14 @@ def long_double_hessian(net, x):
     return M @ W @ M.T
 
 
+def scipy_matrix(op):
+    """An operator's entries, on copies of its arrays, as the scipy matrix
+    that reads those arrays the way its kernel does: CSR for csr_matvec,
+    CSC for csc_matvec."""
+    kind = sp.csr_matrix if op.kernel is csr_matvec else sp.csc_matrix
+    return kind((op.data.copy(), op.indices.copy(), op.indptr.copy()), shape=op.shape)
+
+
 def csr_arrays(op):
     """An operator's or a scipy CSR matrix's arrays as (dtype, bytes)
     pairs, with its shape: equal only when every array is."""
@@ -500,8 +542,8 @@ TRANSPOSES = {"B": "M", "AT": "A", "MpNT": "MpN"}
 def assert_scipy_layout(obj, arrays):
     """Every operator of obj holds scipy's CSR arrays ``arrays`` and applies
     csr_matvec, bar the transposes: each holds its source's very arrays,
-    its shape swapped, and applies csc_matvec, and its tocsr() gives
-    scipy's .T.tocsr()."""
+    its shape swapped, and applies csc_matvec, and its entries in CSR form
+    are scipy's .T.tocsr()."""
     for name, want in arrays.items():
         op = getattr(obj, name)
         if name not in TRANSPOSES:
@@ -510,7 +552,7 @@ def assert_scipy_layout(obj, arrays):
         source = getattr(obj, TRANSPOSES[name])
         assert op.kernel is csc_matvec and op.shape == source.shape[::-1], name
         assert all(getattr(op, a) is getattr(source, a) for a in ("indptr", "indices", "data"))
-        assert csr_arrays(op.tocsr()) == want, name
+        assert csr_arrays(scipy_matrix(op).tocsr()) == want, name
 
 
 # the canonical twins of non_canonical_network()'s F and R
@@ -570,23 +612,14 @@ class TestOperators:
         obj = NetworkObjective(net)
         rng = np.random.default_rng(seed)
         for name, mat in scipy_operators(net).items():
-            op = getattr(obj, name)
-            width = mat.shape[1]
-            v = pool[rng.integers(pool.size, size=width)]
+            v = pool[rng.integers(pool.size, size=mat.shape[1])]
             with np.errstate(invalid="ignore", over="ignore"):
-                assert (op @ v).tobytes() == (mat @ v).tobytes(), name
-            for wrong in (width - 1, width + 1):
-                with pytest.raises(ValueError):  # as scipy's @ raises
-                    op @ np.ones(wrong)
-        # the Hessian operator P against its own entries in a scipy matrix
+                assert getattr(obj, name).apply(v).tobytes() == (mat @ v).tobytes(), name
+        # the Hessian operator P against its own entries in a scipy CSR matrix
         P = obj._hessian_op.P
-        width = P.shape[1]
-        w = pool[rng.integers(pool.size, size=width)]
+        w = pool[rng.integers(pool.size, size=P.shape[1])]
         with np.errstate(invalid="ignore", over="ignore"):
-            assert (P @ w).tobytes() == (P.tocsr() @ w).tobytes(), "P"
-        for wrong in (width - 1, width + 1):
-            with pytest.raises(ValueError):
-                P @ np.ones(wrong)
+            assert P.apply(w).tobytes() == (scipy_matrix(P).tocsr() @ w).tobytes(), "P"
 
     @settings(max_examples=60, deadline=None)
     @given(operator_cases(), st.floats(0.05, 0.5))
@@ -604,11 +637,11 @@ class TestOperators:
         rng = np.random.default_rng(seed)
         P = obj._hessian_op.P
         pairs = [(getattr(obj, name), mat) for name, mat in scipy_operators(net).items()]
-        for op, mat in pairs + [(P, P.tocsr())]:
+        for op, mat in pairs + [(P, scipy_matrix(P).tocsr())]:
             v = pool[rng.integers(pool.size, size=mat.shape[1])]
             v[rng.random(v.size) < share] = np.nan
             with np.errstate(invalid="ignore", over="ignore"):
-                got, want = op @ v, mat @ v
+                got, want = op.apply(v), mat @ v
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert got[~nan].tobytes() == want[~nan].tobytes()
@@ -727,6 +760,29 @@ class TestOperators:
         assert op.indices.tolist() == want.indices.tolist()
         assert op.data.tobytes() == want.data.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(lambda shape: st.tuples(
+        st.just(shape), st.lists(st.integers(0, shape[0] * shape[1] - 1), max_size=40),
+        st.sampled_from([csr_matvec, csc_matvec]))), st.integers(0, 2 ** 32 - 1))
+    def test_summed_sums_in_listing_order(self, case, seed):
+        # repeated flat keys in any order: scipy's canonical arrays, each
+        # entry the sum of its key's values in the order they are listed
+        shape, keys, kernel = case
+        keys = np.array(keys, dtype=np.intp)
+        values = np.random.default_rng(seed).standard_normal(keys.size)
+        op = biochem._summed(keys, values, shape, np.int32, kernel)
+        n_major, width = shape if kernel is csr_matvec else shape[::-1]
+        want = sp.coo_matrix((np.ones(keys.size), np.divmod(keys, width)), (n_major, width))
+        want = want.tocsr()
+        assert (op.shape, op.kernel) == (shape, kernel)
+        assert op.indptr.dtype == op.indices.dtype == np.int32
+        assert op.indptr.tolist() == want.indptr.tolist()
+        assert op.indices.tolist() == want.indices.tolist()
+        sums = {}
+        for key, value in zip(keys.tolist(), values.tolist()):
+            sums[key] = sums.get(key, 0.0) + value
+        assert op.data.tobytes() == np.array([sums[k] for k in sorted(sums)]).tobytes()
+
     def test_operator_keys_pass_int32(self):
         # row 2**20's flat keys pass 2**31: int32 rows would wrap and sort
         # that row's entries first
@@ -739,20 +795,24 @@ class TestOperators:
 
     def test_no_product_goes_through_scipy(self, monkeypatch):
         # scipy's dispatch costs more than a network product's arithmetic:
-        # once P is built, no evaluator calls a scipy matrix's @
+        # no objective's build, no safe_exponent() (which builds P) and no
+        # evaluator calls a scipy matrix's @
         net = generate_network(20, 30, seed=101)
+        callers = []
+
+        def counted(matmul):
+            def call(self, other):
+                callers.append(self)
+                return matmul(self, other)
+            return call
+
+        for kind in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(kind, "__matmul__", counted(kind.__matmul__))
+        NetworkObjective(net).safe_exponent()
         obj = NetworkObjective(net)
         prob = obj.as_dc_problem(rho=100.0)
         rng = np.random.default_rng(22)
         obj.eval_f1(rng.uniform(-2.0, 2.0, size=net.m))  # builds P
-        callers = []
-        matmul = sp.csr_matrix.__matmul__
-
-        def counted(self, other):
-            callers.append(self)
-            return matmul(self, other)
-
-        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
         for x in rng.uniform(-2.0, 2.0, size=(10, net.m)):
             for evaluate in (obj.f1_value, obj.f1_value_grad, obj.phi_value,
                              obj.phi_value_grad, obj.eval_f2, prob.grad_h, obj.eval_f1,
@@ -1092,6 +1152,75 @@ def digest_of(networks):
         for part in (net.F.toarray().astype(np.int64), net.R.toarray().astype(np.int64), net.w):
             digest.update(np.ascontiguousarray(part).tobytes())
     return digest.hexdigest()
+
+
+# A driven ring A <-> B <-> C <-> A: reaction j turns species j into species
+# j + 1 (mod 3) at rate K_FWD[j] c_j and back at K_REV[j] c_{j+1}.  The
+# product of the forward constants is not the reverse one's, so the steady
+# state carries a net flux around the cycle: it is not an equilibrium.
+RING_K_FWD, RING_K_REV = np.array([2.0, 3.0, 5.0]), np.ones(3)
+
+
+def ring_network():
+    j = np.arange(3)
+    ones = np.ones(3, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no SchemaWarning may fire
+        return ReactionNetwork(m=3, n=3, F=sp.csr_matrix((ones, (j, j)), shape=(3, 3)),
+                               R=sp.csr_matrix((ones, ((j + 1) % 3, j)), shape=(3, 3)),
+                               w=np.log(np.concatenate([RING_K_FWD, RING_K_REV])),
+                               name="driven_ring")
+
+
+def ring_kinetics():
+    """The ring's linear kinetics dc/dt = K c, written from the reactions
+    above with no dcboost code."""
+    K = np.zeros((3, 3))
+    for j in range(3):
+        a, b = j, (j + 1) % 3
+        K[[a, b], a] += [-RING_K_FWD[j], RING_K_FWD[j]]
+        K[[a, b], b] += [RING_K_REV[j], -RING_K_REV[j]]
+    return K
+
+
+class TestDrivenRing:
+    """A textbook network whose steady state is known without dcboost: the
+    kinetics are linear, so the steady concentrations span K's null space,
+    which an SVD gives."""
+
+    @pytest.mark.parametrize("variant", ["dca", "bdca-b", "bdca-qi", "fm"])
+    def test_every_variant_reaches_the_null_space(self, variant):
+        _, sigma, vt = np.linalg.svd(ring_kinetics())
+        oracle = np.abs(vt[2]) / np.abs(vt[2]).sum()  # c* / sum(c*), positive
+        flux = RING_K_FWD * oracle - RING_K_REV * np.roll(oracle, -1)
+        assert flux == pytest.approx(0.659, abs=5e-4)  # J*, the same on every reaction
+        obj = NetworkObjective(ring_network())
+        x0 = np.random.default_rng([0, 3]).uniform(-2.0, 2.0, 3)
+        result = solve(obj.as_dc_problem(rho=100.0), x0,
+                       SolverConfig(variant=variant, max_outer_iters=2000))
+        print(f"driven ring {variant}: {result.status.value} in {result.iterations} iterations")
+        assert not result.status.is_failure, result.message
+        p, c, f = obj.rates(result.x_final)
+        assert np.linalg.norm(f) <= 1e-6 * np.linalg.norm(p + c)
+        # f = -K conc for conc = exp(x), up to rounding: f_i adds four rates
+        # exp(log k + x_j), each with a rounded exponent below 10 in size for
+        # |x| < 8, so 16 eps ||p + c|| covers it.  Split conc into s c* along
+        # the null space and r across it: ||K r|| = ||K conc|| and ||K r|| >=
+        # sigma_2 ||r||, K's smallest nonzero singular value.  conc / sum(conc)
+        # - c* / sum(c*) = (r sum(c*) - c* sum(r)) / (sum(c*) sum(conc)), and
+        # |sum(r)| <= sqrt(3) ||r||, c*_i <= sum(c*): each entry is within
+        # (1 + sqrt(3)) ||r|| / sum(conc).
+        assert np.abs(result.x_final).max() < 8.0
+        conc = np.exp(result.x_final)
+        kinetics = np.linalg.norm(f) + 16.0 * np.finfo(float).eps * np.linalg.norm(p + c)
+        bound = (1.0 + np.sqrt(3.0)) * kinetics / (sigma[1] * conc.sum())
+        share = conc / conc.sum()
+        assert np.abs(share - oracle).max() <= bound
+        # the net flux of each reaction per unit of total concentration: within
+        # (k_fwd + k_rev) bound of J*, so away from 0
+        net_flux = RING_K_FWD * share - RING_K_REV * np.roll(share, -1)
+        assert np.all(np.abs(net_flux - flux) <= (RING_K_FWD + RING_K_REV) * bound)
+        assert net_flux.min() > 0.5
 
 
 class TestGenerator:

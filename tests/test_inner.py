@@ -164,7 +164,7 @@ class TestSpdSolve:
         obj = NetworkObjective(generate_network(8, 15, 819745))
         problem = obj.as_dc_problem(rho=100.0)
         d = np.array([453, 887, 763, 23, 881, 953, 941, -839]) / 1000.0
-        slopes = obj.B @ d
+        slopes = obj.B.apply(d)
         rising = slopes > 0.0
         top = obj.safe_exponent() - 0.01
         x0 = float(np.min((top - obj.network.w[rising]) / slopes[rising])) * d

@@ -24,7 +24,7 @@ def test_every_kernel_at_every_size():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "best of 1 loops of 2 calls, µs per call, one BLAS thread"
-    assert lines[5] == "best of 1 builds, ms per build, one BLAS thread"
+    assert lines[5] == "median of 1 round-robin builds, ms per build, one BLAS thread"
     for rows, names, timings in ((lines[1:5], SIZES, KERNELS),
                                  (lines[6:], SIZES + ["synthetic_m400_n600_s109"],
                                   ("generate", "objective", "hessian_op"))):

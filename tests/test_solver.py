@@ -903,7 +903,7 @@ def starts_at_top_exponent(draw, level):
     obj = NetworkObjective(net)
     # steps of 1e-3 keep every nonzero slope far from a subnormal
     d = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))) / 1000.0
-    slopes = obj.B @ d
+    slopes = obj.B.apply(d)
     if slopes.max() <= 0.0:
         d, slopes = -d, -slopes
     assume(slopes.max() > 0.0)

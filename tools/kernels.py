@@ -21,11 +21,13 @@ microseconds per call of:
   side, a solve that needs no damping.
 
 Then, for each of those networks and ``synthetic_m400_n600_s109``, it
-prints the best, over ``--repeats`` builds, of the milliseconds that
+prints the median, over ``--repeats`` builds, of the milliseconds that
 ``generate_network`` takes to draw the network (``generate``), that
 ``NetworkObjective(net)`` takes (``objective``; the two are the set-up
 every benchmark solve pays) and that the first Hessian request takes to
-build f1's Hessian operator (``hessian_op``).
+build f1's Hessian operator (``hessian_op``).  The builds run round robin
+over the five networks, so a slow spell of the machine spreads over every
+size, and the median, unlike the best, is not one lucky build.
 
 BLAS is pinned to one thread before NumPy is imported, so the figures
 are one core's.  On a 2-core x86 box the default run takes about 27 s,
@@ -41,6 +43,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_variable] = "1"
 
 import argparse  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -89,27 +92,32 @@ def kernel_times(shape, calls, repeats):
     return net.name, times
 
 
-def build_times(shape, repeats):
-    """(network name, best ms of generate_network(*shape), of
-    NetworkObjective(net) and of the first Hessian request's operator
-    build) over ``repeats`` builds."""
-    best = [float("inf")] * 3
+def build_times(repeats):
+    """Per network of BUILD_NETWORKS, (network name, median ms of
+    generate_network(*shape), of NetworkObjective(net) and of the first
+    Hessian request's operator build) over ``repeats`` rounds, each of
+    which builds every network once."""
+    names, times = {}, {shape: [] for shape in BUILD_NETWORKS}
     for _ in range(repeats):
-        started = time.perf_counter()
-        net = generate_network(*shape)
-        drawn = time.perf_counter()
-        obj = NetworkObjective(net)
-        built = time.perf_counter()
-        obj._hessian_op  # built on first access, as by the first Hessian request
-        done = time.perf_counter()
-        best = [min(b, t) for b, t in zip(best, (drawn - started, built - drawn, done - built))]
-    return net.name, *(t * 1e3 for t in best)
+        for shape in BUILD_NETWORKS:
+            started = time.perf_counter()
+            net = generate_network(*shape)
+            drawn = time.perf_counter()
+            obj = NetworkObjective(net)
+            built = time.perf_counter()
+            obj._hessian_op  # built on first access, as by the first Hessian request
+            done = time.perf_counter()
+            names[shape] = net.name
+            times[shape].append((drawn - started, built - drawn, done - built))
+    return [(names[shape], *(statistics.median(stage) * 1e3 for stage in zip(*times[shape])))
+            for shape in BUILD_NETWORKS]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--calls", type=int, default=4000, help="calls per timing loop")
-    parser.add_argument("--repeats", type=int, default=7, help="loops and builds; the fastest counts")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help="loops, of which the fastest counts, and rounds of builds")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeats < 1:
         parser.error("--calls and --repeats must be positive")
@@ -117,9 +125,8 @@ def main(argv=None):
     for shape in NETWORKS:
         name, times = kernel_times(shape, args.calls, args.repeats)
         print(f"{name}: " + "  ".join(f"{kernel} {us:.2f}" for kernel, us in times))
-    print(f"best of {args.repeats} builds, ms per build, one BLAS thread")
-    for shape in BUILD_NETWORKS:
-        name, generate, objective, hessian_op = build_times(shape, args.repeats)
+    print(f"median of {args.repeats} round-robin builds, ms per build, one BLAS thread")
+    for name, generate, objective, hessian_op in build_times(args.repeats):
         print(f"{name}: generate {generate:.3f}  objective {objective:.3f}  "
               f"hessian_op {hessian_op:.3f}")
     return 0
