@@ -539,6 +539,14 @@ def generate_network(m, n, seed):
     species per side, so covering every species on both sides needs
     n * min(2, m - 1) >= m: GenerationError is raised before any draw
     otherwise, and when the attempt budget runs out.
+
+    Every draw is one scalar ``Generator.integers`` call: the species are
+    picked by ``_sample``, which makes exactly the draws
+    ``rng.choice(size, count, replace=False)`` makes, and each forward
+    coefficient is its own ``integers(0, 3)``, which fills from the same
+    bounded-integer routine as a sized call.  So the networks are those
+    that ``choice`` and sized calls would draw, and a scalar call costs a
+    fraction of either.
     """
     if m < 2:
         raise ValueError("need at least two species")
@@ -616,18 +624,31 @@ def _nth(p, skipped):
     return p
 
 
+def _sample(rng, size, count):
+    # the draws rng.choice(size, count, replace=False) makes for count 1 or
+    # 2, which NumPy takes by Floyd's sampling at every size (its tail
+    # shuffle needs size > 10,000 and count > size // 50): one draw from
+    # [0, size - count], for a pair one from [0, size - 1] with a repeat
+    # replaced by size - 1, then the pair's shuffle, which swaps it on a 0
+    first = int(rng.integers(0, size - count + 1))
+    if count == 1:
+        return [first]
+    second = int(rng.integers(0, size))
+    if second == first:
+        second = size - 1
+    return [second, first] if rng.integers(0, 2) == 0 else [first, second]
+
+
 def _pick(rng, need, skip, excluded, count, m):
     # up to `count` species from `need` bar its positions `skip`, the rest
     # from all m species bar `excluded` and those chosen; each draw is a
     # position in the ascending list it picks from
     preferred = len(need) - len(skip)
     chosen = [need[_nth(p, skip)] for p in
-              rng.choice(preferred, min(count, preferred), replace=False).tolist()
-              ] if preferred else []
+              _sample(rng, preferred, min(count, preferred))] if preferred else []
     if len(chosen) < count:
         out = sorted(excluded + chosen)
-        chosen += [_nth(p, out) for p in
-                   rng.choice(m - len(out), count - len(chosen), replace=False).tolist()]
+        chosen += [_nth(p, out) for p in _sample(rng, m - len(out), count - len(chosen))]
     return chosen
 
 
@@ -641,8 +662,8 @@ def _draw_reaction(m, rng, need_f, need_r):
 
     # sum of forward coefficients fixes the feasible reverse arity
     for _ in range(8):
-        f_coeffs = [GENERATOR_COEFFS[k] for k in
-                    rng.integers(0, len(GENERATOR_COEFFS), size=kf).tolist()]
+        f_coeffs = [GENERATOR_COEFFS[int(rng.integers(0, len(GENERATOR_COEFFS)))]
+                    for _ in range(kf)]
         total = sum(f_coeffs)
         lo = -(-total // GENERATOR_TOP)  # ceil
         hi = min(kr_max, total)

@@ -216,14 +216,15 @@ def backtrack(problem, y, d, lambda_init, config=None, *, phi_y):
 
     holds, with ``phi_y`` = phi(y).  Returns (lambda, halvings); lambda is
     0, the plain step, once a trial point is y bit for bit.  Raises
+    ValueError unless lambda_init is positive and finite, and
     LineSearchError after 60 halvings.
     """
     cfg = config if config is not None else SolverConfig()
     y = np.asarray(y, dtype=float)
     d = np.asarray(d, dtype=float)
     lam = float(lambda_init)
-    if lam <= 0:
-        raise ValueError(f"lambda_init must be positive, got {lambda_init}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda_init must be positive and finite, got {lambda_init}")
     found = sufficient_decrease(problem.phi_value, y, d, phi_y, -ddot(d, d), cfg.alpha,
                                 lam, cfg.beta, _MAX_BACKTRACKS + 1, stop_at_base=True)
     if found is None:
@@ -239,11 +240,12 @@ def quad_interp_lambda(phi0, dphi0, phi_at_lambda_bar, lambda_bar):
 
     Returns None when the fitted curvature is not positive (no interior
     minimizer).  The returned value can be nonpositive when dphi0 >= 0;
-    callers decide whether such a candidate is usable.
+    callers decide whether such a candidate is usable.  Raises ValueError
+    unless lambda_bar is positive and finite.
     """
     lambda_bar = float(lambda_bar)
-    if lambda_bar <= 0:
-        raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
+    if not 0 < lambda_bar < math.inf:
+        raise ValueError(f"lambda_bar must be positive and finite, got {lambda_bar}")
     gap = phi_at_lambda_bar - phi0 - dphi0 * lambda_bar
     if not math.isfinite(gap) or gap <= 0.0:
         return None

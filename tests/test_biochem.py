@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.optimize import least_squares
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -1223,6 +1224,110 @@ class TestDrivenRing:
         assert net_flux.min() > 0.5
 
 
+# A driven enzyme cycle E + S <-> ES <-> E + P, P <-> S: the product of the
+# forward constants over the reverse ones is 1600, not 1, so its steady
+# states carry a net flux S -> ES -> P -> S.  Two totals are conserved,
+# E + ES and S + ES + P, so each conservation class has its own steady state.
+CYCLE_K_FWD, CYCLE_K_REV = np.array([10.0, 4.0, 2.0]), np.array([1.0, 0.5, 0.1])
+CYCLE_E, CYCLE_S, CYCLE_ES, CYCLE_P = range(4)
+CYCLE_REACTANTS = ((CYCLE_E, CYCLE_S), (CYCLE_ES,), (CYCLE_P,))
+CYCLE_PRODUCTS = ((CYCLE_ES,), (CYCLE_E, CYCLE_P), (CYCLE_S,))
+CYCLE_CONSERVED = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]])  # E + ES, S + ES + P
+
+
+def cycle_network():
+    def side(sides):
+        rows = [i for species in sides for i in species]
+        cols = [j for j, species in enumerate(sides) for _ in species]
+        return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(4, 3))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no SchemaWarning may fire
+        return ReactionNetwork(m=4, n=3, F=side(CYCLE_REACTANTS), R=side(CYCLE_PRODUCTS),
+                               w=np.log(np.concatenate([CYCLE_K_FWD, CYCLE_K_REV])),
+                               name="enzyme_cycle")
+
+
+def cycle_rates(conc):
+    """Each reaction's forward and reverse mass-action rate, written from
+    the reactions above with no dcboost code."""
+    fwd = CYCLE_K_FWD * np.array([conc[list(s)].prod() for s in CYCLE_REACTANTS])
+    rev = CYCLE_K_REV * np.array([conc[list(s)].prod() for s in CYCLE_PRODUCTS])
+    return fwd, rev
+
+
+def cycle_model(totals):
+    """The residual and Jacobian, in log-concentrations y, of the dense
+    steady-state system in the class with the given conserved totals: dc/dt
+    for the four species, then E + ES and S + ES + P less their totals."""
+    def residual(y):
+        conc = np.exp(y)
+        fwd, rev = cycle_rates(conc)
+        dc = np.zeros(4)
+        for j in range(3):
+            dc[list(CYCLE_REACTANTS[j])] -= fwd[j] - rev[j]
+            dc[list(CYCLE_PRODUCTS[j])] += fwd[j] - rev[j]
+        return np.concatenate([dc, CYCLE_CONSERVED @ conc - totals])
+
+    def jacobian(y):
+        conc = np.exp(y)
+        fwd, rev = cycle_rates(conc)
+        jac = np.zeros((6, 4))
+        for j in range(3):
+            dv = np.zeros(4)  # the net rate's gradient in y
+            dv[list(CYCLE_REACTANTS[j])] += fwd[j]
+            dv[list(CYCLE_PRODUCTS[j])] -= rev[j]
+            jac[list(CYCLE_REACTANTS[j])] -= dv
+            jac[list(CYCLE_PRODUCTS[j])] += dv
+        jac[4:] = CYCLE_CONSERVED * conc
+        return jac
+
+    return residual, jacobian
+
+
+class TestDrivenEnzymeCycle:
+    """A driven enzyme cycle, checked against SciPy's least_squares on the
+    dense mass-action model within the end point's conservation class."""
+
+    @pytest.mark.parametrize("variant", ["dca", "bdca-b", "bdca-qi", "fm"])
+    def test_every_variant_reaches_the_steady_state(self, variant):
+        obj = NetworkObjective(cycle_network())
+        x0 = np.random.default_rng([0, 4]).uniform(-2.0, 2.0, 4)
+        result = solve(obj.as_dc_problem(rho=100.0), x0,
+                       SolverConfig(variant=variant, max_outer_iters=2000))
+        print(f"enzyme cycle {variant}: {result.status.value} in {result.iterations} iterations")
+        assert not result.status.is_failure, result.message
+        p, c, f = obj.rates(result.x_final)
+        assert np.linalg.norm(f) <= 1e-6 * np.linalg.norm(p + c)
+
+        x = result.x_final
+        residual, jacobian = cycle_model(CYCLE_CONSERVED @ np.exp(x))
+        oracle = least_squares(residual, np.zeros(4), jac=jacobian, method="lm",
+                               xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert oracle.success, oracle.message
+        y = oracle.x
+        # residual(x) - residual(y) = Jbar (x - y), Jbar the mean Jacobian on
+        # the segment, so |x - y| <= (|residual(x)| + |residual(y)|) / sigma_min(Jbar).
+        # sigma_min(Jbar) >= sigma_min(J(y)) / 2 while J moves by less than
+        # half of sigma_min(J(y)) on the segment, which the second assert below
+        # checks at x; each rate's rounding, 16 eps of the rates' sum, is added.
+        sigma = np.linalg.svd(jacobian(y), compute_uv=False)[-1]
+        fwd, rev = cycle_rates(np.exp(x))
+        rounding = 16.0 * np.finfo(float).eps * (fwd + rev).sum()
+        bound = 2.0 * (np.linalg.norm(residual(x)) + np.linalg.norm(residual(y))
+                       + rounding) / sigma
+        assert np.abs(x - y).max() <= bound
+        assert np.linalg.norm(jacobian(x) - jacobian(y), 2) <= sigma / 2.0
+        # each reaction's net rate is within (fwd + rev) (e^(2 bound) - 1) of the
+        # oracle's, at most two species on a side, and all three carry the cycle
+        # flux J*, far from 0
+        fwd_y, rev_y = cycle_rates(np.exp(y))
+        flux = fwd_y - rev_y
+        assert flux == pytest.approx(np.full(3, flux.mean()), rel=1e-9)
+        assert np.all(np.abs((fwd - rev) - flux) <= (fwd_y + rev_y) * np.expm1(2.0 * bound))
+        assert (fwd - rev).min() > flux.mean() / 2.0 > 0.0
+
+
 class TestGenerator:
     def test_deterministic(self):
         a = generate_network(12, 18, seed=21)
@@ -1310,6 +1415,33 @@ class TestGenerator:
             assert ours[0] is reference[0] is GenerationError
         else:
             assert ours == reference
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sample_makes_the_draws_of_choice(self, count):
+        # the generator's picks rest on this: NumPy's choice without
+        # replacement takes Floyd's branch for a count of at most 2 at every
+        # pool size, its tail shuffle needing more than 10,000 items and a
+        # count above size // 50; sizes run past that threshold to 20,000
+        sizes = sorted({*range(count, 64), 9_999, 10_000, 10_001, 20_000,
+                        *np.geomspace(64, 20_000, 40).astype(int).tolist()})
+        for seed in range(100):
+            ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in sizes:
+                assert biochem._sample(ours, size, count) == (
+                    numpy_rng.choice(size, count, replace=False).tolist()), (seed, size)
+                assert ours.random() == numpy_rng.random()
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    def test_scalar_integers_make_the_draws_of_a_sized_call(self):
+        # the forward coefficients are drawn one scalar integers(0, 3) at a
+        # time, and must be the draws of one sized call
+        for seed in range(40):
+            ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in (1, 2, 3, 5, 8, 1, 2):
+                assert [int(ours.integers(0, 3)) for _ in range(k)] == (
+                    numpy_rng.integers(0, 3, size=k).tolist()), (seed, k)
+                assert ours.random() == numpy_rng.random()
+            assert ours.bit_generator.state == numpy_rng.bit_generator.state
 
     def test_infeasible_shape_raises_before_any_draw(self, monkeypatch):
         # three reactions of at most two species per side cannot cover seven

@@ -162,6 +162,18 @@ class TestSteps:
         with pytest.raises(ValueError):
             backtrack(self.prob, np.array([Y0]), np.array([D0]), 0.0, phi_y=self.phi_y0)
 
+    @pytest.mark.parametrize("lambda_init", [np.nan, np.inf])
+    def test_backtrack_refuses_a_non_finite_step(self, lambda_init, monkeypatch):
+        # refused before phi is evaluated: NaN must fail the check as well
+        # as inf, or the search halves it 60 times for nothing
+        calls = []
+        phi_value = self.prob.phi_value
+        monkeypatch.setattr(self.prob, "phi_value", lambda x: calls.append(x) or phi_value(x))
+        with pytest.raises(ValueError, match="positive and finite"):
+            backtrack(self.prob, np.array([Y0]), np.array([D0]), lambda_init,
+                      phi_y=self.phi_y0)
+        assert calls == []
+
     def test_quad_interp_known_values(self):
         # quadratic through (0, 2) with slope -1 and (1, 2) has its
         # minimum at 0.5
@@ -171,6 +183,13 @@ class TestSteps:
         assert quad_interp_lambda(1.0, -1.0, np.inf, 1.0) is None
         with pytest.raises(ValueError):
             quad_interp_lambda(1.0, -1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("lambda_bar", [np.nan, np.inf])
+    def test_quad_interp_refuses_a_non_finite_step(self, lambda_bar):
+        # NaN must fail the check as well as inf, not read as a fit
+        # without curvature
+        with pytest.raises(ValueError, match="positive and finite"):
+            quad_interp_lambda(1.0, -1.0, 0.5, lambda_bar)
 
     def test_qi_select_quartic_frozen(self):
         # exact-rational model data at the first quartic line search

@@ -8,7 +8,7 @@ Usage (from anywhere)::
 For each of ``synthetic_m20_n30_s101``, ``synthetic_m40_n60_s103`` and
 ``synthetic_m80_n120_s105`` (the benchmark's networks) and
 ``synthetic_m200_n300_s107`` (the paper's scale) at rho = 100, it prints
-the best, over ``--repeats`` loops of ``--calls`` calls, of the
+the median, over ``--repeats`` loops of ``--calls`` calls, of the
 microseconds per call of:
 
 * ``g_value_grad``, ``g_value`` and ``phi_value`` at a new point: the
@@ -20,19 +20,22 @@ microseconds per call of:
 * ``spd_solve`` on that Hessian with g's gradient as the right-hand
   side, a solve that needs no damping.
 
+The loops run round robin: each round runs one loop of every kernel at
+every size, so a slow spell of the machine spreads over every row instead
+of lifting one size's whole row.
+
 Then, for each of those networks and ``synthetic_m400_n600_s109``, it
 prints the median, over ``--repeats`` builds, of the milliseconds that
 ``generate_network`` takes to draw the network (``generate``), that
 ``NetworkObjective(net)`` takes (``objective``; the two are the set-up
 every benchmark solve pays) and that the first Hessian request takes to
 build f1's Hessian operator (``hessian_op``).  The builds run round robin
-over the five networks, so a slow spell of the machine spreads over every
-size, and the median, unlike the best, is not one lucky build.
+over the five networks too, and the median, unlike the best, is not one
+lucky build.
 
 BLAS is pinned to one thread before NumPy is imported, so the figures
-are one core's.  On a 2-core x86 box the default run takes about 27 s,
-17 s of them on the m = 200 kernel row.  Only the library is imported;
-the benchmark is not.
+are one core's.  On a 2-core x86 box the default run takes about 21 s.
+Only the library is imported; the benchmark is not.
 """
 
 import os
@@ -61,35 +64,45 @@ RHO = 100.0
 POINTS = 16
 
 
-def best_us(call, args, calls, repeats):
-    """The fastest of ``repeats`` loops of ``calls`` calls of ``call``,
-    cycling through ``args``, in microseconds per call."""
-    cycle = [args[i % len(args)] for i in range(calls)]
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for arg in cycle:
-            call(arg)
-        best = min(best, time.perf_counter() - started)
-    return best / calls * 1e6
-
-
-def kernel_times(shape, calls, repeats):
-    """(kernel name, µs per call) at one network size."""
+def kernel_loops(shape, calls):
+    """(network name, [(kernel name, call, arguments of one loop, at_x)])
+    at one network size; a loop with ``at_x`` runs once g_value_grad has
+    made x the memo's point again, with f1's record."""
     net = generate_network(*shape)
     problem = NetworkObjective(net).as_dc_problem(rho=RHO)
     points = list(np.random.default_rng(list(shape)).uniform(-2.0, 2.0, size=(POINTS, net.m)))
     x = points[0]
-    times = [(name, best_us(getattr(problem, name), points, calls, repeats))
-             for name in ("g_value_grad", "g_value", "phi_value")]
-    _, grad = problem.g_value_grad(x)  # x is now the memo's point, with f1's record
-    times.append(("grad_h", best_us(problem.grad_h, [x], calls, repeats)))
+    _, grad = problem.g_value_grad(x)
     hess = problem.g_hessian(x)  # builds f1's Hessian operator, a one-off cost
-    times.append(("g_hessian", best_us(problem.g_hessian, [x], calls, repeats)))
     if spd_solve(hess, grad)[1] != 0.0:
         raise RuntimeError(f"{net.name}: the Hessian needs damping")
-    times.append(("spd_solve", best_us(lambda h: spd_solve(h, grad), [hess], calls, repeats)))
-    return net.name, times
+    cycle = [points[i % POINTS] for i in range(calls)]
+    loops = [(name, getattr(problem, name), cycle, False)
+             for name in ("g_value_grad", "g_value", "phi_value")]
+    loops += [("grad_h", problem.grad_h, [x] * calls, True),
+              ("g_hessian", problem.g_hessian, [x] * calls, True),
+              ("spd_solve", lambda h: spd_solve(h, grad), [hess] * calls, False)]
+    return net.name, lambda: problem.g_value_grad(x), loops
+
+
+def kernel_times(calls, repeats):
+    """Per network of NETWORKS, (network name, [(kernel name, median µs
+    per call)]) over ``repeats`` rounds, each of which runs one loop of
+    ``calls`` calls of every kernel at every size."""
+    sizes = [kernel_loops(shape, calls) for shape in NETWORKS]
+    times = [[[] for _ in loops] for _, _, loops in sizes]
+    for _ in range(repeats):
+        for (_, to_x, loops), kept in zip(sizes, times):
+            for (_, call, cycle, at_x), loop_times in zip(loops, kept):
+                if at_x:
+                    to_x()
+                started = time.perf_counter()
+                for arg in cycle:
+                    call(arg)
+                loop_times.append((time.perf_counter() - started) / calls * 1e6)
+    return [(name, [(kernel, statistics.median(loop_times))
+                    for (kernel, *_), loop_times in zip(loops, kept)])
+            for (name, _, loops), kept in zip(sizes, times)]
 
 
 def build_times(repeats):
@@ -117,13 +130,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--calls", type=int, default=4000, help="calls per timing loop")
     parser.add_argument("--repeats", type=int, default=7,
-                        help="loops, of which the fastest counts, and rounds of builds")
+                        help="rounds of kernel loops and of builds, of which the "
+                        "median counts")
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeats < 1:
         parser.error("--calls and --repeats must be positive")
-    print(f"best of {args.repeats} loops of {args.calls} calls, µs per call, one BLAS thread")
-    for shape in NETWORKS:
-        name, times = kernel_times(shape, args.calls, args.repeats)
+    print(f"median of {args.repeats} round-robin loops of {args.calls} calls, µs per call, "
+          f"one BLAS thread")
+    for name, times in kernel_times(args.calls, args.repeats):
         print(f"{name}: " + "  ".join(f"{kernel} {us:.2f}" for kernel, us in times))
     print(f"median of {args.repeats} round-robin builds, ms per build, one BLAS thread")
     for name, generate, objective, hessian_op in build_times(args.repeats):
