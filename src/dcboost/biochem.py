@@ -69,7 +69,7 @@ class ReactionNetwork:
             raise ValueError(f"network needs m, n >= 1, got m={self.m}, n={self.n}")
         self.F = self._coerce_matrix(self.F, "F")
         self.R = self._coerce_matrix(self.R, "R")
-        self.w = np.asarray(self.w, dtype=float).reshape(-1)
+        self.w = np.array(self.w, dtype=float).reshape(-1)
         if self.w.size != 2 * self.n:
             raise ValueError(f"w must have length 2n={2 * self.n}, got {self.w.size}")
         if not np.all(np.isfinite(self.w)):
@@ -168,7 +168,8 @@ class NetworkObjective:
         # the rows of [M; N] in order, as scipy's product does
         keys, products = (np.concatenate(pair) for pair in zip(_row_pairs(M), _row_pairs(N)))
         self.G1 = _summed(keys, products, (2 * n, 2 * n), itype)
-        self.w = np.asarray(network.w, dtype=float)
+        # its own copy: an edit to network.w would leave the point memo stale
+        self.w = network.w.copy()
         self._point = None
 
     # -- state ----------------------------------------------------------

@@ -86,14 +86,14 @@ class SubproblemState:
         return x + (3.0 * (steps[0] - steps[1]) + steps[2])
 
 
-def spd_solve(hess, rhs, state=None):
+def spd_solve(hess, rhs):
     """Solve (hess + mu*I) d = rhs with the smallest workable damping mu.
 
     Tries mu = 0 first, then 1e-10 * 4^j.  A solve is accepted once
     Cholesky succeeds and (after at most a few refinement passes) the
     relative residual is at or below 1e-10.  ``rhs`` is a vector.
-    Returns ``(d, mu)``; with mu = 0 the lower Cholesky factor of hess is
-    also kept as ``state.factor`` when a SubproblemState ``state`` is given.
+    Returns ``(d, mu, factor)``: factor is hess's lower Cholesky factor
+    when it served the solve at mu = 0, else None (damped, scaled, zero rhs).
 
     When the Hessian's infinity norm overflows although its entries are
     finite, the system is solved with hess and rhs each divided by its
@@ -110,7 +110,7 @@ def spd_solve(hess, rhs, state=None):
 
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 0.0
+        return np.zeros_like(rhs), 0.0, None
 
     tol = _RESIDUAL_RTOL * rhs_norm
     mu, shifted = 0.0, hess
@@ -125,9 +125,7 @@ def spd_solve(hess, rhs, state=None):
                     break
                 d = d + _POTRS(factor, resid, 1)[0]
             if accepted and _all_finite(d):
-                if state is not None and mu == 0.0:
-                    state.factor = factor
-                return d, mu
+                return d, mu, (factor if mu == 0.0 else None)
         if mu == 0.0:
             # the cap is only needed once damping is
             mu = _DAMPING_FLOOR
@@ -138,12 +136,12 @@ def spd_solve(hess, rhs, state=None):
                 # t the largest entries of H and rhs, solve (H/s + (mu/s) I) d' =
                 # rhs/t, whose d' is d scaled by s/t
                 scale, rhs_scale = float(np.abs(hess).max()), float(np.abs(rhs).max())
-                d, mu = spd_solve(hess / scale, rhs / rhs_scale)
+                d, mu, _ = spd_solve(hess / scale, rhs / rhs_scale)
                 mu *= scale
                 if math.isinf(mu):
                     raise NumericalError(f"damping {mu:.3g} at the Hessian's scale "
                                          f"{scale:.3g} is not finite")
-                return d * (rhs_scale / scale), mu
+                return d * (rhs_scale / scale), mu, None
             # every rung is hess + mu I with its bits, written into one copy:
             # off the diagonal hess + 0.0, which turns a -0.0 into +0.0
             shifted = np.add(hess, 0.0, order="C")
@@ -192,8 +190,8 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
     state holds a factor (see ``_newton``), and, if the state predicts,
     starts at its guess where F's value and gradient are finite and the
     value is no higher than at x_init (the tolerance stays the one taken
-    at x_init).  Should that run fail, the factor is dropped and one more
-    run is made from x_init without a factor, which is the run without a
+    at x_init).  Should that run fail, which drops the factor, one more
+    run is made from x_init without the state, which is the run without a
     state, so a state adds no failure.  On success the state keeps F's
     gradient at y as ``grad``, and a predicting state takes ``y - x_init``
     as its newest step.
@@ -227,7 +225,6 @@ def minimize_subproblem(problem, linear_term, x_init, tol_grad=1e-8, state=None)
         x, steps, failure, grad = _newton(problem, b, _start(problem, b, state, at_x_init),
                                           tol, state)
         if failure is not None and state is not None:
-            state.factor = None
             x, more, failure, grad = _newton(problem, b, at_x_init, tol)
             steps += more
     if failure is not None:
@@ -256,12 +253,12 @@ def _start(problem, b, state, at_x_init):
 def _newton(problem, b, start, tol, state=None):
     """Damped Newton or chord steps from ``start`` until ||grad F|| <= tol.
 
-    With a ``state``, a step solves with its factor while it holds one,
-    and a Newton step's undamped factor is stored in it by ``spd_solve``.
-    After every step one rule decides: the factor that served the step,
-    or that the step made, is kept only if the step cut ||grad F|| at
+    With a ``state``, a step solves with its factor while it holds one;
+    this is the only code that keeps, reuses or drops that factor.  After
+    every step one rule decides: the factor that served the step, or that
+    spd_solve made for it, is kept only if the step cut ||grad F|| at
     least tenfold.  A chord step failing a test gives way, factor and all,
-    to a Newton step from the same x.
+    to a Newton step from the same x, and a failed run drops the factor.
 
     Returns ``(x, steps, failure, grad)``: failure is None once the
     tolerance is met, else the NumericalError that ended the run at x
@@ -273,29 +270,28 @@ def _newton(problem, b, start, tol, state=None):
             if grad_norm <= tol:
                 return x, iteration, None, grad
             if iteration == _MAX_NEWTON_STEPS:
-                break
-            chorded = state is not None and state.factor is not None
-            if chorded:
-                direction = _POTRS(state.factor, -grad, 1)[0]
+                raise NumericalError(f"inner solver did not reach its gradient tolerance "
+                                     f"{tol:g} in {_MAX_NEWTON_STEPS} iterations")
+            factor = None if state is None else state.factor
+            if factor is not None:
+                direction = _POTRS(factor, -grad, 1)[0]
                 try:
                     if not _all_finite(direction):
                         raise NumericalError("chord direction is not finite")
                     x_new, trial = _step(problem, b, x, value, grad, direction)
                 except NumericalError:
-                    chorded = state.factor = None
-            if not chorded:
-                direction, _ = spd_solve(problem.g_hessian(x), -grad, state)
+                    factor = None
+            if factor is None:
+                direction, _, factor = spd_solve(problem.g_hessian(x), -grad)
                 x_new, trial = _step(problem, b, x, value, grad, direction)
             x, last_norm = x_new, grad_norm
             value, grad, grad_norm = _evaluate(problem, b, x, trial)
-            if state is not None and not grad_norm <= _CHORD_CONTRACTION * last_norm:
-                state.factor = None
+            if state is not None:
+                state.factor = factor if grad_norm <= _CHORD_CONTRACTION * last_norm else None
     except NumericalError as failure:
+        if state is not None:
+            state.factor = None
         return x, iteration, failure, grad
-    return x, iteration, NumericalError(
-        f"inner solver did not reach its gradient tolerance {tol:g} "
-        f"in {_MAX_NEWTON_STEPS} iterations"
-    ), grad
 
 
 def _step(problem, b, x, value, grad, direction):

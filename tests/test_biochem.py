@@ -944,6 +944,22 @@ class TestPointMemo:
         for method in MEMO_METHODS:
             assert bits(getattr(obj, method)(finite)) == FRESH[method, 2]
 
+    def test_edits_to_the_callers_w_change_no_value(self):
+        # the network copies w as it copies F and R, and the objective owns
+        # the w it evaluates, so no edit elsewhere can leave the memo stale
+        source = generate_network(6, 9, 5)
+        w = source.w.copy()
+        network = ReactionNetwork(6, 9, source.F, source.R, w)
+        obj, x, elsewhere = NetworkObjective(network), np.zeros(6), np.ones(6)
+        expected = bits(NetworkObjective(source).phi_value(x))
+        assert bits(obj.phi_value(x)) == expected
+        w += 1.0
+        network.w += 1.0
+        assert bits(obj.phi_value(x)) == expected
+        obj.phi_value(elsewhere)
+        assert bits(obj.phi_value(x)) == expected
+        assert np.array_equal(network.w, source.w + 1.0)
+
     @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
     def test_point_of_another_shape_is_refused(self, shape):
         # the products after _at run unchecked, so x's shape is checked

@@ -23,8 +23,9 @@ def test_every_kernel_at_every_size():
     done = run_tool("--calls", "2", "--repeats", "1")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "median of 1 round-robin loops of 2 calls, µs per call, one BLAS thread"
-    assert lines[5] == "median of 1 round-robin builds, ms per build, one BLAS thread"
+    scale = "raw/calibrated to a 400 µs calibration call, one BLAS thread"
+    assert lines[0] == f"median of 1 round-robin loops of 2 calls, µs per call {scale}"
+    assert lines[5] == f"median of 1 round-robin builds, ms per build {scale}"
     for rows, names, timings in ((lines[1:5], SIZES, KERNELS),
                                  (lines[6:], SIZES + ["synthetic_m400_n600_s109"],
                                   ("generate", "objective", "hessian_op"))):
