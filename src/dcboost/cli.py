@@ -39,18 +39,18 @@ def _given(args, *names):
             if getattr(args, name) is not None}
 
 
+# the numeric solver settings, each given as --name-with-dashes
+_SOLVER_FLAGS = ("alpha", "beta", "lambda_bar", "lambda_max", "inner_tol")
+
+
 def _solver_flags(parser):
     parser.add_argument("--variant", choices=[v.value for v in Variant])
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda-bar", type=float)
-    parser.add_argument("--lambda-max", type=float)
-    parser.add_argument("--inner-tol", type=float)
+    for name in _SOLVER_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"), type=float)
 
 
 def _solver_config(args, **fields):
-    return SolverConfig(**_given(args, "variant", "alpha", "beta", "lambda_bar",
-                                 "lambda_max", "inner_tol"), **fields)
+    return SolverConfig(**_given(args, "variant", *_SOLVER_FLAGS), **fields)
 
 
 # -- solve ---------------------------------------------------------------
@@ -108,9 +108,16 @@ def _parse_generate(text):
 
 
 def cmd_compare(args):
+    settings = _given(args, "trials", "seed", "bdca_iters", "dca_cap", "rho")
     if args.spec_file is not None:
         with open(args.spec_file) as handle:
             spec = ExperimentSpec.from_json(json.load(handle))
+        # the file is the whole experiment: a flag beside it would go unread
+        ignored = _given(args, "builtin", "model", "generate", "variant", *_SOLVER_FLAGS,
+                         *settings)
+        if ignored:
+            raise ValueError("--spec-file takes no problem or setting flag, got "
+                             + ", ".join("--" + name.replace("_", "-") for name in ignored))
     else:
         problems = [ProblemSource(kind="builtin", name=name)
                     for name in args.builtin or ()]
@@ -120,9 +127,7 @@ def cmd_compare(args):
         if not problems:
             raise ValueError("no problems given (use --builtin/--model/--generate "
                              "or --spec-file)")
-        spec = ExperimentSpec(
-            problems=problems, solver=_solver_config(args),
-            **_given(args, "trials", "seed", "bdca_iters", "dca_cap", "rho"))
+        spec = ExperimentSpec(problems=problems, solver=_solver_config(args), **settings)
 
     _print_json(spec.to_json())
     result = run_experiment(spec, out_dir=args.out)

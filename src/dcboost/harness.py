@@ -13,6 +13,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -167,32 +168,23 @@ class ExperimentSpec:
         return _plain_cap(self.bdca_iters, self.dca_cap)
 
     def to_json(self):
-        return {
-            "problems": [p.to_json() for p in self.problems],
-            "trials": self.trials,
-            "seed": self.seed,
-            "x0_low": self.x0_low,
-            "x0_high": self.x0_high,
-            "bdca_iters": self.bdca_iters,
-            "dca_cap": self.resolved_dca_cap(),
-            "rho": self.rho,
-            "solver": self.solver.to_json(),
-        }
+        """Every field under its own name; ``dca_cap`` is the resolved cap."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out.update(problems=[p.to_json() for p in self.problems],
+                   dca_cap=self.resolved_dca_cap(), solver=self.solver.to_json())
+        return out
 
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("experiment spec must be an object")
         solver = SolverConfig.from_json(obj.get("solver", {}))
-        known = {"problems", "trials", "seed", "x0_low", "x0_high",
-                 "bdca_iters", "dca_cap", "rho"}
-        _reject_unknown(obj, known | {"solver"}, "experiment spec")
-        kwargs = {k: obj[k] for k in known if k in obj and k != "problems"}
+        _reject_unknown(obj, {f.name for f in dataclasses.fields(cls)}, "experiment spec")
         problems = obj.get("problems", [])
         if not isinstance(problems, list):
             raise ValueError(f"problems must be a list, got {problems!r}")
-        problems = [ProblemSource.from_json(p) for p in problems]
-        return cls(problems=problems, solver=solver, **kwargs)
+        return cls(**dict(obj, problems=[ProblemSource.from_json(p) for p in problems],
+                          solver=solver))
 
 
 @dataclass
@@ -275,47 +267,33 @@ def _solve_seconds(result):
     return sum(rec.elapsed_ms for rec in result.trace) / 1e3
 
 
+def _mean(values):
+    return float(np.mean(values)) if values else math.nan
+
+
 def _aggregate(label, problem, trial_results, n_reactions):
     ok = [t for t in trial_results
           if not (t.matched.bdca.status.is_failure or t.matched.dca.status.is_failure)]
-    failures = len(trial_results) - len(ok)
-    capped = sum(1 for t in ok if not t.matched.dca_reached)
-
-    def stats(values):
-        if not values:
-            return float("nan"), float("nan"), float("nan")
-        return min(values), max(values), float(np.mean(values))
-
-    b_iters = [t.matched.bdca.iterations for t in ok]
-    d_iters = [t.matched.dca.iterations for t in ok]
-    b_times = [_solve_seconds(t.matched.bdca) for t in ok]
-    d_times = [_solve_seconds(t.matched.dca) for t in ok]
-
-    bi_min, bi_max, bi_avg = stats(b_iters)
-    bt_min, bt_max, bt_avg = stats(b_times)
-    di_min, di_max, di_avg = stats(d_iters)
-    dt_min, dt_max, dt_avg = stats(d_times)
-
-    def ratio(num, den):
-        return num / den if den else float("nan")
-
+    columns = {}
+    # each quantity's columns {side}_{quantity}_{min,max,avg} and ratio_{quantity}
+    # from its measure of one solve; with no trials, min and max are 0 for a
+    # count, whose int column holds no NaN
+    for quantity, measure, empty in (("iters", attrgetter("iterations"), 0),
+                                     ("time", _solve_seconds, math.nan)):
+        avg = {}
+        for side in ("bdca", "dca"):
+            values = [measure(getattr(t.matched, side)) for t in ok]
+            columns[f"{side}_{quantity}_min"] = min(values, default=empty)
+            columns[f"{side}_{quantity}_max"] = max(values, default=empty)
+            columns[f"{side}_{quantity}_avg"] = avg[side] = _mean(values)
+        columns[f"ratio_{quantity}"] = avg["dca"] / avg["bdca"] if avg["bdca"] else math.nan
     return ComparisonRow(
         name=label, m=problem.m, n=n_reactions, trials=len(trial_results),
-        avg_phi0=float(np.mean([t.phi0 for t in ok])) if ok else float("nan"),
-        avg_phi_end=float(np.mean([t.matched.target for t in ok])) if ok else float("nan"),
-        bdca_iters_min=int(bi_min) if ok else 0,
-        bdca_iters_max=int(bi_max) if ok else 0,
-        bdca_iters_avg=bi_avg,
-        bdca_time_min=bt_min, bdca_time_max=bt_max, bdca_time_avg=bt_avg,
-        dca_iters_min=int(di_min) if ok else 0,
-        dca_iters_max=int(di_max) if ok else 0,
-        dca_iters_avg=di_avg,
-        dca_time_min=dt_min, dca_time_max=dt_max, dca_time_avg=dt_avg,
-        ratio_iters=ratio(di_avg, bi_avg),
-        ratio_time=ratio(dt_avg, bt_avg),
-        avg_phi_end_dca=float(np.mean([t.matched.dca.phi_final for t in ok])) if ok else float("nan"),
-        dca_capped=capped, failures=failures,
-    )
+        avg_phi0=_mean([t.phi0 for t in ok]),
+        avg_phi_end=_mean([t.matched.target for t in ok]),
+        avg_phi_end_dca=_mean([t.matched.dca.phi_final for t in ok]),
+        dca_capped=sum(1 for t in ok if not t.matched.dca_reached),
+        failures=len(trial_results) - len(ok), **columns)
 
 
 def _safe_label(label):
@@ -327,8 +305,10 @@ def run_experiment(spec, out_dir=None):
 
     Trials are independent; each draws its start from a generator seeded
     by (spec.seed, problem index, trial index), so reruns of the same
-    spec reproduce iteration counts exactly.  With ``out_dir`` set,
-    writes rows.csv, spec.json and traces/<model>_<trial>_<alg>.csv.
+    spec reproduce iteration counts exactly.  A source's label that an
+    earlier source holds takes its source index, ``_<index>``, until it
+    is free.  With ``out_dir`` set, writes rows.csv, spec.json and
+    traces/<label>_<trial>_<variant>.csv.
     The output directory is made and every source is loaded before the
     first trial, so neither can fail after trials have run.
     """
@@ -340,13 +320,11 @@ def run_experiment(spec, out_dir=None):
     dca_cap = spec.resolved_dca_cap()
     rows = []
     all_trials: Dict[str, List[TrialResult]] = {}
-    used_labels = set()
 
     for p_idx, (label, problem, n_reactions) in enumerate(resolved):
         label = _safe_label(label)
-        if label in used_labels:
+        while label in all_trials:
             label = f"{label}_{p_idx}"
-        used_labels.add(label)
 
         trial_results = []
         for trial in range(spec.trials):

@@ -339,9 +339,12 @@ def solve(problem, x0, config=None):
     with np.errstate(over="ignore", invalid="ignore"):
         phi_x = value_or_inf(problem.phi_value, x)
 
-        for k in range(cfg.max_outer_iters):
+        # the pass past the budget only tests the target at the last iterate
+        for k in range(cfg.max_outer_iters + 1):
             if cfg.target_phi is not None and phi_x <= cfg.target_phi:
                 status = Status.TARGET_REACHED
+                break
+            if k == cfg.max_outer_iters:
                 break
             started = time.perf_counter()
             try:
@@ -400,10 +403,6 @@ def solve(problem, x0, config=None):
             if step_norm <= tol:
                 status = Status.STATIONARY_POINT
                 break
-
-    if (status is Status.MAX_ITERS and cfg.target_phi is not None
-            and phi_x <= cfg.target_phi):
-        status = Status.TARGET_REACHED
 
     return SolveResult(x_final=x, phi_final=phi_x, status=status, trace=trace,
                        iterations=iterations, message=message)

@@ -475,6 +475,32 @@ class TestCompare:
             assert err == ("error: generate source seed must be an integer of at "
                            "least 0, got -1\n")
 
+    def test_spec_file_takes_no_problem_or_setting_flag(self, capsys, tmp_path, solves):
+        # each such flag used to be dropped unread, and the file's run went ahead
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"problems": [{"builtin": "quartic"}], "trials": 1,
+                                    "bdca_iters": 3}))
+        given = ["--spec-file", str(spec)]
+        assert main(["compare", *given, "--trials", "3", "--bdca-iters", "50",
+                     "--generate", "4:6:1", "--alpha", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --spec-file takes no problem or setting flag, got "
+                       "--generate, --alpha, --trials, --bdca-iters\n")
+        for flag, value in [("--builtin", "quartic"), ("--model", "net.json"),
+                            ("--generate", "4:6:1"), ("--trials", "1"), ("--seed", "0"),
+                            ("--bdca-iters", "3"), ("--dca-cap", "9"), ("--rho", "0"),
+                            ("--variant", "bdca-qi"), ("--alpha", "0.4"), ("--beta", "0.5"),
+                            ("--lambda-bar", "50"), ("--lambda-max", "200"),
+                            ("--inner-tol", "1e-8")]:
+            assert main(["compare", *given, flag, value]) == 2, flag
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(f"got {flag}\n"), flag
+        assert solves == []
+        # --out is not a setting of the run
+        assert main(["compare", *given, "--out", str(tmp_path / "exp")]) == 0
+        assert (tmp_path / "exp" / "rows.csv").is_file()
+
     def test_flags_run_and_echo_reproduces(self, capsys, tmp_path):
         args = ["compare", "--builtin", "quartic", "--trials", "2",
                 "--bdca-iters", "30", "--variant", "bdca-b",

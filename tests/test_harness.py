@@ -1,6 +1,7 @@
 """Matched-target protocol, experiment aggregation, and table round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,11 @@ class TestExperimentSpec:
         assert clone.solver.variant is spec.solver.variant
         assert clone.solver.lambda_bar == spec.solver.lambda_bar
         assert clone.problems == spec.problems
+
+    def test_json_keys_pinned(self):
+        assert list(self.make_spec().to_json()) == [
+            "problems", "trials", "seed", "x0_low", "x0_high", "bdca_iters", "dca_cap",
+            "rho", "solver"]
 
     def test_unknown_fields_rejected(self):
         payload = self.make_spec().to_json()
@@ -310,6 +316,26 @@ class TestRunExperiment:
         rows = run_experiment(spec).rows
         assert [row.n for row in rows] == [0, 9]
 
+    def test_a_repeated_label_takes_a_name_no_source_holds(self, tmp_path):
+        # the second quartic used to be named quartic_2, the model's own name,
+        # so its trials replaced the model's and its traces overwrote them
+        model = tmp_path / "model.json"
+        save_network(replace(generate_network(4, 6, seed=1), name="quartic_2"), model)
+        spec = ExperimentSpec(
+            problems=[ProblemSource(kind="builtin", name="quartic"),
+                      ProblemSource(kind="model", path=str(model)),
+                      ProblemSource(kind="builtin", name="quartic")],
+            trials=1, bdca_iters=5, solver=quartic_solver())
+        result = run_experiment(spec, out_dir=tmp_path / "exp")
+        names = ["quartic", "quartic_2", "quartic_2_2"]
+        assert [row.name for row in result.rows] == names
+        assert list(result.trials) == names
+        assert [row.m for row in result.rows] == [1, 4, 1]
+        assert result.trials["quartic_2"][0].x0.size == 4
+        traces = sorted(p.name for p in (tmp_path / "exp" / "traces").iterdir())
+        assert traces == sorted(f"{name}_0_{alg}.csv" for name in names
+                                for alg in ("bdca-b", "dca"))
+
     def test_per_trial_results_kept(self):
         result = run_experiment(self.small_spec())
         assert set(result.trials) == {"quartic", "synthetic_m6_n9_s42"}
@@ -333,6 +359,17 @@ class TestTableCsv:
         export_table(rows, path)
         loaded = read_table(path)
         assert loaded == rows
+
+    def test_header_pinned(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        export_table([], path)
+        assert path.read_text().splitlines() == [",".join([
+            "name", "m", "n", "trials", "avg_phi0", "avg_phi_end",
+            "bdca_iters_min", "bdca_iters_max", "bdca_iters_avg",
+            "bdca_time_min", "bdca_time_max", "bdca_time_avg",
+            "dca_iters_min", "dca_iters_max", "dca_iters_avg",
+            "dca_time_min", "dca_time_max", "dca_time_avg",
+            "ratio_iters", "ratio_time", "avg_phi_end_dca", "dca_capped", "failures"])]
 
     def test_bad_columns_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -59,12 +59,12 @@ def value_rounding(pieces, x):
     return ROUNDING * (f1 + f2)
 
 
-@pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
-@pytest.mark.parametrize("variant", [v.value for v in Variant])
-@pytest.mark.parametrize("name", ["quartic", "expsys", "m4", "m8", "m20"])
-def test_each_step_matches_the_reference(monkeypatch, name, variant):
+def check_each_step(monkeypatch, name, variant, **overrides):
+    """Check every row of a 12-iteration solve of case ``name`` against the
+    reference; returns the settings and, per row, (row, y_k, d_k, the
+    reference's ``boost`` result)."""
     problem, pieces, x0, settings, modulus = case(name)
-    cfg = SolverConfig(variant=variant, max_outer_iters=12, **settings)
+    cfg = SolverConfig(variant=variant, max_outer_iters=12, **{**settings, **overrides})
     calls = []
 
     def recording(problem, linear_term, x_init, tol_grad=1e-8, state=None):
@@ -76,6 +76,7 @@ def test_each_step_matches_the_reference(monkeypatch, name, variant):
     result = solve(problem, x0, cfg)
     assert not result.status.is_failure and len(result.trace) >= 4
     rho, tol = problem.rho, cfg.resolved_tol(problem.m)
+    steps = []
     for row, (x, y), (x_next, _) in zip(result.trace, calls, calls[1:] + [(None, None)]):
         where = f"row {row.k}"
         d = y - x
@@ -99,7 +100,9 @@ def test_each_step_matches_the_reference(monkeypatch, name, variant):
         grad_h = grad_f2 + rho * y
         slope_rounding = ROUNDING * (np.abs(grad_g) + np.abs(grad_h)) @ np.abs(d)
         assert abs(row.slope - grad_phi_y @ d) <= slope_rounding, where
-        lam, halvings, taken, trials, fit = boost(pieces, x, y, variant, cfg, tol)
+        reference = boost(pieces, x, y, variant, cfg, tol)
+        steps.append((row, y, d, reference))
+        lam, halvings, taken, trials, fit = reference
         if halvings != row.backtracks:
             # only a trial at the Armijo boundary may read the other way:
             # the first trial on which the two searches differ
@@ -126,3 +129,36 @@ def test_each_step_matches_the_reference(monkeypatch, name, variant):
         if x_next is not None:
             slack = abs(row.lambda_k - lam) * np.abs(d) + 2.0 * EPS * np.abs(taken)
             assert np.all(np.abs(x_next - taken) <= slack), where
+    return cfg, steps
+
+
+@pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("name", ["quartic", "expsys", "m4", "m8", "m20"])
+def test_each_step_matches_the_reference(monkeypatch, name, variant):
+    check_each_step(monkeypatch, name, variant)
+
+
+def test_a_fitted_start_past_lambda_max_is_capped(monkeypatch):
+    # from 1.5 with lambda_bar = 2, expsys's fitted starts reach 3.2-3.5, so
+    # the cap at lambda_max = 3 binds; a solver without it starts further
+    cfg, steps = check_each_step(monkeypatch, "expsys", "bdca-qi",
+                                 lambda_bar=2.0, lambda_max=3.0)
+    capped = [row.k for row, y, d, (_, _, _, trials, fit) in steps
+              if fit is not None and fit[0] > cfg.lambda_max
+              and (trials[0][2] == y + cfg.lambda_max * d).all()]
+    assert capped
+
+
+@pytest.mark.filterwarnings("ignore::dcboost.TheoryWarning")
+def test_a_trial_between_half_alpha_and_alpha_is_refused(monkeypatch):
+    # from 27/125 with lambda_bar = 5, some of the quartic's bdca-b trials
+    # decrease phi by between alpha/2 and alpha times t ||d||^2, so a search
+    # that tested alpha/2 would accept a trial the reference refuses;
+    # alpha = 0.4 stays below sigma_h + rho = 1
+    cfg, steps = check_each_step(monkeypatch, "quartic", "bdca-b",
+                                 lambda_bar=5.0, lambda_max=20.0)
+    ratios = [(row.phi_y - value) / (cfg.lambda_bar * cfg.beta ** i * (d @ d))
+              for row, y, d, (_, _, _, trials, _) in steps
+              for i, (value, _, _) in enumerate(trials)]
+    assert any(cfg.alpha / 2.0 <= ratio < cfg.alpha for ratio in ratios)
